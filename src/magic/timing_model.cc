@@ -48,6 +48,13 @@ TableTimingModel::cost(HandlerId id, int param)
       case HandlerId::OwnXferReceive: return 5;
       case HandlerId::NackReceive: return 3;
       case HandlerId::HomeNack: return 6;
+      // Not in Table 3.4: warm PPsim occupancies of the handlers in
+      // protocol/pp_programs.cc (a block-transfer chunk costs 6, or 7
+      // for the final chunk that also sends the ack).
+      case HandlerId::BlockXferReceive: return 6;
+      case HandlerId::BlockAckReceive: return 3;
+      case HandlerId::FetchOpService: return 5;
+      case HandlerId::FetchOpAck: return 3;
     }
     return 0;
 }

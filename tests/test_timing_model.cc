@@ -49,6 +49,21 @@ TEST(TableTimingModel, MatchesTable34)
               23u + 28u);
 }
 
+TEST(TableTimingModel, EveryHandlerHasANonzeroCost)
+{
+    // A missing case falls through to 0 and --table-timing would run
+    // that handler for free.
+    for (int i = 0; i < protocol::kNumHandlerIds; ++i) {
+        const auto id = static_cast<HandlerId>(i);
+        EXPECT_GT(TableTimingModel::cost(id, 0), 0u)
+            << protocol::handlerIdName(id);
+    }
+    EXPECT_EQ(TableTimingModel::cost(HandlerId::BlockXferReceive, 0), 6u);
+    EXPECT_EQ(TableTimingModel::cost(HandlerId::BlockAckReceive, 0), 3u);
+    EXPECT_EQ(TableTimingModel::cost(HandlerId::FetchOpService, 0), 5u);
+    EXPECT_EQ(TableTimingModel::cost(HandlerId::FetchOpAck, 0), 3u);
+}
+
 TEST(TableTimingModel, OccupancyUsesResult)
 {
     TableTimingModel m;
