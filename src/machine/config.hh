@@ -29,17 +29,6 @@ enum class Placement
 struct MachineConfig
 {
     int numProcs = 16;
-    /**
-     * Worker shards for the parallel (conservative time-window PDES)
-     * run loop: nodes are partitioned across this many threads, each
-     * with its own event queue, advancing in barrier-synchronized
-     * windows bounded by the minimum inter-node mesh transit. Results
-     * are bit-identical across shard counts for a given seed; 1 (the
-     * default) is the plain single-threaded loop. Clamped at
-     * construction to [1, min(numProcs, 64)]; more shards than host
-     * cores merely oversubscribes (the CLI clamps its knob to cores).
-     */
-    int shards = 1;
     magic::MagicParams magic;
     cpu::CacheParams cache;
     network::MeshParams net;

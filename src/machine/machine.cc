@@ -1,8 +1,6 @@
 #include "machine/machine.hh"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 #include "sim/logging.hh"
 
@@ -17,7 +15,8 @@ constexpr Addr kAppBase = Addr{1} << 20;
 } // namespace
 
 Machine::Machine(const MachineConfig &cfg)
-    : cfg_(cfg), programs_(protocol::sharedHandlerPrograms(cfg.ppCompile)),
+    : cfg_(cfg), sync_(cfg.numProcs),
+      programs_(protocol::sharedHandlerPrograms(cfg.ppCompile)),
       base_(kAppBase), next_(kAppBase)
 {
     cfg_.magic.pageShift = 0;
@@ -27,71 +26,23 @@ Machine::Machine(const MachineConfig &cfg)
         (cfg_.pageBytes & (cfg_.pageBytes - 1)) == 0)
         pageShift_ = cfg_.magic.pageShift;
 
-    // The conservative lookahead is the minimum inter-node transit: a
-    // message sent in one window cannot arrive before the next. A
-    // degenerate zero-latency network leaves no safe window, so such a
-    // configuration falls back to one shard.
-    shards_ = resolveShards(cfg_.shards, cfg_.numProcs);
-    lookahead_ = network::MeshNetwork::minTransitFor(cfg_.numProcs,
-                                                     cfg_.net);
-    if (lookahead_ == 0 && shards_ > 1) {
-        warn("Machine: zero minimum mesh transit leaves no PDES "
-             "lookahead; running single-threaded");
-        shards_ = 1;
-    }
-    cfg_.shards = shards_;
-
-    shardOf_.resize(static_cast<std::size_t>(cfg_.numProcs));
-    for (int i = 0; i < cfg_.numProcs; ++i)
-        shardOf_[static_cast<std::size_t>(i)] =
-            shardOfNode(i, cfg_.numProcs, shards_);
-    std::vector<EventQueue *> eqp;
-    for (int s = 0; s < shards_; ++s) {
-        eqs_.push_back(std::make_unique<EventQueue>());
-        eqp.push_back(eqs_.back().get());
-    }
-    arb_.init(eqp, cfg_.numProcs);
-
-    net_ = std::make_unique<network::MeshNetwork>(eqp, shardOf_,
-                                                  cfg_.numProcs, cfg_.net);
+    net_ = std::make_unique<network::MeshNetwork>(eq_, cfg_.numProcs,
+                                                  cfg_.net);
     nodes_.reserve(static_cast<std::size_t>(cfg_.numProcs));
     for (int i = 0; i < cfg_.numProcs; ++i) {
         nodes_.push_back(std::make_unique<Node>(
-            *eqs_[static_cast<std::size_t>(
-                shardOf_[static_cast<std::size_t>(i)])],
-            static_cast<NodeId>(i), cfg_, *this, programs_.get(), *net_));
+            eq_, static_cast<NodeId>(i), cfg_, *this, programs_.get(),
+            *net_));
+        // Route every shared host-state access in the tango sync
+        // primitives through the per-tick sync phase.
+        nodes_.back()->env().syncPhase = &sync_;
     }
 
-    // Route every shared host-state access in the tango sync
-    // primitives through the arbiter's canonical per-tick sync phase —
-    // in single-shard runs too, so lock/barrier resolution order is
-    // identical across shard counts (see sim/shard.hh).
-    for (int i = 0; i < cfg_.numProcs; ++i) {
-        tango::Env &env = nodes_[static_cast<std::size_t>(i)]->env();
-        const int s = shardOf_[static_cast<std::size_t>(i)];
-        const NodeId n = static_cast<NodeId>(i);
-        env.syncParker = [this, s, n](Tick t, std::coroutine_handle<> h) {
-            arb_.park(s, t, n, h);
-        };
-        env.syncInlineOk = [this](Tick t) { return arb_.inlineOk(t); };
-    }
-
-    // The machine's construction thread owns shard 0; worker threads
-    // (sharded runs) install their own thread-local log context.
-    setLogTickSource([this] { return eqs_[0]->now(); });
+    setLogTickSource([this] { return eq_.now(); });
 
     if (cfg_.magic.verify.any()) {
         sentinel_ = std::make_unique<verify::Sentinel>(
-            *eqs_[0], cfg_.magic.verify, cfg_.numProcs);
-        sentinel_->setWindowed(shards_ > 1);
-        std::vector<const EventQueue *> nodeEqs;
-        nodeEqs.reserve(static_cast<std::size_t>(cfg_.numProcs));
-        for (int i = 0; i < cfg_.numProcs; ++i)
-            nodeEqs.push_back(
-                eqs_[static_cast<std::size_t>(
-                         shardOf_[static_cast<std::size_t>(i)])]
-                    .get());
-        sentinel_->setNodeQueues(std::move(nodeEqs));
+            eq_, cfg_.magic.verify, cfg_.numProcs);
 
         verify::CoherenceOracle::Wiring w;
         w.numNodes = cfg_.numProcs;
@@ -115,13 +66,11 @@ Machine::Machine(const MachineConfig &cfg)
         for (auto &n : nodes_)
             n->magic().attachSentinel(sentinel_.get());
         if (sentinel_->injector().enabled()) {
-            // Jitter draws come from the sending node's stream: send
-            // order per node is shard-invariant, so the same seed
-            // perturbs the same messages at any shard count. Installed
-            // whenever the injector is on — not only when the jitter
-            // knob is nonzero — so every send consumes exactly one
-            // draw and enabling another injection class (loss, NACKs)
-            // can never shift the per-node stream positions.
+            // Jitter draws come from the sending node's stream.
+            // Installed whenever the injector is on — not only when the
+            // jitter knob is nonzero — so every send consumes exactly
+            // one draw and enabling another injection class (loss,
+            // NACKs) can never shift the per-node stream positions.
             net_->setPerturb([this](const protocol::Message &m) {
                 return sentinel_->injector().meshJitter(m.src);
             });
@@ -267,197 +216,22 @@ Machine::pageHeat() const
 }
 
 void
-Machine::runShardWindow(int s, Tick wend)
-{
-    EventQueue &eq = *eqs_[static_cast<std::size_t>(s)];
-    while (true) {
-        const Tick tq = eq.nextTick();
-        const Tick u = std::min(tq, arb_.minPending(s));
-        if (u >= wend)
-            break;
-        // Publish before executing tick u: shards rendezvousing at an
-        // earlier tick may proceed, while anyone waiting on tick u
-        // itself must keep waiting — we might still park there. The
-        // publish is liveness-only (registration-before-publish is
-        // what freezes participant sets), so it is elided while no
-        // shard is in a rendezvous — the common case; the watermark is
-        // re-checked every iteration and the window-end publish below
-        // is unconditional, so a parked shard never waits on us for
-        // more than one tick's worth of work.
-        if (arb_.anyParked())
-            arb_.publishClock(s, u);
-        if (tq == u)
-            eq.drainTick(u);
-        if (arb_.minPending(s) == u)
-            arb_.syncPhase(s, u);
-    }
-    arb_.publishClock(s, wend);
-}
-
-Tick
-Machine::earliestWork() const
-{
-    Tick t = EventQueue::kNever;
-    for (int s = 0; s < shards_; ++s) {
-        t = std::min(t, eqs_[static_cast<std::size_t>(s)]->nextTick());
-        t = std::min(t, arb_.minPending(s));
-    }
-    return t;
-}
-
-Tick
-Machine::windowEndFor(Tick T) const
-{
-    // Adaptive widening. A window [T, wend) is safe iff no cross-shard
-    // message sent during it is due before wend (staged sends merge at
-    // the edge, so an earlier due time would deliver it late). Every
-    // send from shard s this window happens at or after
-    // e_s = min(nextTick, pending sync op) — including sends from
-    // sync-phase-resumed coroutines, which run at park ticks >= e_s —
-    // and takes at least the shard's minimum outbound transit L_s, so
-    // nothing can be due before min_s(e_s + L_s). Called at a window
-    // edge, every future cross-shard arrival is already merged, and
-    // armed ARQ/retry timers are plain events inside nextTick, so they
-    // bound the horizon automatically. With the stock uniform-latency
-    // mesh the bound degenerates to T + lookahead (the shard owning T
-    // bounds itself); it widens when outbound transits differ per
-    // shard. Proof sketch in DESIGN.md 5i.
-    Tick wend = T + lookahead_;
-    if (shards_ > 1) {
-        Tick bound = EventQueue::kNever;
-        for (int s = 0; s < shards_; ++s) {
-            const Tick e =
-                std::min(eqs_[static_cast<std::size_t>(s)]->nextTick(),
-                         arb_.minPending(s));
-            if (e == EventQueue::kNever)
-                continue;
-            bound = std::min(bound, e + net_->minOutboundTransit(s));
-        }
-        if (bound != EventQueue::kNever)
-            wend = std::max(wend, bound);
-    }
-    return wend;
-}
-
-void
-Machine::noteWindow(Tick T, Tick wend)
-{
-    ShardRunStats &st = shardStats_;
-    ++st.windowsRun;
-    if (anyWindow_ && T > lastWindowEnd_) {
-        ++st.windowsSkipped;
-        st.ticksSkipped += T - lastWindowEnd_;
-    }
-    const Tick w = wend - T;
-    st.ticksWindowed += w;
-    st.maxWidth = std::max(st.maxWidth, w);
-    if (w > lookahead_)
-        ++st.windowsWidened;
-    lastWindowEnd_ = wend;
-    anyWindow_ = true;
-}
-
-void
 Machine::runSingle(const std::function<bool()> &all_done)
 {
-    // The single-shard loop advances tick by tick with the same
-    // canonical intra-tick structure as a sharded window (network-lane
-    // deliveries, normal events, then the sync phase), which is what
-    // makes the two modes bit-identical.
-    EventQueue &eq = *eqs_[0];
+    // Tick by tick: the tick's events (network-lane deliveries first),
+    // then its sync phase.
     while (!all_done()) {
-        const Tick tq = eq.nextTick();
-        const Tick u = std::min(tq, arb_.minPending(0));
+        const Tick tq = eq_.nextTick();
+        const Tick u = std::min(tq, sync_.minPending());
         if (u == EventQueue::kNever)
             fatal("Machine::run: deadlock — event queue empty with %d "
                   "processors unfinished",
                   cfg_.numProcs);
         if (tq == u)
-            eq.drainTick(u);
-        if (arb_.minPending(0) == u)
-            arb_.syncPhase(0, u);
+            eq_.drainTick(u);
+        if (sync_.minPending() == u)
+            sync_.run(u, eq_);
     }
-}
-
-void
-Machine::runSharded(const std::function<bool()> &all_done)
-{
-    // done/windowEnd are plain: they are written only inside the
-    // barrier's serial section and read after its release edge.
-    bool done = false;
-    Tick windowEnd = 0;
-
-    // No spin budget on oversubscribed hosts — the shard being waited
-    // on needs this core to make progress.
-    const unsigned hw = std::thread::hardware_concurrency();
-    const int spin =
-        hw != 0 && static_cast<unsigned>(shards_) > hw ? 0 : 4096;
-    SpinBarrier gate(shards_, spin);
-
-    // The serial window edge, run by the barrier's last arriver while
-    // every other shard is held in the rendezvous: merge staged
-    // cross-shard traffic, flush the sentinel, then pick the next
-    // window — its start jumps to the earliest pending work machine-
-    // wide (idle-gap skipping: a quiescent stretch costs one
-    // rendezvous, not one per lookahead), and its end widens
-    // adaptively (windowEndFor). One rendezvous per window, with the
-    // same serial-section ordering the old two-std::barrier
-    // coordinator had.
-    auto edge = [&] {
-        net_->exchangeWindows();
-        if (sentinel_)
-            sentinel_->flushWindow();
-        if (all_done()) {
-            done = true;
-            return;
-        }
-        const Tick T = earliestWork();
-        if (T == EventQueue::kNever)
-            fatal("Machine::run: deadlock — event queue empty with %d "
-                  "processors unfinished",
-                  cfg_.numProcs);
-        windowEnd = windowEndFor(T);
-        noteWindow(T, windowEnd);
-    };
-
-    auto worker = [&](int s) {
-        setLogTickSource(
-            [this, s] { return eqs_[static_cast<std::size_t>(s)]->now(); });
-        while (true) {
-            gate.arriveAndWait(edge);
-            if (done)
-                break;
-            runShardWindow(s, windowEnd);
-        }
-        setLogTickSource({});
-    };
-
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(shards_ - 1));
-    for (int s = 1; s < shards_; ++s)
-        threads.emplace_back(worker, s);
-
-    // The main thread is shard 0's worker, and additionally meters its
-    // wall time inside the rendezvous (window edges it happens to run
-    // itself included) — the run report's barrier-wait estimate.
-    std::uint64_t waitNs = 0;
-    while (true) {
-        const auto t0 = std::chrono::steady_clock::now();
-        gate.arriveAndWait(edge);
-        waitNs += static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count());
-        if (done)
-            break;
-        runShardWindow(0, windowEnd);
-    }
-    for (std::thread &t : threads)
-        t.join();
-
-    shardStats_.barrierWaitNs += waitNs;
-    shardStats_.barrierParks = gate.parks();
-    shardStats_.syncPhases = arb_.phasesRun();
 }
 
 Tick
@@ -476,10 +250,7 @@ Machine::run(const Workload &workload)
         return watch == nodes_.size();
     };
 
-    if (shards_ == 1)
-        runSingle(all_done);
-    else
-        runSharded(all_done);
+    runSingle(all_done);
 
     execTime_ = 0;
     for (auto &n : nodes_)
@@ -490,29 +261,7 @@ Machine::run(const Workload &workload)
 void
 Machine::drain()
 {
-    if (shards_ == 1) {
-        eqs_[0]->run();
-    } else {
-        // Drain the tail windowed but on one thread: the workloads
-        // have finished, so no sync phases can arise (nothing parks),
-        // and running the shards' windows back-to-back preserves the
-        // canonical order exactly as the threaded loop would. The same
-        // skipping/widening applies — retry-backoff and RTO tails are
-        // mostly armed-timer waits, which the horizon jumps over.
-        while (true) {
-            const Tick T = earliestWork();
-            if (T == EventQueue::kNever)
-                break;
-            const Tick wend = windowEndFor(T);
-            noteWindow(T, wend);
-            for (int s = 0; s < shards_; ++s)
-                runShardWindow(s, wend);
-            net_->exchangeWindows();
-            if (sentinel_)
-                sentinel_->flushWindow();
-        }
-        shardStats_.syncPhases = arb_.phasesRun();
-    }
+    eq_.run();
     // The machine is quiesced: every in-flight message has landed, so
     // the oracle can hold it to the strict (no transient windows)
     // whole-machine invariants — and every wire lane must have
@@ -528,7 +277,7 @@ Machine::stateDigest() const
     // FNV-1a over every allocated line's directory header + sharer
     // list at its home plus each node's cache state for that line: a
     // bit-exact fingerprint of the final architectural state, for the
-    // lossy-vs-clean and cross-shard equivalence tests.
+    // lossy-vs-clean equivalence tests and the golden run records.
     std::uint64_t h = 0xcbf29ce484222325ull;
     auto mix = [&h](std::uint64_t v) {
         for (int i = 0; i < 8; ++i) {

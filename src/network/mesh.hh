@@ -13,17 +13,9 @@
  * instead of the average (distanceBased), which the paper's simulator
  * did not do; the default matches the paper.
  *
- * Sharded runs (sim/shard.hh): the network is split into one endpoint
- * per shard. A send whose destination lives on the same shard schedules
- * its delivery directly on that shard's queue; a cross-shard send is
- * staged in a per-destination outbox and merged at the next window edge
- * by exchangeWindows(). Every delivery — local or staged — carries a
- * canonical (source node, per-source sequence) key and travels in the
- * EventQueue's network lane, so the delivery interleave at a tick is
- * identical whether or not a message crossed a shard boundary, and
- * identical to the single-threaded run. The minimum inter-node transit
- * (minTransit) is the conservative window lookahead: a message sent
- * inside a window cannot arrive before the next one.
+ * Every delivery carries a (source node, per-source sequence) key and
+ * travels in the EventQueue's network lane, which fixes the order of
+ * same-tick deliveries independently of the order they were sent in.
  */
 
 #ifndef FLASHSIM_NETWORK_MESH_HH_
@@ -60,17 +52,7 @@ class MeshNetwork
   public:
     using Deliver = std::function<void(const protocol::Message &)>;
 
-    /** Single-shard network: every node on one queue. */
     MeshNetwork(EventQueue &eq, int num_nodes, MeshParams params = {});
-
-    /**
-     * Sharded network: @p eqs holds one queue per shard and
-     * @p shard_of maps each node to its shard. Cross-shard sends stage
-     * until exchangeWindows().
-     */
-    MeshNetwork(const std::vector<EventQueue *> &eqs,
-                std::vector<int> shard_of, int num_nodes,
-                MeshParams params = {});
 
     /** Register node @p n's delivery callback (its NI inbound). */
     void connect(NodeId n, Deliver deliver);
@@ -89,13 +71,6 @@ class MeshNetwork
      */
     void sendAt(const protocol::Message &msg, Tick departure);
 
-    /**
-     * Merge every staged cross-shard message into its destination
-     * shard's queue (network lane, canonical key). Call only at a
-     * window edge, with all shards quiescent.
-     */
-    void exchangeWindows();
-
     /** Average transit latency in cycles (22 for 16 nodes). */
     Cycles avgTransit() const { return avgTransit_; }
 
@@ -103,23 +78,6 @@ class MeshNetwork
      *  enter the mesh and pay only entry/exit + header, in both
      *  modes. */
     Cycles transit(NodeId src, NodeId dest) const;
-
-    /** Minimum transit between two *distinct* nodes: the conservative
-     *  lookahead bounding a sharded run's time windows. */
-    Cycles minTransit() const;
-
-    /** minTransit() for a hypothetical network (lets the machine pick
-     *  a shard count before constructing one). */
-    static Cycles minTransitFor(int num_nodes, MeshParams params);
-
-    /**
-     * Minimum transit from any node of @p shard to any node outside
-     * it: the per-shard outbound lookahead bound behind the adaptive
-     * window widening (Machine::windowEndFor). Precomputed at
-     * construction; falls back to minTransit() on a single-endpoint
-     * network.
-     */
-    Cycles minOutboundTransit(int shard) const;
 
     /** avgTransit() for a hypothetical network. */
     static Cycles avgTransitFor(int num_nodes, MeshParams params);
@@ -137,10 +95,10 @@ class MeshNetwork
      */
     void setPerturb(std::function<Cycles(const protocol::Message &)> p);
 
-    /** Total messages injected (all endpoints). */
-    Counter messages() const;
-    /** Data-carrying messages injected (all endpoints). */
-    Counter dataMessages() const;
+    /** Total messages injected. */
+    Counter messages() const { return messages_; }
+    /** Data-carrying messages injected. */
+    Counter dataMessages() const { return dataMessages_; }
 
     // -- Lossy-mesh wire plane (recoverable-fault transport) ----------------
     //
@@ -160,14 +118,6 @@ class MeshNetwork
     // within the mesh transit budget, and it is what makes a lossy
     // run's architectural results bit-identical to the clean run's.
     // Wire frames do not count toward messages()/dataMessages().
-    //
-    // Shard discipline: lane (s, d)'s send state, fault stream and RTO
-    // timer are touched only by s's shard; its receive state and ack
-    // timer only by d's shard. Frames travel in the canonical network
-    // lane under the same (source node, srcSeq) key as commit
-    // deliveries, and cross-shard frames stage in a wire outbox merged
-    // at exchangeWindows() — so the wire plane is bit-identical across
-    // shard counts too.
 
     /** Enable the wire plane. @p inj supplies the per-lane fault
      *  streams (params().wireLossy() must hold). Call before running. */
@@ -193,8 +143,7 @@ class MeshNetwork
      * every receiver's in-order point caught up, no held reorders.
      * Trivially true while the transport is disabled. This is the
      * predicate checkTransportQuiesced() panics on; exposed separately
-     * so tests and the run loop can poll the ARQ plane without dying.
-     * Quiescent (window-edge or drained) callers only.
+     * so tests can poll the ARQ plane without dying.
      */
     bool transportQuiesced() const;
 
@@ -207,9 +156,13 @@ class MeshNetwork
     void checkTransportQuiesced() const;
 
     /** In-flight slab slots currently occupied (tests/diagnostics). */
-    std::uint32_t inFlight() const;
+    std::uint32_t inFlight() const { return inFlight_; }
     /** Total slab capacity allocated so far (tests/diagnostics). */
-    std::uint32_t slabCapacity() const;
+    std::uint32_t
+    slabCapacity() const
+    {
+        return static_cast<std::uint32_t>(slab_.size()) * kSlabChunk;
+    }
 
   private:
     /** Messages per slab chunk; chunk storage never moves, so a
@@ -217,37 +170,12 @@ class MeshNetwork
     static constexpr std::uint32_t kSlabChunk = 128;
     using SlabChunk = std::unique_ptr<protocol::Message[]>;
 
-    /** A cross-shard message parked until the next window edge. */
-    struct Staged
-    {
-        Tick when;
-        NodeId src;
-        std::uint64_t seq;
-        protocol::Message msg;
-    };
-
-    /**
-     * One shard's view of the network: its own in-flight slab and
-     * counters (written only from that shard's thread during a window)
-     * plus per-destination-shard outboxes for staged messages.
-     */
-    struct Endpoint
-    {
-        EventQueue *eq = nullptr;
-        std::vector<SlabChunk> slab;
-        std::vector<std::uint32_t> freeSlots;
-        std::uint32_t inFlight = 0;
-        Counter messages = 0;
-        Counter dataMessages = 0;
-        std::vector<std::vector<Staged>> outbox;
-    };
-
-    std::uint32_t allocSlot(Endpoint &ep);
-    void deliverSlot(std::uint32_t epIdx, std::uint32_t slot);
+    std::uint32_t allocSlot();
+    void deliverSlot(std::uint32_t slot);
     protocol::Message &
-    slot(Endpoint &ep, std::uint32_t s)
+    slot(std::uint32_t s)
     {
-        return ep.slab[s / kSlabChunk][s % kSlabChunk];
+        return slab_[s / kSlabChunk][s % kSlabChunk];
     }
     void inject(const protocol::Message &msg, Tick when);
 
@@ -273,15 +201,6 @@ class MeshNetwork
         std::uint64_t ackCum = 0; ///< cum. ack for the reverse lane
     };
 
-    /** A cross-shard wire frame parked until the next window edge. */
-    struct WireStaged
-    {
-        Tick when;
-        NodeId src;
-        std::uint64_t seq; ///< canonical network-lane key
-        WireFrame frame;
-    };
-
     /** One unacked wire copy awaiting its cumulative ack. */
     struct WireCopy
     {
@@ -289,9 +208,8 @@ class MeshNetwork
         std::uint32_t tries;
     };
 
-    /** Lane (s, d) sender state — touched only by s's shard. Padded:
-     *  neighbouring rows belong to different shards. */
-    struct alignas(64) SendLane
+    /** Lane (s, d) sender state. */
+    struct SendLane
     {
         std::uint64_t nextSeq = 0;  ///< next wire seq stamped at send
         std::uint64_t cumAcked = 0; ///< all seqs below this are acked
@@ -304,8 +222,8 @@ class MeshNetwork
         Counter assured = 0;
     };
 
-    /** Lane (s, d) receiver state — touched only by d's shard. */
-    struct alignas(64) RecvLane
+    /** Lane (s, d) receiver state. */
+    struct RecvLane
     {
         std::uint64_t cumIn = 0; ///< all seqs below this received
         std::vector<std::uint64_t> held; ///< out-of-order seqs, sorted
@@ -324,8 +242,6 @@ class MeshNetwork
         std::vector<SendLane> send; ///< indexed src * numNodes + dst
         std::vector<RecvLane> recv;
         Cycles rtoBase = 0;
-        /** [source shard][destination shard] staged frames. */
-        std::vector<std::vector<std::vector<WireStaged>>> outbox;
     };
 
     SendLane &
@@ -356,23 +272,23 @@ class MeshNetwork
     void ackFire(NodeId lane_src, NodeId lane_dst);
     std::uint64_t takeAck(NodeId frame_src, NodeId frame_dst);
 
+    EventQueue &eq_;
     int numNodes_;
     int side_;
     MeshParams params_;
     Cycles avgTransit_;
     std::vector<Deliver> deliver_;
     std::function<Cycles(const protocol::Message &)> perturb_;
-    /** Last scheduled delivery per (src, dest), perturbed mode only.
-     *  Each row is written only by the source node's shard. */
+    /** Last scheduled delivery per (src, dest), perturbed mode only. */
     std::vector<Tick> lastDelivery_;
 
-    std::vector<Endpoint> eps_;
-    /** Per-shard minimum outbound transit (empty when single-shard). */
-    std::vector<Cycles> minOut_;
-    /** Node -> shard (all zero in the single-shard constructor). */
-    std::vector<int> shardOf_;
-    /** Per-source monotonic send sequence: the canonical network-lane
-     *  key (written only by the source node's shard). */
+    /** In-flight message slab (chunked, slots recycled on delivery). */
+    std::vector<SlabChunk> slab_;
+    std::vector<std::uint32_t> freeSlots_;
+    std::uint32_t inFlight_ = 0;
+    Counter messages_ = 0;
+    Counter dataMessages_ = 0;
+    /** Per-source monotonic send sequence: the network-lane key. */
     std::vector<std::uint64_t> srcSeq_;
 
     /** Wire-plane state; null while the transport is disabled, so the

@@ -5,12 +5,10 @@
  * FlashLite (the paper's simulator) is a multi-threaded event-driven
  * memory-system simulator. Here every hardware unit schedules closures on
  * an EventQueue; ties are broken by insertion order so simulation is
- * fully deterministic. A sharded run (see sim/shard.hh) gives each shard
- * of nodes its own EventQueue and advances them in conservative time
- * windows; mesh deliveries travel in a separate *network lane* ordered
- * by a (source node, per-source sequence) key so that the same delivery
- * order falls out whether a message stayed on its own shard or was
- * staged across a window edge.
+ * fully deterministic. Mesh deliveries travel in a separate *network
+ * lane* ordered by a (source node, per-source sequence) key, so the
+ * order of same-tick deliveries does not depend on the order they were
+ * sent in.
  */
 
 #ifndef FLASHSIM_SIM_EVENT_QUEUE_HH_
@@ -58,8 +56,8 @@ class EventQueue
     /** Ticks covered by the near-term bucket ring (power of two). */
     static constexpr std::size_t kRingSize = 1024;
 
-    /** Sentinel for "no pending event" (also used by the shard
-     *  scheduler as "no pending tick"). */
+    /** Sentinel for "no pending event" (also used by the run loop as
+     *  "no pending tick"). */
     static constexpr Tick kNever = ~Tick{0};
 
     EventQueue() = default;
@@ -83,9 +81,8 @@ class EventQueue
      * Schedule a network-lane delivery at @p when (must be > now();
      * a degenerate zero-latency delivery falls back to the normal
      * lane). Within a tick every network-lane event runs before any
-     * normal event, ordered by (@p src, @p srcSeq) — a canonical key
-     * independent of which shard scheduled it, so sharded and
-     * single-threaded runs interleave deliveries identically.
+     * normal event, ordered by (@p src, @p srcSeq) — a key
+     * independent of the order the sends were scheduled in.
      */
     void scheduleNet(Tick when, NodeId src, std::uint64_t srcSeq,
                      Callback cb);
@@ -109,8 +106,8 @@ class EventQueue
     /**
      * Earliest pending tick across all lanes (normal, network, and the
      * timer fires riding the normal lane), or kNever. O(1) when the
-     * cached horizon is warm (see nextCache_) — this is the query the
-     * sharded run loop and the window-edge horizon computation hammer.
+     * cached horizon is warm (see nextCache_) — Machine::runSingle
+     * asks it once per simulated tick.
      * Armed timers bound it like any other event; a lazily cancelled
      * timer leaves its stale fire event behind, which can only make the
      * answer conservatively early, never late.

@@ -8,7 +8,7 @@
  * multi-workload comparisons, cache-size sweeps — are embarrassingly
  * parallel: every job owns its own Machine, EventQueue and statistics.
  *
- * SweepRunner shards such jobs across a work-stealing thread pool and
+ * SweepRunner spreads such jobs across a work-stealing thread pool and
  * returns results indexed by submission order, so a sweep's output is
  * bit-identical whether it runs on 1 worker or N. Jobs must be
  * independent (no shared mutable state); each job's simulation is

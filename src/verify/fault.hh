@@ -4,12 +4,11 @@
  *
  * Each node owns an independent xorshift64* stream (seeded from the
  * run seed and the node id), drawn in that node's event order, so a
- * (seed, config) pair replays bit-identically — including in sharded
- * runs, where nodes advance on different threads: every draw is keyed
- * by the node whose event stream triggered it (the message source for
+ * (seed, config) pair replays bit-identically: every draw is keyed by
+ * the node whose event stream triggered it (the message source for
  * mesh jitter, the local MAGIC for queue stalls, NACKs and hint
- * fates), and node-local event order is invariant under sharding. The
- * injector itself is pure policy — it only answers "what should happen
+ * fates), so enabling one injection class never shifts another node's
+ * draws. The injector itself is pure policy — it only answers "what should happen
  * to this message"; the mechanism (delaying delivery, synthesizing a
  * NACK, swallowing a hint) lives at the call sites in the mesh and in
  * MAGIC, which are also responsible for preserving the point-to-point
@@ -44,8 +43,7 @@ class FaultInjector
                               (0x9e3779b97f4a7c15ull * (n + 1)));
         // Per-(src,dst)-lane streams for the wire plane, mixed with a
         // different constant so lane streams never collide with node
-        // streams. Drawn in lane transmission order — a property of
-        // the lane's own traffic, not of the shard partition.
+        // streams. Drawn in lane transmission order.
         if (p_.wireLossy()) {
             lanes_.resize(static_cast<std::size_t>(num_nodes) *
                           static_cast<std::size_t>(num_nodes));
@@ -233,9 +231,8 @@ class FaultInjector
     }
 
   private:
-    /** Padded to a cache line: adjacent nodes' streams are drawn from
-     *  different shard threads concurrently. */
-    struct alignas(64) PerNode
+    /** One node's fault stream + injection counters. */
+    struct PerNode
     {
         Rng rng{0};
         Counter nacksInjected = 0;
@@ -246,9 +243,8 @@ class FaultInjector
         Counter reqDropsInjected = 0;
     };
 
-    /** One wire lane's fault stream + fate counters. Padded like
-     *  PerNode: lane (s, d) is drawn only from s's shard thread. */
-    struct alignas(64) PerLane
+    /** One wire lane's fault stream + fate counters. */
+    struct PerLane
     {
         Rng rng{0};
         Counter drops = 0;

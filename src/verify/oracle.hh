@@ -81,21 +81,6 @@ class CoherenceOracle
                    const protocol::Message &msg,
                    const protocol::HandlerResult &res);
 
-    /**
-     * Windowed (sharded) observation: apply the golden transition now
-     * but postpone the directory/cache cross-checks — they read other
-     * nodes' state, which another shard may be mutating mid-window.
-     * The touched lines are checked by runDeferredChecks() at the next
-     * window edge, when every shard is quiescent.
-     */
-    void onHandlerDeferred(NodeId node, bool at_home, Tick now,
-                           const protocol::Message &msg,
-                           const protocol::HandlerResult &res);
-
-    /** Run the postponed checks for every line touched since the last
-     *  call (window-edge, machine quiescent but not drained). */
-    void runDeferredChecks(Tick now);
-
     /** Whole-machine consistency check on a quiesced machine. */
     void finalCheck(Tick now);
 
@@ -137,8 +122,8 @@ class CoherenceOracle
     GoldenLine &line(Addr line_base);
     GoldenLine *find(Addr line_base);
 
-    /** The golden-state transition shared by the live and deferred
-     *  paths. Returns false for traffic that bypasses the directory. */
+    /** The golden-state transition. Returns false for traffic that
+     *  bypasses the directory. */
     bool applyTransition(NodeId node, bool at_home, Tick now,
                          const protocol::Message &msg,
                          const protocol::HandlerResult &res, Addr lb);
@@ -156,8 +141,6 @@ class CoherenceOracle
     Wiring w_;
     bool allowHintAnomalies_;
     std::unordered_map<Addr, GoldenLine> lines_;
-    /** Lines with a pending deferred check (windowed mode). */
-    std::vector<Addr> touched_;
     Counter violationCount_ = 0;
     std::vector<Violation> log_;
     static constexpr std::size_t kLogCap = 100;

@@ -408,8 +408,8 @@ TEST(EventQueueTimer, ResetClearsTimers)
 }
 
 // ---------------------------------------------------------------------------
-// The O(1) horizon query backing the sharded coordinator's adaptive
-// windows (nextTick() runs once per shard per window edge).
+// The O(1) horizon query: Machine::runSingle calls nextTick() once per
+// simulated tick.
 
 TEST(EventQueueHorizon, EmptyQueueReportsNever)
 {

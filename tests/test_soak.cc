@@ -7,7 +7,7 @@
  * This is the robustness acceptance bar: injection stresses the
  * NACK/retry and stale-pointer corner paths far harder than clean runs
  * do, and the oracle holds the machine to the golden invariants the
- * whole way. The sweep shards across the SweepRunner pool, so it also
+ * whole way. The sweep runs on the SweepRunner pool, so it also
  * soaks the per-thread log-context and post-mortem plumbing.
  */
 

@@ -184,11 +184,15 @@ TEST(OracleTest, CatchesCorruptedOwnerInBrokenHandler)
 
 TEST(OracleTest, HintCrossingInvalidationIsForgivenOnce)
 {
+    // A stub home directory (node 0) that each step below sets to what
+    // the real handler leaves behind; no cache holds the line.
+    protocol::DirHeader dir;
+    std::vector<NodeId> sharers;
     verify::CoherenceOracle::Wiring w;
     w.numNodes = 4;
     w.homeOf = [](Addr) { return NodeId{0}; };
-    w.header = [](NodeId, Addr) { return protocol::DirHeader{}; };
-    w.sharers = [](NodeId, Addr) { return std::vector<NodeId>{}; };
+    w.header = [&dir](NodeId, Addr) { return dir; };
+    w.sharers = [&sharers](NodeId, Addr) { return sharers; };
     w.cacheState = [](NodeId, Addr) { return 0; };
     verify::CoherenceOracle oracle(std::move(w),
                                    /*allow_hint_anomalies=*/false);
@@ -202,16 +206,17 @@ TEST(OracleTest, HintCrossingInvalidationIsForgivenOnce)
         msg.addr = line;
         HandlerResult res;
         res.id = id;
-        // Deferred observation applies the golden transition without
-        // cross-checking the (stubbed) live machine.
-        oracle.onHandlerDeferred(/*node=*/0, /*at_home=*/true, /*now=*/0,
-                                 msg, res);
+        oracle.onHandler(/*node=*/0, /*at_home=*/true, /*now=*/0, msg, res);
     };
 
     // Node 1 reads: it becomes a golden sharer.
+    sharers = {1};
     feed(HandlerId::ServeReadMemory, protocol::MsgType::NetGet, 1);
     // Node 2 writes: the sharer list is cleared and an inval races
     // toward node 1 -- whose eviction hint may already be in flight.
+    sharers.clear();
+    dir.dirty = true;
+    dir.owner = 2;
     feed(HandlerId::ServeWriteMemory, protocol::MsgType::NetGetx, 2);
     EXPECT_EQ(oracle.violations(), 0u);
 
