@@ -25,9 +25,7 @@ fi
     --benchmark_out_format=json \
     "$@"
 
-# Stamp the host shape into the record: the shard-scaling benches
-# (BM_Sharded*/N) only mean anything when the recording host had >= N
-# cores, and scripts/bench_gate.py skips them otherwise.
+# Stamp the recording host's shape (cores, hostname) into the record.
 python3 - "$repo_root/BENCH_hotpath.json" <<'EOF'
 import json, os, socket, sys
 path = sys.argv[1]
