@@ -129,21 +129,18 @@ BM_EventQueueScheduleRun(benchmark::State &state)
  * emulated execution). The mix alternates the hot read path (GET at
  * home, clean) with the cheap forward program.
  *
- * Two registrations share this body: BM_PpHandlerDispatch runs the
- * decoded interpreter, BM_PpDispatchCompiled the threaded-code backend
- * (scripts/bench_gate.py enforces a >= 2x ratio between them). Release
- * builds leave the conformance oracle off (see PpSim::oracleEnabled),
- * so the threaded number is the production configuration.
+ * Release builds leave the conformance oracle off (see
+ * PpSim::oracleEnabled), so this is the production configuration.
  */
 void
-dispatchBench(benchmark::State &state, ppisa::PpBackend backend)
+BM_PpDispatchCompiled(benchmark::State &state)
 {
     using protocol::Message;
     using protocol::MsgType;
 
     static const protocol::HandlerPrograms programs =
         protocol::buildHandlerPrograms();
-    ppisa::PpSim sim(backend);
+    const ppisa::PpSim sim;
     ppisa::FlatPpMemory mem;
     ppisa::RunStats stats;
     std::vector<ppisa::SentMessage> sent;
@@ -193,18 +190,6 @@ dispatchBench(benchmark::State &state, ppisa::PpBackend backend)
         static_cast<std::int64_t>(state.iterations()) * 2);
 }
 
-void
-BM_PpHandlerDispatch(benchmark::State &state)
-{
-    dispatchBench(state, ppisa::PpBackend::Interpreter);
-}
-
-void
-BM_PpDispatchCompiled(benchmark::State &state)
-{
-    dispatchBench(state, ppisa::PpBackend::Threaded);
-}
-
 /**
  * Whole-node miss round-trip: processor 0 streams reads over lines
  * homed on node 1 (remote-clean misses), every one a full PI -> MAGIC
@@ -219,45 +204,6 @@ BM_MissRoundTrip(benchmark::State &state)
     std::uint64_t misses = 0;
     for (auto _ : state) {
         machine::MachineConfig cfg = machine::MachineConfig::flash(4);
-        machine::Machine m(cfg);
-        Addr base = m.alloc(kLines * kLineSize, /*node=*/1);
-        auto workload = [base](tango::Env &env) -> tango::Task {
-            co_await env.busy(0);
-            if (env.id() != 0)
-                co_return;
-            for (int i = 0; i < kLines; ++i)
-                co_await env.read(base +
-                                  static_cast<Addr>(i) * kLineSize);
-        };
-        m.run(workload);
-        m.drain();
-        misses += kLines;
-    }
-    benchmark::DoNotOptimize(misses);
-    state.SetItemsProcessed(static_cast<std::int64_t>(misses));
-}
-
-/**
- * BM_MissRoundTrip with the recoverable-fault transport live: seeded
- * wire-plane loss (drops, duplicates, reorders) on every lane, so each
- * miss also pays sequence/dedup bookkeeping, ack traffic and a share
- * of RTO retransmissions. The spread over BM_MissRoundTrip is the
- * all-in cost of surviving a lossy mesh; the clean-path cost of merely
- * compiling the transport in is gated separately (BM_MissRoundTrip
- * must stay within a strict tolerance of its baseline).
- */
-void
-BM_LossyMissRoundTrip(benchmark::State &state)
-{
-    constexpr int kLines = 512;
-    std::uint64_t misses = 0;
-    for (auto _ : state) {
-        machine::MachineConfig cfg = machine::MachineConfig::flash(4);
-        cfg.magic.verify.fault.enabled = true;
-        cfg.magic.verify.fault.seed = 17;
-        cfg.magic.verify.fault.wireDropProb = 0.05;
-        cfg.magic.verify.fault.wireDupProb = 0.03;
-        cfg.magic.verify.fault.wireReorderProb = 0.03;
         machine::Machine m(cfg);
         Addr base = m.alloc(kLines * kLineSize, /*node=*/1);
         auto workload = [base](tango::Env &env) -> tango::Task {
@@ -369,13 +315,11 @@ BM_MeshSend(benchmark::State &state)
 BENCHMARK(BM_EventQueueHold)->Arg(1)->Arg(16)->Arg(256)->Arg(4096);
 BENCHMARK(BM_EventQueueHoldFar)->Arg(256)->Arg(4096);
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(64)->Arg(1024)->Arg(16384);
-BENCHMARK(BM_PpHandlerDispatch);
 BENCHMARK(BM_PpDispatchCompiled);
 BENCHMARK(BM_DirectoryOps);
 BENCHMARK(BM_StatHandle);
 BENCHMARK(BM_MeshSend);
 BENCHMARK(BM_MissRoundTrip)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_LossyMissRoundTrip)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

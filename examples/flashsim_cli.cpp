@@ -17,6 +17,7 @@
  *       --inject-nacks 0.05 --inject-jitter 20 --inject-drop-hints 0.1
  */
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -59,8 +60,6 @@ usage()
         "  --no-spec         disable speculative memory operations\n"
         "  --table-timing    Table 3.4 constants instead of PPsim\n"
         "  --baseline-pp     no ISA extensions, single issue (S5.3)\n"
-        "  --pp-backend B    threaded|interpreter handler engine\n"
-        "                    (default threaded; bit-identical timing)\n"
         "  --distance-net    per-pair mesh distances instead of the\n"
         "                    22-cycle average\n"
         "verification (src/verify):\n"
@@ -76,11 +75,7 @@ usage()
         "  --inject-drop-hints P P(drop a replacement hint)\n"
         "  --inject-dup-hints P  P(duplicate a replacement hint)\n"
         "  --inject-stall N      max extra inbound-queue stall cycles\n"
-        "recoverable-fault transport (timing-invariant wire plane):\n"
-        "  --inject-loss P       P(drop)=P(dup)=P(reorder)=P per wire\n"
-        "                        frame; acked retransmission recovers\n"
-        "                        every loss, final state bit-identical\n"
-        "                        to the clean same-seed run\n"
+        "transaction retry:\n"
         "  --inject-txn-drop P   P(kill a NetGet/GetX at the home NI);\n"
         "                        recovered by transaction retry\n"
         "  --retry-backoff N     base transaction timeout in cycles\n"
@@ -116,16 +111,35 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--app")) {
             app = next();
         } else if (!std::strcmp(argv[i], "--machine")) {
-            ideal = std::string(next()) == "ideal";
+            const std::string mach = next();
+            if (mach != "flash" && mach != "ideal") {
+                usage();
+                return 1;
+            }
+            ideal = mach == "ideal";
         } else if (!std::strcmp(argv[i], "--procs")) {
-            cfg.numProcs = std::atoi(next());
+            const char *arg = next();
+            char *end = nullptr;
+            const long n = std::strtol(arg, &end, 10);
+            if (end == arg || *end != '\0' || n < 1 || n > INT_MAX) {
+                usage();
+                return 1;
+            }
+            cfg.numProcs = static_cast<int>(n);
         } else if (!std::strcmp(argv[i], "--cache")) {
             cfg.cache.sizeBytes = parseSize(next());
         } else if (!std::strcmp(argv[i], "--placement")) {
-            std::string p = next();
-            cfg.placement = p == "firstfit" ? Placement::FirstFit
-                            : p == "node0" ? Placement::Node0
-                                           : Placement::RoundRobinPages;
+            const std::string p = next();
+            if (p == "rr") {
+                cfg.placement = Placement::RoundRobinPages;
+            } else if (p == "firstfit") {
+                cfg.placement = Placement::FirstFit;
+            } else if (p == "node0") {
+                cfg.placement = Placement::Node0;
+            } else {
+                usage();
+                return 1;
+            }
         } else if (!std::strcmp(argv[i], "--paper")) {
             scale = apps::Scale::Paper;
         } else if (!std::strcmp(argv[i], "--no-spec")) {
@@ -135,16 +149,6 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--baseline-pp")) {
             cfg.ppCompile = ppc::CompileOptions{false, false};
             cfg.magic.optimizedPp = false;
-        } else if (!std::strcmp(argv[i], "--pp-backend")) {
-            const std::string backend = next();
-            if (backend == "threaded") {
-                cfg.magic.ppBackend = ppisa::PpBackend::Threaded;
-            } else if (backend == "interpreter") {
-                cfg.magic.ppBackend = ppisa::PpBackend::Interpreter;
-            } else {
-                usage();
-                return 1;
-            }
         } else if (!std::strcmp(argv[i], "--distance-net")) {
             cfg.net.distanceBased = true;
         } else if (!std::strcmp(argv[i], "--verify")) {
@@ -182,12 +186,6 @@ main(int argc, char **argv)
             cfg.magic.verify.fault.enabled = true;
             cfg.magic.verify.fault.inboundStall =
                 std::strtoull(next(), nullptr, 0);
-        } else if (!std::strcmp(argv[i], "--inject-loss")) {
-            double p = std::atof(next());
-            cfg.magic.verify.fault.enabled = true;
-            cfg.magic.verify.fault.wireDropProb = p;
-            cfg.magic.verify.fault.wireDupProb = p;
-            cfg.magic.verify.fault.wireReorderProb = p;
         } else if (!std::strcmp(argv[i], "--inject-txn-drop")) {
             cfg.magic.verify.fault.enabled = true;
             cfg.magic.verify.fault.txnDropProb = std::atof(next());
@@ -244,21 +242,6 @@ main(int argc, char **argv)
     if (s.mdcMissRate > 0)
         std::printf("MDC: %.2f%% miss rate (%.2f%% reads)\n",
                     100 * s.mdcMissRate, 100 * s.mdcReadMissRate);
-    if (m->network().transportEnabled())
-        std::printf("transport: %llu frames (%llu retransmits, %llu "
-                    "assured), %llu acks; injected %llu drops / %llu "
-                    "dups / %llu reorders; filtered %llu dups, held "
-                    "%llu reorders\n",
-                    static_cast<unsigned long long>(s.wireCopies),
-                    static_cast<unsigned long long>(s.wireRetransmits),
-                    static_cast<unsigned long long>(s.wireAssured),
-                    static_cast<unsigned long long>(s.wireAcks),
-                    static_cast<unsigned long long>(s.wireDrops),
-                    static_cast<unsigned long long>(s.wireDups),
-                    static_cast<unsigned long long>(s.wireReorders),
-                    static_cast<unsigned long long>(s.wireDupsFiltered),
-                    static_cast<unsigned long long>(
-                        s.wireReordersAccepted));
     if (s.reqDropsInjected != 0 || s.timeoutRetries != 0 ||
         s.lateFills != 0)
         std::printf("txn recovery: %llu requests dropped at home NI, "

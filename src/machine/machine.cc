@@ -69,13 +69,11 @@ Machine::Machine(const MachineConfig &cfg)
             // Jitter draws come from the sending node's stream.
             // Installed whenever the injector is on — not only when the
             // jitter knob is nonzero — so every send consumes exactly
-            // one draw and enabling another injection class (loss,
-            // NACKs) can never shift the per-node stream positions.
+            // one draw and enabling another injection class (NACKs,
+            // hint fates) can never shift the per-node stream positions.
             net_->setPerturb([this](const protocol::Message &m) {
                 return sentinel_->injector().meshJitter(m.src);
             });
-            if (cfg_.magic.verify.fault.wireLossy())
-                net_->enableTransport(&sentinel_->injector());
         }
     }
 }
@@ -264,9 +262,7 @@ Machine::drain()
     eq_.run();
     // The machine is quiesced: every in-flight message has landed, so
     // the oracle can hold it to the strict (no transient windows)
-    // whole-machine invariants — and every wire lane must have
-    // recovered every dropped copy.
-    net_->checkTransportQuiesced();
+    // whole-machine invariants.
     if (sentinel_)
         sentinel_->finalCheck();
 }
@@ -277,7 +273,7 @@ Machine::stateDigest() const
     // FNV-1a over every allocated line's directory header + sharer
     // list at its home plus each node's cache state for that line: a
     // bit-exact fingerprint of the final architectural state, for the
-    // lossy-vs-clean equivalence tests and the golden run records.
+    // golden run records.
     std::uint64_t h = 0xcbf29ce484222325ull;
     auto mix = [&h](std::uint64_t v) {
         for (int i = 0; i < 8; ++i) {

@@ -78,8 +78,8 @@ class Machine : public protocol::AddressMap
      * Bit-exact fingerprint of the final architectural state: every
      * allocated line's directory header and sharer list at its home,
      * plus each node's cache state for it. Two drained runs that agree
-     * here reached the same caches and directory bit for bit — the
-     * lossy-run equivalence criterion. Call after drain().
+     * here reached the same caches and directory bit for bit (the golden
+     * run records pin it). Call after drain().
      */
     std::uint64_t stateDigest() const;
 

@@ -116,58 +116,11 @@ summarize(const Machine &m)
     s.mdcReadMissRate = ratio(static_cast<double>(mdc_read_misses),
                               static_cast<double>(mdc_reads));
 
-    if (m.network().transportEnabled()) {
-        network::MeshNetwork::TransportStats ts =
-            m.network().transportStats();
-        s.wireCopies = ts.copies;
-        s.wireRetransmits = ts.retransmits;
-        s.wireAssured = ts.assuredRetransmits;
-        s.wireAcks = ts.acksSent;
-        s.wireDupsFiltered = ts.dupsFiltered;
-        s.wireReordersAccepted = ts.reordersAccepted;
-    }
     if (const verify::Sentinel *sent = m.sentinel()) {
         const verify::FaultInjector &inj = sent->injectorStats();
-        s.wireDrops = inj.wireDropsInjected();
-        s.wireDups = inj.wireDupsInjected();
-        s.wireReorders = inj.wireReordersInjected();
         s.reqDropsInjected = inj.reqDropsInjected();
     }
     return s;
-}
-
-void
-exportTransportStats(const Summary &s, StatSet &stats)
-{
-    // Handles resolve once per name; repeated exports reuse them.
-    stats.set(stats.handle("transport.wire.drops"),
-              static_cast<double>(s.wireDrops));
-    stats.set(stats.handle("transport.wire.dups"),
-              static_cast<double>(s.wireDups));
-    stats.set(stats.handle("transport.wire.reorders"),
-              static_cast<double>(s.wireReorders));
-    stats.set(stats.handle("transport.wire.copies"),
-              static_cast<double>(s.wireCopies));
-    stats.set(stats.handle("transport.wire.retransmits"),
-              static_cast<double>(s.wireRetransmits));
-    stats.set(stats.handle("transport.wire.assured"),
-              static_cast<double>(s.wireAssured));
-    stats.set(stats.handle("transport.wire.acks"),
-              static_cast<double>(s.wireAcks));
-    stats.set(stats.handle("transport.wire.dupsFiltered"),
-              static_cast<double>(s.wireDupsFiltered));
-    stats.set(stats.handle("transport.wire.reordersAccepted"),
-              static_cast<double>(s.wireReordersAccepted));
-    stats.set(stats.handle("transport.txn.reqDrops"),
-              static_cast<double>(s.reqDropsInjected));
-    stats.set(stats.handle("transport.txn.timeoutRetries"),
-              static_cast<double>(s.timeoutRetries));
-    stats.set(stats.handle("transport.txn.lateFills"),
-              static_cast<double>(s.lateFills));
-    stats.set(stats.handle("transport.txn.degraded"),
-              static_cast<double>(s.degradedTxns));
-    stats.set(stats.handle("transport.txn.degradedResumes"),
-              static_cast<double>(s.degradedResumes));
 }
 
 std::string

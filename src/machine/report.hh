@@ -78,19 +78,6 @@ struct Summary
 
     std::uint64_t nacksSent = 0;
 
-    // -- Recoverable-fault transport (lossy-mesh mode) ----------------------
-    // Wire-plane injector actions and the ARQ machinery that absorbed
-    // them; all zero when the transport is disabled.
-    std::uint64_t wireDrops = 0;
-    std::uint64_t wireDups = 0;
-    std::uint64_t wireReorders = 0;
-    std::uint64_t wireCopies = 0;
-    std::uint64_t wireRetransmits = 0;
-    std::uint64_t wireAssured = 0;
-    std::uint64_t wireAcks = 0;
-    std::uint64_t wireDupsFiltered = 0;
-    std::uint64_t wireReordersAccepted = 0;
-
     // Transaction-level recovery (request drops at the home NI).
     std::uint64_t reqDropsInjected = 0;
     std::uint64_t timeoutRetries = 0;
@@ -114,10 +101,6 @@ struct Summary
 
 /** Collect a Summary from a machine that has finished run(). */
 Summary summarize(const Machine &m);
-
-/** Publish the transport/recovery counters of @p s into @p stats under
- *  dense "transport.*" handles (dashboards, bench fixtures). */
-void exportTransportStats(const Summary &s, StatSet &stats);
 
 /** Figure 4.1-style row: normalized total plus category percentages. */
 std::string breakdownRow(const std::string &label, const Summary &s,

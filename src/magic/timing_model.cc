@@ -115,7 +115,7 @@ PpTimingModel::PpTimingModel(const protocol::HandlerPrograms &programs,
                              const MagicParams &params)
     : programs_(programs), params_(params),
       mdc_(params.mdcBytes, params.mdcAssoc, params.mdcLineBytes),
-      shadow_(dir, mdc_, params.mdcMissPenalty), sim_(params.ppBackend)
+      shadow_(dir, mdc_, params.mdcMissPenalty)
 {
     // Resolve the (type, at_home) -> program mapping once — the handler
     // load point — pre-decoding each program so no dispatch or decode

@@ -5,7 +5,6 @@
 #include <cstdlib>
 
 #include "sim/logging.hh"
-#include "verify/fault.hh"
 
 namespace flashsim::network
 {
@@ -146,8 +145,6 @@ MeshNetwork::send(const protocol::Message &msg)
         last = when;
     }
     inject(msg, when);
-    if (wire_ && msg.src != msg.dest)
-        wireOnSend(msg.src, msg.dest);
 }
 
 void
@@ -165,296 +162,6 @@ MeshNetwork::sendAt(const protocol::Message &msg, Tick departure)
     if (protocol::carriesData(msg.type))
         ++dataMessages_;
     inject(msg, departure + transit(msg.src, msg.dest));
-    if (wire_ && msg.src != msg.dest)
-        wireOnSend(msg.src, msg.dest);
-}
-
-// ---- Wire plane (lossy-mesh reliable transport) ---------------------------
-
-void
-MeshNetwork::enableTransport(verify::FaultInjector *inj)
-{
-    wire_ = std::make_unique<WirePlane>();
-    wire_->inj = inj;
-    const std::size_t n2 = static_cast<std::size_t>(numNodes_) *
-                           static_cast<std::size_t>(numNodes_);
-    wire_->send.resize(n2);
-    wire_->recv.resize(n2);
-    // Base retransmit timeout: a round trip on the average path plus
-    // the receiver's ack batching delay and a little slack.
-    wire_->rtoBase = 2 * avgTransit_ + kAckDelay + 8;
-}
-
-Cycles
-MeshNetwork::rtoDelay(const SendLane &sl) const
-{
-    return wire_->rtoBase << std::min(sl.rtoStreak, kMaxRtoShift);
-}
-
-void
-MeshNetwork::wireOnSend(NodeId src, NodeId dst)
-{
-    SendLane &sl = sendLane(src, dst);
-    WireFrame f;
-    f.src = src;
-    f.dst = dst;
-    f.isAck = false;
-    f.seq = sl.nextSeq++;
-    f.ackCum = takeAck(src, dst);
-    sl.unacked.push_back(WireCopy{f.seq, 0});
-    ++sl.copies;
-    if (sl.unacked.size() == 1) {
-        // First outstanding copy on an idle lane: arm the RTO. (The
-        // lane's timer is cancelled whenever unacked empties, so a
-        // size of one here always means "no timer pending".)
-        sl.rto = eq_.armTimer(eq_.now() + rtoDelay(sl),
-                              [this, src, dst] { rtoFire(src, dst); });
-    }
-    wireTransmit(f, /*assured=*/false);
-}
-
-void
-MeshNetwork::wireTransmit(const WireFrame &f, bool assured)
-{
-    Tick when = eq_.now() + transit(f.src, f.dst);
-    if (!assured) {
-        Cycles extra = 0;
-        switch (wire_->inj->wireFate(f.src, f.dst, extra)) {
-          case verify::FaultInjector::WireFate::Drop:
-            return; // vanishes on the wire; the RTO recovers it
-          case verify::FaultInjector::WireFate::Duplicate:
-            scheduleWireFrame(f, when); // clone one cycle behind
-            when += 1;
-            break;
-          case verify::FaultInjector::WireFate::Reorder:
-            when += extra; // held back past later copies
-            break;
-          case verify::FaultInjector::WireFate::Deliver:
-            break;
-        }
-    }
-    scheduleWireFrame(f, when);
-}
-
-void
-MeshNetwork::scheduleWireFrame(const WireFrame &f, Tick when)
-{
-    const std::uint64_t key = srcSeq_[f.src]++;
-    eq_.scheduleNet(when, f.src, key, [this, f] { wireArrive(f); });
-}
-
-void
-MeshNetwork::wireArrive(const WireFrame &f)
-{
-    // Every frame carries the sender's cumulative in-order point for
-    // the reverse lane: apply it to this node's send state first.
-    wireAckApply(f.dst, f.src, f.ackCum);
-    if (f.isAck)
-        return;
-    RecvLane &rl = recvLane(f.src, f.dst);
-    if (f.seq < rl.cumIn ||
-        std::binary_search(rl.held.begin(), rl.held.end(), f.seq)) {
-        // Retransmit of something already received, or an injected
-        // duplicate: invisible above this layer.
-        ++rl.dupsFiltered;
-    } else if (f.seq == rl.cumIn) {
-        ++rl.cumIn;
-        std::size_t i = 0;
-        while (i < rl.held.size() && rl.held[i] == rl.cumIn) {
-            ++rl.cumIn;
-            ++i;
-        }
-        rl.held.erase(rl.held.begin(),
-                      rl.held.begin() + static_cast<std::ptrdiff_t>(i));
-    } else {
-        auto pos = std::lower_bound(rl.held.begin(), rl.held.end(), f.seq);
-        rl.held.insert(pos, f.seq);
-        ++rl.reordersAccepted;
-    }
-    // Ack lazily: the short timer batches a burst into one standalone
-    // ack, and any reverse data frame departing sooner carries the ack
-    // for free (takeAck cancels the pending timer). Dup-filtered
-    // arrivals re-ack too — a retransmit means the previous ack died.
-    scheduleAck(f.src, f.dst);
-}
-
-void
-MeshNetwork::wireAckApply(NodeId snd, NodeId rcv, std::uint64_t cum)
-{
-    SendLane &sl = sendLane(snd, rcv);
-    if (cum <= sl.cumAcked)
-        return; // stale: a reordered or duplicated ack
-    sl.cumAcked = cum;
-    bool progress = false;
-    while (!sl.unacked.empty() && sl.unacked.front().seq < cum) {
-        sl.unacked.pop_front();
-        progress = true;
-    }
-    if (sl.unacked.empty()) {
-        if (sl.rto.valid()) {
-            eq_.cancelTimer(sl.rto);
-            sl.rto = EventQueue::TimerId{};
-        }
-        sl.rtoStreak = 0;
-    } else if (progress) {
-        sl.rtoStreak = 0;
-        eq_.rearmTimer(sl.rto, eq_.now() + rtoDelay(sl));
-    }
-}
-
-void
-MeshNetwork::rtoFire(NodeId snd, NodeId rcv)
-{
-    SendLane &sl = sendLane(snd, rcv);
-    if (sl.unacked.empty()) {
-        // Unreachable in principle (acks cancel the timer), kept as a
-        // cheap guard against a same-tick race regression.
-        sl.rto = EventQueue::TimerId{};
-        return;
-    }
-    ++sl.rtoFires;
-    WireCopy &head = sl.unacked.front();
-    const bool assured = head.tries >= kMaxWireRetries;
-    if (assured)
-        ++sl.assured;
-    ++head.tries;
-    ++sl.retransmits;
-    WireFrame f;
-    f.src = snd;
-    f.dst = rcv;
-    f.isAck = false;
-    f.seq = head.seq;
-    f.ackCum = takeAck(snd, rcv);
-    wireTransmit(f, assured);
-    if (sl.rtoStreak < kMaxRtoShift)
-        ++sl.rtoStreak;
-    eq_.rearmTimer(sl.rto, eq_.now() + rtoDelay(sl));
-}
-
-std::uint64_t
-MeshNetwork::takeAck(NodeId frame_src, NodeId frame_dst)
-{
-    // A departing frame_src -> frame_dst frame carries the cumulative
-    // in-order point of the *reverse* lane, whose receive state this
-    // node owns; any pending standalone ack becomes redundant.
-    RecvLane &rl = recvLane(frame_dst, frame_src);
-    if (rl.ackPending) {
-        rl.ackPending = false;
-        eq_.cancelTimer(rl.ackTimer);
-        rl.ackTimer = EventQueue::TimerId{};
-    }
-    return rl.cumIn;
-}
-
-void
-MeshNetwork::scheduleAck(NodeId lane_src, NodeId lane_dst)
-{
-    RecvLane &rl = recvLane(lane_src, lane_dst);
-    if (rl.ackPending)
-        return;
-    rl.ackPending = true;
-    const Tick when = eq_.now() + kAckDelay;
-    if (rl.ackTimer.valid())
-        eq_.rearmTimer(rl.ackTimer, when);
-    else
-        rl.ackTimer = eq_.armTimer(
-            when, [this, lane_src, lane_dst] { ackFire(lane_src, lane_dst); });
-}
-
-void
-MeshNetwork::ackFire(NodeId lane_src, NodeId lane_dst)
-{
-    RecvLane &rl = recvLane(lane_src, lane_dst);
-    rl.ackPending = false;
-    bool assured = false;
-    if (rl.cumIn == rl.lastAckedCum) {
-        // Re-acking the same point: previous acks (or the data they
-        // answered) keep dying. Escalate like the data path so even a
-        // total-loss configuration converges.
-        assured = ++rl.ackRepeats > kMaxWireRetries;
-    } else {
-        rl.lastAckedCum = rl.cumIn;
-        rl.ackRepeats = 0;
-    }
-    ++rl.acksSent;
-    WireFrame f;
-    f.src = lane_dst;
-    f.dst = lane_src;
-    f.isAck = true;
-    f.seq = 0;
-    f.ackCum = rl.cumIn;
-    wireTransmit(f, assured);
-}
-
-MeshNetwork::TransportStats
-MeshNetwork::transportStats() const
-{
-    TransportStats t;
-    if (!wire_)
-        return t;
-    for (const SendLane &sl : wire_->send) {
-        t.copies += sl.copies;
-        t.retransmits += sl.retransmits;
-        t.rtoFires += sl.rtoFires;
-        t.assuredRetransmits += sl.assured;
-    }
-    for (const RecvLane &rl : wire_->recv) {
-        t.acksSent += rl.acksSent;
-        t.dupsFiltered += rl.dupsFiltered;
-        t.reordersAccepted += rl.reordersAccepted;
-    }
-    return t;
-}
-
-bool
-MeshNetwork::laneQuiesced(NodeId s, NodeId d) const
-{
-    const std::size_t l = static_cast<std::size_t>(s) *
-                              static_cast<std::size_t>(numNodes_) +
-                          d;
-    const SendLane &sl = wire_->send[l];
-    const RecvLane &rl = wire_->recv[l];
-    return sl.unacked.empty() && sl.cumAcked == sl.nextSeq &&
-           rl.cumIn == sl.nextSeq && rl.held.empty();
-}
-
-bool
-MeshNetwork::transportQuiesced() const
-{
-    if (!wire_)
-        return true;
-    for (NodeId s = 0; s < static_cast<NodeId>(numNodes_); ++s) {
-        for (NodeId d = 0; d < static_cast<NodeId>(numNodes_); ++d) {
-            if (s != d && !laneQuiesced(s, d))
-                return false;
-        }
-    }
-    return true;
-}
-
-void
-MeshNetwork::checkTransportQuiesced() const
-{
-    if (!wire_)
-        return;
-    for (NodeId s = 0; s < static_cast<NodeId>(numNodes_); ++s) {
-        for (NodeId d = 0; d < static_cast<NodeId>(numNodes_); ++d) {
-            if (s == d || laneQuiesced(s, d))
-                continue;
-            const std::size_t l = static_cast<std::size_t>(s) *
-                                      static_cast<std::size_t>(numNodes_) +
-                                  d;
-            const SendLane &sl = wire_->send[l];
-            const RecvLane &rl = wire_->recv[l];
-            panic("wire lane %u->%u failed to quiesce: sent %llu, "
-                      "receiver in-order %llu, acked %llu, %zu unacked, "
-                      "%zu held",
-                      s, d, static_cast<unsigned long long>(sl.nextSeq),
-                      static_cast<unsigned long long>(rl.cumIn),
-                      static_cast<unsigned long long>(sl.cumAcked),
-                      sl.unacked.size(), rl.held.size());
-        }
-    }
 }
 
 } // namespace flashsim::network

@@ -50,16 +50,16 @@ struct MicroOp
 
 /**
  * A decoded dual-issue pair: the two micro-ops plus everything the
- * dynamic loop previously recomputed per execution.
+ * reference interpreter recomputes per execution.
  */
 struct DecodedPair
 {
     /**
      * Static-scheduling contract verdict from decode time. The
-     * interpreter only checked a pair when it was dynamically reached,
-     * so a violation is recorded rather than reported eagerly and the
-     * executor panics on arrival — unreachable bad pairs stay silent,
-     * exactly as before.
+     * reference interpreter checks a pair only when it is dynamically
+     * reached, so a violation is recorded rather than reported eagerly
+     * and the executor panics on arrival — unreachable bad pairs stay
+     * silent.
      */
     enum class Violation : std::uint8_t
     {

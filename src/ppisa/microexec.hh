@@ -2,13 +2,13 @@
  * @file
  * Shared micro-op execution core (internal header).
  *
- * Both PP execution backends — the decoded interpreter in ppsim.cc and
- * the threaded-code engine in threaded.cc — must agree bit-for-bit on
- * every architectural effect. The generic per-slot executor and the
- * load-delay panic report therefore live here, in one place, so the
- * backends cannot drift: the threaded engine's specialized kernels are
- * each a hand-unrolled copy of exactly one case below, and its generic
- * fallback kernel calls execMicro directly.
+ * The threaded engine (threaded.cc) must agree bit-for-bit with the
+ * reference interpreter (PpSim::runReference) on every architectural
+ * effect. The generic per-slot executor over decoded micro-ops and the
+ * load-delay panic report live here, in one place: the threaded
+ * engine's specialized kernels are each a hand-unrolled copy of exactly
+ * one case below, and its generic fallback kernel calls execMicro
+ * directly.
  */
 
 #ifndef FLASHSIM_PPISA_MICROEXEC_HH_
@@ -151,8 +151,8 @@ execMicro(const MicroOp &m, RegFile &regs, PpMemory &mem,
     return r;
 }
 
-/** Name the offending register the way the interpreter did: first
- *  source of slot a then slot b that hits a previous-pair load dest.
+/** Name the offending register the way the reference interpreter does:
+ *  first source of slot a then slot b that hits a previous-pair load dest.
  *  @p a / @p b are the two micro-ops of the offending pair. */
 [[noreturn]] inline void
 panicLoadDelay(const MicroOp &a, const MicroOp &b, std::size_t pc,
@@ -170,7 +170,7 @@ panicLoadDelay(const MicroOp &a, const MicroOp &b, std::size_t pc,
           name); // unreachable: mask hit implies a source
 }
 
-/** Act on a decode-time contract verdict, in the interpreter's check
+/** Act on a decode-time contract verdict, in the reference interpreter's
  *  order (intra-pair RAW, intra-pair WAW, then two-branch — load-delay
  *  sits between WAW and two-branch and is checked by the caller). */
 [[noreturn]] inline void

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "ppisa/decode.hh"
-#include "ppisa/microexec.hh"
 #include "ppisa/threaded.hh"
 #include "sim/logging.hh"
 
@@ -338,99 +337,14 @@ PpSim::run(const Program &prog, const DecodedProgram &d, RegFile &regs,
     if (d.pairs().empty()) [[unlikely]]
         panic("PpSim: empty program '%s'", prog.name.c_str());
 
-    if (backend_ == PpBackend::Threaded) {
-        if (checkThreaded_) [[unlikely]]
-            return runThreadedChecked(prog, regs, mem, sent, stats);
-        // Pick the executor instantiation here rather than through
-        // runThreaded(): one less call on the per-invocation path.
-        if (mem.isFlat())
-            return runThreadedFlat(
-                d, regs, static_cast<FlatPpMemory &>(mem), sent, stats);
-        return runThreaded(d, regs, mem, sent, stats);
-    }
-
-    const DecodedPair *pairs = d.pairs().data();
-    const std::size_t npairs = d.pairs().size();
-
-    Cycles cycles = 0;
-    std::size_t pc = 0;
-    // Load destinations of the previous pair; reading one this pair
-    // violates the load-delay scheduling contract.
-    std::uint32_t prevLoadMask = 0;
-    // Accumulate the per-pair statistics in locals and fold them into
-    // stats once at the end: the loop body keeps them in registers
-    // instead of re-touching the RunStats fields every pair.
-    std::uint64_t instrs = 0, specials = 0, aluBranch = 0, npairsRun = 0;
-    Cycles memStall = 0;
-
-    while (true) {
-        if (pc >= npairs)
-            panic("PpSim: pc %zu out of range in '%s'", pc,
-                  d.name().c_str());
-        const DecodedPair &pair = pairs[pc];
-
-        // Contract verdicts were resolved at decode time; act on them
-        // in the interpreter's check order (intra-pair, load-delay,
-        // two-branch) only now that the pair is dynamically reached.
-        using Violation = DecodedPair::Violation;
-        if (pair.violation == Violation::IntraRaw) [[unlikely]]
-            panic("PpSim: intra-pair RAW on r%d at pair %zu of '%s'",
-                  int(pair.violationReg), pc, d.name().c_str());
-        if (pair.violation == Violation::IntraWaw) [[unlikely]]
-            panic("PpSim: intra-pair WAW on r%d at pair %zu of '%s'",
-                  int(pair.violationReg), pc, d.name().c_str());
-        if ((pair.srcMask & prevLoadMask) != 0) [[unlikely]]
-            detail::panicLoadDelay(pair.a, pair.b, pc, d.name().c_str(),
-                                   prevLoadMask);
-        if (pair.violation == Violation::TwoBranch) [[unlikely]]
-            panic("PpSim: two branches in pair %zu of '%s'", pc,
-                  d.name().c_str());
-
-        Cycles stall = 0;
-        detail::MicroResult ra =
-            detail::execMicro(pair.a, regs, mem, sent, stall);
-        // Slot b is a Nop in every single-issue pair (and many dual-
-        // issue ones): skip the whole switch for it.
-        detail::MicroResult rb;
-        if (pair.b.op != Op::Nop)
-            rb = detail::execMicro(pair.b, regs, mem, sent, stall);
-        // Parallel write-back (no intra-pair deps, so order is moot).
-        if (ra.destReg > 0)
-            regs[ra.destReg] = ra.destVal;
-        if (rb.destReg > 0)
-            regs[rb.destReg] = rb.destVal;
-        regs[0] = 0;
-
-        instrs += pair.instrsInc;
-        specials += pair.specialsInc;
-        aluBranch += pair.aluBranchInc;
-        ++npairsRun;
-        cycles += 1 + stall;
-        memStall += stall;
-
-        prevLoadMask = pair.loadMask;
-
-        if (pair.halts)
-            break;
-        if (ra.branchTaken)
-            pc = ra.target;
-        else if (rb.branchTaken)
-            pc = rb.target;
-        else
-            ++pc;
-
-        if (cycles > kMaxCycles)
-            panic("PpSim: runaway handler '%s'", d.name().c_str());
-    }
-
-    stats.instrs += instrs;
-    stats.specials += specials;
-    stats.aluBranch += aluBranch;
-    stats.pairs += npairsRun;
-    stats.memStall += memStall;
-    stats.cycles += cycles;
-    ++stats.invocations;
-    return cycles;
+    if (checkThreaded_) [[unlikely]]
+        return runThreadedChecked(prog, regs, mem, sent, stats);
+    // Pick the executor instantiation here rather than through
+    // runThreaded(): one less call on the per-invocation path.
+    if (mem.isFlat())
+        return runThreadedFlat(d, regs, static_cast<FlatPpMemory &>(mem),
+                               sent, stats);
+    return runThreaded(d, regs, mem, sent, stats);
 }
 
 Cycles

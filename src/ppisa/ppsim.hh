@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "ppisa/backend.hh"
 #include "ppisa/instruction.hh"
 #include "sim/flat_table.hh"
 #include "sim/types.hh"
@@ -210,25 +209,13 @@ class PpSim
     /** Upper bound on cycles per handler; exceeded => runaway handler. */
     static constexpr Cycles kMaxCycles = 1 << 20;
 
-    /**
-     * @param backend which engine run() uses. Interpreter is the
-     * default for direct constructions (tests, tools); the machine
-     * plumbs MagicParams::ppBackend through here. With the Threaded
-     * backend, run() cross-checks every invocation against
-     * runReference() when the conformance oracle is enabled — see
-     * oracleEnabled().
-     */
-    explicit PpSim(PpBackend backend = PpBackend::Interpreter)
-        : backend_(backend),
-          checkThreaded_(backend == PpBackend::Threaded && oracleEnabled())
-    {
-    }
-
-    PpBackend backend() const { return backend_; }
+    /** With the conformance oracle enabled (see oracleEnabled()),
+     *  run() cross-checks every invocation against runReference(). */
+    PpSim() : checkThreaded_(oracleEnabled()) {}
 
     /**
-     * True when threaded-backend runs are cross-checked step-for-step
-     * against the reference interpreter. Controlled by the FS_PP_ORACLE
+     * True when threaded runs are cross-checked step-for-step against
+     * the reference interpreter. Controlled by the FS_PP_ORACLE
      * environment variable ("1" forces on, anything else forces off);
      * when unset, on in debug builds (!NDEBUG) and off in release
      * builds. Read once per process.
@@ -243,8 +230,8 @@ class PpSim
      * the load is a panic (the real PP has no interlocks, so such code is
      * simply broken).
      *
-     * Runs over the program's cached decode (Program::decoded()); the
-     * architectural behaviour — register/memory/message effects, cycle
+     * Runs the token-threaded engine (threaded.hh) over the program's
+     * cached decode (Program::decoded()); the architectural behaviour — register/memory/message effects, cycle
      * charges, statistics, and every contract panic — is identical to
      * runReference().
      *
@@ -272,9 +259,9 @@ class PpSim
     /**
      * The original per-issue-slot interpreter, which re-decodes each
      * instruction (bitfields, source/dest sets, contract checks) every
-     * time it executes. Kept as the conformance oracle for the decode
-     * cache: tests run every opcode through both paths and require
-     * identical results.
+     * time it executes. Kept as the conformance oracle for run(): the
+     * FS_PP_ORACLE check and the differential tests require identical
+     * results from both.
      */
     Cycles runReference(const Program &prog, RegFile &regs, PpMemory &mem,
                         std::vector<SentMessage> &sent,
@@ -286,9 +273,8 @@ class PpSim
                               std::vector<SentMessage> &sent,
                               RunStats &stats) const;
 
-    PpBackend backend_ = PpBackend::Interpreter;
-    /** Threaded backend + oracle on, latched at construction so run()
-     *  skips the static-local guard of oracleEnabled() per call. */
+    /** Oracle on, latched at construction so run() skips the
+     *  static-local guard of oracleEnabled() per call. */
     bool checkThreaded_ = false;
 };
 

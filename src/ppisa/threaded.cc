@@ -3,16 +3,17 @@
  * Token-threaded PP executor.
  *
  * Build side: lower every DecodedPair to a ThreadedOp carrying a kernel
- * token, resolving at build time what the interpreter re-checked every
- * pair (contract verdicts, branch-target bounds, load-delay
+ * token, resolving at build time what the reference interpreter
+ * re-checks every pair (contract verdicts, branch-target bounds, load-delay
  * reachability). Run side: a computed-goto dispatch loop whose kernels
- * are hand-unrolled copies of exactly one interpreter case each, so a
+ * are hand-unrolled copies of exactly one execMicro case each, so a
  * single-issue Addi pair costs one table jump, one add, and the shared
  * epilogue. On compilers without the labels-as-values extension the
  * same kernel bodies compile into a for/switch loop (see the KERNEL /
  * DISPATCH macros).
  *
- * Bit-identical semantics with the interpreter are non-negotiable; the
+ * Bit-identical semantics with the reference interpreter
+ * (PpSim::runReference) are non-negotiable; the
  * quirks worth calling out, all replicated deliberately:
  *  - regs[0] is zeroed after every pair, not before the run, so pair 0
  *    observes the caller's r0;
@@ -449,11 +450,11 @@ runThreadedImpl(const DecodedProgram &d, RegFile &regs, Mem &mem,
         switch (op->kernel) {
 #endif
 
-    // The interpreter loop body verbatim: full contract checking,
-    // generic two-slot execution, bounds-checked next pc. Every pair a
-    // specialized kernel cannot take (decode-time contract violations
-    // excepted) lands here, so the threaded backend is never less
-    // capable than the interpreter.
+    // A full decoded-pair step: contract checking, generic two-slot
+    // execution, bounds-checked next pc. Every pair a specialized
+    // kernel cannot take (decode-time contract violations excepted)
+    // lands here, so the threaded engine is never less capable than
+    // the reference interpreter.
     KERNEL(Generic) : {
         const ThreadedOp &t = *op;
         RUNAWAY_CHECK(); // deferred from preceding straight-line pairs

@@ -1,33 +1,34 @@
 /**
  * @file
- * Threaded-code PP execution backend.
+ * Threaded-code PP execution engine: the one engine PpSim::run uses.
  *
- * The decoded interpreter (ppsim.cc) still pays one indirect switch
- * dispatch, a generic two-slot executor, and a by-value result/writeback
- * dance per pair. This backend lowers each DecodedPair once more, into a
+ * A plain decoded-pair loop would pay one indirect switch dispatch, a
+ * generic two-slot executor, and a by-value result/writeback dance per
+ * pair. This engine lowers each DecodedPair once more, into a
  * ThreadedOp tagged with a *kernel id*: the executor is a single
  * function whose kernels are computed-goto labels (token threading), so
  * every pair jumps straight to a block specialized for its shape —
  * per-opcode kernels for single-issue pairs, fused kernels for the
  * hottest dual-issue combinations reported by the static micro-op
- * profile pass (ppc/profile.hh), and a generic fallback that reuses the
- * interpreter's own execMicro for everything else.
+ * profile pass (ppc/profile.hh), and a generic fallback that runs the
+ * shared execMicro (microexec.hh) for everything else.
  *
- * Work the interpreter re-did every pair is resolved at build time:
+ * Work the reference interpreter re-does every pair is resolved at
+ * build time:
  *  - static contract verdicts become a dedicated panic kernel, so clean
  *    pairs carry no violation branches at all;
  *  - the load-delay check runs only for pairs some static predecessor
  *    could actually poison (none, in correctly scheduled code);
  *  - the pc bounds check disappears — branch targets are validated at
  *    build time and fall-through off the end lands on a sentinel op
- *    that raises the interpreter's exact out-of-range panic.
+ *    that raises the reference interpreter's exact out-of-range panic.
  *
  * Architectural behaviour — register/memory/message effects, cycle
  * charges, statistics, and every contract panic text — is bit-identical
- * to PpSim's interpreter (and therefore to runReference). This is
- * enforced by the debug conformance oracle in ppsim.cc (FS_PP_ORACLE),
- * the differential fuzz suite in tests/test_pp_backends.cc, and the
- * coherence sentinel running full workloads on this backend in CI.
+ * to the oracle, PpSim::runReference. This is enforced by the
+ * conformance oracle in ppsim.cc (FS_PP_ORACLE), the differential fuzz
+ * suite in tests/test_pp_backends.cc, and the coherence sentinel
+ * running full workloads in CI.
  */
 
 #ifndef FLASHSIM_PPISA_THREADED_HH_
@@ -140,8 +141,7 @@ class ThreadedProgram
 
 /**
  * Execute @p d's threaded image from pair 0 until Halt. Exact same
- * contract as PpSim::run (which forwards here for the Threaded
- * backend); see ppsim.hh. Picks the statically-typed FlatPpMemory
+ * contract as PpSim::run (which forwards here); see ppsim.hh. Picks the statically-typed FlatPpMemory
  * instantiation when mem.isFlat().
  */
 Cycles runThreaded(const DecodedProgram &d, RegFile &regs, PpMemory &mem,

@@ -143,8 +143,8 @@ class EventQueue
      * Handle to a timer slot. Default-constructed handles are invalid.
      * A handle is invalidated by cancelTimer() (never by the timer
      * merely firing: the slot and its stored callback stay allocated so
-     * the fire handler can rearmTimer() itself — the retransmit
-     * pattern).
+     * the fire handler can rearmTimer() itself — the cache's
+     * transaction retry timer does).
      */
     struct TimerId
     {

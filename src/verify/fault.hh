@@ -33,24 +33,13 @@ class FaultInjector
 {
   public:
     FaultInjector(const FaultParams &params, int num_nodes)
-        : p_(params), numNodes_(num_nodes),
-          per_(static_cast<std::size_t>(num_nodes))
+        : p_(params), per_(static_cast<std::size_t>(num_nodes))
     {
         // Per-node seeds via a splitmix-style mix of the run seed and
         // the node id: decorrelated streams from one knob.
         for (std::size_t n = 0; n < per_.size(); ++n)
             per_[n].rng = Rng(params.seed ^
                               (0x9e3779b97f4a7c15ull * (n + 1)));
-        // Per-(src,dst)-lane streams for the wire plane, mixed with a
-        // different constant so lane streams never collide with node
-        // streams. Drawn in lane transmission order.
-        if (p_.wireLossy()) {
-            lanes_.resize(static_cast<std::size_t>(num_nodes) *
-                          static_cast<std::size_t>(num_nodes));
-            for (std::size_t l = 0; l < lanes_.size(); ++l)
-                lanes_[l].rng = Rng(params.seed ^
-                                    (0xbf58476d1ce4e5b9ull * (l + 1)));
-        }
     }
 
     bool enabled() const { return p_.enabled; }
@@ -59,7 +48,7 @@ class FaultInjector
     // Every decision method below consumes exactly the same number of
     // stream draws regardless of which injection classes are enabled:
     // a disabled class draws and discards rather than early-outing.
-    // Otherwise flipping one knob (say, enabling loss) would shift the
+    // Otherwise flipping one knob (say, enabling NACKs) would shift the
     // per-node stream positions and change every *other* class's
     // decisions for the same seed.
 
@@ -133,48 +122,6 @@ class FaultInjector
         return true;
     }
 
-    // -- Wire-plane fates (per-lane streams) --------------------------------
-
-    enum class WireFate
-    {
-        Deliver,
-        Drop,
-        Duplicate,
-        Reorder,
-    };
-
-    /**
-     * Fate of one wire copy on lane (@p src -> @p dst), drawn from that
-     * lane's stream. When the fate is Reorder, @p extra_delay receives
-     * the hold-back (>= 1 cycle). Only ever called with the wire plane
-     * built (p_.wireLossy()).
-     */
-    WireFate
-    wireFate(NodeId src, NodeId dst, Cycles &extra_delay)
-    {
-        PerLane &l = lanes_[static_cast<std::size_t>(src) *
-                                static_cast<std::size_t>(numNodes_) +
-                            dst];
-        extra_delay = 0;
-        double u = l.rng.uniform();
-        if (u < p_.wireDropProb) {
-            ++l.drops;
-            return WireFate::Drop;
-        }
-        if (u < p_.wireDropProb + p_.wireDupProb) {
-            ++l.dups;
-            return WireFate::Duplicate;
-        }
-        if (u < p_.wireDropProb + p_.wireDupProb + p_.wireReorderProb) {
-            ++l.reorders;
-            extra_delay =
-                1 + l.rng.below(p_.wireReorderDelay > 0 ? p_.wireReorderDelay
-                                                        : 1);
-            return WireFate::Reorder;
-        }
-        return WireFate::Deliver;
-    }
-
     /** True when hint perturbation can leave duplicate or stale sharer
      *  pointers in the directory (the oracle relaxes its checks). */
     bool
@@ -214,21 +161,6 @@ class FaultInjector
     {
         return sum(&PerNode::reqDropsInjected);
     }
-    Counter
-    wireDropsInjected() const
-    {
-        return laneSum(&PerLane::drops);
-    }
-    Counter
-    wireDupsInjected() const
-    {
-        return laneSum(&PerLane::dups);
-    }
-    Counter
-    wireReordersInjected() const
-    {
-        return laneSum(&PerLane::reorders);
-    }
 
   private:
     /** One node's fault stream + injection counters. */
@@ -243,15 +175,6 @@ class FaultInjector
         Counter reqDropsInjected = 0;
     };
 
-    /** One wire lane's fault stream + fate counters. */
-    struct PerLane
-    {
-        Rng rng{0};
-        Counter drops = 0;
-        Counter dups = 0;
-        Counter reorders = 0;
-    };
-
     Counter
     sum(Counter PerNode::*f) const
     {
@@ -261,19 +184,8 @@ class FaultInjector
         return total;
     }
 
-    Counter
-    laneSum(Counter PerLane::*f) const
-    {
-        Counter total = 0;
-        for (const PerLane &l : lanes_)
-            total += l.*f;
-        return total;
-    }
-
     FaultParams p_;
-    int numNodes_;
     std::vector<PerNode> per_;
-    std::vector<PerLane> lanes_;
 };
 
 } // namespace flashsim::verify

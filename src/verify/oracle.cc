@@ -128,6 +128,8 @@ CoherenceOracle::applyTransition(NodeId node, bool at_home, Tick now,
         }
         ++g.mirrorCount[msg.requester];
         g.truthSharers |= bit(msg.requester);
+        if (msg.requester != node)
+            g.putInFlight |= bit(msg.requester);
         break;
       }
 
@@ -179,6 +181,8 @@ CoherenceOracle::applyTransition(NodeId node, bool at_home, Tick now,
             g.truthDirty = false;
             g.truthOwner = kInvalidNode;
             g.truthSharers = bit(node) | bit(msg.requester);
+            if (msg.requester != node)
+                g.putInFlight |= bit(msg.requester);
             if (at_home) {
                 g.memEpoch = g.writeEpoch;
                 g.mirrorDirty = false;
@@ -263,6 +267,7 @@ CoherenceOracle::applyTransition(NodeId node, bool at_home, Tick now,
       case HandlerId::InvalReceive: {
         GoldenLine &g = line(lb);
         g.invalPending &= ~bit(node);
+        g.invalCrossedPut |= g.putInFlight & bit(node);
         break;
       }
 
@@ -277,13 +282,18 @@ CoherenceOracle::applyTransition(NodeId node, bool at_home, Tick now,
                      " but golden owner is " +
                      std::to_string(g->truthOwner));
         }
-        if (msg.type == MsgType::NetPut &&
-            (g->truthSharers & bit(msg.requester)) == 0 &&
-            (g->invalPending & bit(msg.requester)) == 0) {
-            fail(now, node, lb, "put-not-sharer",
-                 "read reply delivered to node " +
-                     std::to_string(msg.requester) +
-                     " which is not an entitled sharer");
+        if (msg.type == MsgType::NetPut) {
+            const std::uint64_t req = bit(msg.requester);
+            if ((g->truthSharers & req) == 0 &&
+                (g->invalPending & req) == 0 &&
+                (g->invalCrossedPut & req) == 0) {
+                fail(now, node, lb, "put-not-sharer",
+                     "read reply delivered to node " +
+                         std::to_string(msg.requester) +
+                         " which is not an entitled sharer");
+            }
+            g->putInFlight &= ~req;
+            g->invalCrossedPut &= ~req;
         }
         break;
       }

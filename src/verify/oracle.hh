@@ -109,6 +109,12 @@ class CoherenceOracle
         NodeId truthOwner = kInvalidNode;
         std::uint64_t truthSharers = 0; ///< bitmask: entitled Shared
         std::uint64_t invalPending = 0; ///< inval sent, not yet arrived
+        std::uint64_t putInFlight = 0;  ///< read reply sent, not arrived
+        /** Nodes whose inval landed while their read reply was still in
+         *  flight (replies wait for memory data, invals do not). The
+         *  late reply is benign: the cache fills and drops it at once
+         *  (cpu::Cache invalOnFill). */
+        std::uint64_t invalCrossedPut = 0;
         /** Sharers cleared by an exclusive grant whose eviction hint
          *  may still be in flight: a hint crossing the invalidation on
          *  the mesh is a benign race (hints are imprecise by design),

@@ -44,37 +44,11 @@ struct FaultParams
      *  queue, modelling queue-full backpressure (0 = off). */
     Cycles inboundStall = 0;
 
-    // -- Lossy-mesh wire plane (recoverable-fault transport) ----------------
-    //
-    // Any nonzero wire probability enables the reliable transport layer
-    // on every mesh lane: wire copies of protocol messages are genuinely
-    // dropped / duplicated / reordered, and sequencing + cumulative acks
-    // + retransmit timers recover them. Fates come from per-(src,dst)-
-    // lane streams drawn in lane transmission order.
-
-    /** Probability a wire copy is dropped in flight (0 = off). */
-    double wireDropProb = 0.0;
-    /** Probability a wire copy is duplicated in flight. */
-    double wireDupProb = 0.0;
-    /** Probability a wire copy is held back past its successors
-     *  (genuine reordering within the lane's dedup window). */
-    double wireReorderProb = 0.0;
-    /** Max extra cycles a reordered wire copy is delayed. */
-    Cycles wireReorderDelay = 96;
-
     /** Probability an inbound network request (NetGet/NetGetx) dies at
-     *  the home node's NI before touching any protocol state. Unlike
-     *  the wire knobs this kills the transaction outright; recovery
-     *  relies on the requester's timeout/retry (txnRetryTimeout). */
+     *  the home node's NI before touching any protocol state. This
+     *  kills the transaction outright; recovery relies on the
+     *  requester's timeout/retry (txnRetryTimeout). */
     double txnDropProb = 0.0;
-
-    /** True when the wire-plane transport should be built. */
-    bool
-    wireLossy() const
-    {
-        return wireDropProb > 0.0 || wireDupProb > 0.0 ||
-               wireReorderProb > 0.0;
-    }
 };
 
 /** The verification layer proper. */

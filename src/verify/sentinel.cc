@@ -158,10 +158,6 @@ Sentinel::writeSummary(std::ostream &os) const
            << injector_.hintsDropped() << " hints dropped, "
            << injector_.hintsDuped() << " duped, " << injector_.jitterCycles()
            << " jitter cyc, " << injector_.stallCycles() << " stall cyc)";
-    if (injector_.params().wireLossy())
-        os << " wire(" << injector_.wireDropsInjected() << " drops, "
-           << injector_.wireDupsInjected() << " dups, "
-           << injector_.wireReordersInjected() << " reorders)";
     if (injector_.reqDropsInjected() != 0)
         os << " txn(" << injector_.reqDropsInjected()
            << " requests dropped)";
@@ -190,12 +186,8 @@ Sentinel::writePostMortem(std::ostream &os, const char *reason) const
            << injector_.hintsDuped() << " duplicated, "
            << injector_.jitterCycles() << " jitter cycle(s), "
            << injector_.stallCycles() << " stall cycle(s)\n";
-    if (injector_.params().wireLossy() ||
-        injector_.reqDropsInjected() != 0)
-        os << "injected loss: " << injector_.wireDropsInjected()
-           << " wire drop(s), " << injector_.wireDupsInjected()
-           << " wire dup(s), " << injector_.wireReordersInjected()
-           << " wire reorder(s), " << injector_.reqDropsInjected()
+    if (injector_.reqDropsInjected() != 0)
+        os << "injected loss: " << injector_.reqDropsInjected()
            << " request(s) dropped at home NI\n";
     os << "recent activity (oldest first, ring depth "
        << params_.traceDepth << "):\n";

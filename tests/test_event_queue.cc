@@ -289,7 +289,7 @@ int LifeProbe::live = 0;
 int LifeProbe::invoked = 0;
 
 // ---------------------------------------------------------------------------
-// Cancellable / re-armable timers (the transport's RTO machinery).
+// Cancellable / re-armable timers (the cache's transaction retry timer).
 
 TEST(EventQueueTimer, FiresAtAbsoluteTick)
 {
@@ -348,7 +348,7 @@ TEST(EventQueueTimer, RearmMovesPendingFire)
 
 TEST(EventQueueTimer, RearmFromWithinCallbackSameTickAndLater)
 {
-    // The RTO pattern: the fire handler re-arms its own timer. Also
+    // Rearm-on-fire: the fire handler re-arms its own timer. Also
     // covers re-arming at the current tick (fires again same tick).
     EventQueue eq;
     std::vector<Tick> fires;
@@ -429,8 +429,8 @@ TEST(EventQueueHorizon, TracksEarliestEventAndArmedTimers)
     eq.scheduleAt(EventQueue::kRingSize * 4, [] {});
     EXPECT_EQ(eq.nextTick(), 60u);
     // ...and armed timers bound it like any other event, which is what
-    // lets the window coordinator skip idle stretches without ever
-    // skipping a pending retransmit/retry fire.
+    // lets the run loop skip idle stretches without ever skipping a
+    // pending retry fire.
     eq.armTimer(30, [] {});
     EXPECT_EQ(eq.nextTick(), 30u);
 }

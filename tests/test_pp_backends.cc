@@ -1,15 +1,16 @@
 /**
  * @file
- * Differential conformance between the two PP execution backends.
+ * Differential conformance between the PP engine and its oracle.
  *
- * The threaded-code engine (ppisa/threaded.hh) must be architecturally
- * bit-identical to the decoded interpreter: same register/memory/message
- * effects, same cycle charges (including MDC stalls), same statistics,
- * and the same contract panics, in the same order. These tests drive
- * every compiled protocol handler program and a randomized stream of
- * synthetic programs through both backends and require outcome equality
- * down to the individual memory operation, plus panic-text parity for
- * every contract violation class.
+ * PpSim::run (the threaded-code engine, ppisa/threaded.hh) must be
+ * architecturally bit-identical to PpSim::runReference, the per-slot
+ * reference interpreter: same register/memory/message effects, same
+ * cycle charges (including MDC stalls), same statistics, and the same
+ * contract panics, in the same order. These tests drive every compiled
+ * protocol handler program and a randomized stream of synthetic
+ * programs through both and require outcome equality down to the
+ * individual memory operation, plus panic-text parity for every
+ * contract violation class.
  *
  * Also covers the static micro-op profile pass (ppc/profile.hh) and the
  * structural invariants of the threaded lowering, pinning the
@@ -42,8 +43,8 @@ namespace
  * PP memory with a deterministic word store, a full access trace, and a
  * deterministic per-address stall pattern (so the cycle comparison
  * covers the memory-stall accounting, not just the 1-cycle-per-pair
- * base). Two instances seeded identically and handed to the two
- * backends must produce identical traces.
+ * base). Two instances seeded identically and handed to the engine
+ * and the oracle must produce identical traces.
  */
 struct TraceMemory : PpMemory
 {
@@ -86,6 +87,23 @@ struct TraceMemory : PpMemory
     }
 };
 
+/** The two executors under comparison. */
+enum class Engine
+{
+    Interpreter, ///< PpSim::runReference, the reference interpreter
+    Threaded,    ///< PpSim::run, the threaded engine the machine uses
+};
+
+Cycles
+execute(Engine engine, const Program &prog, RegFile &regs, PpMemory &mem,
+        std::vector<SentMessage> &sent, RunStats &stats)
+{
+    const PpSim sim;
+    return engine == Engine::Threaded
+               ? sim.run(prog, regs, mem, sent, stats)
+               : sim.runReference(prog, regs, mem, sent, stats);
+}
+
 struct Outcome
 {
     Cycles cycles = 0;
@@ -97,30 +115,28 @@ struct Outcome
 };
 
 Outcome
-runBackend(PpBackend backend, const Program &prog, const RegFile &regs_in,
-           const std::map<Addr, std::uint64_t> &words_in, bool stalls)
+runEngine(Engine engine, const Program &prog, const RegFile &regs_in,
+          const std::map<Addr, std::uint64_t> &words_in, bool stalls)
 {
     Outcome o;
     o.regs = regs_in;
     TraceMemory mem;
     mem.words = words_in;
     mem.stalls = stalls;
-    PpSim sim(backend);
-    o.cycles = sim.run(prog, o.regs, mem, o.sent, o.stats);
+    o.cycles = execute(engine, prog, o.regs, mem, o.sent, o.stats);
     o.memLog = std::move(mem.log);
     o.memWords = std::move(mem.words);
     return o;
 }
 
 void
-expectBackendsAgree(const Program &prog, const RegFile &regs_in,
-                    const std::map<Addr, std::uint64_t> &words_in,
-                    bool stalls, const std::string &what)
+expectEnginesAgree(const Program &prog, const RegFile &regs_in,
+                   const std::map<Addr, std::uint64_t> &words_in,
+                   bool stalls, const std::string &what)
 {
     Outcome i =
-        runBackend(PpBackend::Interpreter, prog, regs_in, words_in, stalls);
-    Outcome t =
-        runBackend(PpBackend::Threaded, prog, regs_in, words_in, stalls);
+        runEngine(Engine::Interpreter, prog, regs_in, words_in, stalls);
+    Outcome t = runEngine(Engine::Threaded, prog, regs_in, words_in, stalls);
     EXPECT_EQ(i.cycles, t.cycles) << what;
     EXPECT_EQ(i.regs, t.regs) << what;
     EXPECT_EQ(i.sent, t.sent) << what;
@@ -206,7 +222,7 @@ struct DirOutcome
 };
 
 DirOutcome
-runHandlerCase(PpBackend backend, const Program &prog,
+runHandlerCase(Engine engine, const Program &prog,
                const protocol::Message &msg, NodeId home, bool cache_dirty,
                std::uint64_t state_seed, protocol::DirectoryStore &dir)
 {
@@ -214,8 +230,7 @@ runHandlerCase(PpBackend backend, const Program &prog,
     DirOutcome o;
     o.regs = protocol::makeHandlerRegs(msg, kSelf, home, cache_dirty);
     TraceDirMem mem(dir);
-    PpSim sim(backend);
-    o.cycles = sim.run(prog, o.regs, mem, o.sent, o.stats);
+    o.cycles = execute(engine, prog, o.regs, mem, o.sent, o.stats);
     o.memLog = std::move(mem.log);
     return o;
 }
@@ -256,10 +271,10 @@ TEST(BackendDiff, HandlerFuzzAllProgramsAllOptions)
 
                     protocol::DirectoryStore dirI, dirT;
                     DirOutcome i = runHandlerCase(
-                        PpBackend::Interpreter, *prog, m, home,
-                        cache_dirty, state_seed, dirI);
+                        Engine::Interpreter, *prog, m, home, cache_dirty,
+                        state_seed, dirI);
                     DirOutcome th = runHandlerCase(
-                        PpBackend::Threaded, *prog, m, home, cache_dirty,
+                        Engine::Threaded, *prog, m, home, cache_dirty,
                         state_seed, dirT);
 
                     const std::string what =
@@ -367,12 +382,12 @@ TEST(BackendDiff, RandomProgramFuzz)
         std::map<Addr, std::uint64_t> words;
         for (Addr a = 0; a < 512; a += 8)
             words[a] = rng.next();
-        expectBackendsAgree(prog, regs, words, true, prog.name);
+        expectEnginesAgree(prog, regs, words, true, prog.name);
     }
 }
 
 // ---------------------------------------------------------------------
-// Contract-panic parity: both backends must fail the same way, with the
+// Contract-panic parity: engine and oracle must fail the same way, with the
 // same message, for every violation class — and must stay silent for
 // violations that are never dynamically reached (lazy checking).
 // ---------------------------------------------------------------------
@@ -399,18 +414,16 @@ progOf(std::vector<InstrPair> pairs, const char *name)
 }
 
 void
-runOn(PpBackend backend, const Program &prog)
+runOn(Engine engine, const Program &prog)
 {
     RegFile regs{};
     FlatPpMemory mem;
     std::vector<SentMessage> sent;
     RunStats stats;
-    PpSim sim(backend);
-    sim.run(prog, regs, mem, sent, stats);
+    execute(engine, prog, regs, mem, sent, stats);
 }
 
-class BackendPanicParity
-    : public ::testing::TestWithParam<PpBackend>
+class BackendPanicParity : public ::testing::TestWithParam<Engine>
 {};
 
 TEST_P(BackendPanicParity, IntraPairRaw)
@@ -459,7 +472,7 @@ TEST_P(BackendPanicParity, FallOffEnd)
 TEST_P(BackendPanicParity, BranchOnePastEnd)
 {
     // A branch target of npairs is legal to encode (falls off the end);
-    // both backends raise the out-of-range panic when it is taken.
+    // both engines raise the out-of-range panic when it is taken.
     Program p = progOf(
         {{mk(Op::J, 0, 0, 0, 2), Instr{}},
          {mk(Op::Halt, 0, 0, 0), Instr{}}},
@@ -483,7 +496,7 @@ TEST_P(BackendPanicParity, EmptyProgram)
 TEST_P(BackendPanicParity, UnreachedViolationStaysSilent)
 {
     // Lazy contract checking: a violating pair after the Halt is never
-    // reached, so neither backend may panic over it.
+    // reached, so neither engine may panic over it.
     Program p = progOf(
         {{mk(Op::Halt, 0, 0, 0), Instr{}},
          {mk(Op::Addi, 3, 1, 0, 5), mk(Op::Add, 4, 3, 1)}},
@@ -493,9 +506,10 @@ TEST_P(BackendPanicParity, UnreachedViolationStaysSilent)
 
 INSTANTIATE_TEST_SUITE_P(
     Backends, BackendPanicParity,
-    ::testing::Values(PpBackend::Interpreter, PpBackend::Threaded),
-    [](const ::testing::TestParamInfo<PpBackend> &info) {
-        return std::string(ppBackendName(info.param));
+    ::testing::Values(Engine::Interpreter, Engine::Threaded),
+    [](const ::testing::TestParamInfo<Engine> &info) {
+        return std::string(info.param == Engine::Interpreter ? "interpreter"
+                                                             : "threaded");
     });
 
 // ---------------------------------------------------------------------
@@ -611,18 +625,6 @@ TEST(MicroOpProfile, CountsAreExactOnAKnownProgram)
 
     std::vector<ppc::PairFreq> dual = prof.hottestDual(4);
     ASSERT_EQ(dual.size(), 1u); // only (Ld, Addi) is genuinely dual
-}
-
-// ---------------------------------------------------------------------
-// Backend selection plumbing.
-// ---------------------------------------------------------------------
-
-TEST(PpBackendKnob, DefaultsAndNames)
-{
-    EXPECT_EQ(PpSim{}.backend(), PpBackend::Interpreter);
-    EXPECT_EQ(PpSim(PpBackend::Threaded).backend(), PpBackend::Threaded);
-    EXPECT_STREQ(ppBackendName(PpBackend::Interpreter), "interpreter");
-    EXPECT_STREQ(ppBackendName(PpBackend::Threaded), "threaded");
 }
 
 } // namespace

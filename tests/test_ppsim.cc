@@ -342,8 +342,9 @@ TEST(PpSim, TwoBranchesInPairPanics)
 }
 
 // ---------------------------------------------------------------------------
-// Decode-cache conformance: the decoded fast path must be architecturally
-// indistinguishable from the reference per-issue interpreter.
+// Decode-cache conformance: run(), which executes the cached decode, must
+// be architecturally indistinguishable from the reference per-issue
+// interpreter.
 
 Instr
 br(Op op, int rs, int rt, std::int64_t target)

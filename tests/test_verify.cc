@@ -231,6 +231,52 @@ TEST(OracleTest, HintCrossingInvalidationIsForgivenOnce)
     EXPECT_EQ(oracle.violationLog().back().kind, "hint-underflow");
 }
 
+TEST(OracleTest, InvalOvertakingReadReplyIsForgivenOnce)
+{
+    // The home serves node 1's read, then grants node 2 exclusive. The
+    // inval to node 1 carries no data and lands before the read reply,
+    // which waited for memory; node 1's cache then fills and drops the
+    // late reply. Same stub home directory as above.
+    protocol::DirHeader dir;
+    std::vector<NodeId> sharers;
+    verify::CoherenceOracle::Wiring w;
+    w.numNodes = 4;
+    w.homeOf = [](Addr) { return NodeId{0}; };
+    w.header = [&dir](NodeId, Addr) { return dir; };
+    w.sharers = [&sharers](NodeId, Addr) { return sharers; };
+    w.cacheState = [](NodeId, Addr) { return 0; };
+    verify::CoherenceOracle oracle(std::move(w),
+                                   /*allow_hint_anomalies=*/false);
+
+    auto feed = [&](NodeId node, HandlerId id, protocol::MsgType type,
+                    NodeId requester) {
+        Message msg;
+        msg.type = type;
+        msg.src = node == 0 ? requester : NodeId{0};
+        msg.requester = requester;
+        msg.addr = 0x1000;
+        HandlerResult res;
+        res.id = id;
+        oracle.onHandler(node, /*at_home=*/node == 0, /*now=*/0, msg, res);
+    };
+
+    sharers = {1};
+    feed(0, HandlerId::ServeReadMemory, protocol::MsgType::NetGet, 1);
+    sharers.clear();
+    dir.dirty = true;
+    dir.owner = 2;
+    feed(0, HandlerId::ServeWriteMemory, protocol::MsgType::NetGetx, 2);
+    feed(1, HandlerId::InvalReceive, protocol::MsgType::NetInval, 2);
+    feed(1, HandlerId::ReplyToProc, protocol::MsgType::NetPut, 1);
+    EXPECT_EQ(oracle.violations(), 0u);
+
+    // A second read reply has no crossing inval to blame.
+    feed(1, HandlerId::ReplyToProc, protocol::MsgType::NetPut, 1);
+    EXPECT_EQ(oracle.violations(), 1u);
+    ASSERT_FALSE(oracle.violationLog().empty());
+    EXPECT_EQ(oracle.violationLog().back().kind, "put-not-sharer");
+}
+
 // ---------------------------------------------------------------------------
 // Watchdog: trips on wedged transactions and on global no-progress,
 // disarms on quiescence so the event queue drains.
