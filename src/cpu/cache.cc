@@ -38,27 +38,6 @@ Cache::Cache(EventQueue &eq, NodeId self, const CacheParams &params,
     mshrs_.resize(static_cast<std::size_t>(p_.mshrs));
 }
 
-std::uint32_t
-Cache::setIndex(Addr addr) const
-{
-    return static_cast<std::uint32_t>(addr >> lineShift_) &
-           (numSets_ - 1);
-}
-
-std::int32_t
-Cache::findWay(Addr addr) const
-{
-    Addr tag = addr >> lineShift_ >> setShift_;
-    const std::size_t base =
-        static_cast<std::size_t>(setIndex(addr)) * p_.assoc;
-    for (std::uint32_t w = 0; w < p_.assoc; ++w) {
-        if (states_[base + w] != State::Invalid &&
-            ways_[base + w].tag == tag)
-            return static_cast<std::int32_t>(base + w);
-    }
-    return -1;
-}
-
 Cache::Mshr *
 Cache::findMshr(Addr line)
 {
@@ -95,13 +74,11 @@ Cache::sendRequest(MsgType t, Addr line, bool retry)
 Cache::ReadOutcome
 Cache::read(Addr addr, Callback on_fill)
 {
-    ++reads;
-    Addr line = lineBase(addr);
-    if (std::int32_t w = findWay(addr); w >= 0) {
-        ways_[w].lru = ++lruClock_;
+    if (readHit(addr))
         return ReadOutcome::Hit;
-    }
+    ++reads;
     ++readMisses;
+    Addr line = lineBase(addr);
     if (Mshr *m = findMshr(line)) {
         // Merge into the outstanding miss; the read blocks until fill.
         m->readWaiters.push_back(std::move(on_fill));
@@ -389,13 +366,6 @@ Cache::deliver(const Message &msg)
         panic("Cache %u: unexpected delivery %s", self_,
               msg.toString().c_str());
     }
-}
-
-bool
-Cache::holdsDirty(Addr addr) const
-{
-    std::int32_t w = findWay(addr);
-    return w >= 0 && states_[w] == State::Exclusive;
 }
 
 void

@@ -63,6 +63,22 @@ class Cache
     ReadOutcome read(Addr addr, Callback on_fill);
 
     /**
+     * The hit half of read(), inline: on a hit, count the read, touch
+     * the way's LRU stamp and return true; on a miss, change nothing
+     * and return false (call read() next).
+     */
+    bool
+    readHit(Addr addr)
+    {
+        const std::int32_t w = findWay(addr);
+        if (w < 0)
+            return false;
+        ++reads;
+        ways_[w].lru = ++lruClock_;
+        return true;
+    }
+
+    /**
      * Write access. Done: line exclusive, proceed. Queued: request or
      * merge launched, proceed (non-blocking write). Conflict/MshrFull:
      * the processor must stall; retry after onMshrFree.
@@ -75,7 +91,12 @@ class Cache
     // -- MAGIC side ----------------------------------------------------------
     /** Deliver a PiPut / PiPutx / NetNack from MAGIC. */
     void deliver(const protocol::Message &msg);
-    bool holdsDirty(Addr addr) const;
+    bool
+    holdsDirty(Addr addr) const
+    {
+        const std::int32_t w = findWay(addr);
+        return w >= 0 && states_[w] == State::Exclusive;
+    }
     void invalidate(Addr addr);
     void downgrade(Addr addr);
     /** A MAGIC-directed operation occupies the cache until @p until. */
@@ -162,11 +183,30 @@ class Cache
         std::vector<Callback> readWaiters;
     };
 
+    std::uint32_t
+    setIndex(Addr addr) const
+    {
+        return static_cast<std::uint32_t>(addr >> lineShift_) &
+               (numSets_ - 1);
+    }
+
     /** Index of @p addr's way, or -1 when not resident. */
-    std::int32_t findWay(Addr addr) const;
+    std::int32_t
+    findWay(Addr addr) const
+    {
+        const Addr tag = addr >> lineShift_ >> setShift_;
+        const std::size_t base =
+            static_cast<std::size_t>(setIndex(addr)) * p_.assoc;
+        for (std::uint32_t w = 0; w < p_.assoc; ++w) {
+            if (states_[base + w] != State::Invalid &&
+                ways_[base + w].tag == tag)
+                return static_cast<std::int32_t>(base + w);
+        }
+        return -1;
+    }
+
     Mshr *findMshr(Addr line);
     Mshr *allocMshr();
-    std::uint32_t setIndex(Addr addr) const;
     void sendRequest(protocol::MsgType t, Addr line, bool retry);
     void fill(const protocol::Message &msg);
     void installLine(Addr line, State st);

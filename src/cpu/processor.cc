@@ -5,25 +5,6 @@
 namespace flashsim::cpu
 {
 
-void
-Processor::busy(std::uint64_t instrs, bool in_sync)
-{
-    instrCarry_ += instrs;
-    Tick cycles = instrCarry_ / kIssueWidth;
-    instrCarry_ %= kIssueWidth;
-    cursor_ += cycles;
-    if (in_sync)
-        bd_.sync += cycles;
-    else
-        bd_.busy += cycles;
-    // Roughly one in three instructions is a memory reference; compute
-    // phases touch registers and primary-cache-resident data, so these
-    // references hit and only enter the miss-rate denominator.
-    bgRefCarry_ += instrs;
-    cache_.backgroundHits += bgRefCarry_ / 3;
-    bgRefCarry_ %= 3;
-}
-
 Tick
 Processor::absorbContention()
 {
@@ -46,77 +27,72 @@ Processor::chargeStall(Tick cycles, bool in_sync, Tick Breakdown::*slot)
 }
 
 void
-Processor::read(Addr addr, bool in_sync, Callback done)
+Processor::read(Addr addr, bool in_sync, std::coroutine_handle<> done)
 {
     busy(1, in_sync); // the load instruction itself
-    eq_.scheduleAt(cursor_, [this, addr, in_sync,
-                             done = std::move(done)]() mutable {
+    eq_.scheduleAt(cursor_, [this, addr, in_sync, done] {
         absorbContention();
-        attemptRead(addr, in_sync, cursor_, std::move(done));
+        attemptRead(addr, in_sync, cursor_, done);
     });
 }
 
 void
 Processor::attemptRead(Addr addr, bool in_sync, Tick stall_start,
-                       Callback done)
+                       std::coroutine_handle<> done)
 {
+    if (cache_.readHit(addr)) {
+        chargeStall(cursor_ - stall_start, in_sync, &Breakdown::read);
+        done.resume();
+        return;
+    }
     Cache::ReadOutcome out =
-        cache_.read(addr, [this, in_sync, stall_start, done]() {
+        cache_.read(addr, [this, in_sync, stall_start, done] {
             // First 8 bytes delivered (critical word first).
             if (cache_.completingDegraded())
                 ++degradedResumes;
             cursor_ = eq_.now();
             chargeStall(cursor_ - stall_start, in_sync,
                         &Breakdown::read);
-            done();
+            done.resume();
         });
-    switch (out) {
-      case Cache::ReadOutcome::Hit:
-        chargeStall(cursor_ - stall_start, in_sync, &Breakdown::read);
-        done();
-        return;
-      case Cache::ReadOutcome::Miss:
-        return; // the fill callback resumes the processor
-      case Cache::ReadOutcome::MshrFull:
-        cache_.onMshrFree([this, addr, in_sync, stall_start,
-                           done = std::move(done)]() mutable {
+    if (out == Cache::ReadOutcome::MshrFull) {
+        cache_.onMshrFree([this, addr, in_sync, stall_start, done] {
             cursor_ = eq_.now();
             absorbContention();
-            attemptRead(addr, in_sync, stall_start, std::move(done));
+            attemptRead(addr, in_sync, stall_start, done);
         });
-        return;
     }
+    // Miss: the fill callback resumes the processor. (A Hit cannot
+    // happen here: readHit just missed and nothing ran in between.)
 }
 
 void
-Processor::write(Addr addr, bool in_sync, Callback done)
+Processor::write(Addr addr, bool in_sync, std::coroutine_handle<> done)
 {
     busy(1, in_sync); // the store instruction itself
-    eq_.scheduleAt(cursor_, [this, addr, in_sync,
-                             done = std::move(done)]() mutable {
+    eq_.scheduleAt(cursor_, [this, addr, in_sync, done] {
         absorbContention();
-        attemptWrite(addr, in_sync, cursor_, std::move(done));
+        attemptWrite(addr, in_sync, cursor_, done);
     });
 }
 
 void
 Processor::attemptWrite(Addr addr, bool in_sync, Tick stall_start,
-                        Callback done)
+                        std::coroutine_handle<> done)
 {
     Cache::WriteOutcome out = cache_.write(addr);
     switch (out) {
       case Cache::WriteOutcome::Done:
       case Cache::WriteOutcome::Queued:
         chargeStall(cursor_ - stall_start, in_sync, &Breakdown::write);
-        done();
+        done.resume();
         return;
       case Cache::WriteOutcome::Conflict:
       case Cache::WriteOutcome::MshrFull:
-        cache_.onMshrFree([this, addr, in_sync, stall_start,
-                           done = std::move(done)]() mutable {
+        cache_.onMshrFree([this, addr, in_sync, stall_start, done] {
             cursor_ = eq_.now();
             absorbContention();
-            attemptWrite(addr, in_sync, stall_start, std::move(done));
+            attemptWrite(addr, in_sync, stall_start, done);
         });
         return;
     }

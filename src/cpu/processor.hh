@@ -13,8 +13,8 @@
 #ifndef FLASHSIM_CPU_PROCESSOR_HH_
 #define FLASHSIM_CPU_PROCESSOR_HH_
 
+#include <coroutine>
 #include <cstdint>
-#include <functional>
 
 #include "cpu/cache.hh"
 #include "sim/event_queue.hh"
@@ -27,8 +27,6 @@ namespace flashsim::cpu
 class Processor
 {
   public:
-    using Callback = std::function<void()>;
-
     /** Instructions issued per system clock cycle (400 MIPS / 100 MHz). */
     static constexpr std::uint64_t kIssueWidth = 4;
 
@@ -53,14 +51,34 @@ class Processor
     {}
 
     /** Execute @p instrs instructions of pure compute. Synchronous. */
-    void busy(std::uint64_t instrs, bool in_sync);
+    void
+    busy(std::uint64_t instrs, bool in_sync)
+    {
+        instrCarry_ += instrs;
+        Tick cycles = instrCarry_ / kIssueWidth;
+        instrCarry_ %= kIssueWidth;
+        cursor_ += cycles;
+        if (in_sync)
+            bd_.sync += cycles;
+        else
+            bd_.busy += cycles;
+        // Roughly one in three instructions is a memory reference;
+        // compute phases touch registers and primary-cache-resident
+        // data, so these references hit and only enter the miss-rate
+        // denominator.
+        bgRefCarry_ += instrs;
+        cache_.backgroundHits += bgRefCarry_ / 3;
+        bgRefCarry_ %= 3;
+    }
 
-    /** Blocking read; @p done fires when the processor may proceed. */
-    void read(Addr addr, bool in_sync, Callback done);
+    /** Blocking read; @p done is resumed when the processor may
+     *  proceed. */
+    void read(Addr addr, bool in_sync, std::coroutine_handle<> done);
 
-    /** Non-blocking write; @p done fires when the processor may proceed
-     *  (immediately unless an MSHR conflict stalls the pipeline). */
-    void write(Addr addr, bool in_sync, Callback done);
+    /** Non-blocking write; @p done is resumed when the processor may
+     *  proceed (immediately unless an MSHR conflict stalls the
+     *  pipeline). */
+    void write(Addr addr, bool in_sync, std::coroutine_handle<> done);
 
     /** The workload coroutine completed. */
     void markFinished();
@@ -89,9 +107,9 @@ class Processor
     Tick absorbContention();
     void chargeStall(Tick cycles, bool in_sync, Tick Breakdown::*slot);
     void attemptRead(Addr addr, bool in_sync, Tick stall_start,
-                     Callback done);
+                     std::coroutine_handle<> done);
     void attemptWrite(Addr addr, bool in_sync, Tick stall_start,
-                      Callback done);
+                      std::coroutine_handle<> done);
 
     EventQueue &eq_;
     NodeId self_;

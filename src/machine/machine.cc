@@ -213,12 +213,22 @@ Machine::pageHeat() const
     return heat;
 }
 
-void
-Machine::runSingle(const std::function<bool()> &all_done)
+Tick
+Machine::run(const Workload &workload)
 {
+    for (auto &n : nodes_)
+        n->startWorkload(workload);
+
     // Tick by tick: the tick's events (network-lane deliveries first),
-    // then its sync phase.
-    while (!all_done()) {
+    // then its sync phase. finished() is monotone, so it suffices to
+    // watch one unfinished processor at a time: the scan resumes where
+    // it left off instead of walking every node on every step.
+    std::size_t watch = 0;
+    while (true) {
+        while (watch < nodes_.size() && nodes_[watch]->proc().finished())
+            ++watch;
+        if (watch == nodes_.size())
+            break;
         const Tick tq = eq_.nextTick();
         const Tick u = std::min(tq, sync_.minPending());
         if (u == EventQueue::kNever)
@@ -230,25 +240,6 @@ Machine::runSingle(const std::function<bool()> &all_done)
         if (sync_.minPending() == u)
             sync_.run(u, eq_);
     }
-}
-
-Tick
-Machine::run(const Workload &workload)
-{
-    for (auto &n : nodes_)
-        n->startWorkload(workload);
-
-    // finished() is monotone, so it suffices to watch one unfinished
-    // processor at a time: the scan resumes where it left off instead
-    // of walking every node on every step.
-    std::size_t watch = 0;
-    auto all_done = [this, &watch] {
-        while (watch < nodes_.size() && nodes_[watch]->proc().finished())
-            ++watch;
-        return watch == nodes_.size();
-    };
-
-    runSingle(all_done);
 
     execTime_ = 0;
     for (auto &n : nodes_)

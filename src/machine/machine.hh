@@ -105,8 +105,6 @@ class Machine : public protocol::AddressMap
     const verify::Sentinel *sentinel() const { return sentinel_.get(); }
 
   private:
-    void runSingle(const std::function<bool()> &all_done);
-
     MachineConfig cfg_;
     EventQueue eq_;
     /** Deferred tango lock/barrier operations (see tango/sync_phase.hh). */

@@ -11,36 +11,13 @@ Node::Node(EventQueue &eq, NodeId id, const MachineConfig &cfg,
            network::MeshNetwork &net)
     : id_(id)
 {
-    magic::MagicHooks hooks;
-    hooks.toProcessor = [this](const protocol::Message &m) {
-        cache_->deliver(m);
-    };
-    hooks.toNetwork = [&net](const protocol::Message &m) { net.send(m); };
-    hooks.toNetworkAt = [&net](const protocol::Message &m, Tick t) {
-        net.sendAt(m, t);
-    };
-    hooks.cacheHoldsDirty = [this](Addr a) {
-        return cache_->holdsDirty(a);
-    };
-    hooks.cacheInvalidate = [this](Addr a) { cache_->invalidate(a); };
-    hooks.cacheDowngrade = [this](Addr a) { cache_->downgrade(a); };
-    hooks.cacheBusy = [this](Tick until) { cache_->busyUntil(until); };
-    hooks.blockReceived = [this](Addr token) {
-        env_->notifyBlockReceived(token);
-    };
-    hooks.blockAcked = [this](Addr token) {
-        env_->notifyBlockAcked(token);
-    };
-    hooks.fetchOpDone = [this](Addr addr) {
-        env_->notifyFetchOpDone(addr);
-    };
-
     magic_ = std::make_unique<magic::Magic>(eq, id, cfg.magic, map,
-                                            programs, std::move(hooks));
+                                            programs);
     cache_ = std::make_unique<cpu::Cache>(eq, id, cfg.cache, *magic_);
     proc_ = std::make_unique<cpu::Processor>(eq, id, *cache_);
     env_ = std::make_unique<tango::Env>(proc_.get(), static_cast<int>(id),
                                         cfg.numProcs);
+    magic_->connect(*cache_, net, *env_);
     env_->blockSender = [this, &eq](NodeId dest, Addr addr,
                                     std::uint32_t bytes, Tick when) {
         eq.scheduleAt(std::max(when, eq.now()), [this, dest, addr,

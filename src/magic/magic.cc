@@ -5,26 +5,11 @@
 #include <cstdlib>
 #include <utility>
 
+#include "cpu/cache.hh"
+#include "network/mesh.hh"
 #include "sim/logging.hh"
+#include "tango/runtime.hh"
 #include "verify/sentinel.hh"
-
-namespace
-{
-
-/**
- * Debug aid: set FS_TRACE_LINE=<line number> (decimal) to trace every
- * handler invocation for that cache line on stderr.
- */
-bool
-traceLine(flashsim::Addr addr)
-{
-    static const char *env = std::getenv("FS_TRACE_LINE");
-    static const unsigned long long line =
-        env ? std::strtoull(env, nullptr, 0) : 0;
-    return env != nullptr && flashsim::lineNumber(addr) == line;
-}
-
-} // namespace
 
 namespace flashsim::magic
 {
@@ -37,9 +22,8 @@ using protocol::MsgType;
 
 Magic::Magic(EventQueue &eq, NodeId self, const MagicParams &params,
              const protocol::AddressMap &map,
-             const protocol::HandlerPrograms *programs, MagicHooks hooks)
-    : eq_(eq), self_(self), params_(params), map_(map),
-      hooks_(std::move(hooks)), dir_(),
+             const protocol::HandlerPrograms *programs)
+    : eq_(eq), self_(self), params_(params), map_(map), dir_(),
       mem_(params.memAccess, params.memBusy),
       jumpTable_(JumpTable::standard(params.speculation)),
       buffers_(params.dataBuffers, params.ideal), probe_(*this),
@@ -61,9 +45,19 @@ Magic::Magic(EventQueue &eq, NodeId self, const MagicParams &params,
         // in the handler path never rehashes.
         pageRemoteAccesses.reserve(1024);
     }
+    // Debug aid: FS_TRACE_LINE=<line number> traces every handler
+    // invocation for that cache line on stderr.
+    if (const char *env = std::getenv("FS_TRACE_LINE"))
+        traceLine_ = std::strtoull(env, nullptr, 0);
 }
 
 Magic::~Magic() = default;
+
+bool
+Magic::Probe::holdsDirty(Addr addr) const
+{
+    return m_.cache_->holdsDirty(addr);
+}
 
 Tick
 Magic::inboundArrival(Cycles base, Tick &last)
@@ -145,16 +139,13 @@ Magic::sendBlock(NodeId dest, Addr addr, std::uint32_t bytes)
         m.aux = chunks - 1 - i; // chunks remaining after this one
         ++blockChunksSent;
         Tick t = std::max(launch + params_.niOutbound, data_ready);
-        if (hooks_.toNetworkAt)
-            hooks_.toNetworkAt(m, t);
-        else
-            eq_.scheduleAt(t, [this, m] { hooks_.toNetwork(m); });
+        net_->sendAt(m, t);
         launch = t; // chunks stay ordered on the wire
     }
 }
 
 void
-Magic::enqueue(std::deque<Pending> &q, const Message &msg)
+Magic::enqueue(MagicFifo<Pending> &q, const Message &msg)
 {
     // Injected replacement-hint perturbation: a dropped hint leaves a
     // stale sharer pointer in the directory (cleaned up by a later
@@ -192,7 +183,7 @@ Magic::enqueue(std::deque<Pending> &q, const Message &msg)
             p.specReady = mem_.read(eq_.now() + params_.jumpTable);
             ++specIssued;
         }
-        q.push_back(std::move(p));
+        q.push_back(p);
     }
     tryDispatch();
 }
@@ -202,7 +193,7 @@ Magic::tryDispatch()
 {
     if (ppBusy_)
         return;
-    std::deque<Pending> *q = nullptr;
+    MagicFifo<Pending> *q = nullptr;
     if (!piQueue_.empty() && !niQueue_.empty()) {
         q = pickPiFirst_ ? &piQueue_ : &niQueue_;
         pickPiFirst_ = !pickPiFirst_;
@@ -214,20 +205,21 @@ Magic::tryDispatch()
         return;
     }
 
-    Pending p = q->front();
+    running_ = q->front();
     q->pop_front();
-    queueStallCycles += eq_.now() - p.enqueued;
+    queueStallCycles += eq_.now() - running_.enqueued;
     ppBusy_ = true;
 
     // Inbox: queue selection/arbitration, then the jump-table lookup.
     Cycles lead =
         params_.inboxArb + (params_.ideal ? 0 : params_.jumpTable);
-    eq_.schedule(lead, [this, p = std::move(p)] { runHandler(p); });
+    eq_.schedule(lead, [this] { runHandler(); });
 }
 
 void
-Magic::runHandler(const Pending &pending)
+Magic::runHandler()
 {
+    const Pending &pending = running_;
     const Message &msg = pending.msg;
     const Tick now = eq_.now();
     const NodeId home = map_.homeOf(msg.addr);
@@ -260,12 +252,12 @@ Magic::runHandler(const Pending &pending)
         ++specIssued;
     }
 
-    const bool cache_dirty = hooks_.cacheHoldsDirty(msg.addr);
+    const bool cache_dirty = cache_->holdsDirty(msg.addr);
     timing_->preHandler(msg, self_, home, cache_dirty);
     HandlerResult res = engine_.handle(msg);
     HandlerTiming ht = timing_->occupancy(msg, res);
 
-    if (traceLine(msg.addr)) {
+    if (traceLine_ && lineNumber(msg.addr) == *traceLine_) {
         std::fprintf(stderr,
                      "[magic %u t=%llu] %s -> %s occ=%llu out=%zu "
                      "cdirty=%d\n",
@@ -343,17 +335,17 @@ Magic::runHandler(const Pending &pending)
     if (res.cacheRetrieve) {
         cache_ready =
             now + params_.cacheStateRetrieve + params_.cacheDataRetrieve;
-        hooks_.cacheBusy(cache_ready);
+        cache_->busyUntil(cache_ready);
         if (res.cacheSharing)
-            hooks_.cacheDowngrade(msg.addr);
+            cache_->downgrade(msg.addr);
         if (res.cacheInvalidate)
-            hooks_.cacheInvalidate(msg.addr);
+            cache_->invalidate(msg.addr);
     } else if (res.cacheInvalidate) {
         cache_ready = now + params_.cacheStateRetrieve;
-        hooks_.cacheBusy(cache_ready);
-        hooks_.cacheInvalidate(msg.addr);
+        cache_->busyUntil(cache_ready);
+        cache_->invalidate(msg.addr);
     } else if (res.cacheSharing) {
-        hooks_.cacheDowngrade(msg.addr);
+        cache_->downgrade(msg.addr);
     }
 
     // The handler's directory transition and cache operations are all
@@ -382,30 +374,24 @@ Magic::runHandler(const Pending &pending)
         if (msg.aux == 0) {
             ++blocksCompleted;
             Addr base = msg.addr; // last chunk; block base not carried
-            eq_.scheduleAt(pp_end, [this, base] {
-                if (hooks_.blockReceived)
-                    hooks_.blockReceived(base);
-            });
+            eq_.scheduleAt(pp_end,
+                           [this, base] { env_->notifyBlockReceived(base); });
         }
     } else if (msg.type == MsgType::NetBlockAck) {
         Addr base = msg.addr;
-        eq_.scheduleAt(pp_end, [this, base] {
-            if (hooks_.blockAcked)
-                hooks_.blockAcked(base);
-        });
+        eq_.scheduleAt(pp_end,
+                       [this, base] { env_->notifyBlockAcked(base); });
     } else if (msg.type == MsgType::NetFetchOpAck) {
         Addr fa = msg.addr;
-        eq_.scheduleAt(pp_end, [this, fa] {
-            if (hooks_.fetchOpDone)
-                hooks_.fetchOpDone(fa);
-        });
+        eq_.scheduleAt(pp_end,
+                       [this, fa] { env_->notifyFetchOpDone(fa); });
     }
 
     // A NACK reply at the requester: tell the cache so it retries.
     if (msg.type == MsgType::NetNack) {
         ++nacksReceived;
         Tick t = pp_end + (params_.ideal ? 0 : params_.outbox);
-        eq_.scheduleAt(t, [this, msg] { hooks_.toProcessor(msg); });
+        eq_.scheduleAt(t, [this, msg] { cache_->deliver(msg); });
     }
 
     eq_.scheduleAt(pp_end, [this, release_buffer] {
@@ -469,7 +455,7 @@ Magic::launch(const Message &msg, Tick pp_end, Tick gate)
         // data staging; first word hits the bus after arbitration.
         Tick t = std::max(header_start + params_.piOut(), gate) +
                  params_.busArb + params_.busTransit;
-        eq_.scheduleAt(t, [this, msg] { hooks_.toProcessor(msg); });
+        eq_.scheduleAt(t, [this, msg] { cache_->deliver(msg); });
         return;
     }
 
@@ -482,14 +468,9 @@ Magic::launch(const Message &msg, Tick pp_end, Tick gate)
     }
 
     // Network-bound: NI outbound header processing overlaps with data
-    // staging (pipelined data buffers). Hand the departure time to the
-    // network directly when the wiring supports it — the intermediate
-    // "call toNetwork at t" event is pure overhead.
-    Tick t = std::max(header_start + params_.niOutbound, gate);
-    if (hooks_.toNetworkAt)
-        hooks_.toNetworkAt(msg, t);
-    else
-        eq_.scheduleAt(t, [this, msg] { hooks_.toNetwork(msg); });
+    // staging (pipelined data buffers). The network takes the future
+    // departure time directly; no event exists only to hand it over.
+    net_->sendAt(msg, std::max(header_start + params_.niOutbound, gate));
 }
 
 } // namespace flashsim::magic

@@ -25,10 +25,11 @@
 #define FLASHSIM_MAGIC_MAGIC_HH_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
+#include <optional>
+#include <utility>
 
 #include "magic/data_buffer.hh"
 #include "magic/jump_table.hh"
@@ -47,37 +48,70 @@ namespace flashsim::verify
 {
 class Sentinel;
 }
+namespace flashsim::cpu
+{
+class Cache;
+}
+namespace flashsim::network
+{
+class MeshNetwork;
+}
+namespace flashsim::tango
+{
+class Env;
+}
 
 namespace flashsim::magic
 {
 
-/** Callbacks wiring MAGIC to the rest of its node and the network. */
-struct MagicHooks
+/**
+ * FIFO of inbound messages waiting for the PP: a growable power-of-two
+ * ring. A std::deque allocates and frees a chunk every few messages as
+ * the queue cycles; the ring allocates only when it grows past its
+ * high-water mark, keeping the order of the elements it holds.
+ */
+template <typename T>
+class MagicFifo
 {
-    /** Deliver a Pi* message (data reply, nack) to the processor cache;
-     *  called at the time the first 8 bytes are on the processor bus. */
-    std::function<void(const protocol::Message &)> toProcessor;
-    /** Hand a message to the network (transit charged by the network). */
-    std::function<void(const protocol::Message &)> toNetwork;
-    /** Hand a message to the network with an explicit future departure
-     *  time (outbox completion), sparing the event that would otherwise
-     *  only exist to call toNetwork at that time. */
-    std::function<void(const protocol::Message &, Tick)> toNetworkAt;
-    /** Probe: local processor cache holds the line dirty. */
-    std::function<bool(Addr)> cacheHoldsDirty;
-    /** Invalidate the line in the local processor cache. */
-    std::function<void(Addr)> cacheInvalidate;
-    /** Downgrade the local processor cache line to shared. */
-    std::function<void(Addr)> cacheDowngrade;
-    /** The processor cache is busy with a MAGIC-side operation until
-     *  @p until (source of the "Cont" execution-time category). */
-    std::function<void(Tick until)> cacheBusy;
-    /** A message-passing block finished landing in local memory. */
-    std::function<void(Addr base)> blockReceived;
-    /** A block transfer this node sent was fully received. */
-    std::function<void(Addr base)> blockAcked;
-    /** A fetch&op this node issued completed (result arrived). */
-    std::function<void(Addr addr)> fetchOpDone;
+  public:
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
+    std::size_t capacity() const { return cap_; }
+    T &front() { return buf_[head_]; }
+
+    void
+    push_back(const T &v)
+    {
+        if (size_ == cap_)
+            grow();
+        buf_[(head_ + size_) & (cap_ - 1)] = v;
+        ++size_;
+    }
+
+    void
+    pop_front()
+    {
+        head_ = (head_ + 1) & (cap_ - 1);
+        --size_;
+    }
+
+  private:
+    void
+    grow()
+    {
+        const std::size_t cap = cap_ == 0 ? 16 : cap_ * 2;
+        std::unique_ptr<T[]> buf(new T[cap]);
+        for (std::size_t i = 0; i < size_; ++i)
+            buf[i] = std::move(buf_[(head_ + i) & (cap_ - 1)]);
+        buf_ = std::move(buf);
+        cap_ = cap;
+        head_ = 0;
+    }
+
+    std::unique_ptr<T[]> buf_;
+    std::size_t cap_ = 0;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
 };
 
 class Magic
@@ -85,7 +119,7 @@ class Magic
   public:
     Magic(EventQueue &eq, NodeId self, const MagicParams &params,
           const protocol::AddressMap &map,
-          const protocol::HandlerPrograms *programs, MagicHooks hooks);
+          const protocol::HandlerPrograms *programs);
     ~Magic();
 
     Magic(const Magic &) = delete;
@@ -105,13 +139,25 @@ class Magic
     /** A network message arrives at the NI pins. */
     void fromNetwork(const protocol::Message &msg);
 
+    /** Wire MAGIC to its node's processor cache (replies, NACKs and
+     *  PI-directed cache operations), the mesh, and the node's workload
+     *  environment (message-passing and fetch&op completions). Called
+     *  once, after construction, before any message arrives. */
+    void
+    connect(cpu::Cache &cache, network::MeshNetwork &net, tango::Env &env)
+    {
+        cache_ = &cache;
+        net_ = &net;
+        env_ = &env;
+    }
+
     /**
      * Initiate an uncached block transfer (the message-passing
      * protocol): stream @p bytes starting at @p addr to @p dest. The
      * PP sets the transfer up and the data-transfer logic pipelines
      * one line-sized chunk per local memory read; the receiver's
      * handler deposits chunks straight into its memory and the final
-     * chunk is acknowledged back (hooks.blockAcked).
+     * chunk is acknowledged back (Env::notifyBlockAcked).
      */
     void sendBlock(NodeId dest, Addr addr, std::uint32_t bytes);
 
@@ -192,9 +238,10 @@ class Magic
         Tick specReady = 0;
     };
 
-    void enqueue(std::deque<Pending> &q, const protocol::Message &msg);
+    void enqueue(MagicFifo<Pending> &q, const protocol::Message &msg);
     void tryDispatch();
-    void runHandler(const Pending &pending);
+    /** Run the handler for running_, the message the PP took. */
+    void runHandler();
     void launch(const protocol::Message &msg, Tick pp_end, Tick gate);
     /** Injector-forced NACK of a request at the home node; bypasses the
      *  protocol engine and the PP timing model entirely. */
@@ -207,23 +254,23 @@ class Magic
     NodeId self_;
     MagicParams params_;
     const protocol::AddressMap &map_;
-    MagicHooks hooks_;
+    cpu::Cache *cache_ = nullptr;
+    network::MeshNetwork *net_ = nullptr;
+    tango::Env *env_ = nullptr;
+    /** FS_TRACE_LINE: trace every handler for this line number. */
+    std::optional<std::uint64_t> traceLine_;
 
     protocol::DirectoryStore dir_;
     memsys::MemoryController mem_;
     JumpTable jumpTable_;
     DataBufferPool buffers_;
 
-    /** CacheProbe adapter over the hook. */
+    /** CacheProbe adapter over the node's processor cache. */
     class Probe : public protocol::CacheProbe
     {
       public:
         explicit Probe(const Magic &m) : m_(m) {}
-        bool
-        holdsDirty(Addr addr) const override
-        {
-            return m_.hooks_.cacheHoldsDirty(addr);
-        }
+        bool holdsDirty(Addr addr) const override;
 
       private:
         const Magic &m_;
@@ -234,8 +281,11 @@ class Magic
     std::unique_ptr<HandlerTimingModel> timing_;
     PpTimingModel *ppModel_ = nullptr; ///< non-null iff usePpEmulator
 
-    std::deque<Pending> piQueue_;
-    std::deque<Pending> niQueue_;
+    MagicFifo<Pending> piQueue_;
+    MagicFifo<Pending> niQueue_;
+    /** The message the PP is handling; valid while ppBusy_. The PP
+     *  runs one handler at a time, so one slot suffices. */
+    Pending running_;
     bool ppBusy_ = false;
     bool pickPiFirst_ = true;
 

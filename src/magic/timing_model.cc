@@ -9,17 +9,6 @@
 
 #include "sim/logging.hh"
 
-namespace
-{
-/** Debug aid: set FS_TRACE_MDC=1 to log every MDC access on stderr. */
-bool
-traceMdc()
-{
-    static const bool on = std::getenv("FS_TRACE_MDC") != nullptr;
-    return on;
-}
-} // namespace
-
 namespace flashsim::magic
 {
 
@@ -72,7 +61,7 @@ std::uint64_t
 PpTimingModel::ShadowMemory::load(Addr addr, Cycles &extra)
 {
     MdcAccess a = mdc_.access(addr, false);
-    if (traceMdc())
+    if (trace)
         std::fprintf(stderr, "[mdc] ld 0x%llx %s\n",
                      static_cast<unsigned long long>(addr),
                      a.hit ? "hit" : "MISS");
@@ -90,7 +79,7 @@ PpTimingModel::ShadowMemory::store(Addr addr, std::uint64_t value,
                                    Cycles &extra)
 {
     MdcAccess a = mdc_.access(addr, true);
-    if (traceMdc())
+    if (trace)
         std::fprintf(stderr, "[mdc] sd 0x%llx %s\n",
                      static_cast<unsigned long long>(addr),
                      a.hit ? "hit" : "MISS");
@@ -117,6 +106,8 @@ PpTimingModel::PpTimingModel(const protocol::HandlerPrograms &programs,
       mdc_(params.mdcBytes, params.mdcAssoc, params.mdcLineBytes),
       shadow_(dir, mdc_, params.mdcMissPenalty)
 {
+    // Debug aid: FS_TRACE_MDC=1 logs every MDC access on stderr.
+    shadow_.trace = std::getenv("FS_TRACE_MDC") != nullptr;
     // Resolve the (type, at_home) -> program mapping once — the handler
     // load point — pre-decoding each program so no dispatch or decode
     // work remains on the per-message path. Entries aliasing the same

@@ -238,7 +238,12 @@ ProtocolEngine::handleGetxAtHome(const Message &msg)
     r.id = HandlerId::ServeWriteMemory;
     r.memRead = true;
     std::uint32_t acks = 0;
-    for (NodeId s : dir_.sharers(addr)) {
+    // Walk the sharer list in place (head first, as sharers() returns
+    // it): this is a per-handler path and must not allocate.
+    for (std::uint32_t idx = dir_.header(addr).head; idx != 0;) {
+        const LinkEntry e = dir_.link(idx);
+        idx = e.next;
+        const NodeId s = e.node;
         if (s == req)
             continue;
         if (s == self_) {

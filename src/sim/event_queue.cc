@@ -45,17 +45,26 @@ EventQueue::scheduleAt(Tick when, Callback cb)
               static_cast<unsigned long long>(when),
               static_cast<unsigned long long>(_now));
     if (when - _now < kRingSize) {
-        Bucket &b = bucketFor(when);
-        freshen(b);
-        b.events.push_back(Event{when, nextSeq_++, std::move(cb)});
-        markLive(when);
-        ++ringCount_;
-    } else {
-        overflow_.push_back(Event{when, nextSeq_++, std::move(cb)});
-        std::push_heap(overflow_.begin(), overflow_.end(), Later{});
+        appendToRing(when) = std::move(cb);
+        return;
     }
+    overflow_.push_back(Event{when, nextSeq_++, std::move(cb)});
+    std::push_heap(overflow_.begin(), overflow_.end(), Later{});
     if (nextCacheValid_ && when < nextCache_)
         nextCache_ = when;
+}
+
+EventQueue::Callback &
+EventQueue::appendToRing(Tick when)
+{
+    Bucket &b = bucketFor(when);
+    freshen(b);
+    b.events.push_back(Event{when, nextSeq_++, {}});
+    markLive(when);
+    ++ringCount_;
+    if (nextCacheValid_ && when < nextCache_)
+        nextCache_ = when;
+    return b.events.back().cb;
 }
 
 void
@@ -192,7 +201,8 @@ EventQueue::nextRingTick() const
         return kNever;
     // Scan the occupancy bitmap in wrap order starting at now's slot;
     // the window maps slots to ticks in increasing wrap distance, so
-    // the first live bucket found holds the earliest ring event.
+    // the first live bucket found holds the earliest ring event, and
+    // its tick follows from the slot alone (no load of its events).
     const std::size_t base = _now & kRingMask;
     std::size_t w = base >> 6;
     std::uint64_t word = live_[w] & (~std::uint64_t{0} << (base & 63));
@@ -201,8 +211,7 @@ EventQueue::nextRingTick() const
             const std::size_t idx =
                 (w << 6) +
                 static_cast<std::size_t>(std::countr_zero(word));
-            const Bucket &b = ring_[idx];
-            return b.events[b.head].when;
+            return _now + ((idx - base) & kRingMask);
         }
         w = (w + 1) & (kBitWords - 1);
         word = live_[w];
@@ -223,8 +232,7 @@ EventQueue::nextNetRingTick() const
             const std::size_t idx =
                 (w << 6) +
                 static_cast<std::size_t>(std::countr_zero(word));
-            const NetBucket &b = netRing_[idx];
-            return b.events[b.head].when;
+            return _now + ((idx - base) & kRingMask);
         }
         w = (w + 1) & (kBitWords - 1);
         word = netLive_[w];

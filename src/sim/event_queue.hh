@@ -16,6 +16,8 @@
 
 #include <array>
 #include <cstdint>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/inline_callback.hh"
@@ -78,6 +80,31 @@ class EventQueue
     void scheduleAt(Tick when, Callback cb);
 
     /**
+     * schedule()/scheduleAt() for a callable that is not yet a
+     * Callback: inside the bucket ring it is constructed directly in
+     * its event slot, saving the copy through a temporary Callback on
+     * the path every simulated reference and message takes.
+     */
+    template <typename F, typename = std::enable_if_t<
+                              !std::is_same_v<std::decay_t<F>, Callback>>>
+    void
+    schedule(Cycles delay, F &&f)
+    {
+        scheduleAt(_now + delay, std::forward<F>(f));
+    }
+
+    template <typename F, typename = std::enable_if_t<
+                              !std::is_same_v<std::decay_t<F>, Callback>>>
+    void
+    scheduleAt(Tick when, F &&f)
+    {
+        if (when >= _now && when - _now < kRingSize)
+            appendToRing(when).emplace(std::forward<F>(f));
+        else
+            scheduleAt(when, Callback(std::forward<F>(f)));
+    }
+
+    /**
      * Schedule a network-lane delivery at @p when (must be > now();
      * a degenerate zero-latency delivery falls back to the normal
      * lane). Within a tick every network-lane event runs before any
@@ -106,7 +133,7 @@ class EventQueue
     /**
      * Earliest pending tick across all lanes (normal, network, and the
      * timer fires riding the normal lane), or kNever. O(1) when the
-     * cached horizon is warm (see nextCache_) — Machine::runSingle
+     * cached horizon is warm (see nextCache_) — Machine::run's loop
      * asks it once per simulated tick.
      * Armed timers bound it like any other event; a lazily cancelled
      * timer leaves its stale fire event behind, which can only make the
@@ -268,6 +295,9 @@ class EventQueue
     static constexpr std::size_t kBitWords = kRingSize / 64;
 
     Bucket &bucketFor(Tick when) { return ring_[when & kRingMask]; }
+    /** Append an event with an empty callback to @p when's bucket
+     *  (which must lie in the ring window); returns that callback. */
+    Callback &appendToRing(Tick when);
 
     void markLive(Tick when);
     void clearLive(Tick when);
@@ -327,9 +357,8 @@ class EventQueue
      * Cached nextTick(). Exact-min maintained on schedule (an earlier
      * insert lowers it); invalidated for the duration of a drain/step
      * (callbacks schedule freely without touching it) and recomputed
-     * once when the tick completes. mutable: logically const — reads
-     * from another thread happen only at window edges, under the run
-     * barrier's happens-before (see machine/machine.cc).
+     * once when the tick completes. mutable: nextTick() is logically
+     * const and refreshes the cache on a cold read.
      */
     mutable Tick nextCache_ = kNever;
     mutable bool nextCacheValid_ = true;

@@ -21,6 +21,7 @@
 #define FLASHSIM_SIM_INLINE_CALLBACK_HH_
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -32,10 +33,10 @@ class InlineCallback
 {
   public:
     /**
-     * Inline capture budget. Sized for the largest lambda scheduled
-     * in-tree: [this + Pending{Message, 2 Ticks, flags}] in
-     * magic::Magic::tryDispatch and [this, addr, in_sync, done =
-     * std::function] in cpu::Processor, both 64 bytes. The
+     * Inline capture budget. The largest lambda scheduled in-tree is
+     * [this, msg] with a 32-byte protocol::Message (40 bytes): MAGIC's
+     * PI/NI arrivals and processor replies, and the mesh's perturbed
+     * send. 64 bytes leaves headroom (48 measured no faster). The
      * static_assert below turns a future oversized capture into a
      * build error instead of a silent heap allocation.
      */
@@ -47,6 +48,14 @@ class InlineCallback
               typename = std::enable_if_t<
                   !std::is_same_v<std::decay_t<F>, InlineCallback>>>
     InlineCallback(F &&f) // NOLINT: implicit like std::function
+    {
+        emplace(std::forward<F>(f));
+    }
+
+    /** Construct @p f in this (empty) callback's storage. */
+    template <typename F>
+    void
+    emplace(F &&f)
     {
         using Fn = std::decay_t<F>;
         static_assert(sizeof(Fn) <= kInlineBytes,
@@ -65,7 +74,7 @@ class InlineCallback
     InlineCallback(InlineCallback &&other) noexcept : ops_(other.ops_)
     {
         if (ops_ != nullptr) {
-            ops_->relocate(storage_, other.storage_);
+            relocateFrom(other);
             other.ops_ = nullptr;
         }
     }
@@ -77,7 +86,7 @@ class InlineCallback
             destroy();
             ops_ = other.ops_;
             if (ops_ != nullptr) {
-                ops_->relocate(storage_, other.storage_);
+                relocateFrom(other);
                 other.ops_ = nullptr;
             }
         }
@@ -103,27 +112,45 @@ class InlineCallback
     struct Ops
     {
         void (*invoke)(void *self);
-        /** Move-construct into @p dst from @p src, destroy @p src. */
+        /** Move-construct into @p dst from @p src, destroy @p src.
+         *  Null for a trivially copyable callable (nearly every
+         *  in-tree lambda), which a byte copy relocates: every event
+         *  is moved out of its bucket to run. */
         void (*relocate)(void *dst, void *src);
+        /** Null for a trivially destructible callable. */
         void (*destroy)(void *self);
     };
 
     template <typename Fn>
     static constexpr Ops opsFor = {
         [](void *self) { (*static_cast<Fn *>(self))(); },
-        [](void *dst, void *src) {
-            Fn *s = static_cast<Fn *>(src);
-            ::new (dst) Fn(std::move(*s));
-            s->~Fn();
-        },
-        [](void *self) { static_cast<Fn *>(self)->~Fn(); },
+        std::is_trivially_copyable_v<Fn>
+            ? nullptr
+            : +[](void *dst, void *src) {
+                  Fn *s = static_cast<Fn *>(src);
+                  ::new (dst) Fn(std::move(*s));
+                  s->~Fn();
+              },
+        std::is_trivially_destructible_v<Fn>
+            ? nullptr
+            : +[](void *self) { static_cast<Fn *>(self)->~Fn(); },
     };
+
+    void
+    relocateFrom(InlineCallback &other)
+    {
+        if (ops_->relocate != nullptr)
+            ops_->relocate(storage_, other.storage_);
+        else
+            std::memcpy(storage_, other.storage_, kInlineBytes);
+    }
 
     void
     destroy()
     {
         if (ops_ != nullptr) {
-            ops_->destroy(storage_);
+            if (ops_->destroy != nullptr)
+                ops_->destroy(storage_);
             ops_ = nullptr;
         }
     }

@@ -5,23 +5,6 @@
 namespace flashsim::tango
 {
 
-void
-MemAwaiter::await_suspend(std::coroutine_handle<> h)
-{
-    auto resume = [h]() { h.resume(); };
-    if (isWrite)
-        env->proc().write(addr, env->inSync(), resume);
-    else
-        env->proc().read(addr, env->inSync(), resume);
-}
-
-bool
-BusyAwaiter::await_ready() noexcept
-{
-    env->proc().busy(instrs, env->inSync());
-    return true;
-}
-
 bool
 SyncPointAwaiter::await_ready() const noexcept
 {

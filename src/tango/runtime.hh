@@ -226,6 +226,24 @@ class Env
     std::coroutine_handle<> fetchOpWaiter_;
 };
 
+// The per-reference awaiters, inline: a workload's read or write goes
+// straight to the processor with the coroutine handle to resume.
+inline void
+MemAwaiter::await_suspend(std::coroutine_handle<> h)
+{
+    if (isWrite)
+        env->proc().write(addr, env->inSync(), h);
+    else
+        env->proc().read(addr, env->inSync(), h);
+}
+
+inline bool
+BusyAwaiter::await_ready() noexcept
+{
+    env->proc().busy(instrs, env->inSync());
+    return true;
+}
+
 /** RAII-style toggle used by the sync primitives. */
 class SyncRegion
 {

@@ -5,32 +5,27 @@
 namespace flashsim::tango
 {
 
-Tick
-SyncPhase::minPending() const
-{
-    Tick m = EventQueue::kNever;
-    for (const Op &op : ops_)
-        m = std::min(m, op.tick);
-    return m;
-}
-
 void
 SyncPhase::run(Tick tick, EventQueue &eq)
 {
     running_ = tick;
     while (true) {
         round_.clear();
+        Tick rest = EventQueue::kNever; // earliest op left for later
         for (std::size_t k = 0; k < ops_.size();) {
             if (ops_[k].tick == tick) {
                 round_.push_back(ops_[k]);
                 ops_[k] = ops_.back();
                 ops_.pop_back();
             } else {
+                rest = std::min(rest, ops_[k].tick);
                 ++k;
             }
         }
-        if (round_.empty())
+        if (round_.empty()) {
+            minTick_ = rest;
             break;
+        }
         std::sort(round_.begin(), round_.end(),
                   [](const Op &a, const Op &b) {
                       if (a.node != b.node)

@@ -40,14 +40,17 @@ class SyncPhase
     park(Tick tick, NodeId node, std::coroutine_handle<> h)
     {
         ops_.push_back(Op{tick, node, nodeSeq_[node]++, h});
+        if (tick < minTick_)
+            minTick_ = tick;
     }
 
     /** True while the phase at exactly @p tick is running: a sync
      *  point reached inside it continues inline. */
     bool inlineOk(Tick tick) const { return running_ == tick; }
 
-    /** Earliest tick with a deferred operation, or EventQueue::kNever. */
-    Tick minPending() const;
+    /** Earliest tick with a deferred operation, or EventQueue::kNever
+     *  (kept as operations are parked and run). */
+    Tick minPending() const { return minTick_; }
 
     /** Run the phase at @p tick; events the resumed coroutines schedule
      *  on @p eq at @p tick are drained between rounds. */
@@ -66,6 +69,7 @@ class SyncPhase
     /** One round's operations (kept to reuse its storage). */
     std::vector<Op> round_;
     std::vector<std::uint64_t> nodeSeq_;
+    Tick minTick_ = EventQueue::kNever;
     Tick running_ = EventQueue::kNever;
 };
 

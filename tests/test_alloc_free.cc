@@ -1,6 +1,7 @@
 /**
  * @file
- * Proves EventQueue::schedule() is allocation-free in steady state.
+ * Proves EventQueue::schedule() and the machine's per-reference path
+ * are allocation-free in steady state.
  *
  * The whole point of InlineCallback + the bucket ring is that the
  * per-event path performs zero heap allocations once bucket capacity
@@ -17,6 +18,8 @@
 #include <cstdlib>
 #include <new>
 
+#include "machine/machine.hh"
+#include "ppisa/ppsim.hh"
 #include "sim/event_queue.hh"
 
 namespace
@@ -107,9 +110,9 @@ namespace
 {
 
 /**
- * The largest capture shape scheduled in-tree (MAGIC's dispatch lambda:
- * object pointer + a Message-sized payload + bookkeeping), filling
- * InlineCallback's entire inline budget.
+ * A capture that, with its pointer, fills InlineCallback's entire
+ * inline budget: larger than any scheduled in-tree (the biggest is
+ * [this, Message], 40 bytes).
  */
 struct MaxPayload
 {
@@ -172,6 +175,52 @@ TEST(AllocFree, MaxCaptureIntoWarmBucketDoesNotAllocate)
     EXPECT_EQ(g_allocs.load(), before);
     eq.run();
     EXPECT_EQ(hits, 18);
+}
+
+TEST(AllocFree, MachineReferenceLoopDoesNotAllocate)
+{
+    // A workload of cache hits and local misses (with upgrades and
+    // writebacks) runs the processor, cache, MAGIC inbox and dispatch,
+    // PP emulator and MDC model on every iteration. The warm-up spans hundreds of event-ring wraps, so
+    // every ring bucket has grown to its steady capacity; the loop then
+    // samples the allocation counter at two iterations, and nothing on
+    // the per-reference or per-handler path may allocate in between.
+    if (ppisa::PpSim::oracleEnabled())
+        GTEST_SKIP() << "the FS_PP_ORACLE replay allocates by design";
+    machine::MachineConfig cfg = machine::MachineConfig::flash(2);
+    cfg.cache.sizeBytes = 1024; // 4 sets x 2 ways: 512 B apart, same set
+    machine::Machine m(cfg);
+    const Addr base = m.alloc(3 * 512, 0);
+    constexpr int kWarm = 4000;
+    constexpr int kMeasured = 400;
+    std::uint64_t before = 0;
+    std::uint64_t after = 0;
+    Tick warm_tick = 0;
+    m.run([&](tango::Env &env) -> tango::Task {
+        co_await env.busy(0);
+        if (env.id() != 0)
+            co_return;
+        for (int i = 0; i <= kWarm + kMeasured; ++i) {
+            if (i == kWarm) {
+                warm_tick = env.proc().cursor();
+                before = g_allocs.load();
+            }
+            if (i == kWarm + kMeasured)
+                after = g_allocs.load();
+            const Addr line = base + static_cast<Addr>(i % 3) * 512;
+            co_await env.read(line);  // miss: three lines, two ways
+            co_await env.read(line);  // hit
+            co_await env.write(line); // upgrade miss
+            co_await env.write(line); // hit on the exclusive copy
+            co_await env.busy(8);
+        }
+    });
+    m.drain();
+    EXPECT_GT(warm_tick, static_cast<Tick>(EventQueue::kRingSize));
+    EXPECT_GT(m.node(0).cache().readMisses,
+              static_cast<Counter>(kWarm + kMeasured));
+    EXPECT_EQ(after, before)
+        << "the machine's reference loop allocated in steady state";
 }
 
 } // namespace

@@ -36,6 +36,61 @@ TEST(CacheTest, ReadMissThenHit)
     EXPECT_EQ(c.state(a), Cache::State::Shared);
 }
 
+TEST(CacheTest, ReadHitMatchesRead)
+{
+    // readHit() is the processor's inline hit probe. On a hit it must
+    // count the read and refresh the LRU stamp exactly as read() does;
+    // on a miss it must leave the cache untouched. Two identical
+    // machines take the same hit, one through each path, and must then
+    // evict the same victim.
+    MachineConfig cfg = MachineConfig::flash(2);
+    cfg.cache.sizeBytes = 1024; // 4 sets x 2 ways: 512 B apart, same set
+    Machine probed(cfg);
+    Machine plain(cfg);
+    const Addr a = probed.alloc(3 * 512, 0);
+    ASSERT_EQ(plain.alloc(3 * 512, 0), a);
+    const Addr b = a + 512;
+    const Addr c = a + 1024;
+    for (Machine *mm : {&probed, &plain}) {
+        mm->run([a, b](tango::Env &env) -> tango::Task {
+            co_await env.busy(0);
+            if (env.id() != 0)
+                co_return;
+            co_await env.read(a); // a becomes the LRU way of the set
+            co_await env.read(b);
+        });
+        mm->drain();
+    }
+    Cache &pc = probed.node(0).cache();
+    Cache &qc = plain.node(0).cache();
+
+    const Counter reads = pc.reads;
+    const Counter misses = pc.readMisses;
+    EXPECT_FALSE(pc.readHit(c));
+    EXPECT_EQ(pc.reads, reads);
+    EXPECT_EQ(pc.readMisses, misses);
+    EXPECT_EQ(pc.state(c), Cache::State::Invalid);
+
+    EXPECT_TRUE(pc.readHit(a));
+    EXPECT_EQ(qc.read(a, [] {}), Cache::ReadOutcome::Hit);
+    EXPECT_EQ(pc.reads, reads + 1);
+    EXPECT_EQ(pc.reads, qc.reads);
+    EXPECT_EQ(pc.readMisses, qc.readMisses);
+
+    // a is now the most recent way in both, so c evicts b in both.
+    for (Machine *mm : {&probed, &plain}) {
+        Cache &cc = mm->node(0).cache();
+        bool filled = false;
+        EXPECT_EQ(cc.read(c, [&filled] { filled = true; }),
+                  Cache::ReadOutcome::Miss);
+        mm->drain();
+        EXPECT_TRUE(filled);
+        EXPECT_EQ(cc.state(a), Cache::State::Shared);
+        EXPECT_EQ(cc.state(b), Cache::State::Invalid);
+        EXPECT_EQ(cc.state(c), Cache::State::Shared);
+    }
+}
+
 TEST(CacheTest, WriteMissGrantsExclusive)
 {
     MachineConfig cfg = MachineConfig::flash(2);

@@ -408,7 +408,7 @@ TEST(EventQueueTimer, ResetClearsTimers)
 }
 
 // ---------------------------------------------------------------------------
-// The O(1) horizon query: Machine::runSingle calls nextTick() once per
+// The O(1) horizon query: Machine::run's loop calls nextTick() once per
 // simulated tick.
 
 TEST(EventQueueHorizon, EmptyQueueReportsNever)

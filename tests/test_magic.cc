@@ -195,5 +195,42 @@ TEST(MagicTest, TraceLineEnvDoesNotCrash)
     SUCCEED();
 }
 
+TEST(MagicFifoTest, FifoOrderHoldsAcrossWrapAndGrowth)
+{
+    magic::MagicFifo<int> q;
+    int pushed = 0;
+    int popped = 0;
+    auto pop = [&] {
+        ASSERT_FALSE(q.empty());
+        EXPECT_EQ(q.front(), popped++);
+        q.pop_front();
+    };
+    // Cycle the first ring so its head sits mid-buffer, then fill it
+    // until the live range wraps past the end.
+    for (; pushed < 10; ++pushed)
+        q.push_back(pushed);
+    const std::size_t cap = q.capacity();
+    ASSERT_GE(cap, 10u);
+    for (int i = 0; i < 8; ++i)
+        pop();
+    while (q.size() < cap)
+        q.push_back(pushed++);
+    EXPECT_EQ(q.capacity(), cap);
+    // One more grows the ring while it is full and wrapped.
+    q.push_back(pushed++);
+    EXPECT_EQ(q.capacity(), 2 * cap);
+    EXPECT_EQ(q.size(), cap + 1);
+    // Interleave pops and pushes across a second growth.
+    for (int i = 0; i < 5 * static_cast<int>(cap); ++i) {
+        q.push_back(pushed++);
+        q.push_back(pushed++);
+        pop();
+    }
+    EXPECT_GT(q.capacity(), 2 * cap);
+    while (!q.empty())
+        pop();
+    EXPECT_EQ(popped, pushed);
+}
+
 } // namespace
 } // namespace flashsim::machine

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "machine/machine.hh"
+#include "tango/sync_phase.hh"
 #include "tango/task.hh"
 
 namespace flashsim::tango
@@ -194,6 +195,26 @@ TEST(Barrier, ManyEpisodesStayConsistent)
     });
     EXPECT_TRUE(*ok);
     EXPECT_EQ(bar->gen, 40);
+}
+
+TEST(SyncPhase, MinPendingTracksParkAndRun)
+{
+    SyncPhase sp(2);
+    EventQueue eq;
+    const std::coroutine_handle<> h = std::noop_coroutine();
+    EXPECT_EQ(sp.minPending(), EventQueue::kNever);
+    sp.park(7, 0, h);
+    sp.park(3, 1, h);
+    sp.park(7, 1, h);
+    EXPECT_EQ(sp.minPending(), 3u);
+    sp.run(3, eq);
+    EXPECT_EQ(sp.minPending(), 7u);
+    sp.park(5, 0, h);
+    EXPECT_EQ(sp.minPending(), 5u);
+    sp.run(5, eq);
+    EXPECT_EQ(sp.minPending(), 7u);
+    sp.run(7, eq);
+    EXPECT_EQ(sp.minPending(), EventQueue::kNever);
 }
 
 } // namespace
