@@ -19,7 +19,6 @@
 #include "protocol/directory.hh"
 #include "protocol/pp_programs.hh"
 #include "sim/event_queue.hh"
-#include "sim/stats.hh"
 
 namespace
 {
@@ -254,31 +253,6 @@ BM_DirectoryOps(benchmark::State &state)
 }
 
 /**
- * Dense stat handles: the per-event counter update path (resolve once,
- * then array adds), the shape every per-node model uses after the
- * string-keyed map moved to report time.
- */
-void
-BM_StatHandle(benchmark::State &state)
-{
-    StatSet stats;
-    const StatSet::Handle h0 = stats.handle("pp.invocations");
-    const StatSet::Handle h1 = stats.handle("pp.busyCycles");
-    const StatSet::Handle h2 = stats.handle("mdc.reads");
-    const StatSet::Handle h3 = stats.handle("mdc.misses");
-    for (auto _ : state) {
-        stats.add(h0, 1.0);
-        stats.add(h1, 14.0);
-        stats.add(h2, 3.0);
-        stats.add(h3, 1.0);
-    }
-    benchmark::DoNotOptimize(stats.get(h0) + stats.get(h1) +
-                             stats.get(h2) + stats.get(h3));
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            4);
-}
-
-/**
  * Pooled mesh send: inject and deliver messages through the slab-
  * backed network (send -> slot copy -> event -> deliver -> slot
  * recycle), 16 in flight like a busy 16-node machine.
@@ -317,7 +291,6 @@ BENCHMARK(BM_EventQueueHoldFar)->Arg(256)->Arg(4096);
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(64)->Arg(1024)->Arg(16384);
 BENCHMARK(BM_PpDispatchCompiled);
 BENCHMARK(BM_DirectoryOps);
-BENCHMARK(BM_StatHandle);
 BENCHMARK(BM_MeshSend);
 BENCHMARK(BM_MissRoundTrip)->Unit(benchmark::kMillisecond);
 

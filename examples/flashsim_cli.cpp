@@ -17,11 +17,16 @@
  *       --inject-nacks 0.05 --inject-jitter 20 --inject-drop-hints 0.1
  */
 
-#include <climits>
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "apps/workload.hh"
@@ -33,16 +38,56 @@ using namespace flashsim::machine;
 namespace
 {
 
-std::uint32_t
-parseSize(const char *s)
+/** Parse all of @p s as an unsigned integer in [@p lo, @p hi]
+ *  (strtoull base 0: decimal, 0x hex or 0 octal). */
+bool
+parseCount(const char *s, std::uint64_t lo, std::uint64_t hi,
+           std::uint64_t &out)
+{
+    // strtoull would accept a sign and wrap "-3" to 2^64 - 3.
+    if (!std::isdigit(static_cast<unsigned char>(*s)))
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(s, &end, 0);
+    if (*end != '\0' || errno == ERANGE || v < lo || v > hi)
+        return false;
+    out = v;
+    return true;
+}
+
+/** Parse all of @p s as a probability in [0, 1]. */
+bool
+parseProbability(const char *s, double &out)
+{
+    char *end = nullptr;
+    const double v = std::strtod(s, &end);
+    if (end == s || *end != '\0' || !(v >= 0.0 && v <= 1.0))
+        return false;
+    out = v;
+    return true;
+}
+
+/** Parse all of @p s as a byte count with an optional K or M suffix. */
+bool
+parseSize(const char *s, std::uint32_t &out)
 {
     char *end = nullptr;
     double v = std::strtod(s, &end);
-    if (end && (*end == 'K' || *end == 'k'))
-        return static_cast<std::uint32_t>(v * 1024);
-    if (end && (*end == 'M' || *end == 'm'))
-        return static_cast<std::uint32_t>(v * 1024 * 1024);
-    return static_cast<std::uint32_t>(v);
+    if (end == s)
+        return false;
+    if (*end == 'K' || *end == 'k') {
+        v *= 1024;
+        ++end;
+    } else if (*end == 'M' || *end == 'm') {
+        v *= 1024 * 1024;
+        ++end;
+    }
+    if (*end != '\0' || !(v >= 1.0 && v <= UINT32_MAX) ||
+        v != std::floor(v))
+        return false;
+    out = static_cast<std::uint32_t>(v);
+    return true;
 }
 
 void
@@ -53,8 +98,10 @@ usage()
         "  --app NAME        fft|lu|ocean|radix|barnes|mp3d|os "
         "(default fft)\n"
         "  --machine M       flash|ideal (default flash)\n"
-        "  --procs N         processor count (default 16; os wants 8)\n"
-        "  --cache SIZE      e.g. 1M, 64K, 4096 (default 1M)\n"
+        "  --procs N         processor count, 1..32768 (default 16;\n"
+        "                    os wants 8)\n"
+        "  --cache SIZE      power of two >= 256, e.g. 1M, 64K, 4096\n"
+        "                    (default 1M)\n"
         "  --placement P     rr|firstfit|node0 (default rr)\n"
         "  --paper           paper problem sizes (Table 3.5)\n"
         "  --no-spec         disable speculative memory operations\n"
@@ -83,8 +130,18 @@ usage()
         "                        60000 when --inject-txn-drop is set)\n"
         "  --retry-budget N      re-issues before a transaction gives\n"
         "                        up and completes degraded (default 8)\n"
+        "values: N is a whole number (>= 1 for the interval, age,\n"
+        "window and backoff), P a probability in [0, 1]\n"
         "exit codes: 0 ok, 1 usage, 2 verification failed (violation or\n"
         "watchdog trip), 3 run degraded (some retry budget exhausted)\n");
+}
+
+/** Reject a bad command line: usage text, exit 1. */
+[[noreturn]] void
+reject()
+{
+    usage();
+    std::exit(1);
 }
 
 } // namespace
@@ -97,37 +154,50 @@ main(int argc, char **argv)
     bool ideal = false;
     apps::Scale scale = apps::Scale::Default;
 
+    constexpr std::uint64_t kMaxU64 =
+        std::numeric_limits<std::uint64_t>::max();
     for (int i = 1; i < argc; ++i) {
         auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                usage();
-                std::exit(1);
-            }
+            if (i + 1 >= argc)
+                reject();
             return argv[++i];
+        };
+        auto nextCount = [&](std::uint64_t lo, std::uint64_t hi) {
+            std::uint64_t v = 0;
+            if (!parseCount(next(), lo, hi, v))
+                reject();
+            return v;
+        };
+        auto nextProbability = [&]() {
+            double p = 0.0;
+            if (!parseProbability(next(), p))
+                reject();
+            return p;
         };
         if (!std::strcmp(argv[i], "--help")) {
             usage();
             return 0;
         } else if (!std::strcmp(argv[i], "--app")) {
             app = next();
+            const auto names = apps::allWorkloadNames();
+            if (std::find(names.begin(), names.end(), app) == names.end())
+                reject();
         } else if (!std::strcmp(argv[i], "--machine")) {
             const std::string mach = next();
-            if (mach != "flash" && mach != "ideal") {
-                usage();
-                return 1;
-            }
+            if (mach != "flash" && mach != "ideal")
+                reject();
             ideal = mach == "ideal";
         } else if (!std::strcmp(argv[i], "--procs")) {
-            const char *arg = next();
-            char *end = nullptr;
-            const long n = std::strtol(arg, &end, 10);
-            if (end == arg || *end != '\0' || n < 1 || n > INT_MAX) {
-                usage();
-                return 1;
-            }
-            cfg.numProcs = static_cast<int>(n);
+            cfg.numProcs = static_cast<int>(
+                nextCount(1, EventQueue::kMaxNetNodes));
         } else if (!std::strcmp(argv[i], "--cache")) {
-            cfg.cache.sizeBytes = parseSize(next());
+            // The cache needs a power-of-two size holding at least one
+            // full set.
+            std::uint32_t bytes = 0;
+            if (!parseSize(next(), bytes) || (bytes & (bytes - 1)) != 0 ||
+                bytes < cfg.cache.assoc * cfg.cache.lineBytes)
+                reject();
+            cfg.cache.sizeBytes = bytes;
         } else if (!std::strcmp(argv[i], "--placement")) {
             const std::string p = next();
             if (p == "rr") {
@@ -137,8 +207,7 @@ main(int argc, char **argv)
             } else if (p == "node0") {
                 cfg.placement = Placement::Node0;
             } else {
-                usage();
-                return 1;
+                reject();
             }
         } else if (!std::strcmp(argv[i], "--paper")) {
             scale = apps::Scale::Paper;
@@ -157,49 +226,41 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--halt-on-violation")) {
             cfg.magic.verify.haltOnViolation = true;
         } else if (!std::strcmp(argv[i], "--watchdog-interval")) {
-            cfg.magic.verify.watchdogInterval =
-                std::strtoull(next(), nullptr, 0);
+            cfg.magic.verify.watchdogInterval = nextCount(1, kMaxU64);
         } else if (!std::strcmp(argv[i], "--max-txn-age")) {
-            cfg.magic.verify.maxTransactionAge =
-                std::strtoull(next(), nullptr, 0);
+            cfg.magic.verify.maxTransactionAge = nextCount(1, kMaxU64);
         } else if (!std::strcmp(argv[i], "--no-progress")) {
-            cfg.magic.verify.noProgressWindow =
-                std::strtoull(next(), nullptr, 0);
+            cfg.magic.verify.noProgressWindow = nextCount(1, kMaxU64);
         } else if (!std::strcmp(argv[i], "--inject-seed")) {
             cfg.magic.verify.fault.enabled = true;
-            cfg.magic.verify.fault.seed =
-                std::strtoull(next(), nullptr, 0);
+            cfg.magic.verify.fault.seed = nextCount(0, kMaxU64);
         } else if (!std::strcmp(argv[i], "--inject-jitter")) {
             cfg.magic.verify.fault.enabled = true;
-            cfg.magic.verify.fault.meshJitter =
-                std::strtoull(next(), nullptr, 0);
+            cfg.magic.verify.fault.meshJitter = nextCount(0, kMaxU64);
         } else if (!std::strcmp(argv[i], "--inject-nacks")) {
             cfg.magic.verify.fault.enabled = true;
-            cfg.magic.verify.fault.extraNackProb = std::atof(next());
+            cfg.magic.verify.fault.extraNackProb = nextProbability();
         } else if (!std::strcmp(argv[i], "--inject-drop-hints")) {
             cfg.magic.verify.fault.enabled = true;
-            cfg.magic.verify.fault.dropHintProb = std::atof(next());
+            cfg.magic.verify.fault.dropHintProb = nextProbability();
         } else if (!std::strcmp(argv[i], "--inject-dup-hints")) {
             cfg.magic.verify.fault.enabled = true;
-            cfg.magic.verify.fault.dupHintProb = std::atof(next());
+            cfg.magic.verify.fault.dupHintProb = nextProbability();
         } else if (!std::strcmp(argv[i], "--inject-stall")) {
             cfg.magic.verify.fault.enabled = true;
-            cfg.magic.verify.fault.inboundStall =
-                std::strtoull(next(), nullptr, 0);
+            cfg.magic.verify.fault.inboundStall = nextCount(0, kMaxU64);
         } else if (!std::strcmp(argv[i], "--inject-txn-drop")) {
             cfg.magic.verify.fault.enabled = true;
-            cfg.magic.verify.fault.txnDropProb = std::atof(next());
+            cfg.magic.verify.fault.txnDropProb = nextProbability();
             if (cfg.magic.txnRetryTimeout == 0)
                 cfg.magic.txnRetryTimeout = 60000;
         } else if (!std::strcmp(argv[i], "--retry-backoff")) {
-            cfg.magic.txnRetryTimeout =
-                std::strtoull(next(), nullptr, 0);
+            cfg.magic.txnRetryTimeout = nextCount(1, kMaxU64);
         } else if (!std::strcmp(argv[i], "--retry-budget")) {
-            cfg.magic.txnRetryBudget =
-                static_cast<std::uint32_t>(std::atoi(next()));
+            cfg.magic.txnRetryBudget = static_cast<std::uint32_t>(
+                nextCount(0, std::numeric_limits<std::uint32_t>::max()));
         } else {
-            usage();
-            return 1;
+            reject();
         }
     }
     if (ideal) {

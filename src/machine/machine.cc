@@ -219,7 +219,7 @@ Machine::run(const Workload &workload)
     for (auto &n : nodes_)
         n->startWorkload(workload);
 
-    // Tick by tick: the tick's events (network-lane deliveries first),
+    // Tick by tick: the tick's events (mesh deliveries first),
     // then its sync phase. finished() is monotone, so it suffices to
     // watch one unfinished processor at a time: the scan resumes where
     // it left off instead of walking every node on every step.

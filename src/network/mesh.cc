@@ -14,6 +14,10 @@ MeshNetwork::MeshNetwork(EventQueue &eq, int num_nodes, MeshParams params)
       deliver_(static_cast<std::size_t>(num_nodes)),
       srcSeq_(static_cast<std::size_t>(num_nodes), 0)
 {
+    // Every node id must fit the delivery key (EventQueue::scheduleNet).
+    if (num_nodes > static_cast<int>(EventQueue::kMaxNetNodes))
+        fatal("MeshNetwork: %d nodes exceeds the limit of %u", num_nodes,
+              EventQueue::kMaxNetNodes);
     side_ = 1;
     while (side_ * side_ < num_nodes)
         ++side_;

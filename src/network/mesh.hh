@@ -13,9 +13,9 @@
  * instead of the average (distanceBased), which the paper's simulator
  * did not do; the default matches the paper.
  *
- * Every delivery carries a (source node, per-source sequence) key and
- * travels in the EventQueue's network lane, which fixes the order of
- * same-tick deliveries independently of the order they were sent in.
+ * Every delivery is scheduled with a (source node, per-source sequence)
+ * key (EventQueue::scheduleNet), which fixes the order of same-tick
+ * deliveries independently of the order they were sent in.
  */
 
 #ifndef FLASHSIM_NETWORK_MESH_HH_
@@ -134,7 +134,7 @@ class MeshNetwork
     std::uint32_t inFlight_ = 0;
     Counter messages_ = 0;
     Counter dataMessages_ = 0;
-    /** Per-source monotonic send sequence: the network-lane key. */
+    /** Per-source monotonic send sequence: the delivery sort key. */
     std::vector<std::uint64_t> srcSeq_;
 
 };

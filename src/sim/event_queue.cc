@@ -24,20 +24,6 @@ EventQueue::clearLive(Tick when)
 }
 
 void
-EventQueue::netMarkLive(Tick when)
-{
-    const std::size_t idx = when & kRingMask;
-    netLive_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-}
-
-void
-EventQueue::netClearLive(Tick when)
-{
-    const std::size_t idx = when & kRingMask;
-    netLive_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
-}
-
-void
 EventQueue::scheduleAt(Tick when, Callback cb)
 {
     if (when < _now)
@@ -48,10 +34,10 @@ EventQueue::scheduleAt(Tick when, Callback cb)
         appendToRing(when) = std::move(cb);
         return;
     }
-    overflow_.push_back(Event{when, nextSeq_++, std::move(cb)});
+    overflow_.push_back(
+        Event{when, kOrdinaryKey | nextSeq_++, std::move(cb)});
     std::push_heap(overflow_.begin(), overflow_.end(), Later{});
-    if (nextCacheValid_ && when < nextCache_)
-        nextCache_ = when;
+    lowerHorizon(when);
 }
 
 EventQueue::Callback &
@@ -59,35 +45,30 @@ EventQueue::appendToRing(Tick when)
 {
     Bucket &b = bucketFor(when);
     freshen(b);
-    b.events.push_back(Event{when, nextSeq_++, {}});
+    // The largest key yet: appending keeps the bucket sorted.
+    b.events.push_back(Event{when, kOrdinaryKey | nextSeq_++, {}});
     markLive(when);
     ++ringCount_;
-    if (nextCacheValid_ && when < nextCache_)
-        nextCache_ = when;
+    lowerHorizon(when);
     return b.events.back().cb;
 }
 
 void
-EventQueue::insertNet(NetEvent e)
+EventQueue::insertSorted(Event &&e)
 {
     const Tick when = e.when;
-    NetBucket &b = netRing_[when & kRingMask];
-    if (b.head != 0 && b.head == b.events.size()) {
-        b.events.clear();
-        b.head = 0;
-    }
-    // Keep [head, end) sorted by (src, seq); buckets are small, so a
-    // binary search + vector insert beats a deferred sort.
+    Bucket &b = bucketFor(when);
+    freshen(b);
+    // Buckets are small, so a binary search + vector insert beats a
+    // deferred sort.
     auto pos = std::upper_bound(
         b.events.begin() + static_cast<std::ptrdiff_t>(b.head),
-        b.events.end(), e, [](const NetEvent &x, const NetEvent &y) {
-            if (x.src != y.src)
-                return x.src < y.src;
-            return x.seq < y.seq;
-        });
+        b.events.end(), e.seq,
+        [](std::uint64_t seq, const Event &x) { return seq < x.seq; });
     b.events.insert(pos, std::move(e));
-    netMarkLive(when);
-    ++netCount_;
+    markLive(when);
+    ++ringCount_;
+    lowerHorizon(when);
 }
 
 void
@@ -95,25 +76,27 @@ EventQueue::scheduleNet(Tick when, NodeId src, std::uint64_t srcSeq,
                         Callback cb)
 {
     if (when < _now)
-        panic("net event scheduled in the past (%llu < %llu)",
+        panic("delivery scheduled in the past (%llu < %llu)",
               static_cast<unsigned long long>(when),
               static_cast<unsigned long long>(_now));
+    if (src >= kMaxNetNodes || (srcSeq >> kSrcShift) != 0)
+        panic("delivery key (%u, %llu) out of range", src,
+              static_cast<unsigned long long>(srcSeq));
     if (when == _now) {
-        // Degenerate zero-latency transit: the current tick's network
-        // lane may already have run, so the delivery joins the normal
-        // lane (the same deterministic rule in every mode).
+        // Degenerate zero-latency transit: this tick's deliveries may
+        // already have run, so it joins as an ordinary event.
         scheduleAt(when, std::move(cb));
         return;
     }
-    if (when - _now < kRingSize)
-        insertNet(NetEvent{when, src, srcSeq, std::move(cb)});
-    else {
-        netOverflow_.push_back(NetEvent{when, src, srcSeq, std::move(cb)});
-        std::push_heap(netOverflow_.begin(), netOverflow_.end(),
-                       NetLater{});
+    Event e{when, (std::uint64_t{src} << kSrcShift) | srcSeq,
+            std::move(cb)};
+    if (when - _now < kRingSize) {
+        insertSorted(std::move(e));
+        return;
     }
-    if (nextCacheValid_ && when < nextCache_)
-        nextCache_ = when;
+    overflow_.push_back(std::move(e));
+    std::push_heap(overflow_.begin(), overflow_.end(), Later{});
+    lowerHorizon(when);
 }
 
 EventQueue::TimerId
@@ -220,27 +203,6 @@ EventQueue::nextRingTick() const
 }
 
 Tick
-EventQueue::nextNetRingTick() const
-{
-    if (netCount_ == 0)
-        return kNever;
-    const std::size_t base = _now & kRingMask;
-    std::size_t w = base >> 6;
-    std::uint64_t word = netLive_[w] & (~std::uint64_t{0} << (base & 63));
-    for (std::size_t n = 0; n <= kBitWords; ++n) {
-        if (word != 0) {
-            const std::size_t idx =
-                (w << 6) +
-                static_cast<std::size_t>(std::countr_zero(word));
-            return _now + ((idx - base) & kRingMask);
-        }
-        w = (w + 1) & (kBitWords - 1);
-        word = netLive_[w];
-    }
-    return kNever; // unreachable while netCount_ > 0
-}
-
-Tick
 EventQueue::nextTick() const
 {
     if (!nextCacheValid_) {
@@ -253,56 +215,19 @@ EventQueue::nextTick() const
 Tick
 EventQueue::computeNextTick() const
 {
-    Tick t = nextRingTick();
+    const Tick t = nextRingTick();
     if (!overflow_.empty() && overflow_.front().when < t)
-        t = overflow_.front().when;
-    const Tick nt = nextNetRingTick();
-    if (nt < t)
-        t = nt;
-    if (!netOverflow_.empty() && netOverflow_.front().when < t)
-        t = netOverflow_.front().when;
+        return overflow_.front().when;
     return t;
 }
 
 void
 EventQueue::promoteOverflow(Tick t)
 {
-    if (overflow_.empty() || overflow_.front().when != t)
-        return;
-    Bucket &b = bucketFor(t);
-    freshen(b);
-    const std::size_t live_begin = b.head;
-    const std::size_t live_end = b.events.size();
     while (!overflow_.empty() && overflow_.front().when == t) {
         std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
-        b.events.push_back(std::move(overflow_.back()));
+        insertSorted(std::move(overflow_.back()));
         overflow_.pop_back();
-        ++ringCount_;
-    }
-    // Every overflow event for tick t was scheduled while t was still
-    // outside the ring window, i.e. before any event the window later
-    // accepted into the bucket — so all promoted seqs precede all live
-    // bucket seqs, and rotating them in front restores global
-    // (tick, seq) order. The heap pops them seq-ascending already.
-    if (live_end > live_begin)
-        std::rotate(b.events.begin() +
-                        static_cast<std::ptrdiff_t>(live_begin),
-                    b.events.begin() +
-                        static_cast<std::ptrdiff_t>(live_end),
-                    b.events.end());
-    markLive(t);
-}
-
-void
-EventQueue::promoteNetOverflow(Tick t)
-{
-    // Sorted insertion by key, so unlike the normal lane no rotate
-    // fix-up is needed: the (src, seq) order is position-independent.
-    while (!netOverflow_.empty() && netOverflow_.front().when == t) {
-        std::pop_heap(netOverflow_.begin(), netOverflow_.end(),
-                      NetLater{});
-        insertNet(std::move(netOverflow_.back()));
-        netOverflow_.pop_back();
     }
 }
 
@@ -315,22 +240,6 @@ EventQueue::step()
     _now = t;
     nextCacheValid_ = false; // consuming: recompute lazily
     promoteOverflow(t);
-    promoteNetOverflow(t);
-    // Network lane first: within a tick every delivery precedes every
-    // normal event (see scheduleNet).
-    NetBucket &nb = netRing_[t & kRingMask];
-    if (nb.head < nb.events.size()) {
-        Callback cb = std::move(nb.events[nb.head].cb);
-        ++nb.head;
-        --netCount_;
-        if (nb.head == nb.events.size()) {
-            nb.events.clear();
-            nb.head = 0;
-            netClearLive(t);
-        }
-        cb();
-        return true;
-    }
     Bucket &b = bucketFor(t);
     // Move the callback out before invoking: the callback may schedule
     // into this same bucket and reallocate its vector.
@@ -353,28 +262,12 @@ EventQueue::drainTick(Tick t)
     _now = t;
     nextCacheValid_ = false; // callbacks schedule freely mid-drain
     promoteOverflow(t);
-    promoteNetOverflow(t);
-    // Network lane first, in (src, seq) order. A delivery can only
-    // schedule normal events at this tick (a nested send's transit is
-    // at least one cycle, and the zero-latency fallback joins the
-    // normal lane), so this bucket never grows while draining.
-    NetBucket &nb = netRing_[t & kRingMask];
-    if (nb.head < nb.events.size()) {
-        while (nb.head < nb.events.size()) {
-            Callback cb = std::move(nb.events[nb.head].cb);
-            ++nb.head;
-            --netCount_;
-            cb();
-            ++executed;
-        }
-        nb.events.clear();
-        nb.head = 0;
-        netClearLive(t);
-    }
-    // Drain the whole tick from its bucket: nothing earlier can
-    // appear (zero-delay schedules append to this bucket; overflow
-    // inserts land >= kRingSize ticks out), so skip the bitmap
-    // rescan until the tick completes.
+    // Drain the whole tick from its bucket, front to back: nothing
+    // earlier can appear (overflow inserts land >= kRingSize ticks
+    // out), and whatever a callback adds to this tick is an ordinary
+    // event (scheduleNet at the current tick runs as one), whose key is
+    // the largest yet — an append. So skip the bitmap rescan until the
+    // tick completes.
     Bucket &b = bucketFor(t);
     if (b.head < b.events.size()) {
         while (b.head < b.events.size()) {
@@ -420,13 +313,6 @@ EventQueue::reset()
     live_.fill(0);
     ringCount_ = 0;
     overflow_.clear();
-    for (NetBucket &b : netRing_) {
-        b.events.clear();
-        b.head = 0;
-    }
-    netLive_.fill(0);
-    netCount_ = 0;
-    netOverflow_.clear();
     timers_.clear();
     timerFree_.clear();
     _now = 0;

@@ -4,11 +4,11 @@
  *
  * FlashLite (the paper's simulator) is a multi-threaded event-driven
  * memory-system simulator. Here every hardware unit schedules closures on
- * an EventQueue; ties are broken by insertion order so simulation is
- * fully deterministic. Mesh deliveries travel in a separate *network
- * lane* ordered by a (source node, per-source sequence) key, so the
- * order of same-tick deliveries does not depend on the order they were
- * sent in.
+ * an EventQueue, which runs them in one deterministic order: by tick,
+ * then by a per-event sort key. Ordinary events are keyed by schedule
+ * order (FIFO); mesh deliveries are keyed by (source node, per-source
+ * sequence), so the order of same-tick deliveries does not depend on
+ * the order they were sent in.
  */
 
 #ifndef FLASHSIM_SIM_EVENT_QUEUE_HH_
@@ -29,22 +29,27 @@ namespace flashsim
 /**
  * Deterministic discrete-event queue.
  *
- * Events are arbitrary callables. Two events scheduled for the same tick
- * run in the order they were scheduled (FIFO), which keeps hardware
- * arbitration deterministic across runs.
+ * Events are arbitrary callables, executed in (tick, seq) order. An
+ * ordinary event's seq is 1<<63 | a schedule counter, so two events
+ * scheduled for the same tick run in the order they were scheduled
+ * (FIFO), which keeps hardware arbitration deterministic across runs.
+ * A mesh delivery (scheduleNet) gets seq = src<<48 | srcSeq instead:
+ * within a tick every delivery runs before every ordinary event, in
+ * (source, per-source sequence) order.
  *
  * Storage is two-level, sized for the simulator's delay profile (almost
  * every latency is a handful of cycles, far-future events are rare):
  *
  *  - a power-of-two ring of per-tick buckets covering the next
- *    kRingSize ticks. Each bucket is an append-only FIFO vector, so
- *    schedule() into the window is push_back into recycled storage —
- *    O(1), allocation-free in steady state, and same-tick FIFO order is
- *    the storage order itself;
- *  - a binary min-heap holding the overflow (events >= kRingSize ticks
- *    out). When the clock reaches an overflow event's tick it is
- *    promoted into that tick's bucket, merged by sequence number so the
- *    global (tick, seq) execution order is identical to a single heap.
+ *    kRingSize ticks. Each bucket is a vector kept sorted by seq. An
+ *    ordinary event always carries the largest key yet, so schedule()
+ *    into the window is push_back into recycled storage — O(1) and
+ *    allocation-free in steady state; a delivery is inserted at the
+ *    upper bound of its key;
+ *  - a binary min-heap on (tick, seq) holding the overflow (events
+ *    >= kRingSize ticks out). When the clock reaches an overflow
+ *    event's tick it is inserted into that tick's bucket by the same
+ *    sorted insert.
  *
  * Callbacks are InlineCallback: stored inline in the event, with a
  * compile-time size cap instead of std::function's silent heap fallback
@@ -61,6 +66,9 @@ class EventQueue
     /** Sentinel for "no pending event" (also used by the run loop as
      *  "no pending tick"). */
     static constexpr Tick kNever = ~Tick{0};
+
+    /** Node ids a delivery key can carry: src must be below this. */
+    static constexpr NodeId kMaxNetNodes = NodeId{1} << 15;
 
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
@@ -105,11 +113,13 @@ class EventQueue
     }
 
     /**
-     * Schedule a network-lane delivery at @p when (must be > now();
-     * a degenerate zero-latency delivery falls back to the normal
-     * lane). Within a tick every network-lane event runs before any
-     * normal event, ordered by (@p src, @p srcSeq) — a key
-     * independent of the order the sends were scheduled in.
+     * Schedule a mesh delivery at @p when, keyed by (@p src,
+     * @p srcSeq): within a tick every delivery runs before any
+     * ordinary event, ordered by that key — independent of the order
+     * the sends were scheduled in. @p src must be below kMaxNetNodes
+     * and @p srcSeq below 2^48. A degenerate zero-latency delivery
+     * (@p when == now()) runs as an ordinary event instead, since the
+     * current tick's deliveries may already have run.
      */
     void scheduleNet(Tick when, NodeId src, std::uint64_t srcSeq,
                      Callback cb);
@@ -118,23 +128,21 @@ class EventQueue
     bool
     empty() const
     {
-        return ringCount_ == 0 && overflow_.empty() && netCount_ == 0 &&
-               netOverflow_.empty();
+        return ringCount_ == 0 && overflow_.empty();
     }
 
     /** Number of pending events. */
     std::size_t
     pending() const
     {
-        return ringCount_ + overflow_.size() + netCount_ +
-               netOverflow_.size();
+        return ringCount_ + overflow_.size();
     }
 
     /**
-     * Earliest pending tick across all lanes (normal, network, and the
-     * timer fires riding the normal lane), or kNever. O(1) when the
-     * cached horizon is warm (see nextCache_) — Machine::run's loop
-     * asks it once per simulated tick.
+     * Earliest pending tick (deliveries, ordinary events and timer
+     * fires alike), or kNever. O(1) when the cached horizon is warm
+     * (see nextCache_) — Machine::run's loop asks it once per
+     * simulated tick.
      * Armed timers bound it like any other event; a lazily cancelled
      * timer leaves its stale fire event behind, which can only make the
      * answer conservatively early, never late.
@@ -142,9 +150,9 @@ class EventQueue
     Tick nextTick() const;
 
     /**
-     * Advance to tick @p t (== nextTick()) and run everything due then:
-     * first the network lane in (src, seq) order, then normal events in
-     * FIFO order, including same-tick events they schedule.
+     * Advance to tick @p t (== nextTick()) and run everything due then
+     * in seq order: deliveries first, then ordinary events in FIFO
+     * order, including same-tick events they schedule.
      * @return number of events executed.
      */
     std::uint64_t drainTick(Tick t);
@@ -182,8 +190,8 @@ class EventQueue
     };
 
     /**
-     * Arm a timer: run @p cb at absolute tick @p when, on the normal
-     * lane. Unlike a bare scheduleAt, the pending fire can be cancelled
+     * Arm a timer: run @p cb at absolute tick @p when, as an ordinary
+     * event. Unlike a bare scheduleAt, the pending fire can be cancelled
      * or moved. Cancellation is lazy — the queued event stays where it
      * is and no-ops when reached — so arm/cancel/rearm are each O(1)
      * plus at most one ordinary schedule.
@@ -229,50 +237,16 @@ class EventQueue
     };
 
     /**
-     * One tick's events. head indexes the next unexecuted event;
-     * entries before it have already run (their storage is recycled
-     * when the bucket drains). All live entries share the same tick:
-     * the window [now, now + kRingSize) maps each ring slot to exactly
-     * one tick, and a slot is fully drained before the window wraps
-     * back onto it.
+     * One tick's events, sorted by seq. head indexes the next
+     * unexecuted event; entries before it have already run (their
+     * storage is recycled when the bucket drains). All live entries
+     * share the same tick: the window [now, now + kRingSize) maps each
+     * ring slot to exactly one tick, and a slot is fully drained before
+     * the window wraps back onto it.
      */
     struct Bucket
     {
         std::vector<Event> events;
-        std::size_t head = 0;
-    };
-
-    /**
-     * A network-lane event: a mesh delivery keyed for canonical
-     * within-tick ordering. src/seq come from the mesh (per-source
-     * monotonic send counters), so the key is a property of the
-     * *message*, not of which queue it was scheduled on.
-     */
-    struct NetEvent
-    {
-        Tick when;
-        NodeId src;
-        std::uint64_t seq;
-        Callback cb;
-    };
-
-    struct NetLater
-    {
-        bool
-        operator()(const NetEvent &a, const NetEvent &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            if (a.src != b.src)
-                return a.src > b.src;
-            return a.seq > b.seq;
-        }
-    };
-
-    /** One tick's network-lane events, kept sorted by (src, seq). */
-    struct NetBucket
-    {
-        std::vector<NetEvent> events;
         std::size_t head = 0;
     };
 
@@ -299,10 +273,20 @@ class EventQueue
      *  (which must lie in the ring window); returns that callback. */
     Callback &appendToRing(Tick when);
 
+    /** Sorted insert of @p e into its tick's bucket (which must lie
+     *  in the ring window), at the upper bound of its seq. */
+    void insertSorted(Event &&e);
+
     void markLive(Tick when);
     void clearLive(Tick when);
-    void netMarkLive(Tick when);
-    void netClearLive(Tick when);
+
+    /** An event was added at @p when: lower the cached horizon. */
+    void
+    lowerHorizon(Tick when)
+    {
+        if (nextCacheValid_ && when < nextCache_)
+            nextCache_ = when;
+    }
 
     /** Recycle a fully executed bucket's storage before reuse. */
     static void
@@ -314,23 +298,23 @@ class EventQueue
         }
     }
 
-    /** Recompute the earliest pending tick (bitmap scans + heap
-     *  fronts); nextTick() caches the result. */
+    /** Recompute the earliest pending tick (bitmap scan + heap
+     *  front); nextTick() caches the result. */
     Tick computeNextTick() const;
     /** Earliest pending tick in the ring, or kNever. */
     Tick nextRingTick() const;
-    /** Earliest pending network-lane tick in its ring, or kNever. */
-    Tick nextNetRingTick() const;
-    /** Move overflow events for tick @p t into its bucket, seq-merged. */
+    /** Move overflow events for tick @p t into its bucket. */
     void promoteOverflow(Tick t);
-    /** Move network-lane overflow for tick @p t into its bucket. */
-    void promoteNetOverflow(Tick t);
-    /** Sorted insert of @p e into its tick's network bucket. */
-    void insertNet(NetEvent e);
     /** Queue the lazy-cancel fire wrapper for timer @p slot. */
     void scheduleTimerFire(std::uint32_t slot, Tick when);
 
+    /** seq of an ordinary event: this bit | schedule counter. */
+    static constexpr std::uint64_t kOrdinaryKey = std::uint64_t{1} << 63;
+    /** seq of a delivery: src << kSrcShift | srcSeq. */
+    static constexpr unsigned kSrcShift = 48;
+
     Tick _now = 0;
+    /** Schedule counter for ordinary events' seq. */
     std::uint64_t nextSeq_ = 0;
 
     std::array<Bucket, kRingSize> ring_{};
@@ -341,13 +325,6 @@ class EventQueue
     /** Overflow min-heap (std::push_heap/std::pop_heap over a vector,
      *  ordered by Later so front() is the earliest event). */
     std::vector<Event> overflow_;
-
-    /** Network lane: same two-level shape as the normal lane, but each
-     *  bucket is sorted by (src, seq) instead of FIFO. */
-    std::array<NetBucket, kRingSize> netRing_{};
-    std::array<std::uint64_t, kBitWords> netLive_{};
-    std::size_t netCount_ = 0;
-    std::vector<NetEvent> netOverflow_;
 
     /** Timer slots + freelist of cancelled slots awaiting reuse. */
     std::vector<TimerSlot> timers_;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/logging.hh"
-
 namespace flashsim
 {
 
@@ -26,47 +24,6 @@ Distribution::reset()
 {
     count_ = 0;
     sum_ = min_ = max_ = last_ = 0.0;
-}
-
-StatSet::Handle
-StatSet::handle(const std::string &name)
-{
-    auto it = index_.find(name);
-    if (it != index_.end())
-        return it->second;
-    Handle h = static_cast<Handle>(values_.size());
-    values_.push_back(0.0);
-    names_.push_back(name);
-    index_.emplace(name, h);
-    viewStale_ = true;
-    return h;
-}
-
-double
-StatSet::get(const std::string &name) const
-{
-    auto it = index_.find(name);
-    if (it == index_.end())
-        panic("StatSet: unknown stat '%s'", name.c_str());
-    return values_[it->second];
-}
-
-bool
-StatSet::has(const std::string &name) const
-{
-    return index_.find(name) != index_.end();
-}
-
-const std::map<std::string, double> &
-StatSet::all() const
-{
-    if (viewStale_) {
-        view_.clear();
-        for (std::size_t i = 0; i < values_.size(); ++i)
-            view_[names_[i]] = values_[i];
-        viewStale_ = false;
-    }
-    return view_;
 }
 
 double

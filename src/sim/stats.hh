@@ -10,10 +10,6 @@
 #define FLASHSIM_SIM_STATS_HH_
 
 #include <cstdint>
-#include <map>
-#include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "sim/types.hh"
 
@@ -72,63 +68,6 @@ class Occupancy
 
   private:
     Cycles busy_ = 0;
-};
-
-/**
- * A named bag of scalar statistics, used by reports and tests to
- * introspect a unit's counters without hard-coded accessors.
- *
- * Values live in a contiguous array indexed by a dense Handle. A hot
- * call site resolves its name to a Handle once (at construction) and
- * then updates through the handle — a bounds-free array store, no
- * string hashing. The string-keyed ordered map the report/JSON
- * consumers read through all() is rebuilt lazily from the dense array
- * only when it is actually requested.
- */
-class StatSet
-{
-  public:
-    /** Dense index of one named stat in this set. */
-    using Handle = std::uint32_t;
-
-    /**
-     * Resolve @p name to its handle, registering it (initial value 0)
-     * on first use. Call once per site, at construction time.
-     */
-    Handle handle(const std::string &name);
-
-    // -- Handle-addressed hot path ----------------------------------------
-    void
-    set(Handle h, double value)
-    {
-        values_[h] = value;
-        viewStale_ = true;
-    }
-    void
-    add(Handle h, double delta)
-    {
-        values_[h] += delta;
-        viewStale_ = true;
-    }
-    double get(Handle h) const { return values_[h]; }
-
-    // -- String-keyed view (reports, tests, JSON) --------------------------
-    void
-    set(const std::string &name, double value)
-    {
-        set(handle(name), value);
-    }
-    double get(const std::string &name) const;
-    bool has(const std::string &name) const;
-    /** Name-ordered map of every stat, rebuilt lazily when stale. */
-    const std::map<std::string, double> &all() const;
-
-  private:
-    std::vector<double> values_;            ///< dense, handle-indexed
-    std::vector<std::string> names_;        ///< handle -> name
-    std::unordered_map<std::string, Handle> index_; ///< name -> handle
-    mutable std::map<std::string, double> view_; ///< lazy string view
-    mutable bool viewStale_ = false;
 };
 
 /** Percentage helper: 100 * num / denom, 0 when denom == 0. */

@@ -177,20 +177,25 @@ TEST(AllocFree, MaxCaptureIntoWarmBucketDoesNotAllocate)
     EXPECT_EQ(hits, 18);
 }
 
-TEST(AllocFree, MachineReferenceLoopDoesNotAllocate)
+/**
+ * A workload of cache hits and misses (with upgrades and writebacks)
+ * on lines homed at @p home runs the processor, cache, MAGIC inbox and
+ * dispatch, PP emulator and MDC model on every iteration; with a
+ * remote home (node 1) every miss also crosses the mesh slab, the
+ * event queue's sorted delivery insert and the NI inbound queue. The
+ * warm-up spans hundreds of event-ring wraps, so every ring bucket has
+ * grown to its steady capacity; the loop then samples the allocation
+ * counter at two iterations, and nothing on the per-reference or
+ * per-handler path may allocate in between.
+ */
+void
+expectReferenceLoopDoesNotAllocate(NodeId home)
 {
-    // A workload of cache hits and local misses (with upgrades and
-    // writebacks) runs the processor, cache, MAGIC inbox and dispatch,
-    // PP emulator and MDC model on every iteration. The warm-up spans hundreds of event-ring wraps, so
-    // every ring bucket has grown to its steady capacity; the loop then
-    // samples the allocation counter at two iterations, and nothing on
-    // the per-reference or per-handler path may allocate in between.
-    if (ppisa::PpSim::oracleEnabled())
-        GTEST_SKIP() << "the FS_PP_ORACLE replay allocates by design";
+    SCOPED_TRACE(testing::Message() << "home node " << home);
     machine::MachineConfig cfg = machine::MachineConfig::flash(2);
     cfg.cache.sizeBytes = 1024; // 4 sets x 2 ways: 512 B apart, same set
     machine::Machine m(cfg);
-    const Addr base = m.alloc(3 * 512, 0);
+    const Addr base = m.alloc(3 * 512, home);
     constexpr int kWarm = 4000;
     constexpr int kMeasured = 400;
     std::uint64_t before = 0;
@@ -221,6 +226,14 @@ TEST(AllocFree, MachineReferenceLoopDoesNotAllocate)
               static_cast<Counter>(kWarm + kMeasured));
     EXPECT_EQ(after, before)
         << "the machine's reference loop allocated in steady state";
+}
+
+TEST(AllocFree, MachineReferenceLoopDoesNotAllocate)
+{
+    if (ppisa::PpSim::oracleEnabled())
+        GTEST_SKIP() << "the FS_PP_ORACLE replay allocates by design";
+    for (NodeId home : {NodeId{0}, NodeId{1}})
+        expectReferenceLoopDoesNotAllocate(home);
 }
 
 } // namespace

@@ -220,6 +220,42 @@ TEST(EventQueue, FifoWithinTickAcrossBucketHeapBoundary)
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
+TEST(EventQueue, DeliveriesRunFirstInSourceOrder)
+{
+    // Within a tick every scheduleNet delivery runs before every
+    // ordinary event, ordered by (src, srcSeq) whatever the send order
+    // or level (ring or overflow heap); a zero-latency delivery runs as
+    // an ordinary event. Labels: delivery (s, q) is 10s+q at tick 10
+    // and 500+10s+q at tick 5000; ordinary events are 100.. and 500..
+    EventQueue eq;
+    std::vector<int> order;
+    auto log = [&order](int label) {
+        return [&order, label] { order.push_back(label); };
+    };
+    eq.scheduleAt(10, log(100));
+    eq.scheduleNet(10, 3, 0, log(30));
+    eq.scheduleNet(10, 1, 5, [&] {
+        order.push_back(15);
+        eq.scheduleAt(eq.now(), log(101));
+        eq.scheduleNet(eq.now(), 0, 0, log(102));
+    });
+    eq.scheduleNet(10, 1, 2, log(12));
+
+    const Tick far = 5000; // outside the ring window until tick 3977
+    eq.scheduleAt(far, log(500));
+    eq.scheduleNet(far, 2, 7, log(527));
+    eq.scheduleNet(far, 0, 9, log(509));
+    eq.scheduleAt(4000, [&] {
+        eq.scheduleNet(far, 1, 1, log(511));
+        eq.scheduleAt(far, log(501));
+    });
+
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{12, 15, 30, 100, 101, 102, 509, 511,
+                                       527, 500, 501}));
+    EXPECT_EQ(eq.now(), far);
+}
+
 TEST(EventQueue, MixedNearFarStressOrdering)
 {
     // Random mix straddling the ring/overflow boundary, including

@@ -271,5 +271,16 @@ TEST(MeshNetwork, UnconnectedDestinationPanics)
         "no receiver");
 }
 
+TEST(MeshNetwork, RejectsMoreNodesThanTheDeliveryKeyHolds)
+{
+    // Node ids ride in the event queue's delivery sort key, which has
+    // room for kMaxNetNodes of them.
+    EventQueue eq;
+    const int limit = static_cast<int>(EventQueue::kMaxNetNodes);
+    MeshNetwork largest(eq, limit);
+    EXPECT_EQ(largest.side(), 182);
+    EXPECT_DEATH(MeshNetwork(eq, limit + 1), "exceeds the limit");
+}
+
 } // namespace
 } // namespace flashsim::network

@@ -77,72 +77,6 @@ TEST(Helpers, PctAndRatio)
     EXPECT_DOUBLE_EQ(ratio(3, 0), 0.0);
 }
 
-TEST(StatSet, SetGetHas)
-{
-    StatSet s;
-    s.set("x", 3.5);
-    EXPECT_TRUE(s.has("x"));
-    EXPECT_FALSE(s.has("y"));
-    EXPECT_DOUBLE_EQ(s.get("x"), 3.5);
-    EXPECT_DEATH(s.get("y"), "unknown stat");
-}
-
-TEST(StatSet, HandleAndStringViewsAgree)
-{
-    StatSet s;
-    StatSet::Handle h = s.handle("misses");
-    s.add(h, 2.0);
-    s.add(h, 3.0);
-    EXPECT_DOUBLE_EQ(s.get(h), 5.0);
-    EXPECT_DOUBLE_EQ(s.get("misses"), 5.0);
-
-    // Writes through either view land in the same slot.
-    s.set("misses", 7.0);
-    EXPECT_DOUBLE_EQ(s.get(h), 7.0);
-
-    // The lazily rebuilt report view reflects handle-path updates made
-    // after the previous rebuild.
-    EXPECT_DOUBLE_EQ(s.all().at("misses"), 7.0);
-    s.add(h, 1.0);
-    EXPECT_DOUBLE_EQ(s.all().at("misses"), 8.0);
-}
-
-TEST(StatSet, HandlesAreStableAndDistinct)
-{
-    StatSet s;
-    StatSet::Handle a = s.handle("a");
-    StatSet::Handle b = s.handle("b");
-    EXPECT_NE(a, b);
-    // Re-resolving an existing name returns the original handle and
-    // does not disturb its value.
-    s.add(a, 4.0);
-    EXPECT_EQ(s.handle("a"), a);
-    EXPECT_DOUBLE_EQ(s.get(a), 4.0);
-}
-
-TEST(StatSet, AllListsEveryRegisteredStatNameOrdered)
-{
-    StatSet s;
-    s.set("zeta", 1.0);
-    StatSet::Handle h = s.handle("alpha"); // registered, never written
-    (void)h;
-    const auto &all = s.all();
-    ASSERT_EQ(all.size(), 2u);
-    EXPECT_EQ(all.begin()->first, "alpha");
-    EXPECT_DOUBLE_EQ(all.at("alpha"), 0.0);
-    EXPECT_DOUBLE_EQ(all.at("zeta"), 1.0);
-}
-
-TEST(StatSet, UnknownNameStillPanicsAfterHandleUse)
-{
-    // Handle registration must not change the string-view contract:
-    // unknown names panic on get() and read false from has().
-    StatSet s;
-    s.add(s.handle("known"), 1.0);
-    EXPECT_FALSE(s.has("missing"));
-    EXPECT_DEATH(s.get("missing"), "unknown stat");
-}
-
 TEST(Rng, DeterministicAndBounded)
 {
     Rng a(42), b(42);
