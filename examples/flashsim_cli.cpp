@@ -118,22 +118,15 @@ usage()
         "fault injection (implies deterministic seeded perturbation):\n"
         "  --inject-seed N       injector RNG seed (default 1)\n"
         "  --inject-jitter N     max extra mesh transit cycles\n"
-        "  --inject-nacks P      P(NACK a home request outright)\n"
+        "  --inject-nacks P      P(NACK a home request outright),\n"
+        "                        in [0, 1): at 1 no request is served\n"
         "  --inject-drop-hints P P(drop a replacement hint)\n"
         "  --inject-dup-hints P  P(duplicate a replacement hint)\n"
         "  --inject-stall N      max extra inbound-queue stall cycles\n"
-        "transaction retry:\n"
-        "  --inject-txn-drop P   P(kill a NetGet/GetX at the home NI);\n"
-        "                        recovered by transaction retry\n"
-        "  --retry-backoff N     base transaction timeout in cycles\n"
-        "                        (doubles per retry, 16x cap; default\n"
-        "                        60000 when --inject-txn-drop is set)\n"
-        "  --retry-budget N      re-issues before a transaction gives\n"
-        "                        up and completes degraded (default 8)\n"
-        "values: N is a whole number (>= 1 for the interval, age,\n"
-        "window and backoff), P a probability in [0, 1]\n"
+        "values: N is a whole number (>= 1 for the interval, age and\n"
+        "window), P a probability in [0, 1]\n"
         "exit codes: 0 ok, 1 usage, 2 verification failed (violation or\n"
-        "watchdog trip), 3 run degraded (some retry budget exhausted)\n");
+        "watchdog trip)\n");
 }
 
 /** Reject a bad command line: usage text, exit 1. */
@@ -240,6 +233,8 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--inject-nacks")) {
             cfg.magic.verify.fault.enabled = true;
             cfg.magic.verify.fault.extraNackProb = nextProbability();
+            if (cfg.magic.verify.fault.extraNackProb >= 1.0)
+                reject(); // every home request NACKed: never finishes
         } else if (!std::strcmp(argv[i], "--inject-drop-hints")) {
             cfg.magic.verify.fault.enabled = true;
             cfg.magic.verify.fault.dropHintProb = nextProbability();
@@ -249,16 +244,6 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--inject-stall")) {
             cfg.magic.verify.fault.enabled = true;
             cfg.magic.verify.fault.inboundStall = nextCount(0, kMaxU64);
-        } else if (!std::strcmp(argv[i], "--inject-txn-drop")) {
-            cfg.magic.verify.fault.enabled = true;
-            cfg.magic.verify.fault.txnDropProb = nextProbability();
-            if (cfg.magic.txnRetryTimeout == 0)
-                cfg.magic.txnRetryTimeout = 60000;
-        } else if (!std::strcmp(argv[i], "--retry-backoff")) {
-            cfg.magic.txnRetryTimeout = nextCount(1, kMaxU64);
-        } else if (!std::strcmp(argv[i], "--retry-budget")) {
-            cfg.magic.txnRetryBudget = static_cast<std::uint32_t>(
-                nextCount(0, std::numeric_limits<std::uint32_t>::max()));
         } else {
             reject();
         }
@@ -303,13 +288,6 @@ main(int argc, char **argv)
     if (s.mdcMissRate > 0)
         std::printf("MDC: %.2f%% miss rate (%.2f%% reads)\n",
                     100 * s.mdcMissRate, 100 * s.mdcReadMissRate);
-    if (s.reqDropsInjected != 0 || s.timeoutRetries != 0 ||
-        s.lateFills != 0)
-        std::printf("txn recovery: %llu requests dropped at home NI, "
-                    "%llu timeout retries, %llu late fills\n",
-                    static_cast<unsigned long long>(s.reqDropsInjected),
-                    static_cast<unsigned long long>(s.timeoutRetries),
-                    static_cast<unsigned long long>(s.lateFills));
     if (const verify::Sentinel *sent = m->sentinel()) {
         std::fflush(stdout);
         sent->writeSummary(std::cout);
@@ -323,24 +301,6 @@ main(int argc, char **argv)
                          static_cast<unsigned long long>(sent->trips()));
             return 2;
         }
-    }
-    if (s.runDegraded()) {
-        // Structured degraded-run report: the run completed and the
-        // final state is coherent, but these transactions exhausted
-        // their retry budgets and resumed without data. Distinct exit
-        // code so harnesses separate "weaker result" from "broken".
-        std::fprintf(stderr,
-                     "RUN DEGRADED: %llu transaction(s) exhausted the "
-                     "retry budget (%llu degraded resumes)\n",
-                     static_cast<unsigned long long>(s.degradedTxns),
-                     static_cast<unsigned long long>(s.degradedResumes));
-        for (const Summary::DegradedTxn &d : s.degraded)
-            std::fprintf(stderr,
-                         "  node %u line 0x%llx gave up after %u "
-                         "retries\n", d.node,
-                         static_cast<unsigned long long>(d.line),
-                         d.retries);
-        return 3;
     }
     return 0;
 }

@@ -96,14 +96,11 @@ Cache::read(Addr addr, Callback on_fill)
     m->needsUpgrade = false;
     m->invalOnFill = false;
     m->nackCount = 0;
-    m->timeoutRetries = 0;
     m->issued = eq_.now();
-    m->timeout = {};
     m->readWaiters.clear();
     m->readWaiters.push_back(std::move(on_fill));
     if (verify::Sentinel *s = magic_.sentinel())
         s->txnStart(self_, line);
-    armTxnTimeout(*m);
     sendRequest(MsgType::PiGet, line, false);
     return ReadOutcome::Miss;
 }
@@ -146,13 +143,10 @@ Cache::write(Addr addr)
     m->needsUpgrade = false;
     m->invalOnFill = false;
     m->nackCount = 0;
-    m->timeoutRetries = 0;
     m->issued = eq_.now();
-    m->timeout = {};
     m->readWaiters.clear();
     if (verify::Sentinel *s = magic_.sentinel())
         s->txnStart(self_, line);
-    armTxnTimeout(*m);
     sendRequest(MsgType::PiGetx, line, false);
     return WriteOutcome::Queued;
 }
@@ -207,58 +201,8 @@ Cache::installLine(Addr line, State st)
 }
 
 void
-Cache::armTxnTimeout(Mshr &m)
-{
-    const magic::MagicParams &mp = magic_.params();
-    if (mp.txnRetryTimeout == 0)
-        return;
-    // Exponential backoff per re-issue, capped at 16x base.
-    Cycles delay = mp.txnRetryTimeout
-                   << std::min(m.timeoutRetries, 4u);
-    Tick when = eq_.now() + delay;
-    if (m.timeout.valid() && eq_.rearmTimer(m.timeout, when))
-        return;
-    Addr line = m.line;
-    m.timeout =
-        eq_.armTimer(when, [this, line] { onTxnTimeout(line); });
-}
-
-void
-Cache::onTxnTimeout(Addr line)
-{
-    Mshr *m = findMshr(line);
-    if (m == nullptr)
-        return; // transaction completed as the timer fired
-    const magic::MagicParams &mp = magic_.params();
-    if (m->timeoutRetries >= mp.txnRetryBudget) {
-        // Budget spent: complete the transaction degraded so the
-        // processor is not wedged forever on a dead request. Blocked
-        // readers resume without data; a later touch of the line is an
-        // ordinary fresh miss. The run is reported as degraded.
-        ++degradedTxns;
-        degradedLog.push_back({m->line, m->timeoutRetries});
-        completingDegraded_ = true;
-        completeMshr(*m);
-        completingDegraded_ = false;
-        return;
-    }
-    ++m->timeoutRetries;
-    ++timeoutRetries;
-    // The retry restarts the transaction's clock for the watchdog:
-    // legitimate recovery must not read as a stuck transaction.
-    if (verify::Sentinel *s = magic_.sentinel())
-        s->txnRetry(self_, line);
-    armTxnTimeout(*m);
-    sendRequest(m->sentType, m->line, true);
-}
-
-void
 Cache::completeMshr(Mshr &m)
 {
-    if (m.timeout.valid()) {
-        eq_.cancelTimer(m.timeout);
-        m.timeout = {};
-    }
     if (verify::Sentinel *s = magic_.sentinel())
         s->txnRetire(self_, m.line);
     // Swap (not move) so the MSHR inherits the scratch's spare buffer:
@@ -283,22 +227,9 @@ Cache::fill(const Message &msg)
 {
     Addr line = lineBase(msg.addr);
     Mshr *m = findMshr(line);
-    if (m == nullptr) {
-        if (magic_.params().txnRetryTimeout != 0) {
-            // A late reply to a transaction the timeout path already
-            // re-issued or completed degraded (e.g. the original and
-            // the retry both produced fills). Install benignly so the
-            // data is not wasted; coherence is unaffected because the
-            // directory already recorded this node.
-            ++lateFills;
-            installLine(line, msg.type == MsgType::PiPutx
-                                  ? State::Exclusive
-                                  : State::Shared);
-            return;
-        }
+    if (m == nullptr)
         panic("Cache %u: fill for line 0x%llx without MSHR", self_,
               static_cast<unsigned long long>(line));
-    }
     missLatency.sample(static_cast<double>(eq_.now() - m->issued));
 
     State st =
@@ -319,9 +250,7 @@ Cache::fill(const Message &msg)
         m->needsUpgrade = false;
         m->invalOnFill = false;
         m->nackCount = 0;
-        m->timeoutRetries = 0;
         m->issued = eq_.now();
-        armTxnTimeout(*m);
         sendRequest(MsgType::PiGetx, line, true);
         fillScratch_.swap(m->readWaiters);
         for (Callback &cb : fillScratch_)
@@ -354,10 +283,6 @@ Cache::deliver(const Message &msg)
         ++m->nackCount;
         Cycles wait = (magic_.params().nackRetryBackoff << shift) +
                       (self_ * 7) % 29;
-        // A NACK is proof the request is alive at the home: push the
-        // transaction timeout out so the NACK/retry loop is never
-        // mistaken for a dead request.
-        armTxnTimeout(*m);
         eq_.schedule(wait,
                      [this, t, line] { sendRequest(t, line, true); });
         break;

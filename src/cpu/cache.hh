@@ -118,26 +118,7 @@ class Cache
     Counter replaceHints = 0;
     Counter invalsReceived = 0;
     Counter nackRetries = 0;
-    Counter timeoutRetries = 0; ///< transaction-timeout re-issues
-    /** Fills that arrived after their transaction was retired (late
-     *  replies to a request the timeout path already re-issued or gave
-     *  up on); installed benignly instead of panicking. Only possible
-     *  when txnRetryTimeout is enabled. */
-    Counter lateFills = 0;
-    Counter degradedTxns = 0; ///< retries exhausted; completed degraded
     Distribution missLatency; ///< read-miss service time (cycles)
-
-    /** One transaction that exhausted its retry budget. */
-    struct DegradedTxn
-    {
-        Addr line;
-        std::uint32_t retries;
-    };
-    std::vector<DegradedTxn> degradedLog;
-
-    /** True while completeMshr runs for a budget-exhausted transaction
-     *  (the processor's fill hooks use this to count degraded resumes). */
-    bool completingDegraded() const { return completingDegraded_; }
 
     double
     missRate() const
@@ -173,13 +154,7 @@ class Cache
         bool invalOnFill = false;
         /** Consecutive NACKs for this miss (exponential backoff). */
         std::uint32_t nackCount = 0;
-        /** Transaction-timeout re-issues so far (capped by the retry
-         *  budget; orthogonal to nackCount — a NACK is a live reply,
-         *  a timeout means the request died outright). */
-        std::uint32_t timeoutRetries = 0;
         Tick issued = 0;
-        /** Armed iff txnRetryTimeout != 0 and the miss is outstanding. */
-        EventQueue::TimerId timeout{};
         std::vector<Callback> readWaiters;
     };
 
@@ -211,12 +186,6 @@ class Cache
     void fill(const protocol::Message &msg);
     void installLine(Addr line, State st);
     void completeMshr(Mshr &m);
-    /** Arm (or re-arm) @p m's transaction timeout at the base interval
-     *  shifted by its retry count; no-op when timeouts are disabled. */
-    void armTxnTimeout(Mshr &m);
-    /** The transaction timeout fired for @p line: re-issue the request
-     *  with backoff, or complete degraded once the budget is spent. */
-    void onTxnTimeout(Addr line);
 
     EventQueue &eq_;
     NodeId self_;
@@ -231,7 +200,6 @@ class Cache
     std::unique_ptr<Way[]> ways_; ///< valid iff states_[i] != Invalid
     std::vector<Mshr> mshrs_;
     Tick busyUntil_ = 0;
-    bool completingDegraded_ = false;
     std::vector<Callback> mshrFreeWaiters_;
     /** Scratch the completed MSHR's waiter list is swapped into before
      *  running (callbacks may re-enter the cache); the swap hands the

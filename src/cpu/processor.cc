@@ -48,8 +48,6 @@ Processor::attemptRead(Addr addr, bool in_sync, Tick stall_start,
     Cache::ReadOutcome out =
         cache_.read(addr, [this, in_sync, stall_start, done] {
             // First 8 bytes delivered (critical word first).
-            if (cache_.completingDegraded())
-                ++degradedResumes;
             cursor_ = eq_.now();
             chargeStall(cursor_ - stall_start, in_sync,
                         &Breakdown::read);

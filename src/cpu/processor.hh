@@ -90,10 +90,6 @@ class Processor
      */
     void absorbExternalWait(bool in_sync);
 
-    /** Reads resumed by a degraded (retry-budget-exhausted) completion
-     *  rather than a real fill; the run report surfaces these. */
-    Counter degradedResumes = 0;
-
     Tick cursor() const { return cursor_; }
     bool finished() const { return finished_; }
     Tick finishTime() const { return finishTime_; }

@@ -45,14 +45,6 @@ summarize(const Machine &m)
         s.readMisses += c.readMisses;
         s.writeMisses += c.writeMisses;
 
-        s.timeoutRetries += c.timeoutRetries;
-        s.lateFills += c.lateFills;
-        s.degradedTxns += c.degradedTxns;
-        for (const cpu::Cache::DegradedTxn &d : c.degradedLog)
-            s.degraded.push_back(
-                {static_cast<NodeId>(i), d.line, d.retries});
-        s.degradedResumes += n.proc().degradedResumes;
-
         const magic::Magic &mg = n.magic();
         s.handlerInvocations += mg.invocations;
         s.specIssued += mg.specIssued;
@@ -115,11 +107,6 @@ summarize(const Machine &m)
                           static_cast<double>(mdc_accesses));
     s.mdcReadMissRate = ratio(static_cast<double>(mdc_read_misses),
                               static_cast<double>(mdc_reads));
-
-    if (const verify::Sentinel *sent = m.sentinel()) {
-        const verify::FaultInjector &inj = sent->injectorStats();
-        s.reqDropsInjected = inj.reqDropsInjected();
-    }
     return s;
 }
 

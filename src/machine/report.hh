@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "machine/machine.hh"
 #include "sim/stats.hh"
@@ -78,25 +77,9 @@ struct Summary
 
     std::uint64_t nacksSent = 0;
 
-    // Transaction-level recovery (request drops at the home NI).
-    std::uint64_t reqDropsInjected = 0;
-    std::uint64_t timeoutRetries = 0;
-    std::uint64_t lateFills = 0;
+    /** Always 0: no transaction can fail to complete. Kept because
+     *  the perfbench run records still carry it. */
     std::uint64_t degradedTxns = 0;
-    std::uint64_t degradedResumes = 0;
-
-    /** One transaction that exhausted its retry budget. */
-    struct DegradedTxn
-    {
-        NodeId node = 0;
-        Addr line = 0;
-        std::uint32_t retries = 0;
-    };
-    std::vector<DegradedTxn> degraded;
-
-    /** Some transaction gave up inside its retry budget: results are
-     *  complete but weaker than a clean run — report, don't trust. */
-    bool runDegraded() const { return degradedTxns != 0; }
 };
 
 /** Collect a Summary from a machine that has finished run(). */

@@ -94,21 +94,12 @@ Magic::fromProcessorAfter(const Message &msg, Cycles delay)
 void
 Magic::fromNetwork(const Message &msg)
 {
-    // Transaction-kill injection: an initial request can die at the
-    // home node's NI before it touches any protocol state — the
-    // directory has never heard of it, so the requester's transaction
-    // timeout can safely re-issue from scratch. Only initial requests
-    // arriving at their home qualify; dropping a forwarded or reply
-    // message would strand directory state no retry could clear.
+    // A home request still takes its one injector draw, so seeded
+    // injection runs keep their decisions (see skipRequestDraw).
     if (sentinel_ && sentinel_->injector().enabled() &&
         (msg.type == MsgType::NetGet || msg.type == MsgType::NetGetx) &&
-        map_.homeOf(msg.addr) == self_ &&
-        sentinel_->injector().txnDrop(self_)) {
-        ++reqDropsInjected;
-        sentinel_->recordInjected(self_, eq_.now(), msg,
-                                  verify::TraceEntry::Kind::DroppedRequest);
-        return;
-    }
+        map_.homeOf(msg.addr) == self_)
+        sentinel_->injector().skipRequestDraw(self_);
     Tick t = inboundArrival(params_.niInbound, lastNiArrival_);
     eq_.scheduleAt(t, [this, msg] { enqueue(niQueue_, msg); });
 }

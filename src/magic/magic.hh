@@ -191,7 +191,6 @@ class Magic
     Counter blockChunksSent = 0;
     Counter blockChunksReceived = 0;
     Counter blocksCompleted = 0;  ///< transfers fully received here
-    Counter reqDropsInjected = 0; ///< inbound requests killed at the NI
 
     /** Read-miss service classification (Tables 3.3 / 4.1), counted at
      *  the home node when the servicing handler runs. */

@@ -71,19 +71,6 @@ struct MagicParams
     /** NACKed requests retry after this backoff (not in the paper). */
     Cycles nackRetryBackoff = 16;
 
-    /**
-     * Transaction-level timeout/retry.
-     * When nonzero, every outstanding cache miss arms a timer; if no
-     * reply (fill or NACK) arrives within the timeout, the request is
-     * re-issued from the processor side, with the timeout doubling per
-     * retry up to a 16x cap. 0 disables the timer entirely — the
-     * default, since a loss-free fabric never needs it.
-     */
-    Cycles txnRetryTimeout = 0;
-    /** Retries allowed before the transaction completes *degraded*
-     *  (structured report + distinct exit code, not an abort). */
-    std::uint32_t txnRetryBudget = 8;
-
     /** log2(page size), for the per-page access monitoring that backs
      *  the Section 4.4 hot-spot detection (set by the machine). */
     unsigned pageShift = 12;

@@ -99,84 +99,6 @@ EventQueue::scheduleNet(Tick when, NodeId src, std::uint64_t srcSeq,
     lowerHorizon(when);
 }
 
-EventQueue::TimerId
-EventQueue::armTimer(Tick when, Callback cb)
-{
-    std::uint32_t slot;
-    if (!timerFree_.empty()) {
-        slot = timerFree_.back();
-        timerFree_.pop_back();
-    } else {
-        slot = static_cast<std::uint32_t>(timers_.size());
-        timers_.emplace_back();
-    }
-    TimerSlot &t = timers_[slot];
-    t.cb = std::move(cb);
-    t.armed = true;
-    ++t.armSeq;
-    scheduleTimerFire(slot, when);
-    return TimerId{slot, timers_[slot].gen};
-}
-
-void
-EventQueue::scheduleTimerFire(std::uint32_t slot, Tick when)
-{
-    const std::uint32_t gen = timers_[slot].gen;
-    const std::uint64_t armSeq = timers_[slot].armSeq;
-    scheduleAt(when, [this, slot, gen, armSeq] {
-        TimerSlot &t = timers_[slot];
-        if (t.gen != gen || t.armSeq != armSeq || !t.armed)
-            return; // cancelled or superseded by a rearm: no-op
-        t.armed = false;
-        // Move the callback out for the call: it may rearm this very
-        // slot or arm fresh timers, either of which can reallocate
-        // timers_. Restore it afterwards — unless the callback
-        // cancelled its own timer (gen bumped), in which case the slot
-        // may already belong to someone else.
-        Callback cb = std::move(t.cb);
-        cb();
-        if (timers_[slot].gen == gen)
-            timers_[slot].cb = std::move(cb);
-    });
-}
-
-bool
-EventQueue::rearmTimer(TimerId id, Tick when)
-{
-    if (!id.valid() || id.slot >= timers_.size())
-        return false;
-    TimerSlot &t = timers_[id.slot];
-    if (t.gen != id.gen)
-        return false;
-    t.armed = true;
-    ++t.armSeq;
-    scheduleTimerFire(id.slot, when);
-    return true;
-}
-
-bool
-EventQueue::cancelTimer(TimerId id)
-{
-    if (!id.valid() || id.slot >= timers_.size())
-        return false;
-    TimerSlot &t = timers_[id.slot];
-    if (t.gen != id.gen)
-        return false;
-    const bool pending = t.armed;
-    t.armed = false;
-    ++t.armSeq; // orphan any in-flight fire event
-    ++t.gen;    // invalidate every outstanding handle
-    timerFree_.push_back(id.slot);
-    return pending;
-}
-
-bool
-EventQueue::timerArmed(TimerId id) const
-{
-    return id.valid() && id.slot < timers_.size() &&
-           timers_[id.slot].gen == id.gen && timers_[id.slot].armed;
-}
-
 Tick
 EventQueue::nextRingTick() const
 {
@@ -313,8 +235,6 @@ EventQueue::reset()
     live_.fill(0);
     ringCount_ = 0;
     overflow_.clear();
-    timers_.clear();
-    timerFree_.clear();
     _now = 0;
     nextSeq_ = 0;
     nextCache_ = kNever;

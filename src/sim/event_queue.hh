@@ -139,13 +139,9 @@ class EventQueue
     }
 
     /**
-     * Earliest pending tick (deliveries, ordinary events and timer
-     * fires alike), or kNever. O(1) when the cached horizon is warm
-     * (see nextCache_) — Machine::run's loop asks it once per
-     * simulated tick.
-     * Armed timers bound it like any other event; a lazily cancelled
-     * timer leaves its stale fire event behind, which can only make the
-     * answer conservatively early, never late.
+     * Earliest pending tick (deliveries and ordinary events alike), or
+     * kNever. O(1) when the cached horizon is warm (see nextCache_) —
+     * Machine::run's loop asks it once per simulated tick.
      */
     Tick nextTick() const;
 
@@ -168,54 +164,6 @@ class EventQueue
 
     /** Drop all pending events and reset time to zero. */
     void reset();
-
-    // -- Cancellable / re-armable timers ------------------------------------
-
-    /** Sentinel slot index for an invalid TimerId. */
-    static constexpr std::uint32_t kNoTimerSlot = ~std::uint32_t{0};
-
-    /**
-     * Handle to a timer slot. Default-constructed handles are invalid.
-     * A handle is invalidated by cancelTimer() (never by the timer
-     * merely firing: the slot and its stored callback stay allocated so
-     * the fire handler can rearmTimer() itself — the cache's
-     * transaction retry timer does).
-     */
-    struct TimerId
-    {
-        std::uint32_t slot = kNoTimerSlot;
-        std::uint32_t gen = 0;
-
-        bool valid() const { return slot != kNoTimerSlot; }
-    };
-
-    /**
-     * Arm a timer: run @p cb at absolute tick @p when, as an ordinary
-     * event. Unlike a bare scheduleAt, the pending fire can be cancelled
-     * or moved. Cancellation is lazy — the queued event stays where it
-     * is and no-ops when reached — so arm/cancel/rearm are each O(1)
-     * plus at most one ordinary schedule.
-     */
-    TimerId armTimer(Tick when, Callback cb);
-
-    /**
-     * Re-schedule @p id's stored callback to fire at @p when instead,
-     * superseding any pending fire. Legal from within the timer's own
-     * callback (rearm-on-fire) and for a timer that already fired.
-     * @return false on a stale or invalid handle.
-     */
-    bool rearmTimer(TimerId id, Tick when);
-
-    /**
-     * Cancel @p id: any pending fire becomes a no-op and the slot is
-     * recycled. The stored callback is destroyed lazily when the slot
-     * is next reused. Safe on stale/invalid handles.
-     * @return true when a fire was actually pending.
-     */
-    bool cancelTimer(TimerId id);
-
-    /** True while @p id names a live timer with a pending fire. */
-    bool timerArmed(TimerId id) const;
 
   private:
     struct Event
@@ -248,21 +196,6 @@ class EventQueue
     {
         std::vector<Event> events;
         std::size_t head = 0;
-    };
-
-    /**
-     * Timer slot: callback storage plus the validity counters that make
-     * lazy cancellation work. gen invalidates *handles* (bumped when
-     * the slot is freed for reuse); armSeq invalidates *in-flight fire
-     * events* (bumped by every arm/rearm/cancel, so a superseded fire
-     * no-ops when it runs).
-     */
-    struct TimerSlot
-    {
-        std::uint32_t gen = 0;
-        std::uint64_t armSeq = 0;
-        bool armed = false;
-        Callback cb;
     };
 
     static constexpr std::size_t kRingMask = kRingSize - 1;
@@ -305,8 +238,6 @@ class EventQueue
     Tick nextRingTick() const;
     /** Move overflow events for tick @p t into its bucket. */
     void promoteOverflow(Tick t);
-    /** Queue the lazy-cancel fire wrapper for timer @p slot. */
-    void scheduleTimerFire(std::uint32_t slot, Tick when);
 
     /** seq of an ordinary event: this bit | schedule counter. */
     static constexpr std::uint64_t kOrdinaryKey = std::uint64_t{1} << 63;
@@ -325,10 +256,6 @@ class EventQueue
     /** Overflow min-heap (std::push_heap/std::pop_heap over a vector,
      *  ordered by Later so front() is the earliest event). */
     std::vector<Event> overflow_;
-
-    /** Timer slots + freelist of cancelled slots awaiting reuse. */
-    std::vector<TimerSlot> timers_;
-    std::vector<std::uint32_t> timerFree_;
 
     /**
      * Cached nextTick(). Exact-min maintained on schedule (an earlier

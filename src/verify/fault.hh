@@ -6,14 +6,15 @@
  * run seed and the node id), drawn in that node's event order, so a
  * (seed, config) pair replays bit-identically: every draw is keyed by
  * the node whose event stream triggered it (the message source for
- * mesh jitter, the local MAGIC for queue stalls, NACKs and hint
- * fates), so enabling one injection class never shifts another node's
- * draws. The injector itself is pure policy — it only answers "what should happen
- * to this message"; the mechanism (delaying delivery, synthesizing a
- * NACK, swallowing a hint) lives at the call sites in the mesh and in
- * MAGIC, which are also responsible for preserving the point-to-point
- * FIFO ordering the NACK/retry protocol depends on (delivery times are
- * clamped monotonically per (src, dest) pair and per inbound queue).
+ * mesh jitter, the local MAGIC for queue stalls, NACKs, hint fates and
+ * the discarded per-request draw), so enabling one injection class
+ * never shifts another node's draws. The injector itself is pure
+ * policy — it only answers "what should happen to this message"; the
+ * mechanism (delaying delivery, synthesizing a NACK, swallowing a
+ * hint) lives at the call sites in the mesh and in MAGIC, which are
+ * also responsible for preserving the point-to-point FIFO ordering the
+ * NACK/retry protocol depends on (delivery times are clamped
+ * monotonically per (src, dest) pair and per inbound queue).
  */
 
 #ifndef FLASHSIM_VERIFY_FAULT_HH_
@@ -109,17 +110,14 @@ class FaultInjector
         return HintFate::Deliver;
     }
 
-    /** Should this inbound network request (NetGet/NetGetx) die at home
-     *  node @p home's NI, before touching any protocol state? Recovery
-     *  relies on the requester's transaction timeout/retry. */
-    bool
-    txnDrop(NodeId home)
+    /** Draw and discard one value from home node @p home's stream for
+     *  a NetGet/NetGetx arriving at its home. No injection class
+     *  consumes it; it stays so that every (seed, config) pair keeps
+     *  the stream positions, and so the decisions, it has always had. */
+    void
+    skipRequestDraw(NodeId home)
     {
-        PerNode &n = per_[home];
-        if (n.rng.uniform() >= p_.txnDropProb)
-            return false;
-        ++n.reqDropsInjected;
-        return true;
+        (void)per_[home].rng.uniform();
     }
 
     /** True when hint perturbation can leave duplicate or stale sharer
@@ -156,11 +154,6 @@ class FaultInjector
     {
         return sum(&PerNode::stallCycles);
     }
-    Counter
-    reqDropsInjected() const
-    {
-        return sum(&PerNode::reqDropsInjected);
-    }
 
   private:
     /** One node's fault stream + injection counters. */
@@ -172,7 +165,6 @@ class FaultInjector
         Counter hintsDuped = 0;
         Counter jitterCycles = 0;
         Counter stallCycles = 0;
-        Counter reqDropsInjected = 0;
     };
 
     Counter

@@ -43,12 +43,6 @@ struct FaultParams
     /** Max extra cycles a message stalls entering a MAGIC inbound
      *  queue, modelling queue-full backpressure (0 = off). */
     Cycles inboundStall = 0;
-
-    /** Probability an inbound network request (NetGet/NetGetx) dies at
-     *  the home node's NI before touching any protocol state. This
-     *  kills the transaction outright; recovery relies on the
-     *  requester's timeout/retry (txnRetryTimeout). */
-    double txnDropProb = 0.0;
 };
 
 /** The verification layer proper. */

@@ -91,13 +91,6 @@ Sentinel::txnRetire(NodeId node, Addr addr)
 }
 
 void
-Sentinel::txnRetry(NodeId node, Addr addr)
-{
-    if (watchdog_)
-        watchdog_->txnRetry(node, addr);
-}
-
-void
 Sentinel::finalCheck()
 {
     if (oracle_)
@@ -158,9 +151,6 @@ Sentinel::writeSummary(std::ostream &os) const
            << injector_.hintsDropped() << " hints dropped, "
            << injector_.hintsDuped() << " duped, " << injector_.jitterCycles()
            << " jitter cyc, " << injector_.stallCycles() << " stall cyc)";
-    if (injector_.reqDropsInjected() != 0)
-        os << " txn(" << injector_.reqDropsInjected()
-           << " requests dropped)";
     os << "\n";
 }
 
@@ -186,9 +176,6 @@ Sentinel::writePostMortem(std::ostream &os, const char *reason) const
            << injector_.hintsDuped() << " duplicated, "
            << injector_.jitterCycles() << " jitter cycle(s), "
            << injector_.stallCycles() << " stall cycle(s)\n";
-    if (injector_.reqDropsInjected() != 0)
-        os << "injected loss: " << injector_.reqDropsInjected()
-           << " request(s) dropped at home NI\n";
     os << "recent activity (oldest first, ring depth "
        << params_.traceDepth << "):\n";
     for (int n = 0; n < numNodes_; ++n)

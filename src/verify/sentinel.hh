@@ -63,10 +63,6 @@ class Sentinel
     /** A processor transaction left / completed at @p node. */
     void txnStart(NodeId node, Addr addr);
     void txnRetire(NodeId node, Addr addr);
-    /** A timed-out transaction was legitimately re-issued at @p node:
-     *  the watchdog restarts its age clock (retries are recovery, not
-     *  wedges). */
-    void txnRetry(NodeId node, Addr addr);
 
     FaultInjector &injector() { return injector_; }
 

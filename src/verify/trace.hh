@@ -28,12 +28,10 @@ struct TraceEntry
 {
     enum class Kind : std::uint8_t
     {
-        Handler,        ///< a handler ran for the message
-        InjectedNack,   ///< the injector NACKed the request instead
-        DroppedHint,    ///< the injector swallowed a replacement hint
-        DupedHint,      ///< the injector duplicated a replacement hint
-        DroppedRequest, ///< the injector killed an inbound request
-        TxnRetry,       ///< a timed-out transaction was re-issued
+        Handler,      ///< a handler ran for the message
+        InjectedNack, ///< the injector NACKed the request instead
+        DroppedHint,  ///< the injector swallowed a replacement hint
+        DupedHint,    ///< the injector duplicated a replacement hint
     };
 
     Tick tick = 0;
@@ -88,14 +86,6 @@ class TraceRing
               case TraceEntry::Kind::DupedHint:
                 os << protocol::msgTypeName(e.type)
                    << " duplicated (injected)";
-                break;
-              case TraceEntry::Kind::DroppedRequest:
-                os << protocol::msgTypeName(e.type)
-                   << " dropped at NI (injected)";
-                break;
-              case TraceEntry::Kind::TxnRetry:
-                os << protocol::msgTypeName(e.type)
-                   << " re-issued (transaction timeout)";
                 break;
             }
             os << " src=" << e.src << " req=" << e.requester << " addr=0x"

@@ -35,16 +35,6 @@ Watchdog::txnRetire(NodeId node, Addr addr)
 }
 
 void
-Watchdog::txnRetry(NodeId node, Addr addr)
-{
-    auto it = txns_.find(key(node, addr));
-    if (it == txns_.end())
-        return; // raced with completion; nothing to re-age
-    it->second = eq_.now();
-    lastProgress_ = eq_.now();
-}
-
-void
 Watchdog::arm()
 {
     armed_ = true;

@@ -47,13 +47,6 @@ class Watchdog
     void txnStart(NodeId node, Addr addr);
     /** The transaction completed (data returned to the processor). */
     void txnRetire(NodeId node, Addr addr);
-    /** The transaction timed out and was legitimately re-issued: its
-     *  age clock restarts so recovery is not mistaken for a wedge. A
-     *  retry also counts as progress for the livelock window — a lone
-     *  long-backoff retry is forward motion, not a stuck machine. True
-     *  livelock stays bounded: the retry budget converts it into a
-     *  degraded completion, which retires the transaction. */
-    void txnRetry(NodeId node, Addr addr);
 
     Counter trips() const { return trips_; }
     Counter retired() const { return retired_; }

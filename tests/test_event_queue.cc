@@ -325,125 +325,6 @@ int LifeProbe::live = 0;
 int LifeProbe::invoked = 0;
 
 // ---------------------------------------------------------------------------
-// Cancellable / re-armable timers (the cache's transaction retry timer).
-
-TEST(EventQueueTimer, FiresAtAbsoluteTick)
-{
-    EventQueue eq;
-    Tick fired = 0;
-    EventQueue::TimerId id =
-        eq.armTimer(40, [&] { fired = eq.now(); });
-    EXPECT_TRUE(id.valid());
-    EXPECT_TRUE(eq.timerArmed(id));
-    eq.run();
-    EXPECT_EQ(fired, 40u);
-    EXPECT_FALSE(eq.timerArmed(id));
-}
-
-TEST(EventQueueTimer, CancelBeforeFireSuppressesCallback)
-{
-    EventQueue eq;
-    int fired = 0;
-    EventQueue::TimerId id = eq.armTimer(40, [&] { ++fired; });
-    EXPECT_TRUE(eq.cancelTimer(id));
-    EXPECT_FALSE(eq.timerArmed(id));
-    eq.run();
-    EXPECT_EQ(fired, 0);
-    // Stale handle: every operation is a safe no-op.
-    EXPECT_FALSE(eq.cancelTimer(id));
-    EXPECT_FALSE(eq.rearmTimer(id, 100));
-}
-
-TEST(EventQueueTimer, CancelAfterOverflowPromotion)
-{
-    // Arm far enough out that the fire event lands in the overflow
-    // heap (the bucket ring covers kRingSize=1024 ticks), then cancel
-    // *after* the event has been promoted into the ring: a canceller
-    // scheduled at the same far-future tick, earlier in FIFO order,
-    // runs at that tick before the promoted fire would.
-    EventQueue eq;
-    int fired = 0;
-    EventQueue::TimerId id;
-    eq.scheduleAt(5000, [&] { EXPECT_TRUE(eq.cancelTimer(id)); });
-    id = eq.armTimer(5000, [&] { ++fired; });
-    eq.run();
-    EXPECT_EQ(eq.now(), 5000u);
-    EXPECT_EQ(fired, 0);
-}
-
-TEST(EventQueueTimer, RearmMovesPendingFire)
-{
-    EventQueue eq;
-    std::vector<Tick> fires;
-    EventQueue::TimerId id =
-        eq.armTimer(10, [&] { fires.push_back(eq.now()); });
-    EXPECT_TRUE(eq.rearmTimer(id, 50)); // supersedes the tick-10 fire
-    eq.run();
-    EXPECT_EQ(fires, (std::vector<Tick>{50}));
-}
-
-TEST(EventQueueTimer, RearmFromWithinCallbackSameTickAndLater)
-{
-    // Rearm-on-fire: the fire handler re-arms its own timer. Also
-    // covers re-arming at the current tick (fires again same tick).
-    EventQueue eq;
-    std::vector<Tick> fires;
-    EventQueue::TimerId id;
-    id = eq.armTimer(10, [&] {
-        fires.push_back(eq.now());
-        if (fires.size() == 1) {
-            EXPECT_TRUE(eq.rearmTimer(id, eq.now())); // same tick
-        } else if (fires.size() == 2) {
-            EXPECT_TRUE(eq.rearmTimer(id, 30));
-        }
-    });
-    eq.run();
-    EXPECT_EQ(fires, (std::vector<Tick>{10, 10, 30}));
-}
-
-TEST(EventQueueTimer, RearmAfterFireReusesStoredCallback)
-{
-    EventQueue eq;
-    int fired = 0;
-    EventQueue::TimerId id = eq.armTimer(10, [&] { ++fired; });
-    eq.run();
-    EXPECT_EQ(fired, 1);
-    // The slot keeps its callback after firing: re-arm without
-    // re-supplying it.
-    EXPECT_TRUE(eq.rearmTimer(id, 25));
-    eq.run();
-    EXPECT_EQ(fired, 2);
-}
-
-TEST(EventQueueTimer, CancelRecyclesSlotWithoutCrossTalk)
-{
-    EventQueue eq;
-    int a = 0, b = 0;
-    EventQueue::TimerId first = eq.armTimer(10, [&] { ++a; });
-    eq.cancelTimer(first);
-    // The recycled slot must answer only to the new handle.
-    EventQueue::TimerId second = eq.armTimer(20, [&] { ++b; });
-    EXPECT_EQ(first.slot, second.slot);
-    EXPECT_FALSE(eq.timerArmed(first));
-    EXPECT_TRUE(eq.timerArmed(second));
-    EXPECT_FALSE(eq.rearmTimer(first, 30));
-    eq.run();
-    EXPECT_EQ(a, 0);
-    EXPECT_EQ(b, 1);
-}
-
-TEST(EventQueueTimer, ResetClearsTimers)
-{
-    EventQueue eq;
-    int fired = 0;
-    EventQueue::TimerId id = eq.armTimer(10, [&] { ++fired; });
-    eq.reset();
-    EXPECT_FALSE(eq.timerArmed(id));
-    eq.run();
-    EXPECT_EQ(fired, 0);
-}
-
-// ---------------------------------------------------------------------------
 // The O(1) horizon query: Machine::run's loop calls nextTick() once per
 // simulated tick.
 
@@ -453,7 +334,7 @@ TEST(EventQueueHorizon, EmptyQueueReportsNever)
     EXPECT_EQ(eq.nextTick(), EventQueue::kNever);
 }
 
-TEST(EventQueueHorizon, TracksEarliestEventAndArmedTimers)
+TEST(EventQueueHorizon, TracksEarliestEvent)
 {
     EventQueue eq;
     eq.scheduleAt(100, [] {});
@@ -461,14 +342,9 @@ TEST(EventQueueHorizon, TracksEarliestEventAndArmedTimers)
     // An earlier schedule lowers the cached horizon in place...
     eq.scheduleAt(60, [] {});
     EXPECT_EQ(eq.nextTick(), 60u);
-    // ...a later one (overflow-heap range) leaves it alone...
+    // ...and a later one (overflow-heap range) leaves it alone.
     eq.scheduleAt(EventQueue::kRingSize * 4, [] {});
     EXPECT_EQ(eq.nextTick(), 60u);
-    // ...and armed timers bound it like any other event, which is what
-    // lets the run loop skip idle stretches without ever skipping a
-    // pending retry fire.
-    eq.armTimer(30, [] {});
-    EXPECT_EQ(eq.nextTick(), 30u);
 }
 
 TEST(EventQueueHorizon, DrainTickRecomputesExactHorizon)
@@ -488,24 +364,6 @@ TEST(EventQueueHorizon, DrainTickRecomputesExactHorizon)
     EXPECT_EQ(eq.nextTick(), 40u);
     eq.drainTick(40);
     EXPECT_EQ(eq.nextTick(), EventQueue::kNever);
-}
-
-TEST(EventQueueHorizon, CancelledTimerIsConservativeNeverLate)
-{
-    EventQueue eq;
-    int dead = 0, live = 0;
-    EventQueue::TimerId id = eq.armTimer(50, [&] { ++dead; });
-    eq.scheduleAt(200, [&] { ++live; });
-    eq.cancelTimer(id);
-    // Lazy cancellation may keep the horizon at the dead fire's tick (a
-    // window edge there just finds a no-op wrapper) — conservative is
-    // fine, but it must never report *past* the real work.
-    EXPECT_LE(eq.nextTick(), 200u);
-    while (eq.nextTick() != EventQueue::kNever)
-        eq.drainTick(eq.nextTick());
-    EXPECT_EQ(dead, 0);
-    EXPECT_EQ(live, 1);
-    EXPECT_EQ(eq.now(), 200u);
 }
 
 TEST(InlineCallback, MoveTransfersOwnershipAndDestroysOnce)

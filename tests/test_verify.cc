@@ -343,39 +343,6 @@ TEST(WatchdogTest, DisarmsWhenAllTransactionsRetire)
     EXPECT_EQ(wd.outstanding(), 0u);
 }
 
-TEST(WatchdogTest, RetryRearmsTransactionAge)
-{
-    // A transaction that legitimately retries three times and retires
-    // just under the per-retry age limit must never trip: txnRetry
-    // restarts the age clock (and counts as progress). The control run
-    // without the retries trips on the very same schedule.
-    auto run = [](bool with_retries) {
-        EventQueue eq;
-        VerifyParams p = watchdogParams(100, 1000, 1u << 30);
-        Watchdog wd(eq, p);
-        wd.txnStart(4, 2 * kLineSize);
-        if (with_retries)
-            for (Tick t : {Tick{800}, Tick{1600}, Tick{2400}})
-                eq.schedule(t, [&wd] { wd.txnRetry(4, 2 * kLineSize); });
-        eq.schedule(3100, [&wd] { wd.txnRetire(4, 2 * kLineSize); });
-        eq.run();
-        return wd.trips();
-    };
-    EXPECT_EQ(run(true), 0u);
-    EXPECT_EQ(run(false), 1u);
-}
-
-TEST(WatchdogTest, RetryOfUnknownTransactionIsIgnored)
-{
-    EventQueue eq;
-    VerifyParams p = watchdogParams(100, 1000, 500);
-    Watchdog wd(eq, p);
-    wd.txnRetry(0, 0); // nothing outstanding: must not arm or crash
-    eq.run();
-    EXPECT_EQ(wd.trips(), 0u);
-    EXPECT_EQ(wd.outstanding(), 0u);
-}
-
 TEST(WatchdogTest, StatusListsOldestTransactions)
 {
     EventQueue eq;
