@@ -35,6 +35,8 @@ struct CacheParams
     std::uint32_t assoc = 2;
     std::uint32_t lineBytes = 128;
     int mshrs = 4; ///< outstanding misses
+
+    bool operator==(const CacheParams &) const = default;
 };
 
 class Cache

@@ -49,6 +49,21 @@ struct MachineConfig
      */
     std::function<NodeId(std::uint64_t page_index)> placementHook;
 
+    /**
+     * Every member except placementHook (a std::function cannot be
+     * compared): equal configs without a hook build identical
+     * machines. A new member must be added here.
+     */
+    bool
+    operator==(const MachineConfig &o) const
+    {
+        return numProcs == o.numProcs && magic == o.magic &&
+               cache == o.cache && net == o.net &&
+               ppCompile == o.ppCompile && placement == o.placement &&
+               pageBytes == o.pageBytes &&
+               firstFitNodeBytes == o.firstFitNodeBytes;
+    }
+
     /** FLASH machine with @p cache_bytes processor caches. */
     static MachineConfig
     flash(int nprocs, std::uint32_t cache_bytes = 1u << 20)

@@ -85,6 +85,8 @@ struct MagicParams
      *  off by default, see verify/params.hh. */
     verify::VerifyParams verify;
 
+    bool operator==(const MagicParams &) const = default;
+
     Cycles
     piOut() const
     {

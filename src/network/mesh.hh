@@ -39,6 +39,8 @@ struct MeshParams
     Cycles perHop = 4;    ///< 40 ns fall-through
     Cycles header = 3;    ///< header cycles
     bool distanceBased = false; ///< per-pair distance instead of average
+
+    bool operator==(const MeshParams &) const = default;
 };
 
 class MeshNetwork

@@ -44,6 +44,8 @@ struct CompileOptions
 {
     bool useSpecialInstrs = true;
     bool dualIssue = true;
+
+    bool operator==(const CompileOptions &) const = default;
 };
 
 /** Full pipeline: validate, optionally expand, schedule. */

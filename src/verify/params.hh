@@ -43,6 +43,8 @@ struct FaultParams
     /** Max extra cycles a message stalls entering a MAGIC inbound
      *  queue, modelling queue-full backpressure (0 = off). */
     Cycles inboundStall = 0;
+
+    bool operator==(const FaultParams &) const = default;
 };
 
 /** The verification layer proper. */
@@ -74,6 +76,8 @@ struct VerifyParams
     std::uint32_t traceDepth = 64;
 
     FaultParams fault;
+
+    bool operator==(const VerifyParams &) const = default;
 
     /** True when any component needs a Sentinel constructed. */
     bool

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
+#include <vector>
+
 #include "machine/machine.hh"
 #include "machine/report.hh"
 #include "sim/random.hh"
@@ -315,6 +319,47 @@ TEST(MachineTest, SixtyFourProcessorsBootAndRun)
                           static_cast<Addr>(env.id()) * kLineSize);
     });
     EXPECT_GT(t, 0u);
+}
+
+// bench_paper runs equal configs once, so every field a paper table
+// varies must break equality.
+TEST(MachineConfigTest, EveryVariedFieldBreaksEquality)
+{
+    const MachineConfig base = MachineConfig::flash(16);
+    EXPECT_EQ(base, MachineConfig::flash(16));
+    EXPECT_NE(base, MachineConfig::ideal(16));
+
+    const std::vector<std::pair<const char *,
+                                std::function<void(MachineConfig &)>>>
+        flips = {
+            {"numProcs", [](MachineConfig &c) { c.numProcs = 8; }},
+            {"cache size", [](MachineConfig &c) { c.cache.sizeBytes = 4096; }},
+            {"placement",
+             [](MachineConfig &c) { c.placement = Placement::Node0; }},
+            {"speculation",
+             [](MachineConfig &c) { c.magic.speculation = false; }},
+            {"mdcBytes", [](MachineConfig &c) { c.magic.mdcBytes = 16384; }},
+            {"mdcMissPenalty",
+             [](MachineConfig &c) { c.magic.mdcMissPenalty = 0; }},
+            {"nackRetryBackoff",
+             [](MachineConfig &c) { c.magic.nackRetryBackoff = 4; }},
+            {"distanceBased",
+             [](MachineConfig &c) { c.net.distanceBased = true; }},
+            {"usePpEmulator",
+             [](MachineConfig &c) { c.magic.usePpEmulator = false; }},
+            {"optimizedPp",
+             [](MachineConfig &c) { c.magic.optimizedPp = false; }},
+            {"ppCompile",
+             [](MachineConfig &c) { c.ppCompile.useSpecialInstrs = false; }},
+            {"monitorPages",
+             [](MachineConfig &c) { c.magic.monitorPages = true; }},
+        };
+    for (const auto &[field, flip] : flips) {
+        MachineConfig c = base;
+        flip(c);
+        EXPECT_NE(c, base) << field;
+        EXPECT_NE(base, c) << field;
+    }
 }
 
 } // namespace
