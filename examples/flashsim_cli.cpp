@@ -18,8 +18,6 @@
  */
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -31,30 +29,13 @@
 
 #include "apps/workload.hh"
 #include "machine/report.hh"
+#include "parse_count.hh"
 
 using namespace flashsim;
 using namespace flashsim::machine;
 
 namespace
 {
-
-/** Parse all of @p s as an unsigned integer in [@p lo, @p hi]
- *  (strtoull base 0: decimal, 0x hex or 0 octal). */
-bool
-parseCount(const char *s, std::uint64_t lo, std::uint64_t hi,
-           std::uint64_t &out)
-{
-    // strtoull would accept a sign and wrap "-3" to 2^64 - 3.
-    if (!std::isdigit(static_cast<unsigned char>(*s)))
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(s, &end, 0);
-    if (*end != '\0' || errno == ERANGE || v < lo || v > hi)
-        return false;
-    out = v;
-    return true;
-}
 
 /** Parse all of @p s as a probability in [0, 1]. */
 bool

@@ -9,7 +9,9 @@
  * program. Run with --help for options.
  */
 
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -17,6 +19,7 @@
 
 #include "machine/machine.hh"
 #include "machine/report.hh"
+#include "parse_count.hh"
 #include "sim/sweep.hh"
 
 using namespace flashsim;
@@ -99,6 +102,25 @@ runPipeline(const MachineConfig &cfg)
     return summarize(m);
 }
 
+void
+usage()
+{
+    std::printf("usage: workload_lab [--procs N] [--jobs N]\n"
+                "  --procs N  processors, at least 2: even ones produce,\n"
+                "             odd ones consume (default 8)\n"
+                "  --jobs N   sweep workers, 1 to 4096 (default: "
+                "FLASHSIM_JOBS or hardware concurrency)\n"
+                "exit codes: 0 ok, 1 usage\n");
+}
+
+/** Reject a bad command line: usage text, exit 1. */
+[[noreturn]] void
+reject()
+{
+    usage();
+    std::exit(1);
+}
+
 } // namespace
 
 int
@@ -107,16 +129,24 @@ main(int argc, char **argv)
     int procs = 8;
     int jobs = 0; // 0: FLASHSIM_JOBS or hardware concurrency
     for (int i = 1; i < argc; ++i) {
+        auto nextCount = [&](std::uint64_t lo, std::uint64_t hi) {
+            std::uint64_t v = 0;
+            if (i + 1 >= argc || !parseCount(argv[++i], lo, hi, v))
+                reject();
+            return static_cast<int>(v);
+        };
         if (std::strcmp(argv[i], "--help") == 0) {
-            std::printf("usage: workload_lab [--procs N] [--jobs N]\n"
-                        "  --jobs N   sweep workers (default: "
-                        "FLASHSIM_JOBS or hardware concurrency)\n");
+            usage();
             return 0;
+        } else if (std::strcmp(argv[i], "--procs") == 0) {
+            // One processor would only produce: nobody consumes, so the
+            // pipeline never drains.
+            procs = nextCount(2, EventQueue::kMaxNetNodes);
+        } else if (std::strcmp(argv[i], "--jobs") == 0) {
+            jobs = nextCount(1, 4096);
+        } else {
+            reject();
         }
-        if (std::strcmp(argv[i], "--procs") == 0 && i + 1 < argc)
-            procs = std::atoi(argv[++i]);
-        if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
-            jobs = std::atoi(argv[++i]);
     }
 
     std::printf("Workload lab: producer/consumer pipeline on %d "

@@ -9,15 +9,29 @@
 namespace flashsim::network
 {
 
-MeshNetwork::MeshNetwork(EventQueue &eq, int num_nodes, MeshParams params)
-    : eq_(eq), numNodes_(num_nodes), params_(params),
-      deliver_(static_cast<std::size_t>(num_nodes)),
-      srcSeq_(static_cast<std::size_t>(num_nodes), 0)
+namespace
 {
+
+/** @p num_nodes, checked before any per-node table is sized from it. */
+int
+checkedNodeCount(int num_nodes)
+{
+    if (num_nodes < 1)
+        fatal("MeshNetwork: %d nodes; a mesh needs at least 1", num_nodes);
     // Every node id must fit the delivery key (EventQueue::scheduleNet).
     if (num_nodes > static_cast<int>(EventQueue::kMaxNetNodes))
         fatal("MeshNetwork: %d nodes exceeds the limit of %u", num_nodes,
               EventQueue::kMaxNetNodes);
+    return num_nodes;
+}
+
+} // namespace
+
+MeshNetwork::MeshNetwork(EventQueue &eq, int num_nodes, MeshParams params)
+    : eq_(eq), numNodes_(checkedNodeCount(num_nodes)), params_(params),
+      deliver_(static_cast<std::size_t>(numNodes_)),
+      srcSeq_(static_cast<std::size_t>(numNodes_), 0)
+{
     side_ = 1;
     while (side_ * side_ < num_nodes)
         ++side_;

@@ -48,6 +48,7 @@ class MeshNetwork
   public:
     using Deliver = std::function<void(const protocol::Message &)>;
 
+    /** fatal() unless 1 <= @p num_nodes <= EventQueue::kMaxNetNodes. */
     MeshNetwork(EventQueue &eq, int num_nodes, MeshParams params = {});
 
     /** Register node @p n's delivery callback (its NI inbound). */

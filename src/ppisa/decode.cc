@@ -107,7 +107,7 @@ DecodedProgram::DecodedProgram(const Program &prog)
     // threaded run: pre-decoded program sets (protocol/pp_programs.cc)
     // are published across sweep worker threads, so everything hanging
     // off a DecodedProgram must be complete before publication.
-    threaded_ = std::make_unique<const ThreadedProgram>(name_, pairs_);
+    threaded_ = std::make_unique<const ThreadedProgram>(pairs_);
 }
 
 DecodedProgram::~DecodedProgram() = default;

@@ -339,11 +339,6 @@ PpSim::run(const Program &prog, const DecodedProgram &d, RegFile &regs,
 
     if (checkThreaded_) [[unlikely]]
         return runThreadedChecked(prog, regs, mem, sent, stats);
-    // Pick the executor instantiation here rather than through
-    // runThreaded(): one less call on the per-invocation path.
-    if (mem.isFlat())
-        return runThreadedFlat(d, regs, static_cast<FlatPpMemory &>(mem),
-                               sent, stats);
     return runThreaded(d, regs, mem, sent, stats);
 }
 

@@ -97,8 +97,6 @@ class Program
  * accessed through the MAGIC data cache. Implementations return the
  * extra stall cycles (0 on an MDC hit, the miss penalty otherwise).
  */
-class FlatPpMemory;
-
 class PpMemory
 {
   public:
@@ -106,35 +104,13 @@ class PpMemory
     virtual std::uint64_t load(Addr addr, Cycles &extra_cycles) = 0;
     virtual void store(Addr addr, std::uint64_t value,
                        Cycles &extra_cycles) = 0;
-
-    /**
-     * Devirtualization tag for the threaded backend: true exactly for
-     * FlatPpMemory, whose statically-typed executor instantiation
-     * inlines every memory op instead of making virtual calls. A plain
-     * flag (not a virtual query): the executor tests it on every
-     * handler invocation, where an indirect call is measurable. Cycle
-     * accounting is unaffected — FlatPpMemory never stalls.
-     */
-    bool isFlat() const { return isFlat_; }
-
-  protected:
-    PpMemory() = default;
-    /** Only FlatPpMemory may pass true: runThreaded static_casts the
-     *  tagged object to FlatPpMemory. */
-    explicit PpMemory(bool is_flat) : isFlat_(is_flat) {}
-
-  private:
-    bool isFlat_ = false;
 };
 
-/** Trivial PpMemory backed by a flat hash table; every access hits
- *  (0 stall). Final + fully inline so the threaded executor's
- *  FlatPpMemory instantiation folds the whole access into the kernel. */
+/** Trivial PpMemory backed by a flat hash table, for tests and benches;
+ *  every access hits (0 stall). */
 class FlatPpMemory final : public PpMemory
 {
   public:
-    FlatPpMemory() : PpMemory(true) {}
-
     std::uint64_t
     load(Addr addr, Cycles &extra_cycles) override
     {
@@ -231,9 +207,9 @@ class PpSim
      * simply broken).
      *
      * Runs the token-threaded engine (threaded.hh) over the program's
-     * cached decode (Program::decoded()); the architectural behaviour — register/memory/message effects, cycle
-     * charges, statistics, and every contract panic — is identical to
-     * runReference().
+     * cached decode (Program::decoded()); the architectural behaviour —
+     * register/memory/message effects, cycle charges, statistics, and
+     * every contract panic — is identical to runReference().
      *
      * @param regs     register file (r0 forced to zero); updated in place.
      * @param mem      protocol-data memory (MDC timing hook).

@@ -8,20 +8,19 @@
  * ThreadedOp tagged with a *kernel id*: the executor is a single
  * function whose kernels are computed-goto labels (token threading), so
  * every pair jumps straight to a block specialized for its shape —
- * per-opcode kernels for single-issue pairs, fused kernels for the
- * hottest dual-issue combinations reported by the static micro-op
- * profile pass (ppc/profile.hh), and a generic fallback that runs the
- * shared execMicro (microexec.hh) for everything else.
+ * per-opcode kernels for single-issue pairs, and a generic kernel that
+ * runs the shared execMicro (microexec.hh) on both slots for every
+ * dual-issue pair.
  *
  * Work the reference interpreter re-does every pair is resolved at
  * build time:
  *  - static contract verdicts become a dedicated panic kernel, so clean
  *    pairs carry no violation branches at all;
- *  - the load-delay check runs only for pairs some static predecessor
- *    could actually poison (none, in correctly scheduled code);
  *  - the pc bounds check disappears — branch targets are validated at
  *    build time and fall-through off the end lands on a sentinel op
  *    that raises the reference interpreter's exact out-of-range panic.
+ * The load-delay check (one AND at dispatch) and the runaway-cycles
+ * check (after every pair) stay dynamic, in the reference's order.
  *
  * Architectural behaviour — register/memory/message effects, cycle
  * charges, statistics, and every contract panic text — is bit-identical
@@ -48,8 +47,9 @@ namespace flashsim::ppisa
  */
 enum class ThreadedKernel : std::uint8_t
 {
-    Generic,    ///< any pair: interpreter-equivalent two-slot execution
-                ///< with the full bounds + load-delay checked epilogue
+    Generic,    ///< every dual-issue pair, and single-issue pairs no
+                ///< kernel below takes: two-slot execMicro with a
+                ///< bounds-checked next pc
     Violation,  ///< decode-time contract violation; panics when reached
     OutOfRange, ///< sentinel one past the last pair (fall-off panic)
     Halt,       ///< {Halt, Nop}: fold stats and return
@@ -63,24 +63,6 @@ enum class ThreadedKernel : std::uint8_t
     Ffs, Bbs, Bbc, Ext, Ins, Orfi, Andfi,
     Send,
 
-    // --- fused dual-issue fast paths. The set mirrors the hottest
-    //     dual-issue combinations in the static micro-op profile over
-    //     the protocol handler set (ppc/profile.hh): [ld|addi] 8,
-    //     [add|ins] 5, [ld|send] 5, [sd|send] 5, [slli|ins] 4,
-    //     [ld|ext] 4, [ext|ext] 4, [send|addi] 4, [addi|send] 3, ...
-    //     — the named kernels take the top entries, the class-based
-    //     ones (pure-ALU × {ALU, Ld, Send, branch}) the tail. ---
-    FuseAddiAddi, ///< [Addi | Addi]
-    FuseLdAddi,   ///< [Ld | Addi]: the profile's hottest dual pair
-    FuseLdAlu,    ///< Ld in a, any pure-ALU op in b
-    FuseLdSend,   ///< [Ld | Send]
-    FuseSdSend,   ///< [Sd | Send]
-    FuseAluAlu,   ///< both slots pure ALU
-    FuseAluLd,    ///< pure ALU in a, Ld in b
-    FuseAluSend,  ///< pure ALU in a, Send in b
-    FuseSendAlu,  ///< Send in a, pure ALU in b
-    FuseAluBr,    ///< pure ALU in a, branch in b
-
     Count_, ///< number of kernels (dispatch table size)
 };
 
@@ -90,9 +72,6 @@ struct ThreadedOp
     MicroOp a, b;
     std::uint32_t srcMask = 0;
     std::uint32_t loadMask = 0;
-    std::uint8_t instrsInc = 0;
-    std::uint8_t specialsInc = 0;
-    std::uint8_t aluBranchInc = 0;
     /**
      * The pair's statistics deltas packed into two words so the
      * executor folds all four counters with two adds per pair:
@@ -108,9 +87,6 @@ struct ThreadedOp
     bool halts = false; ///< for the generic kernel
     DecodedPair::Violation violation = DecodedPair::Violation::None;
     std::uint8_t violationReg = 0;
-    /** Some static predecessor's loads overlap this pair's sources, so
-     *  the dynamic load-delay check must run (forces Generic kernel). */
-    bool checkLoadDelay = false;
 };
 
 /**
@@ -121,8 +97,7 @@ struct ThreadedOp
 class ThreadedProgram
 {
   public:
-    ThreadedProgram(const std::string &name,
-                    const std::vector<DecodedPair> &pairs);
+    explicit ThreadedProgram(const std::vector<DecodedPair> &pairs);
 
     /** Lowered ops; ops()[pairs.size()] is the out-of-range sentinel. */
     const std::vector<ThreadedOp> &ops() const { return ops_; }
@@ -131,8 +106,7 @@ class ThreadedProgram
     std::size_t size() const { return ops_.size() - 1; }
 
     /** Fraction of non-padding ops mapped to a specialized (non-
-     *  Generic) kernel — pinned by tests so fusion coverage cannot
-     *  silently rot as the handler set evolves. */
+     *  Generic) kernel: 1.0 for single-issue code. */
     double specializedFraction() const;
 
   private:
@@ -141,18 +115,10 @@ class ThreadedProgram
 
 /**
  * Execute @p d's threaded image from pair 0 until Halt. Exact same
- * contract as PpSim::run (which forwards here); see ppsim.hh. Picks the statically-typed FlatPpMemory
- * instantiation when mem.isFlat().
+ * contract as PpSim::run (which forwards here); see ppsim.hh.
  */
 Cycles runThreaded(const DecodedProgram &d, RegFile &regs, PpMemory &mem,
                    std::vector<SentMessage> &sent, RunStats &stats);
-
-/** The FlatPpMemory instantiation of the executor, for callers that
- *  already hold the concrete type (PpSim::run's isFlat() dispatch):
- *  every memory op is inlined into its kernel. */
-Cycles runThreadedFlat(const DecodedProgram &d, RegFile &regs,
-                       FlatPpMemory &mem, std::vector<SentMessage> &sent,
-                       RunStats &stats);
 
 } // namespace flashsim::ppisa
 

@@ -282,5 +282,14 @@ TEST(MeshNetwork, RejectsMoreNodesThanTheDeliveryKeyHolds)
     EXPECT_DEATH(MeshNetwork(eq, limit + 1), "exceeds the limit");
 }
 
+TEST(MeshNetwork, RejectsFewerThanOneNode)
+{
+    EventQueue eq;
+    MeshNetwork single(eq, 1);
+    EXPECT_EQ(single.side(), 1);
+    EXPECT_DEATH(MeshNetwork(eq, 0), "needs at least 1");
+    EXPECT_DEATH(MeshNetwork(eq, -3), "needs at least 1");
+}
+
 } // namespace
 } // namespace flashsim::network

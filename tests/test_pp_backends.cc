@@ -12,10 +12,8 @@
  * individual memory operation, plus panic-text parity for every
  * contract violation class.
  *
- * Also covers the static micro-op profile pass (ppc/profile.hh) and the
- * structural invariants of the threaded lowering, pinning the
- * specialized-kernel coverage so the fused fast-path set cannot silently
- * rot as the handler set evolves.
+ * Also covers the structural invariants of the threaded lowering and
+ * the scheduling contract the compiled handler set must meet.
  */
 
 #include <gtest/gtest.h>
@@ -25,7 +23,6 @@
 #include <utility>
 #include <vector>
 
-#include "ppc/profile.hh"
 #include "ppisa/decode.hh"
 #include "ppisa/instruction.hh"
 #include "ppisa/ppsim.hh"
@@ -153,6 +150,10 @@ expectEnginesAgree(const Program &prog, const RegFile &regs_in,
 constexpr NodeId kSelf = 0;
 constexpr int kNodes = 4;
 
+/** Every toolchain configuration: {useSpecialInstrs, dualIssue}. */
+const ppc::CompileOptions kAllOptions[] = {
+    {true, true}, {true, false}, {false, true}, {false, false}};
+
 /** PP memory adapter over a DirectoryStore, with the same trace. */
 struct TraceDirMem : PpMemory
 {
@@ -237,9 +238,7 @@ runHandlerCase(Engine engine, const Program &prog,
 
 TEST(BackendDiff, HandlerFuzzAllProgramsAllOptions)
 {
-    const ppc::CompileOptions option_sets[] = {
-        {true, true}, {true, false}, {false, true}, {false, false}};
-    for (const ppc::CompileOptions &opts : option_sets) {
+    for (const ppc::CompileOptions &opts : kAllOptions) {
         protocol::HandlerPrograms programs =
             protocol::buildHandlerPrograms(opts);
         Rng rng(0x9d5c0fb1u ^
@@ -462,6 +461,32 @@ TEST_P(BackendPanicParity, LoadDelayViolation)
                  "load-delay violation on r3 at pair 1 of 'lddelay'");
 }
 
+TEST_P(BackendPanicParity, IntraPairRawBeatsLoadDelay)
+{
+    // Pair 1 reads r3, loaded by pair 0, and its slot b reads slot a's
+    // r4: the intra-pair RAW is checked first.
+    Program p = progOf(
+        {{mk(Op::Ld, 3, 1, 0, 0), Instr{}},
+         {mk(Op::Addi, 4, 3, 0, 1), mk(Op::Add, 5, 4, 1)},
+         {mk(Op::Halt, 0, 0, 0), Instr{}}},
+        "rawld");
+    EXPECT_DEATH(runOn(GetParam(), p),
+                 "intra-pair RAW on r4 at pair 1 of 'rawld'");
+}
+
+TEST_P(BackendPanicParity, LoadDelayBeatsTwoBranches)
+{
+    // Pair 1 holds two branches and reads r3, loaded by pair 0: the
+    // load delay is checked before the two-branch rule.
+    Program p = progOf(
+        {{mk(Op::Ld, 3, 1, 0, 0), Instr{}},
+         {mk(Op::Beq, 0, 3, 1, 2), mk(Op::Bne, 0, 1, 2, 2)},
+         {mk(Op::Halt, 0, 0, 0), Instr{}}},
+        "brld");
+    EXPECT_DEATH(runOn(GetParam(), p),
+                 "load-delay violation on r3 at pair 1 of 'brld'");
+}
+
 TEST_P(BackendPanicParity, FallOffEnd)
 {
     Program p =
@@ -518,31 +543,18 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ThreadedLowering, HandlerSetStructureAndCoverage)
 {
-    protocol::HandlerPrograms programs =
-        protocol::buildHandlerPrograms({true, true});
-    double frac_sum = 0;
-    int n = 0;
-    for (const Program *p : programs.all()) {
-        const ThreadedProgram &t = p->decoded().threaded();
-        ASSERT_EQ(t.ops().size(), p->pairs().size() + 1) << p->name;
-        ASSERT_EQ(t.size(), p->pairs().size()) << p->name;
-        EXPECT_EQ(t.ops().back().kernel, ThreadedKernel::OutOfRange)
-            << p->name;
-        for (const ThreadedOp &op : t.ops()) {
-            // The compiled handlers honour the scheduling contract, so
-            // no pair may carry a violation verdict or need the dynamic
-            // load-delay check.
-            EXPECT_NE(op.kernel, ThreadedKernel::Violation) << p->name;
-            EXPECT_FALSE(op.checkLoadDelay) << p->name;
+    for (const ppc::CompileOptions &opts : kAllOptions) {
+        protocol::HandlerPrograms programs =
+            protocol::buildHandlerPrograms(opts);
+        ASSERT_FALSE(programs.all().empty());
+        for (const Program *p : programs.all()) {
+            const ThreadedProgram &t = p->decoded().threaded();
+            ASSERT_EQ(t.ops().size(), p->pairs().size() + 1) << p->name;
+            ASSERT_EQ(t.size(), p->pairs().size()) << p->name;
+            EXPECT_EQ(t.ops().back().kernel, ThreadedKernel::OutOfRange)
+                << p->name;
         }
-        frac_sum += t.specializedFraction();
-        ++n;
     }
-    ASSERT_GT(n, 0);
-    // Fused + per-opcode kernels must keep covering nearly all of the
-    // handler set; a drop means new scheduler output is falling back to
-    // the Generic kernel and the fused set needs to catch up.
-    EXPECT_GE(frac_sum / n, 0.90);
 }
 
 TEST(ThreadedLowering, SingleIssueSetFullySpecialized)
@@ -555,76 +567,44 @@ TEST(ThreadedLowering, SingleIssueSetFullySpecialized)
             << p->name;
 }
 
-// ---------------------------------------------------------------------
-// Static micro-op profile pass.
-// ---------------------------------------------------------------------
-
-TEST(MicroOpProfile, HandlerSetHotPairsDriveFusedKernels)
+// The compiled handlers honour the scheduling contract under every
+// toolchain option: no pair carries a decode-time violation verdict,
+// and no pair reads a register that a static predecessor (fall-through
+// or branch target) loads.
+TEST(PpDecode, HandlerSetMeetsSchedulingContract)
 {
-    protocol::HandlerPrograms programs =
-        protocol::buildHandlerPrograms({true, true});
-    ppc::MicroOpProfile prof = ppc::profilePrograms(programs.all());
-    EXPECT_GT(prof.totalPairs(), 0u);
-    EXPECT_GT(prof.opCount(Op::Send), 0u);
-    EXPECT_GT(prof.opCount(Op::Ld), 0u);
-
-    std::vector<ppc::PairFreq> hot = prof.hottestDual(10);
-    ASSERT_GE(hot.size(), 5u);
-    for (std::size_t i = 1; i < hot.size(); ++i)
-        EXPECT_GE(hot[i - 1].count, hot[i].count);
-    // The profile's top dual pair motivated the FuseLdAddi kernel; if
-    // the handler set shifts enough to change it, the fused kernel set
-    // in threaded.hh should be revisited.
-    EXPECT_EQ(hot[0].a, Op::Ld);
-    EXPECT_EQ(hot[0].b, Op::Addi);
-    EXPECT_EQ(prof.pairCount(hot[0].a, hot[0].b), hot[0].count);
-
-    // Every hot dual pair must map to a non-Generic kernel wherever it
-    // appears in the lowered handler set (modulo pairs the lowering
-    // legitimately bails on, which the coverage test above bounds).
-    for (const Program *p : programs.all()) {
-        const ThreadedProgram &t = p->decoded().threaded();
-        const auto &pairs = p->pairs();
-        for (std::size_t i = 0; i < pairs.size(); ++i) {
-            if (pairs[i].a.op == Op::Ld && pairs[i].b.op == Op::Addi) {
-                EXPECT_EQ(t.ops()[i].kernel, ThreadedKernel::FuseLdAddi)
+    for (const ppc::CompileOptions &opts : kAllOptions) {
+        protocol::HandlerPrograms programs =
+            protocol::buildHandlerPrograms(opts);
+        for (const Program *p : programs.all()) {
+            const std::vector<DecodedPair> &pairs = p->decoded().pairs();
+            const std::size_t n = pairs.size();
+            std::vector<std::uint32_t> predLoad(n, 0);
+            for (std::size_t i = 0; i < n; ++i) {
+                const DecodedPair &d = pairs[i];
+                EXPECT_EQ(d.violation, DecodedPair::Violation::None)
                     << p->name << " pair " << i;
+                if (d.halts)
+                    continue;
+                const InstrPair &src = p->pairs()[i];
+                const std::pair<const Instr *, const MicroOp *> slots[] = {
+                    {&src.a, &d.a}, {&src.b, &d.b}};
+                bool jumps = false;
+                for (const auto &[in, m] : slots) {
+                    if (!in->isBranch())
+                        continue;
+                    jumps = jumps || in->op == Op::J;
+                    if (m->target < n)
+                        predLoad[m->target] |= d.loadMask;
+                }
+                if (!jumps && i + 1 < n)
+                    predLoad[i + 1] |= d.loadMask;
             }
+            for (std::size_t i = 0; i < n; ++i)
+                EXPECT_EQ(predLoad[i] & pairs[i].srcMask, 0u)
+                    << p->name << " pair " << i;
         }
     }
-}
-
-TEST(MicroOpProfile, CountsAreExactOnAKnownProgram)
-{
-    Program prog;
-    prog.name = "counted";
-    prog.mutablePairs().push_back(
-        InstrPair{mk(Op::Ld, 3, 1, 0, 0), mk(Op::Addi, 4, 2, 0, 1)});
-    prog.mutablePairs().push_back(InstrPair{Instr{}, Instr{}});
-    prog.mutablePairs().push_back(
-        InstrPair{mk(Op::Ld, 5, 1, 0, 8), mk(Op::Addi, 6, 2, 0, 2)});
-    prog.mutablePairs().push_back(
-        InstrPair{mk(Op::Halt, 0, 0, 0), Instr{}});
-
-    ppc::MicroOpProfile prof;
-    prof.addProgram(prog);
-    EXPECT_EQ(prof.totalPairs(), 4u);
-    EXPECT_EQ(prof.pairCount(Op::Ld, Op::Addi), 2u);
-    EXPECT_EQ(prof.opCount(Op::Ld), 2u);
-    EXPECT_EQ(prof.opCount(Op::Addi), 2u);
-    EXPECT_EQ(prof.opCount(Op::Halt), 1u);
-    EXPECT_EQ(prof.pairCount(Op::Nop, Op::Nop), 1u);
-
-    std::vector<ppc::PairFreq> hot = prof.hottest(2);
-    ASSERT_EQ(hot.size(), 2u);
-    EXPECT_EQ(hot[0].a, Op::Ld);
-    EXPECT_EQ(hot[0].b, Op::Addi);
-    EXPECT_EQ(hot[0].count, 2u);
-    // Nop/Nop padding is excluded from the fusion candidates.
-    EXPECT_FALSE(hot[1].a == Op::Nop && hot[1].b == Op::Nop);
-
-    std::vector<ppc::PairFreq> dual = prof.hottestDual(4);
-    ASSERT_EQ(dual.size(), 1u); // only (Ld, Addi) is genuinely dual
 }
 
 } // namespace
