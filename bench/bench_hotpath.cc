@@ -158,16 +158,12 @@ BM_PpDispatchCompiled(benchmark::State &state)
     fwd.requester = 0;
     fwd.addr = 0x20000;
 
-    // Resolve programs and pin their decodes up front, the way
-    // PpTimingModel's dispatch table does at construction; the measured
-    // loop then uses the same pre-resolved run() entry the per-message
-    // path uses.
+    // Resolve programs up front, the way PpTimingModel's dispatch
+    // table does at construction.
     const ppisa::Program &getProg =
         programs.forMessage(get.type, /*at_home=*/true);
-    const ppisa::DecodedProgram &getDec = getProg.decoded();
     const ppisa::Program &fwdProg =
         programs.forMessage(fwd.type, /*at_home=*/false);
-    const ppisa::DecodedProgram &fwdDec = fwdProg.decoded();
 
     Cycles total = 0;
     for (auto _ : state) {
@@ -175,13 +171,13 @@ BM_PpDispatchCompiled(benchmark::State &state)
             ppisa::RegFile regs =
                 protocol::makeHandlerRegs(get, 0, 0, false);
             sent.clear();
-            total += sim.run(getProg, getDec, regs, mem, sent, stats);
+            total += sim.run(getProg, regs, mem, sent, stats);
         }
         {
             ppisa::RegFile regs =
                 protocol::makeHandlerRegs(fwd, 0, 1, false);
             sent.clear();
-            total += sim.run(fwdProg, fwdDec, regs, mem, sent, stats);
+            total += sim.run(fwdProg, regs, mem, sent, stats);
         }
     }
     benchmark::DoNotOptimize(total);

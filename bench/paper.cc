@@ -436,17 +436,16 @@ handlerOccupancy(const protocol::HandlerPrograms &programs,
     // Two passes: the first warms the MIC and MDC, the second is the
     // steady-state cost Table 3.4 reports. Rebuilding the store
     // invalidates nothing in the MDC (the addresses repeat).
+    const magic::MagicParams params;
     protocol::DirectoryStore dir;
-    magic::PpTimingModel model(programs, dir, magic::MagicParams{});
+    magic::PpTimingModel model(programs, dir, params);
     for (int pass = 0; pass < 2; ++pass) {
         dir = protocol::DirectoryStore();
         setup(dir);
-        model.preHandler(m, 0, home, cache_dirty);
-        protocol::HandlerResult res;
-        res.id = id;
-        res.cacheRetrieve = id == protocol::HandlerId::RetrieveFromCache;
-        out = model.occupancy(m, res).occupancy;
+        out = model.run(m, 0, home, cache_dirty).occupancy;
     }
+    if (id == protocol::HandlerId::RetrieveFromCache)
+        out += magic::cacheRetrieveCycles(params);
     return static_cast<double>(out);
 }
 
@@ -1056,7 +1055,6 @@ table_5_3(Plan &plan)
 {
     MachineConfig slow_cfg = MachineConfig::flash(16);
     slow_cfg.ppCompile = ppc::CompileOptions{false, false};
-    slow_cfg.magic.optimizedPp = false;
     std::vector<std::string> apps = apps::parallelAppNames();
     std::vector<std::pair<Plan::Run, Plan::Run>> runs;
     for (const std::string &app : apps)

@@ -191,7 +191,6 @@ main(int argc, char **argv)
             cfg.magic.usePpEmulator = false;
         } else if (!std::strcmp(argv[i], "--baseline-pp")) {
             cfg.ppCompile = ppc::CompileOptions{false, false};
-            cfg.magic.optimizedPp = false;
         } else if (!std::strcmp(argv[i], "--distance-net")) {
             cfg.net.distanceBased = true;
         } else if (!std::strcmp(argv[i], "--verify")) {

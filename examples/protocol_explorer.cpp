@@ -12,7 +12,6 @@
 
 #include <cstdio>
 
-#include "magic/timing_model.hh"
 #include "ppc/compiler.hh"
 #include "protocol/directory.hh"
 #include "protocol/handlers.hh"

@@ -1,6 +1,7 @@
 #include "machine/machine.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/logging.hh"
 
@@ -17,14 +18,17 @@ constexpr Addr kAppBase = Addr{1} << 20;
 Machine::Machine(const MachineConfig &cfg)
     : cfg_(cfg), sync_(cfg.numProcs),
       programs_(protocol::sharedHandlerPrograms(cfg.ppCompile)),
-      base_(kAppBase), next_(kAppBase)
+      base_(std::max(kAppBase, cfg.pageBytes)), next_(base_)
 {
-    cfg_.magic.pageShift = 0;
-    for (std::uint64_t b = cfg_.pageBytes; b > 1; b >>= 1)
-        ++cfg_.magic.pageShift;
-    if (cfg_.pageBytes != 0 &&
-        (cfg_.pageBytes & (cfg_.pageBytes - 1)) == 0)
-        pageShift_ = cfg_.magic.pageShift;
+    // One shift maps an address to its page everywhere: homeOf and
+    // pageIndexOf from the page-aligned base_, MAGIC's page monitor
+    // from address 0 (pageHeat subtracts base_'s page).
+    if (cfg_.pageBytes < kLineSize || !std::has_single_bit(cfg_.pageBytes))
+        fatal("Machine: pageBytes %llu is not a power of two >= %llu",
+              static_cast<unsigned long long>(cfg_.pageBytes),
+              static_cast<unsigned long long>(kLineSize));
+    pageShift_ = static_cast<unsigned>(std::countr_zero(cfg_.pageBytes));
+    cfg_.magic.pageShift = pageShift_;
 
     net_ = std::make_unique<network::MeshNetwork>(eq_, cfg_.numProcs,
                                                   cfg_.net);
@@ -96,8 +100,7 @@ Machine::alloc(std::uint64_t bytes, NodeId node)
         cfg_.placement == Placement::FirstFit || cfg_.placementHook)
         return allocAuto(bytes);
     Addr start = next_;
-    std::uint64_t pages =
-        (bytes + cfg_.pageBytes - 1) / cfg_.pageBytes;
+    std::uint64_t pages = (bytes + cfg_.pageBytes - 1) >> pageShift_;
     if (pages == 0)
         pages = 1;
     for (std::uint64_t p = 0; p < pages; ++p)
@@ -110,8 +113,7 @@ Addr
 Machine::allocAuto(std::uint64_t bytes)
 {
     Addr start = next_;
-    std::uint64_t pages =
-        (bytes + cfg_.pageBytes - 1) / cfg_.pageBytes;
+    std::uint64_t pages = (bytes + cfg_.pageBytes - 1) >> pageShift_;
     if (pages == 0)
         pages = 1;
     for (std::uint64_t p = 0; p < pages; ++p) {
@@ -149,9 +151,7 @@ Machine::homeOf(Addr addr) const
     if (addr < base_)
         panic("homeOf: address 0x%llx below app base",
               static_cast<unsigned long long>(addr));
-    std::uint64_t page = pageShift_ != 0
-                             ? (addr - base_) >> pageShift_
-                             : (addr - base_) / cfg_.pageBytes;
+    const std::uint64_t page = (addr - base_) >> pageShift_;
     if (page >= pageHome_.size())
         panic("homeOf: address 0x%llx was never allocated",
               static_cast<unsigned long long>(addr));
@@ -192,7 +192,7 @@ Machine::makeLock(NodeId node)
 std::uint64_t
 Machine::pageIndexOf(Addr addr) const
 {
-    return (addr - base_) / cfg_.pageBytes;
+    return (addr - base_) >> pageShift_;
 }
 
 FlatCounterMap
@@ -203,7 +203,7 @@ Machine::pageHeat() const
     for (const auto &n : nodes_)
         entries += n->magic().pageRemoteAccesses.size();
     heat.reserve(entries);
-    const std::uint64_t base_page = base_ / cfg_.pageBytes;
+    const std::uint64_t base_page = base_ >> pageShift_;
     for (const auto &n : nodes_) {
         for (const auto &[abs_page, count] :
              n->magic().pageRemoteAccesses)

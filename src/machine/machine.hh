@@ -109,7 +109,7 @@ class Machine : public protocol::AddressMap
     EventQueue eq_;
     /** Deferred tango lock/barrier operations (see tango/sync_phase.hh). */
     tango::SyncPhase sync_;
-    /** Shared, immutable, pre-decoded program set (process-wide cache:
+    /** Shared, immutable, already-lowered program set (process-wide cache:
      *  see protocol::sharedHandlerPrograms). */
     std::shared_ptr<const protocol::HandlerPrograms> programs_;
     std::unique_ptr<network::MeshNetwork> net_;
@@ -120,9 +120,8 @@ class Machine : public protocol::AddressMap
     std::vector<NodeId> pageHome_;
     Addr base_;
     Addr next_;
-    /** log2(pageBytes) when it is a power of two, else 0 — homeOf runs
-     *  per protocol message, so avoid the 64-bit division when we can. */
-    std::uint32_t pageShift_ = 0;
+    /** log2(pageBytes); the constructor requires a power of two. */
+    unsigned pageShift_ = 0;
     std::uint64_t rrCounter_ = 0;
     std::uint64_t firstFitAllocated_ = 0;
     Tick execTime_ = 0;

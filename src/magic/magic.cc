@@ -32,12 +32,7 @@ Magic::Magic(EventQueue &eq, NodeId self, const MagicParams &params,
     if (params_.usePpEmulator && !params_.ideal) {
         if (programs == nullptr)
             fatal("Magic: usePpEmulator requires handler programs");
-        auto model =
-            std::make_unique<PpTimingModel>(*programs, dir_, params_);
-        ppModel_ = model.get();
-        timing_ = std::move(model);
-    } else {
-        timing_ = std::make_unique<TableTimingModel>();
+        pp_ = std::make_unique<PpTimingModel>(*programs, dir_, params_);
     }
     if (params_.monitorPages) {
         // Page-monitoring counters grow one entry per remotely accessed
@@ -243,10 +238,17 @@ Magic::runHandler()
         ++specIssued;
     }
 
+    // The PP program runs against the directory as the C++ handler
+    // finds it, so it is timed first.
     const bool cache_dirty = cache_->holdsDirty(msg.addr);
-    timing_->preHandler(msg, self_, home, cache_dirty);
+    HandlerTiming ht;
+    if (pp_)
+        ht = pp_->run(msg, self_, home, cache_dirty);
     HandlerResult res = engine_.handle(msg);
-    HandlerTiming ht = timing_->occupancy(msg, res);
+    if (!pp_)
+        ht.occupancy = tableCost(res.id, res.costParam);
+    else if (res.cacheRetrieve)
+        ht.occupancy += cacheRetrieveCycles(params_);
 
     if (traceLine_ && lineNumber(msg.addr) == *traceLine_) {
         std::fprintf(stderr,

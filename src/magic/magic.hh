@@ -168,7 +168,7 @@ class Magic
     NodeId self() const { return self_; }
 
     /** The PP emulator timing model, if in use (Table 5.2 stats). */
-    const PpTimingModel *ppModel() const { return ppModel_; }
+    const PpTimingModel *ppModel() const { return pp_.get(); }
 
     JumpTable &jumpTable() { return jumpTable_; }
 
@@ -277,8 +277,12 @@ class Magic
     Probe probe_;
     protocol::ProtocolEngine engine_;
 
-    std::unique_ptr<HandlerTimingModel> timing_;
-    PpTimingModel *ppModel_ = nullptr; ///< non-null iff usePpEmulator
+    /** PPsim handler timing; null on the ideal machine and under
+     *  --table-timing, which charge tableCost() instead. Held on the
+     *  heap, not inline: an inline model grew Magic to 2.5 KB and
+     *  shifted the heap enough that Radix's key vectors re-faulted
+     *  every set-up round. */
+    std::unique_ptr<PpTimingModel> pp_;
 
     MagicFifo<Pending> piQueue_;
     MagicFifo<Pending> niQueue_;

@@ -3,11 +3,13 @@
  * MAGIC and machine timing/configuration parameters.
  *
  * Latencies are the sub-operation latencies of Table 3.2 (10 ns system
- * clock cycles, taken by the authors from the MAGIC Verilog model);
- * queue limits are Table 3.1. The `ideal` flag selects the paper's ideal
- * machine: all macropipeline sub-operations (jump table, handler,
- * outbox, MDC) take zero time, PI outbound processing drops from 4 to 2
- * cycles, and all queues are infinitely deep.
+ * clock cycles, taken by the authors from the MAGIC Verilog model). Of
+ * Table 3.1's limits only the 16 data buffers are modelled; the PP
+ * itself runs one handler at a time, and every other queue is unbounded
+ * (see DESIGN 5a). The `ideal` flag selects the paper's ideal machine:
+ * all macropipeline sub-operations (jump table, handler, outbox, MDC)
+ * take zero time, PI outbound processing drops from 4 to 2 cycles, and
+ * the data buffers are unlimited.
  */
 
 #ifndef FLASHSIM_MAGIC_PARAMS_HH_
@@ -27,8 +29,6 @@ struct MagicParams
     bool speculation = true;
     /** Use the PP emulator for handler timing (vs the Table 3.4 table). */
     bool usePpEmulator = true;
-    /** Compile handlers without ISA extensions / dual issue (S5.3). */
-    bool optimizedPp = true;
 
     // ---- Table 3.2 sub-operation latencies ------------------------------
     Cycles missDetect = 5;   ///< miss detect to request on bus
@@ -54,13 +54,7 @@ struct MagicParams
     /** Cold-miss penalty charged on a handler's first invocation (MIC). */
     Cycles micColdMiss = 20;
 
-    // ---- Table 3.1 queue and buffer limits ------------------------------
-    int netInQueue = 16;
-    int netOutQueue = 16;
-    int memQueue = 1;
-    int inboxToPpQueue = 1;
-    int piOutQueue = 1;
-    int piInQueue = 16;
+    // ---- Table 3.1 data buffers ------------------------------------------
     int dataBuffers = 16;
 
     // ---- MDC geometry (Section 5.2) --------------------------------------

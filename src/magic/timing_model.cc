@@ -5,8 +5,6 @@
 #include <cstdlib>
 #include <vector>
 
-#include "ppisa/decode.hh"
-
 #include "sim/logging.hh"
 
 namespace flashsim::magic
@@ -15,7 +13,7 @@ namespace flashsim::magic
 using protocol::HandlerId;
 
 Cycles
-TableTimingModel::cost(HandlerId id, int param)
+tableCost(HandlerId id, int param)
 {
     switch (id) {
       case HandlerId::ServeReadMemory: return 11;
@@ -46,15 +44,6 @@ TableTimingModel::cost(HandlerId id, int param)
       case HandlerId::FetchOpAck: return 3;
     }
     return 0;
-}
-
-HandlerTiming
-TableTimingModel::occupancy(const protocol::Message &,
-                            const protocol::HandlerResult &res)
-{
-    HandlerTiming t;
-    t.occupancy = cost(res.id, res.costParam);
-    return t;
 }
 
 std::uint64_t
@@ -102,38 +91,36 @@ PpTimingModel::ShadowMemory::reset()
 PpTimingModel::PpTimingModel(const protocol::HandlerPrograms &programs,
                              const protocol::DirectoryStore &dir,
                              const MagicParams &params)
-    : programs_(programs), params_(params),
+    : micColdMiss_(params.micColdMiss),
       mdc_(params.mdcBytes, params.mdcAssoc, params.mdcLineBytes),
       shadow_(dir, mdc_, params.mdcMissPenalty)
 {
     // Debug aid: FS_TRACE_MDC=1 logs every MDC access on stderr.
     shadow_.trace = std::getenv("FS_TRACE_MDC") != nullptr;
     // Resolve the (type, at_home) -> program mapping once — the handler
-    // load point — pre-decoding each program so no dispatch or decode
-    // work remains on the per-message path. Entries aliasing the same
-    // program share a warm slot (see DispatchEntry).
+    // load point — so no dispatch work remains on the per-message path.
+    // Entries aliasing the same program share a warm slot (see
+    // DispatchEntry).
     std::vector<const ppisa::Program *> uniq;
     for (int t = 0; t < protocol::kNumMsgTypes; ++t) {
         for (int at_home = 0; at_home < 2; ++at_home) {
-            const ppisa::Program *prog = programs_.forMessageOrNull(
+            const ppisa::Program *prog = programs.forMessageOrNull(
                 static_cast<protocol::MsgType>(t), at_home != 0);
             if (prog == nullptr)
                 continue;
-            const ppisa::DecodedProgram &decoded = prog->decoded();
             auto it = std::find(uniq.begin(), uniq.end(), prog);
             if (it == uniq.end())
                 it = uniq.insert(uniq.end(), prog);
             dispatch_[static_cast<std::size_t>(t)]
                      [static_cast<std::size_t>(at_home)] = DispatchEntry{
-                prog, &decoded,
-                static_cast<std::int8_t>(it - uniq.begin())};
+                prog, static_cast<std::int8_t>(it - uniq.begin())};
         }
     }
 }
 
-void
-PpTimingModel::preHandler(const protocol::Message &msg, NodeId self,
-                          NodeId home, bool cache_dirty)
+HandlerTiming
+PpTimingModel::run(const protocol::Message &msg, NodeId self, NodeId home,
+                   bool cache_dirty)
 {
     const DispatchEntry &e =
         dispatch_[static_cast<std::size_t>(msg.type)][home == self ? 1 : 0];
@@ -144,32 +131,17 @@ PpTimingModel::preHandler(const protocol::Message &msg, NodeId self,
     ppisa::RegFile regs =
         protocol::makeHandlerRegs(msg, self, home, cache_dirty);
     sent_.clear();
-    Cycles cycles =
-        sim_.run(*e.prog, *e.decoded, regs, shadow_, sent_, stats_);
 
-    last_ = HandlerTiming{};
-    last_.occupancy = cycles;
-    last_.mdcMisses = shadow_.misses;
-    last_.mdcWritebacks = shadow_.writebacks;
+    HandlerTiming t;
+    t.occupancy = sim_.run(*e.prog, regs, shadow_, sent_, stats_);
+    t.mdcMisses = shadow_.misses;
+    t.mdcWritebacks = shadow_.writebacks;
     bool &warm = warm_[static_cast<std::size_t>(e.warmSlot)];
     if (!warm) {
         warm = true;
-        last_.micColdMiss = true;
-        last_.occupancy += params_.micColdMiss;
+        t.micColdMiss = true;
+        t.occupancy += micColdMiss_;
     }
-}
-
-HandlerTiming
-PpTimingModel::occupancy(const protocol::Message &,
-                         const protocol::HandlerResult &res)
-{
-    HandlerTiming t = last_;
-    // The PP coordinates the PI intervention while data streams out of
-    // the processor cache; Table 3.4 charges this coordination to the
-    // handler ("retrieve data from processor cache": 38 cycles total).
-    if (res.cacheRetrieve)
-        t.occupancy += params_.cacheStateRetrieve +
-                       params_.cacheDataRetrieve - 1;
     return t;
 }
 

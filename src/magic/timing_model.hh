@@ -1,25 +1,23 @@
 /**
  * @file
- * Handler timing models.
+ * Handler timing.
  *
- * MAGIC asks a HandlerTimingModel how many cycles the PP is occupied by
- * each handler invocation. Two implementations:
- *
- *  - TableTimingModel: the per-operation occupancies of Table 3.4.
- *    Deterministic and independent of the PP toolchain; used in unit
- *    tests and as a cross-check.
+ * MAGIC charges the PP one occupancy per handler invocation, from one
+ * of two sources:
  *
  *  - PpTimingModel: executes the compiled PP handler program (PPsim)
  *    against a shadow view of the live directory, with every load/store
  *    filtered through the MAGIC data cache model. Yields dynamic cycle
  *    counts, MDC miss traffic, and the Table 5.2 instruction statistics.
+ *
+ *  - tableCost(): the per-operation occupancies of Table 3.4, for the
+ *    ideal machine's handler accounting and `--table-timing`.
  */
 
 #ifndef FLASHSIM_MAGIC_TIMING_MODEL_HH_
 #define FLASHSIM_MAGIC_TIMING_MODEL_HH_
 
 #include <array>
-#include <memory>
 #include <vector>
 
 #include "magic/magic_cache.hh"
@@ -43,49 +41,38 @@ struct HandlerTiming
     bool micColdMiss = false;   ///< first invocation of this handler
 };
 
-class HandlerTimingModel
+/** The Table 3.4 occupancy of a handler outcome; @p param is the
+ *  HandlerResult's costParam (invalidations, sharer-list position). */
+Cycles tableCost(protocol::HandlerId id, int param);
+
+/**
+ * PP cycles a PPsim-timed handler adds when it directs a PI
+ * intervention: the PP coordinates while data streams out of the
+ * processor cache, and Table 3.4 charges this to the handler
+ * ("retrieve data from processor cache": 38 cycles total).
+ */
+inline Cycles
+cacheRetrieveCycles(const MagicParams &params)
 {
-  public:
-    virtual ~HandlerTimingModel() = default;
-
-    /**
-     * Called with pre-handler state, before the authoritative C++
-     * handler mutates the directory.
-     */
-    virtual void preHandler(const protocol::Message &msg, NodeId self,
-                            NodeId home, bool cache_dirty) = 0;
-
-    /** Called after the authoritative handler; returns the timing. */
-    virtual HandlerTiming occupancy(const protocol::Message &msg,
-                                    const protocol::HandlerResult &res) = 0;
-};
-
-/** Table 3.4 occupancies. */
-class TableTimingModel : public HandlerTimingModel
-{
-  public:
-    void preHandler(const protocol::Message &, NodeId, NodeId,
-                    bool) override
-    {}
-    HandlerTiming occupancy(const protocol::Message &msg,
-                            const protocol::HandlerResult &res) override;
-
-    /** The Table 3.4 cost of a handler outcome (exposed for benches). */
-    static Cycles cost(protocol::HandlerId id, int param);
-};
+    return params.cacheStateRetrieve + params.cacheDataRetrieve - 1;
+}
 
 /** PPsim-driven timing. */
-class PpTimingModel : public HandlerTimingModel
+class PpTimingModel
 {
   public:
     PpTimingModel(const protocol::HandlerPrograms &programs,
                   const protocol::DirectoryStore &dir,
                   const MagicParams &params);
 
-    void preHandler(const protocol::Message &msg, NodeId self, NodeId home,
-                    bool cache_dirty) override;
-    HandlerTiming occupancy(const protocol::Message &msg,
-                            const protocol::HandlerResult &res) override;
+    /**
+     * Run the handler program for @p msg arriving at @p self, against
+     * the directory as it stands before the authoritative C++ handler
+     * mutates it. The occupancy excludes cacheRetrieveCycles(), which
+     * only the C++ handler's result decides.
+     */
+    HandlerTiming run(const protocol::Message &msg, NodeId self,
+                      NodeId home, bool cache_dirty);
 
     /** Accumulated dynamic instruction statistics (Table 5.2). */
     const ppisa::RunStats &runStats() const { return stats_; }
@@ -124,9 +111,9 @@ class PpTimingModel : public HandlerTimingModel
 
     /**
      * One slot of the pre-resolved dispatch table: the handler program
-     * for a (message type, at-home) combination, with its instruction
-     * decode and MIC warm-up state resolved once at construction
-     * instead of per invocation (forMessage switch + hash-set probe).
+     * for a (message type, at-home) combination, with its MIC warm-up
+     * state resolved once at construction instead of per invocation
+     * (forMessage switch + hash-set probe).
      * warmSlot indexes warm_ and is shared by every table entry that
      * aliases the same program (e.g. niFetchOp serves both PiFetchOp
      * at home and NetFetchOp), so a handler warms the MIC once no
@@ -136,22 +123,16 @@ class PpTimingModel : public HandlerTimingModel
     struct DispatchEntry
     {
         const ppisa::Program *prog = nullptr;
-        /** prog->decoded(), pinned at construction so the per-message
-         *  path uses PpSim's pre-resolved run() overload (no decode
-         *  fingerprint check per invocation). */
-        const ppisa::DecodedProgram *decoded = nullptr;
         std::int8_t warmSlot = -1;
     };
 
-    const protocol::HandlerPrograms &programs_;
-    MagicParams params_;
+    Cycles micColdMiss_;
     MagicCache mdc_;
     ShadowMemory shadow_;
     ppisa::PpSim sim_;
     ppisa::RunStats stats_;
     /** Reused per-invocation Send buffer (no allocation per handler). */
     std::vector<ppisa::SentMessage> sent_;
-    HandlerTiming last_;
     std::array<std::array<DispatchEntry, 2>, protocol::kNumMsgTypes>
         dispatch_{};
     /** Per-unique-program "has run at least once" (MIC cold-miss). */

@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "ppc/compiler.hh"
@@ -328,16 +329,14 @@ scheduleBlock(const LinearCode &code, const Block &blk,
 ppisa::Program
 scheduleDualIssue(const LinearCode &code)
 {
-    ppisa::Program prog;
-    prog.name = code.name;
-
+    std::vector<ppisa::InstrPair> pairs;
     std::vector<Block> blocks = findBlocks(code);
     std::vector<std::size_t> blockPairStart(blocks.size(), 0);
     std::vector<std::pair<std::size_t, int>> fixups; // (slot index, label)
 
     for (std::size_t b = 0; b < blocks.size(); ++b) {
-        blockPairStart[b] = prog.mutablePairs().size();
-        scheduleBlock(code, blocks[b], prog.mutablePairs(), fixups);
+        blockPairStart[b] = pairs.size();
+        scheduleBlock(code, blocks[b], pairs, fixups);
     }
 
     // Map each instruction index to its containing block.
@@ -360,22 +359,19 @@ scheduleDualIssue(const LinearCode &code)
                   code.name.c_str());
         std::int64_t target_pair =
             static_cast<std::int64_t>(blockPairStart[tb]);
-        ppisa::InstrPair &pair = prog.mutablePairs()[slotIdx / 2];
+        ppisa::InstrPair &pair = pairs[slotIdx / 2];
         (slotIdx % 2 == 0 ? pair.a : pair.b).imm = target_pair;
     }
-    return prog;
+    return ppisa::Program(code.name, std::move(pairs));
 }
 
 ppisa::Program
 scheduleSingleIssue(const LinearCode &code)
 {
-    ppisa::Program prog;
-    prog.name = code.name;
-
     const int n = static_cast<int>(code.instrs.size());
     std::vector<std::size_t> pairOfInstr(n, 0);
     std::vector<std::pair<std::size_t, int>> fixups;
-    std::vector<ppisa::InstrPair> &pairs = prog.mutablePairs();
+    std::vector<ppisa::InstrPair> pairs;
 
     for (int i = 0; i < n; ++i) {
         const IrInstr &in = code.instrs[i];
@@ -413,7 +409,7 @@ scheduleSingleIssue(const LinearCode &code)
         pairs[pairIdx].a.imm =
             static_cast<std::int64_t>(pairOfInstr[target_instr]);
     }
-    return prog;
+    return ppisa::Program(code.name, std::move(pairs));
 }
 
 } // namespace flashsim::ppc

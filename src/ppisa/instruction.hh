@@ -20,6 +20,7 @@
 #ifndef FLASHSIM_PPISA_INSTRUCTION_HH_
 #define FLASHSIM_PPISA_INSTRUCTION_HH_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -29,6 +30,9 @@ namespace flashsim::ppisa
 
 /** Number of general-purpose PP registers. r0 is hardwired to zero. */
 inline constexpr int kNumRegs = 32;
+
+/** Register file contents passed into / out of a handler run. */
+using RegFile = std::array<std::uint64_t, kNumRegs>;
 
 /** PP opcodes. */
 enum class Op : std::uint8_t

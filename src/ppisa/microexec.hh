@@ -4,7 +4,7 @@
  *
  * The threaded engine (threaded.cc) must agree bit-for-bit with the
  * reference interpreter (PpSim::runReference) on every architectural
- * effect. The generic per-slot executor over decoded micro-ops and the
+ * effect. The generic per-slot executor over lowered micro-ops and the
  * load-delay panic report live here, in one place: the threaded
  * engine's specialized kernels are each a hand-unrolled copy of exactly
  * one case below, and its generic fallback kernel calls execMicro
@@ -17,14 +17,13 @@
 #include <cstdint>
 #include <vector>
 
-#include "ppisa/decode.hh"
 #include "ppisa/ppsim.hh"
 #include "sim/logging.hh"
 
 namespace flashsim::ppisa::detail
 {
 
-/** Per-slot execution result over a decoded micro-op. */
+/** Per-slot execution result over a lowered micro-op. */
 struct MicroResult
 {
     int destReg = -1;
@@ -170,23 +169,23 @@ panicLoadDelay(const MicroOp &a, const MicroOp &b, std::size_t pc,
           name); // unreachable: mask hit implies a source
 }
 
-/** Act on a decode-time contract verdict, in the reference interpreter's
+/** Act on a lowering-time contract verdict, in the reference interpreter's
  *  order (intra-pair RAW, intra-pair WAW, then two-branch — load-delay
  *  sits between WAW and two-branch and is checked by the caller). */
 [[noreturn]] inline void
-panicViolation(DecodedPair::Violation v, std::uint8_t violation_reg,
+panicViolation(ThreadedOp::Violation v, std::uint8_t violation_reg,
                std::size_t pc, const char *name)
 {
     switch (v) {
-      case DecodedPair::Violation::IntraRaw:
+      case ThreadedOp::Violation::IntraRaw:
         panic("PpSim: intra-pair RAW on r%d at pair %zu of '%s'",
               int(violation_reg), pc, name);
-      case DecodedPair::Violation::IntraWaw:
+      case ThreadedOp::Violation::IntraWaw:
         panic("PpSim: intra-pair WAW on r%d at pair %zu of '%s'",
               int(violation_reg), pc, name);
-      case DecodedPair::Violation::TwoBranch:
+      case ThreadedOp::Violation::TwoBranch:
         panic("PpSim: two branches in pair %zu of '%s'", pc, name);
-      case DecodedPair::Violation::None:
+      case ThreadedOp::Violation::None:
         break;
     }
     panic("PpSim: unknown contract violation at pair %zu of '%s'", pc,

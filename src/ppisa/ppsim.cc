@@ -4,8 +4,6 @@
 #include <cstdlib>
 #include <sstream>
 
-#include "ppisa/decode.hh"
-#include "ppisa/threaded.hh"
 #include "sim/logging.hh"
 
 namespace flashsim::ppisa
@@ -15,7 +13,7 @@ std::string
 Program::toString() const
 {
     std::ostringstream os;
-    os << name << " (" << pairs_.size() << " pairs, " << codeBytes()
+    os << name_ << " (" << pairs_.size() << " pairs, " << codeBytes()
        << " bytes)\n";
     for (std::size_t i = 0; i < pairs_.size(); ++i) {
         os << "  " << i << ": [" << pairs_[i].a.toString() << " | "
@@ -324,22 +322,12 @@ Cycles
 PpSim::run(const Program &prog, RegFile &regs, PpMemory &mem,
            std::vector<SentMessage> &sent, RunStats &stats) const
 {
-    if (prog.pairs().empty())
-        panic("PpSim: empty program '%s'", prog.name.c_str());
-    return run(prog, prog.decoded(), regs, mem, sent, stats);
-}
-
-Cycles
-PpSim::run(const Program &prog, const DecodedProgram &d, RegFile &regs,
-           PpMemory &mem, std::vector<SentMessage> &sent,
-           RunStats &stats) const
-{
-    if (d.pairs().empty()) [[unlikely]]
-        panic("PpSim: empty program '%s'", prog.name.c_str());
+    if (prog.pairs().empty()) [[unlikely]]
+        panic("PpSim: empty program '%s'", prog.name().c_str());
 
     if (checkThreaded_) [[unlikely]]
         return runThreadedChecked(prog, regs, mem, sent, stats);
-    return runThreaded(d, regs, mem, sent, stats);
+    return runThreaded(prog, regs, mem, sent, stats);
 }
 
 Cycles
@@ -347,14 +335,14 @@ PpSim::runThreadedChecked(const Program &prog, RegFile &regs,
                           PpMemory &mem, std::vector<SentMessage> &sent,
                           RunStats &stats) const
 {
-    const char *name = prog.name.c_str();
+    const char *name = prog.name().c_str();
     const RegFile regsIn = regs;
 
     RecordingMemory recording(mem);
     RunStats threadedStats;
     std::vector<SentMessage> threadedSent;
-    const Cycles cycles = runThreaded(prog.decoded(), regs, recording,
-                                      threadedSent, threadedStats);
+    const Cycles cycles =
+        runThreaded(prog, regs, recording, threadedSent, threadedStats);
 
     RegFile refRegs = regsIn;
     ReplayMemory replay(recording.log(), name);
@@ -395,7 +383,7 @@ PpSim::runReference(const Program &prog, RegFile &regs, PpMemory &mem,
                     std::vector<SentMessage> &sent, RunStats &stats) const
 {
     if (prog.pairs().empty())
-        panic("PpSim: empty program '%s'", prog.name.c_str());
+        panic("PpSim: empty program '%s'", prog.name().c_str());
 
     Cycles cycles = 0;
     std::size_t pc = 0;
@@ -406,7 +394,7 @@ PpSim::runReference(const Program &prog, RegFile &regs, PpMemory &mem,
     while (true) {
         if (pc >= prog.pairs().size())
             panic("PpSim: pc %zu out of range in '%s'", pc,
-                  prog.name.c_str());
+                  prog.name().c_str());
         const InstrPair &pair = prog.pairs()[pc];
 
         // Static-scheduling contract checks.
@@ -415,23 +403,23 @@ PpSim::runReference(const Program &prog, RegFile &regs, PpMemory &mem,
             for (int src : pair.b.srcRegs())
                 if (src == dest_a)
                     panic("PpSim: intra-pair RAW on r%d at pair %zu of "
-                          "'%s'", dest_a, pc, prog.name.c_str());
+                          "'%s'", dest_a, pc, prog.name().c_str());
             if (pair.b.destReg() == dest_a)
                 panic("PpSim: intra-pair WAW on r%d at pair %zu of '%s'",
-                      dest_a, pc, prog.name.c_str());
+                      dest_a, pc, prog.name().c_str());
         }
         for (const Instr *in : {&pair.a, &pair.b}) {
             for (int src : in->srcRegs()) {
                 if (src != 0 &&
                     (src == prevLoadDest[0] || src == prevLoadDest[1])) {
                     panic("PpSim: load-delay violation on r%d at pair %zu "
-                          "of '%s'", src, pc, prog.name.c_str());
+                          "of '%s'", src, pc, prog.name().c_str());
                 }
             }
         }
         if (pair.a.isBranch() && pair.b.isBranch())
             panic("PpSim: two branches in pair %zu of '%s'", pc,
-                  prog.name.c_str());
+                  prog.name().c_str());
 
         Cycles stall = 0;
         SlotResult ra = execSlot(pair.a, regs, mem, sent, stall);
@@ -462,7 +450,7 @@ PpSim::runReference(const Program &prog, RegFile &regs, PpMemory &mem,
             ++pc;
 
         if (cycles > kMaxCycles)
-            panic("PpSim: runaway handler '%s'", prog.name.c_str());
+            panic("PpSim: runaway handler '%s'", prog.name().c_str());
     }
 
     stats.cycles += cycles;

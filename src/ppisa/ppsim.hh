@@ -14,23 +14,20 @@
 #ifndef FLASHSIM_PPISA_PPSIM_HH_
 #define FLASHSIM_PPISA_PPSIM_HH_
 
-#include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "ppisa/instruction.hh"
+#include "ppisa/threaded.hh"
 #include "sim/flat_table.hh"
 #include "sim/types.hh"
 
 namespace flashsim::ppisa
 {
 
-class DecodedProgram;
-
 /**
- * A fully scheduled PP handler program.
+ * A fully scheduled PP handler program, immutable once built.
  *
  * Branch targets are pair indices. Each pair executes in one PP cycle
  * (plus any memory stall charged by the PpMemory implementation).
@@ -38,29 +35,22 @@ class DecodedProgram;
 class Program
 {
   public:
-    std::string name;
+    /** An empty, unnamed program; running it panics. */
+    Program() = default;
 
-    /** The scheduled instruction pairs (read-only view). */
+    /** Take @p pairs and lower them, once, to the threaded image the
+     *  engine runs (threaded.hh). Copies and moves copy or move the
+     *  image; nothing is ever lowered again. */
+    Program(std::string name, std::vector<InstrPair> pairs);
+
+    const std::string &name() const { return name_; }
+
+    /** The scheduled instruction pairs. */
     const std::vector<InstrPair> &pairs() const { return pairs_; }
 
-    /**
-     * Mutable access to the instruction pairs. Every call bumps the
-     * decode version, so any mutation through this accessor — including
-     * an in-place element overwrite that keeps both the data pointer
-     * and the size — is seen by the decode-cache fingerprint and forces
-     * a re-decode on the next execution. Holding the returned reference
-     * across a later decoded() call and mutating through it afterwards
-     * is outside the contract.
-     */
-    std::vector<InstrPair> &
-    mutablePairs()
-    {
-        ++version_;
-        return pairs_;
-    }
-
-    /** Fingerprint component: bumped by every mutablePairs() call. */
-    std::uint64_t decodeVersion() const { return version_; }
+    /** The threaded image: one op per pair, then the out-of-range
+     *  sentinel. Empty for a default-constructed program. */
+    const std::vector<ThreadedOp> &decoded() const { return ops_; }
 
     /** Static code size in bytes (two 4-byte instruction words per pair),
      *  NOP slots included, matching Table 5.2's "with NOPs" metric. */
@@ -68,28 +58,10 @@ class Program
 
     std::string toString() const;
 
-    /**
-     * The pre-decoded image of this program (see decode.hh), built
-     * lazily on first use and cached. Rebuilt automatically when the
-     * program is reloaded: the cache fingerprints the pairs storage
-     * (data pointer + size) plus the mutation version bumped by every
-     * mutablePairs() call, so reassignment and in-place mutation both
-     * invalidate it. Lazy build is not thread-safe: any program shared
-     * across threads — the process-wide handler set read by sweep
-     * workers — must be pre-decoded before publication
-     * (protocol/pp_programs.cc does), after which concurrent decoded()
-     * calls are pure reads.
-     */
-    const DecodedProgram &decoded() const;
-
-    /** Drop the cached decode (kept for emphasis at call sites; the
-     *  version fingerprint already catches mutablePairs() mutations). */
-    void invalidateDecodeCache() const;
-
   private:
+    std::string name_;
     std::vector<InstrPair> pairs_;
-    std::uint64_t version_ = 0;
-    mutable std::shared_ptr<const DecodedProgram> decoded_;
+    std::vector<ThreadedOp> ops_;
 };
 
 /**
@@ -172,9 +144,6 @@ struct RunStats
     double pairsPerInvocation() const;
 };
 
-/** Register file contents passed into / out of a handler run. */
-using RegFile = std::array<std::uint64_t, kNumRegs>;
-
 /**
  * The PP emulator. Stateless between runs; all architectural state lives
  * in the RegFile and PpMemory passed to run().
@@ -206,10 +175,11 @@ class PpSim
      * the load is a panic (the real PP has no interlocks, so such code is
      * simply broken).
      *
-     * Runs the token-threaded engine (threaded.hh) over the program's
-     * cached decode (Program::decoded()); the architectural behaviour —
-     * register/memory/message effects, cycle charges, statistics, and
-     * every contract panic — is identical to runReference().
+     * Runs the token-threaded engine (threaded.hh) over the image the
+     * program was lowered to when it was built; the architectural
+     * behaviour — register/memory/message effects, cycle charges,
+     * statistics, and every contract panic — is identical to
+     * runReference().
      *
      * @param regs     register file (r0 forced to zero); updated in place.
      * @param mem      protocol-data memory (MDC timing hook).
@@ -218,18 +188,6 @@ class PpSim
      * @return cycles consumed by this invocation.
      */
     Cycles run(const Program &prog, RegFile &regs, PpMemory &mem,
-               std::vector<SentMessage> &sent, RunStats &stats) const;
-
-    /**
-     * Pre-resolved run() for dispatch tables that pin their programs'
-     * decodes at load time (PpTimingModel resolves every handler's
-     * decode once at construction): @p decoded must be prog.decoded()
-     * and @p prog must not have been mutated since, which skips the
-     * per-invocation decode-cache fingerprint check on the dispatch
-     * hot path. Behaviour is otherwise identical to run() above.
-     */
-    Cycles run(const Program &prog, const DecodedProgram &decoded,
-               RegFile &regs, PpMemory &mem,
                std::vector<SentMessage> &sent, RunStats &stats) const;
 
     /**

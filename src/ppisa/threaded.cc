@@ -2,15 +2,15 @@
  * @file
  * Token-threaded PP executor.
  *
- * Build side: lower every DecodedPair to a ThreadedOp carrying a kernel
- * token, resolving at build time what the reference interpreter
- * re-checks every pair (contract verdicts, branch-target bounds). Run
- * side: a computed-goto dispatch loop whose kernels are hand-unrolled
- * copies of exactly one execMicro case each, so a single-issue Addi
- * pair costs one table jump, one add, and the shared epilogue. On
- * compilers without the labels-as-values extension the same kernel
- * bodies compile into a for/switch loop (see the KERNEL / DISPATCH
- * macros).
+ * Build side: the Program constructor lowers every InstrPair to a
+ * ThreadedOp carrying a kernel token, resolving once what the reference
+ * interpreter re-derives every pair (operands, masks, statistics,
+ * contract verdicts, branch-target bounds). Run side: a computed-goto
+ * dispatch loop whose kernels are hand-unrolled copies of exactly one
+ * execMicro case each, so a single-issue Addi pair costs one table
+ * jump, one add, and the shared epilogue. On compilers without the
+ * labels-as-values extension the same kernel bodies compile into a
+ * for/switch loop (see the KERNEL / DISPATCH macros).
  *
  * Bit-identical semantics with the reference interpreter
  * (PpSim::runReference) are non-negotiable; the
@@ -27,6 +27,8 @@
 
 #include "ppisa/threaded.hh"
 
+#include <utility>
+
 #include "ppisa/microexec.hh"
 #include "sim/logging.hh"
 
@@ -36,6 +38,49 @@ namespace flashsim::ppisa
 namespace
 {
 
+/** Lower one issue slot, precomputing everything execSlot re-derives. */
+MicroOp
+lowerSlot(const Instr &in)
+{
+    MicroOp m;
+    m.op = in.op;
+    m.rd = in.rd;
+    m.rs = in.rs;
+    m.rt = in.rt;
+    m.lo = in.lo;
+    m.imm = in.imm;
+    if (in.isBranch())
+        m.target = static_cast<std::uint32_t>(in.imm);
+    switch (in.op) {
+      case Op::Ext:
+        m.mask = fieldMask(0, in.width);
+        break;
+      case Op::Ins:
+      case Op::Orfi:
+      case Op::Andfi:
+        m.mask = fieldMask(in.lo, in.width);
+        break;
+      default:
+        break;
+    }
+    const std::vector<int> srcs = in.srcRegs();
+    m.nsrcs = static_cast<std::uint8_t>(srcs.size());
+    for (std::size_t i = 0; i < srcs.size(); ++i)
+        m.srcs[i] = static_cast<std::uint8_t>(srcs[i]);
+    return m;
+}
+
+/** Source registers of a lowered slot as a mask, r0 excluded. */
+std::uint32_t
+srcMaskOf(const MicroOp &m)
+{
+    std::uint32_t mask = 0;
+    for (std::uint8_t i = 0; i < m.nsrcs; ++i)
+        if (m.srcs[i] != 0)
+            mask |= std::uint32_t{1} << m.srcs[i];
+    return mask;
+}
+
 /**
  * Pick the kernel for one pair. @p npairs bounds branch targets: a
  * target of exactly npairs lands on the out-of-range sentinel (same
@@ -43,10 +88,10 @@ namespace
  * through the Generic kernel, which range-checks the computed pc.
  */
 ThreadedKernel
-selectKernel(const DecodedPair &p, std::size_t npairs)
+selectKernel(const ThreadedOp &p, std::size_t npairs)
 {
     using K = ThreadedKernel;
-    if (p.violation != DecodedPair::Violation::None)
+    if (p.violation != ThreadedOp::Violation::None)
         return K::Violation;
     if (p.b.op != Op::Nop)
         return K::Generic;
@@ -92,24 +137,55 @@ selectKernel(const DecodedPair &p, std::size_t npairs)
 
 } // namespace
 
-ThreadedProgram::ThreadedProgram(const std::vector<DecodedPair> &pairs)
+Program::Program(std::string name, std::vector<InstrPair> pairs)
+    : name_(std::move(name)), pairs_(std::move(pairs))
 {
-    const std::size_t npairs = pairs.size();
+    using V = ThreadedOp::Violation;
+    const std::size_t npairs = pairs_.size();
     ops_.reserve(npairs + 1);
-    for (const DecodedPair &p : pairs) {
+    for (const InstrPair &pair : pairs_) {
         ThreadedOp t;
-        t.a = p.a;
-        t.b = p.b;
-        t.srcMask = p.srcMask;
-        t.loadMask = p.loadMask;
-        t.statPackA = static_cast<std::uint64_t>(p.instrsInc) |
-                      static_cast<std::uint64_t>(p.specialsInc) << 32;
-        t.statPackB = static_cast<std::uint64_t>(p.aluBranchInc) |
-                      std::uint64_t{1} << 32;
-        t.halts = p.halts;
-        t.violation = p.violation;
-        t.violationReg = p.violationReg;
-        t.kernel = selectKernel(p, npairs);
+        t.a = lowerSlot(pair.a);
+        t.b = lowerSlot(pair.b);
+        t.srcMask = srcMaskOf(t.a) | srcMaskOf(t.b);
+        std::uint64_t instrs = 0, specials = 0, aluBranch = 0;
+        for (const Instr *in : {&pair.a, &pair.b}) {
+            const int dest = in->isLoad() ? in->destReg() : -1;
+            if (dest > 0)
+                t.loadMask |= std::uint32_t{1} << dest;
+            if (!in->isNop()) {
+                ++instrs;
+                if (in->isSpecial())
+                    ++specials;
+                if (in->isAluOrBranch())
+                    ++aluBranch;
+            }
+        }
+        t.statPackA = instrs | specials << 32;
+        t.statPackB = aluBranch | std::uint64_t{1} << 32;
+        t.halts = pair.a.op == Op::Halt || pair.b.op == Op::Halt;
+
+        // Resolve the static-scheduling contract, in the interpreter's
+        // check order so a multiply-broken pair reports the same
+        // violation first.
+        const int dest_a = pair.a.destReg();
+        if (dest_a > 0) {
+            for (std::uint8_t i = 0; i < t.b.nsrcs; ++i) {
+                if (t.b.srcs[i] == dest_a && t.violation == V::None) {
+                    t.violation = V::IntraRaw;
+                    t.violationReg = static_cast<std::uint8_t>(dest_a);
+                }
+            }
+            if (pair.b.destReg() == dest_a && t.violation == V::None) {
+                t.violation = V::IntraWaw;
+                t.violationReg = static_cast<std::uint8_t>(dest_a);
+            }
+        }
+        if (pair.a.isBranch() && pair.b.isBranch() &&
+            t.violation == V::None)
+            t.violation = V::TwoBranch;
+
+        t.kernel = selectKernel(t, npairs);
         ops_.push_back(t);
     }
 
@@ -119,20 +195,6 @@ ThreadedProgram::ThreadedProgram(const std::vector<DecodedPair> &pairs)
     ThreadedOp sentinel;
     sentinel.kernel = ThreadedKernel::OutOfRange;
     ops_.push_back(sentinel);
-}
-
-double
-ThreadedProgram::specializedFraction() const
-{
-    std::size_t total = 0, specialized = 0;
-    for (std::size_t i = 0; i + 1 < ops_.size(); ++i) {
-        if (ops_[i].kernel == ThreadedKernel::Nop)
-            continue; // padding: nothing to specialize
-        ++total;
-        if (ops_[i].kernel != ThreadedKernel::Generic)
-            ++specialized;
-    }
-    return total ? static_cast<double>(specialized) / total : 1.0;
 }
 
 // Token threading needs the GNU labels-as-values extension; elsewhere
@@ -200,14 +262,14 @@ ThreadedProgram::specializedFraction() const
     }
 
 Cycles
-runThreaded(const DecodedProgram &d, RegFile &regs, PpMemory &mem,
+runThreaded(const Program &prog, RegFile &regs, PpMemory &mem,
             std::vector<SentMessage> &sent, RunStats &stats)
 {
-    const ThreadedProgram &tp = d.threaded();
-    const ThreadedOp *const base = tp.ops().data();
-    const std::size_t npairs = tp.size();
+    const std::vector<ThreadedOp> &ops = prog.decoded();
+    const ThreadedOp *const base = ops.data();
+    const std::size_t npairs = ops.size() - 1; // excluding the sentinel
     const ThreadedOp *op = base;
-    const char *const name = d.name().c_str();
+    const char *const name = prog.name().c_str();
 
     Cycles cycles = 0;
     Cycles memStall = 0;
@@ -234,9 +296,9 @@ runThreaded(const DecodedProgram &d, RegFile &regs, PpMemory &mem,
         switch (op->kernel) {
 #endif
 
-    // A full decoded-pair step: generic two-slot execution and a
+    // A full lowered-pair step: generic two-slot execution and a
     // bounds-checked next pc. Every pair a specialized kernel cannot
-    // take (decode-time contract violations excepted) lands here, so
+    // take (lowering-time contract violations excepted) lands here, so
     // the threaded engine is never less capable than the reference
     // interpreter.
     KERNEL(Generic) : {
@@ -274,7 +336,7 @@ runThreaded(const DecodedProgram &d, RegFile &regs, PpMemory &mem,
     }
 
     KERNEL(Violation) : {
-        // DISPATCH found no load-delay hit, so the decode-time verdict
+        // DISPATCH found no load-delay hit, so the lowering-time verdict
         // is what the interpreter reports here.
         detail::panicViolation(op->violation, op->violationReg,
                                static_cast<std::size_t>(op - base), name);
@@ -374,8 +436,8 @@ load_delay : {
     // interpreter reports an intra-pair RAW or WAW on the same pair
     // first.
     const std::size_t pc = static_cast<std::size_t>(op - base);
-    if (op->violation == DecodedPair::Violation::IntraRaw ||
-        op->violation == DecodedPair::Violation::IntraWaw)
+    if (op->violation == ThreadedOp::Violation::IntraRaw ||
+        op->violation == ThreadedOp::Violation::IntraWaw)
         detail::panicViolation(op->violation, op->violationReg, pc, name);
     detail::panicLoadDelay(op->a, op->b, pc, name, prevLoadMask);
 }

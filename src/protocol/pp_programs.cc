@@ -3,7 +3,6 @@
 #include <memory>
 #include <mutex>
 
-#include "ppisa/decode.hh"
 #include "protocol/directory.hh"
 #include "sim/logging.hh"
 
@@ -639,21 +638,17 @@ std::shared_ptr<const HandlerPrograms>
 sharedHandlerPrograms(const ppc::CompileOptions &opts)
 {
     // Four possible option combinations; each slot is built once per
-    // process under the lock and pre-decoded before publication so
-    // concurrent machines only ever read the shared set.
+    // process under the lock. Programs are immutable and lowered as
+    // they are built, so concurrent machines only ever read the set.
     static std::mutex mu;
     static std::shared_ptr<const HandlerPrograms> cache[2][2];
 
     std::lock_guard<std::mutex> lock(mu);
     std::shared_ptr<const HandlerPrograms> &slot =
         cache[opts.useSpecialInstrs ? 1 : 0][opts.dualIssue ? 1 : 0];
-    if (!slot) {
-        auto built =
-            std::make_shared<HandlerPrograms>(buildHandlerPrograms(opts));
-        for (const ppisa::Program *p : built->all())
-            p->decoded(); // warm the decode cache while still private
-        slot = std::move(built);
-    }
+    if (!slot)
+        slot = std::make_shared<HandlerPrograms>(
+            buildHandlerPrograms(opts));
     return slot;
 }
 

@@ -93,11 +93,10 @@ HandlerPrograms buildHandlerPrograms(const ppc::CompileOptions &opts = {});
 /**
  * Process-wide cache of compiled handler programs, keyed by the
  * compile options. The handler toolchain is deterministic, so every
- * machine with the same options can share one immutable, pre-decoded
- * program set instead of re-running the compiler and the pre-decode
- * pass per Machine. Thread-safe (sweep workers construct machines
- * concurrently); the returned set is fully decoded before publication,
- * so the lazy Program::decoded() path is never raced.
+ * machine with the same options can share one immutable program set
+ * (each program lowered once, as it is built) instead of re-running
+ * the compiler per Machine. Thread-safe: sweep workers construct
+ * machines concurrently, and the published set is only ever read.
  */
 std::shared_ptr<const HandlerPrograms>
 sharedHandlerPrograms(const ppc::CompileOptions &opts = {});
@@ -105,7 +104,7 @@ sharedHandlerPrograms(const ppc::CompileOptions &opts = {});
 /**
  * Prepare the handler-ABI register file for @p msg arriving at @p self.
  * Inline: this runs once per handler invocation on the PP dispatch hot
- * path (see BM_PpHandlerDispatch), where an out-of-line copy of the
+ * path (see BM_PpDispatchCompiled), where an out-of-line copy of the
  * 256-byte register file costs as much as several executed pairs.
  */
 inline ppisa::RegFile

@@ -1,8 +1,8 @@
 #include "sim/sweep.hh"
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <deque>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -83,18 +83,9 @@ SweepRunner::runIndexed(std::size_t count,
         return;
     }
 
-    // Round-robin pre-distribution over per-worker deques. A worker
-    // pops from its own front and steals from a victim's back; since
-    // jobs never enqueue further jobs, an empty scan means the pool is
-    // drained and the worker can exit.
-    struct WorkerQueue
-    {
-        std::mutex mu;
-        std::deque<std::size_t> q;
-    };
-    std::vector<WorkerQueue> queues(static_cast<std::size_t>(nw));
-    for (std::size_t i = 0; i < count; ++i)
-        queues[i % static_cast<std::size_t>(nw)].q.push_back(i);
+    // Jobs never spawn jobs, so one shared counter hands out every
+    // index exactly once; a worker exits when it runs past the end.
+    std::atomic<std::size_t> next{0};
 
     std::mutex err_mu;
     bool have_error = false;
@@ -103,29 +94,8 @@ SweepRunner::runIndexed(std::size_t count,
 
     auto worker = [&](int w) {
         for (;;) {
-            std::size_t idx = 0;
-            bool got = false;
-            {
-                WorkerQueue &own = queues[static_cast<std::size_t>(w)];
-                std::lock_guard<std::mutex> lock(own.mu);
-                if (!own.q.empty()) {
-                    idx = own.q.front();
-                    own.q.pop_front();
-                    got = true;
-                }
-            }
-            for (int v = 0; !got && v < nw; ++v) {
-                if (v == w)
-                    continue;
-                WorkerQueue &victim = queues[static_cast<std::size_t>(v)];
-                std::lock_guard<std::mutex> lock(victim.mu);
-                if (!victim.q.empty()) {
-                    idx = victim.q.back();
-                    victim.q.pop_back();
-                    got = true;
-                }
-            }
-            if (!got)
+            const std::size_t idx = next.fetch_add(1);
+            if (idx >= count)
                 return;
             const auto job_start = Clock::now();
             try {

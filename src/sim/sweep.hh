@@ -8,7 +8,7 @@
  * multi-workload comparisons, cache-size sweeps — are embarrassingly
  * parallel: every job owns its own Machine, EventQueue and statistics.
  *
- * SweepRunner spreads such jobs across a work-stealing thread pool and
+ * SweepRunner spreads such jobs across a pool of worker threads and
  * returns results indexed by submission order, so a sweep's output is
  * bit-identical whether it runs on 1 worker or N. Jobs must be
  * independent (no shared mutable state); each job's simulation is
@@ -99,13 +99,12 @@ struct SweepMetrics
 int resolveWorkers(int requested = 0);
 
 /**
- * Work-stealing pool for independent simulation jobs.
+ * Thread pool for independent simulation jobs.
  *
- * Jobs are pre-distributed round-robin across per-worker deques; a
- * worker pops from the front of its own deque and steals from the back
- * of others when it runs dry. Results land in a vector indexed by
- * submission order, so output ordering (and therefore any report built
- * from it) is identical to serial execution.
+ * Each worker claims the next unclaimed job index from one shared
+ * atomic counter until none is left. Results land in a vector indexed
+ * by submission order, so output ordering (and therefore any report
+ * built from it) is identical to serial execution.
  */
 class SweepRunner
 {

@@ -256,7 +256,6 @@ goldenCases()
     // flashsim_cli --baseline-pp
     MachineConfig baseline = MachineConfig::flash(kProcs);
     baseline.ppCompile = ppc::CompileOptions{false, false};
-    baseline.magic.optimizedPp = false;
     cases.push_back({"fft_baseline_pp", "fft", baseline});
 
     // flashsim_cli --verify --inject-seed 7 with every commit-plane

@@ -275,6 +275,25 @@ TEST(MachineTest, ExplicitAllocationHonored)
     EXPECT_DEATH(m.homeOf(a + 100 * cfg.pageBytes), "never allocated");
 }
 
+TEST(MachineTest, RejectsPageSizesOneShiftCannotMap)
+{
+    // Not a power of two (6144), below a cache line (64), or zero: each
+    // would make MAGIC's page monitor and homeOf disagree, or divide by
+    // zero in alloc.
+    for (std::uint64_t page_bytes :
+         {std::uint64_t{6144}, std::uint64_t{64}, std::uint64_t{0}}) {
+        MachineConfig cfg = MachineConfig::flash(4);
+        cfg.pageBytes = page_bytes;
+        EXPECT_DEATH(
+            {
+                Machine m(cfg);
+                (void)m.alloc(kLineSize, 0);
+            },
+            "pageBytes")
+            << page_bytes;
+    }
+}
+
 TEST(MachineTest, TableTimingModeRuns)
 {
     MachineConfig cfg = MachineConfig::flash(4);
@@ -347,8 +366,6 @@ TEST(MachineConfigTest, EveryVariedFieldBreaksEquality)
              [](MachineConfig &c) { c.net.distanceBased = true; }},
             {"usePpEmulator",
              [](MachineConfig &c) { c.magic.usePpEmulator = false; }},
-            {"optimizedPp",
-             [](MachineConfig &c) { c.magic.optimizedPp = false; }},
             {"ppCompile",
              [](MachineConfig &c) { c.ppCompile.useSpecialInstrs = false; }},
             {"monitorPages",

@@ -42,6 +42,29 @@ TEST(Monitoring, CountsRemoteRequestsPerPage)
     EXPECT_GE(heat[page], 2u);
 }
 
+TEST(Monitoring, HeatKeysArePageIndicesAtEveryPageSize)
+{
+    // The monitor and pageIndexOf must number pages alike, or a remap
+    // built from pageHeat re-homes the wrong pages. The hammered line is
+    // a page's last, so a page larger than the application base only
+    // passes if the base is page-aligned.
+    for (std::uint64_t page_bytes :
+         {std::uint64_t{256}, std::uint64_t{8192}, std::uint64_t{4} << 20}) {
+        MachineConfig cfg = MachineConfig::flash(2);
+        cfg.magic.monitorPages = true;
+        cfg.pageBytes = page_bytes;
+        Machine m(cfg);
+        (void)m.alloc(5 * page_bytes, 1);
+        Addr a = m.alloc(page_bytes, 0) + page_bytes - kLineSize;
+        m.run([&](tango::Env &env) { return remoteHammer(env, a, 2); });
+        m.drain();
+        FlatCounterMap heat = m.pageHeat();
+        EXPECT_EQ(heat.size(), 1u) << page_bytes;
+        EXPECT_TRUE(heat.count(m.pageIndexOf(a))) << page_bytes;
+        EXPECT_EQ(m.pageIndexOf(a), 5u) << page_bytes;
+    }
+}
+
 TEST(Monitoring, LocalRequestsNotCounted)
 {
     MachineConfig cfg = MachineConfig::flash(2);

@@ -23,7 +23,6 @@
 #include <utility>
 #include <vector>
 
-#include "ppisa/decode.hh"
 #include "ppisa/instruction.hh"
 #include "ppisa/ppsim.hh"
 #include "ppisa/threaded.hh"
@@ -277,7 +276,7 @@ TEST(BackendDiff, HandlerFuzzAllProgramsAllOptions)
                         state_seed, dirT);
 
                     const std::string what =
-                        prog->name + " iter " + std::to_string(iter);
+                        prog->name() + " iter " + std::to_string(iter);
                     EXPECT_EQ(i.cycles, th.cycles) << what;
                     EXPECT_EQ(i.regs, th.regs) << what;
                     EXPECT_EQ(i.sent, th.sent) << what;
@@ -348,8 +347,6 @@ randomInstr(Rng &rng, int index, int total)
 Program
 makeRandomProgram(Rng &rng, int id)
 {
-    Program prog;
-    prog.name = "fuzz" + std::to_string(id);
     const int n = 8 + static_cast<int>(rng.below(24));
     std::vector<Instr> instrs;
     instrs.reserve(static_cast<std::size_t>(n));
@@ -358,16 +355,17 @@ makeRandomProgram(Rng &rng, int id)
     // Runner-style lowering: one instruction per pair with a NOP pair in
     // between, so the load-delay and intra-pair contracts hold by
     // construction; branch targets scale from instruction to pair index.
+    std::vector<InstrPair> pairs;
     for (Instr &in : instrs) {
         if (in.isBranch())
             in.imm *= 2;
-        prog.mutablePairs().push_back(InstrPair{in, Instr{}});
-        prog.mutablePairs().push_back(InstrPair{Instr{}, Instr{}});
+        pairs.push_back(InstrPair{in, Instr{}});
+        pairs.push_back(InstrPair{Instr{}, Instr{}});
     }
     Instr halt;
     halt.op = Op::Halt;
-    prog.mutablePairs().push_back(InstrPair{halt, Instr{}});
-    return prog;
+    pairs.push_back(InstrPair{halt, Instr{}});
+    return Program("fuzz" + std::to_string(id), std::move(pairs));
 }
 
 TEST(BackendDiff, RandomProgramFuzz)
@@ -381,7 +379,7 @@ TEST(BackendDiff, RandomProgramFuzz)
         std::map<Addr, std::uint64_t> words;
         for (Addr a = 0; a < 512; a += 8)
             words[a] = rng.next();
-        expectEnginesAgree(prog, regs, words, true, prog.name);
+        expectEnginesAgree(prog, regs, words, true, prog.name());
     }
 }
 
@@ -406,10 +404,7 @@ mk(Op op, int rd, int rs, int rt, std::int64_t imm = 0)
 Program
 progOf(std::vector<InstrPair> pairs, const char *name)
 {
-    Program p;
-    p.name = name;
-    p.mutablePairs() = std::move(pairs);
-    return p;
+    return Program(name, std::move(pairs));
 }
 
 void
@@ -513,8 +508,7 @@ TEST_P(BackendPanicParity, RunawayHandler)
 
 TEST_P(BackendPanicParity, EmptyProgram)
 {
-    Program p;
-    p.name = "empty";
+    const Program p("empty", {});
     EXPECT_DEATH(runOn(GetParam(), p), "empty program 'empty'");
 }
 
@@ -548,23 +542,26 @@ TEST(ThreadedLowering, HandlerSetStructureAndCoverage)
             protocol::buildHandlerPrograms(opts);
         ASSERT_FALSE(programs.all().empty());
         for (const Program *p : programs.all()) {
-            const ThreadedProgram &t = p->decoded().threaded();
-            ASSERT_EQ(t.ops().size(), p->pairs().size() + 1) << p->name;
-            ASSERT_EQ(t.size(), p->pairs().size()) << p->name;
-            EXPECT_EQ(t.ops().back().kernel, ThreadedKernel::OutOfRange)
-                << p->name;
+            const std::vector<ThreadedOp> &ops = p->decoded();
+            ASSERT_EQ(ops.size(), p->pairs().size() + 1) << p->name();
+            EXPECT_EQ(ops.back().kernel, ThreadedKernel::OutOfRange)
+                << p->name();
         }
     }
 }
 
 TEST(ThreadedLowering, SingleIssueSetFullySpecialized)
 {
+    // Every non-padding single-issue pair maps to a per-opcode kernel,
+    // never the Generic fallback.
     protocol::HandlerPrograms programs =
         protocol::buildHandlerPrograms({true, false});
-    for (const Program *p : programs.all())
-        EXPECT_DOUBLE_EQ(p->decoded().threaded().specializedFraction(),
-                         1.0)
-            << p->name;
+    for (const Program *p : programs.all()) {
+        const std::vector<ThreadedOp> &ops = p->decoded();
+        for (std::size_t i = 0; i + 1 < ops.size(); ++i)
+            EXPECT_NE(ops[i].kernel, ThreadedKernel::Generic)
+                << p->name() << " pair " << i;
+    }
 }
 
 // The compiled handlers honour the scheduling contract under every
@@ -577,13 +574,13 @@ TEST(PpDecode, HandlerSetMeetsSchedulingContract)
         protocol::HandlerPrograms programs =
             protocol::buildHandlerPrograms(opts);
         for (const Program *p : programs.all()) {
-            const std::vector<DecodedPair> &pairs = p->decoded().pairs();
-            const std::size_t n = pairs.size();
+            const std::vector<ThreadedOp> &ops = p->decoded();
+            const std::size_t n = p->pairs().size();
             std::vector<std::uint32_t> predLoad(n, 0);
             for (std::size_t i = 0; i < n; ++i) {
-                const DecodedPair &d = pairs[i];
-                EXPECT_EQ(d.violation, DecodedPair::Violation::None)
-                    << p->name << " pair " << i;
+                const ThreadedOp &d = ops[i];
+                EXPECT_EQ(d.violation, ThreadedOp::Violation::None)
+                    << p->name() << " pair " << i;
                 if (d.halts)
                     continue;
                 const InstrPair &src = p->pairs()[i];
@@ -601,8 +598,8 @@ TEST(PpDecode, HandlerSetMeetsSchedulingContract)
                     predLoad[i + 1] |= d.loadMask;
             }
             for (std::size_t i = 0; i < n; ++i)
-                EXPECT_EQ(predLoad[i] & pairs[i].srcMask, 0u)
-                    << p->name << " pair " << i;
+                EXPECT_EQ(predLoad[i] & ops[i].srcMask, 0u)
+                    << p->name() << " pair " << i;
         }
     }
 }

@@ -4,7 +4,6 @@
 
 #include <utility>
 
-#include "ppisa/decode.hh"
 #include "ppisa/instruction.hh"
 #include "ppisa/ppsim.hh"
 
@@ -72,20 +71,20 @@ struct Runner
     Cycles
     run(std::vector<Instr> instrs)
     {
-        Program prog;
-        prog.name = "test";
+        std::vector<InstrPair> pairs;
         // A NOP pair between consecutive instructions keeps load-delay
         // and pairing rules trivially satisfied for semantic tests.
         for (const Instr &i : instrs) {
-            prog.mutablePairs().push_back(InstrPair{i, nop()});
-            prog.mutablePairs().push_back(InstrPair{nop(), nop()});
+            pairs.push_back(InstrPair{i, nop()});
+            pairs.push_back(InstrPair{nop(), nop()});
         }
         // Rewrite branch targets (instruction index -> pair index).
-        for (auto &p : prog.mutablePairs()) {
+        for (auto &p : pairs) {
             if (p.a.isBranch())
                 p.a.imm *= 2;
         }
-        prog.mutablePairs().push_back(InstrPair{halt(), nop()});
+        pairs.push_back(InstrPair{halt(), nop()});
+        const Program prog("test", std::move(pairs));
         PpSim sim;
         return sim.run(prog, regs, mem, sent, stats);
     }
@@ -244,13 +243,10 @@ TEST(PpSim, StatsCountPairsAndInstrs)
 
 TEST(PpSim, IntraPairRawPanics)
 {
-    Program prog;
-    prog.name = "bad";
     InstrPair p;
     p.a = rri(Op::Addi, 1, 0, 5);
     p.b = rrr(Op::Add, 2, 1, 1); // reads r1 written by slot a
-    prog.mutablePairs().push_back(p);
-    prog.mutablePairs().push_back(InstrPair{halt(), nop()});
+    const Program prog("bad", {p, InstrPair{halt(), nop()}});
     PpSim sim;
     RegFile regs{};
     FlatPpMemory mem;
@@ -261,11 +257,9 @@ TEST(PpSim, IntraPairRawPanics)
 
 TEST(PpSim, LoadDelayViolationPanics)
 {
-    Program prog;
-    prog.name = "bad2";
-    prog.mutablePairs().push_back(InstrPair{rri(Op::Ld, 1, 0, 0), nop()});
-    prog.mutablePairs().push_back(InstrPair{rrr(Op::Add, 2, 1, 1), nop()});
-    prog.mutablePairs().push_back(InstrPair{halt(), nop()});
+    const Program prog("bad2", {InstrPair{rri(Op::Ld, 1, 0, 0), nop()},
+                                InstrPair{rrr(Op::Add, 2, 1, 1), nop()},
+                                InstrPair{halt(), nop()}});
     PpSim sim;
     RegFile regs{};
     FlatPpMemory mem;
@@ -290,11 +284,9 @@ TEST(PpSim, MemoryStallsAccumulate)
             extra = 29;
         }
     };
-    Program prog;
-    prog.name = "slow";
-    prog.mutablePairs().push_back(InstrPair{rri(Op::Ld, 1, 0, 0), nop()});
-    prog.mutablePairs().push_back(InstrPair{nop(), nop()});
-    prog.mutablePairs().push_back(InstrPair{halt(), nop()});
+    const Program prog("slow", {InstrPair{rri(Op::Ld, 1, 0, 0), nop()},
+                                InstrPair{nop(), nop()},
+                                InstrPair{halt(), nop()}});
     PpSim sim;
     RegFile regs{};
     SlowMem mem;
@@ -315,24 +307,19 @@ TEST(PpSim, FieldMaskHelper)
 
 TEST(PpSim, ProgramToStringContainsName)
 {
-    Program prog;
-    prog.name = "pi_get";
-    prog.mutablePairs().push_back(InstrPair{halt(), nop()});
+    const Program prog("pi_get", {InstrPair{halt(), nop()}});
     EXPECT_NE(prog.toString().find("pi_get"), std::string::npos);
     EXPECT_EQ(prog.codeBytes(), 8u);
 }
 
 TEST(PpSim, TwoBranchesInPairPanics)
 {
-    Program prog;
-    prog.name = "bad3";
     InstrPair p;
     p.a = rrr(Op::Beq, 0, 0, 0);
     p.b = rrr(Op::Bne, 0, 0, 0);
     p.a.imm = 1;
     p.b.imm = 1;
-    prog.mutablePairs().push_back(p);
-    prog.mutablePairs().push_back(InstrPair{halt(), nop()});
+    const Program prog("bad3", {p, InstrPair{halt(), nop()}});
     PpSim sim;
     RegFile regs{};
     FlatPpMemory mem;
@@ -474,16 +461,16 @@ TEST(PpDecode, MatchesReferenceOnEveryOpcode)
         /*41*/ rri(Op::Addi, 30, 0, 555),
     };
 
-    Program prog;
-    prog.name = "all_ops";
+    std::vector<InstrPair> pairs;
     for (const Instr &i : body) {
-        prog.mutablePairs().push_back(InstrPair{i, nop()});
-        prog.mutablePairs().push_back(InstrPair{nop(), nop()});
+        pairs.push_back(InstrPair{i, nop()});
+        pairs.push_back(InstrPair{nop(), nop()});
     }
-    for (auto &p : prog.mutablePairs())
+    for (auto &p : pairs)
         if (p.a.isBranch())
             p.a.imm *= 2;
-    prog.mutablePairs().push_back(InstrPair{halt(), nop()});
+    pairs.push_back(InstrPair{halt(), nop()});
+    const Program prog("all_ops", std::move(pairs));
 
     // Guard: the program really does cover the whole ISA.
     bool seen[32] = {};
@@ -507,117 +494,48 @@ TEST(PpDecode, MatchesReferenceOnDualIssuePairsAndLoops)
     // Real dual-issue pairs with a backward branch (loop) and a load
     // shadowed by the mandatory delay pair — the shapes the scheduler
     // emits — must agree across both paths, including cycle counts.
-    Program prog;
-    prog.name = "dual";
-    // r1 = 4 (loop counter), r2 = accumulator base
-    prog.mutablePairs().push_back(
-        InstrPair{rri(Op::Addi, 1, 0, 4), rri(Op::Addi, 2, 0, 0x100)});
-    // loop: { acc += ctr | load m[r2] } ; { ctr -= 1 | nop }
-    prog.mutablePairs().push_back(
-        InstrPair{rrr(Op::Add, 3, 3, 1), rri(Op::Ld, 4, 2, 0)});
-    prog.mutablePairs().push_back(
-        InstrPair{rri(Op::Addi, 1, 1, -1), nop()});
     InstrPair back;
     back.a = br(Op::Bne, 1, 0, 1);
     back.b = rrr(Op::Xor, 5, 4, 3); // uses the load, one pair later: ok
-    prog.mutablePairs().push_back(back);
-    prog.mutablePairs().push_back(InstrPair{send(3, 1, 5), nop()});
-    prog.mutablePairs().push_back(InstrPair{halt(), nop()});
+    const Program prog(
+        "dual",
+        {// r1 = 4 (loop counter), r2 = accumulator base
+         InstrPair{rri(Op::Addi, 1, 0, 4), rri(Op::Addi, 2, 0, 0x100)},
+         // loop: { acc += ctr | load m[r2] } ; { ctr -= 1 | nop }
+         InstrPair{rrr(Op::Add, 3, 3, 1), rri(Op::Ld, 4, 2, 0)},
+         InstrPair{rri(Op::Addi, 1, 1, -1), nop()}, back,
+         InstrPair{send(3, 1, 5), nop()}, InstrPair{halt(), nop()}});
 
     expectSameOutcome(prog, RegFile{});
 }
 
-TEST(PpDecode, ReloadInvalidatesCache)
+TEST(PpDecode, ReassignedProgramRunsItsNewPairs)
 {
-    Program prog;
-    prog.name = "v1";
-    prog.mutablePairs().push_back(InstrPair{rri(Op::Addi, 1, 0, 1), nop()});
-    prog.mutablePairs().push_back(InstrPair{halt(), nop()});
+    // A program is lowered once, when it is built; assigning another
+    // program over it, by copy or by move, must carry that program's
+    // image along so both engines run the new pairs.
+    auto addi = [](std::int64_t imm) {
+        return std::vector<InstrPair>{
+            InstrPair{rri(Op::Addi, 1, 0, imm), nop()},
+            InstrPair{halt(), nop()}};
+    };
+    auto r1After = [](const Program &prog, bool reference) {
+        return execute(prog, RegFile{}, reference).regs[1];
+    };
 
-    const DecodedProgram *first = &prog.decoded();
-    EXPECT_TRUE(first->matches(prog));
-    EXPECT_EQ(&prog.decoded(), first) << "second call must hit the cache";
+    Program prog("v1", addi(1));
+    EXPECT_EQ(r1After(prog, false), 1u);
+    EXPECT_EQ(r1After(prog, true), 1u);
 
-    // Reload: assigning a new program replaces the pairs storage, so
-    // the stale decode no longer matches and is rebuilt on demand.
-    Program v2;
-    v2.name = "v2";
-    v2.mutablePairs().push_back(InstrPair{rri(Op::Addi, 1, 0, 2), nop()});
-    v2.mutablePairs().push_back(InstrPair{halt(), nop()});
-    (void)v2.decoded(); // warm v2's own cache, then copy it across
-    prog = v2;
+    prog = Program("v2", addi(2));
+    EXPECT_EQ(r1After(prog, false), 2u);
+    EXPECT_EQ(r1After(prog, true), 2u);
 
-    const DecodedProgram &redecoded = prog.decoded();
-    EXPECT_TRUE(redecoded.matches(prog));
-    EXPECT_EQ(redecoded.pairs()[0].a.imm, 2);
-
-    PpSim sim;
-    RegFile regs{};
-    FlatPpMemory mem;
-    std::vector<SentMessage> sent;
-    RunStats stats;
-    sim.run(prog, regs, mem, sent, stats);
-    EXPECT_EQ(regs[1], 2u) << "run() must execute the reloaded code";
-}
-
-TEST(PpDecode, InPlaceMutationForcesRedecode)
-{
-    // Staleness regression test: an in-place element overwrite keeps
-    // both the data pointer and the size, so the old pointer+size
-    // fingerprint could not see it and run() would happily execute the
-    // stale decode. The mutation version bumped by mutablePairs() must
-    // close that gap — with no explicit invalidate call.
-    Program prog;
-    prog.name = "patch";
-    prog.mutablePairs().push_back(InstrPair{rri(Op::Addi, 1, 0, 7), nop()});
-    prog.mutablePairs().push_back(InstrPair{halt(), nop()});
-
-    const DecodedProgram *first = &prog.decoded();
-    EXPECT_EQ(first->pairs()[0].a.imm, 7);
-    EXPECT_EQ(&prog.decoded(), first) << "no mutation: cache must hold";
-
-    // First execution, then patch the immediate in place.
-    {
-        PpSim sim;
-        RegFile regs{};
-        FlatPpMemory mem;
-        std::vector<SentMessage> sent;
-        RunStats stats;
-        sim.run(prog, regs, mem, sent, stats);
-        EXPECT_EQ(regs[1], 7u);
-    }
-    {
-        std::vector<InstrPair> &pairs = prog.mutablePairs();
-        ASSERT_EQ(pairs[0].a.imm, 7);
-        pairs[0].a.imm = 9; // same storage, same size: only the version
-                            // fingerprint can catch this
-    }
-
-    EXPECT_FALSE(first->matches(prog))
-        << "stale decode must not match after an in-place mutation";
-    EXPECT_EQ(prog.decoded().pairs()[0].a.imm, 9);
-
-    PpSim sim;
-    RegFile regs{};
-    FlatPpMemory mem;
-    std::vector<SentMessage> sent;
-    RunStats stats;
-    sim.run(prog, regs, mem, sent, stats);
-    EXPECT_EQ(regs[1], 9u) << "run() must execute the patched code";
-}
-
-TEST(PpDecode, ExplicitInvalidateStillForcesRebuild)
-{
-    // invalidateDecodeCache() remains for emphasis at call sites;
-    // dropping the cache must rebuild (not crash) on next use.
-    Program prog;
-    prog.name = "inval";
-    prog.mutablePairs().push_back(InstrPair{rri(Op::Addi, 1, 0, 3), nop()});
-    prog.mutablePairs().push_back(InstrPair{halt(), nop()});
-    const DecodedProgram *first = &prog.decoded();
-    EXPECT_TRUE(first->matches(prog));
-    prog.invalidateDecodeCache();
-    EXPECT_EQ(prog.decoded().pairs()[0].a.imm, 3);
+    const Program v3("v3", addi(3));
+    prog = v3;
+    EXPECT_EQ(prog.name(), "v3");
+    EXPECT_EQ(r1After(prog, false), 3u);
+    EXPECT_EQ(r1After(prog, true), 3u);
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the deterministic parallel sweep runner: pool mechanics
- * (ordering, stealing, exceptions, the FLASHSIM_JOBS knob) and the
+ * (ordering, job hand-out, exceptions, the FLASHSIM_JOBS knob) and the
  * serial-vs-parallel determinism guarantee — a multi-config sweep must
  * produce bit-identical per-job results on 1 worker and on N.
  */

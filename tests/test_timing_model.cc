@@ -1,7 +1,8 @@
-/** @file Unit tests for the handler timing models. */
+/** @file Unit tests for the handler timing: Table 3.4 and PPsim. */
 
 #include <gtest/gtest.h>
 
+#include "machine/machine.hh"
 #include "magic/timing_model.hh"
 
 namespace flashsim::magic
@@ -13,7 +14,6 @@ using protocol::DirectoryStore;
 using protocol::DirHeader;
 using protocol::HandlerId;
 using protocol::HandlerPrograms;
-using protocol::HandlerResult;
 using protocol::Message;
 using protocol::MsgType;
 
@@ -32,20 +32,20 @@ msg(MsgType t, NodeId src, Addr addr, NodeId req, std::uint32_t aux = 0)
 
 TEST(TableTimingModel, MatchesTable34)
 {
-    EXPECT_EQ(TableTimingModel::cost(HandlerId::ServeReadMemory, 0), 11u);
-    EXPECT_EQ(TableTimingModel::cost(HandlerId::ServeWriteMemory, 0), 14u);
-    EXPECT_EQ(TableTimingModel::cost(HandlerId::ServeWriteMemory, 5),
+    EXPECT_EQ(tableCost(HandlerId::ServeReadMemory, 0), 11u);
+    EXPECT_EQ(tableCost(HandlerId::ServeWriteMemory, 0), 14u);
+    EXPECT_EQ(tableCost(HandlerId::ServeWriteMemory, 5),
               14u + 5u * 13u);
-    EXPECT_EQ(TableTimingModel::cost(HandlerId::FwdToHome, 0), 3u);
-    EXPECT_EQ(TableTimingModel::cost(HandlerId::FwdHomeToDirty, 0), 18u);
-    EXPECT_EQ(TableTimingModel::cost(HandlerId::RetrieveFromCache, 0),
+    EXPECT_EQ(tableCost(HandlerId::FwdToHome, 0), 3u);
+    EXPECT_EQ(tableCost(HandlerId::FwdHomeToDirty, 0), 18u);
+    EXPECT_EQ(tableCost(HandlerId::RetrieveFromCache, 0),
               38u);
-    EXPECT_EQ(TableTimingModel::cost(HandlerId::ReplyToProc, 0), 2u);
-    EXPECT_EQ(TableTimingModel::cost(HandlerId::LocalWriteback, 0), 10u);
-    EXPECT_EQ(TableTimingModel::cost(HandlerId::LocalHint, 0), 7u);
-    EXPECT_EQ(TableTimingModel::cost(HandlerId::RemoteWriteback, 0), 8u);
-    EXPECT_EQ(TableTimingModel::cost(HandlerId::RemoteHintOnly, 0), 17u);
-    EXPECT_EQ(TableTimingModel::cost(HandlerId::RemoteHintNth, 2),
+    EXPECT_EQ(tableCost(HandlerId::ReplyToProc, 0), 2u);
+    EXPECT_EQ(tableCost(HandlerId::LocalWriteback, 0), 10u);
+    EXPECT_EQ(tableCost(HandlerId::LocalHint, 0), 7u);
+    EXPECT_EQ(tableCost(HandlerId::RemoteWriteback, 0), 8u);
+    EXPECT_EQ(tableCost(HandlerId::RemoteHintOnly, 0), 17u);
+    EXPECT_EQ(tableCost(HandlerId::RemoteHintNth, 2),
               23u + 28u);
 }
 
@@ -55,25 +55,43 @@ TEST(TableTimingModel, EveryHandlerHasANonzeroCost)
     // that handler for free.
     for (int i = 0; i < protocol::kNumHandlerIds; ++i) {
         const auto id = static_cast<HandlerId>(i);
-        EXPECT_GT(TableTimingModel::cost(id, 0), 0u)
+        EXPECT_GT(tableCost(id, 0), 0u)
             << protocol::handlerIdName(id);
     }
-    EXPECT_EQ(TableTimingModel::cost(HandlerId::BlockXferReceive, 0), 6u);
-    EXPECT_EQ(TableTimingModel::cost(HandlerId::BlockAckReceive, 0), 3u);
-    EXPECT_EQ(TableTimingModel::cost(HandlerId::FetchOpService, 0), 5u);
-    EXPECT_EQ(TableTimingModel::cost(HandlerId::FetchOpAck, 0), 3u);
+    EXPECT_EQ(tableCost(HandlerId::BlockXferReceive, 0), 6u);
+    EXPECT_EQ(tableCost(HandlerId::BlockAckReceive, 0), 3u);
+    EXPECT_EQ(tableCost(HandlerId::FetchOpService, 0), 5u);
+    EXPECT_EQ(tableCost(HandlerId::FetchOpAck, 0), 3u);
 }
 
 TEST(TableTimingModel, OccupancyUsesResult)
 {
-    TableTimingModel m;
-    HandlerResult res;
-    res.id = HandlerId::ServeWriteMemory;
-    res.costParam = 3;
-    HandlerTiming t =
-        m.occupancy(msg(MsgType::NetGetx, 1, 0, 1), res);
-    EXPECT_EQ(t.occupancy, 14u + 39u);
-    EXPECT_EQ(t.mdcMisses, 0u);
+    // --table-timing charges tableCost(res.id, res.costParam): a hint
+    // from the third node on a sharer list walks two links.
+    machine::MachineConfig cfg = machine::MachineConfig::flash(4);
+    cfg.magic.usePpEmulator = false;
+    cfg.cache.sizeBytes = 256; // one set of two ways
+    machine::Machine m(cfg);
+    const Addr a = m.alloc(3 * kLineSize, 0);
+    m.run([a](tango::Env &env) -> tango::Task {
+        // Nodes 1, 2 and 3 read the line in turn; the list is 3, 2, 1.
+        co_await env.busy(1000 * env.id());
+        if (env.id() == 0)
+            co_return;
+        co_await env.read(a);
+        if (env.id() != 1)
+            co_return;
+        co_await env.busy(5000);
+        co_await env.read(a + kLineSize);
+        co_await env.read(a + 2 * kLineSize); // evicts a: hint to node 0
+    });
+    m.drain();
+    const magic::Magic &home = m.node(0).magic();
+    const auto hint = static_cast<std::size_t>(HandlerId::RemoteHintNth);
+    EXPECT_EQ(home.handlerCount[hint], 1u);
+    EXPECT_EQ(home.handlerCycles[hint], 23u + 2u * 14u);
+    // Table timing has no MDC, so no protocol-data memory traffic.
+    EXPECT_EQ(home.memory().protocolAccesses, 0u);
 }
 
 class PpTimingTest : public ::testing::Test
@@ -84,15 +102,15 @@ class PpTimingTest : public ::testing::Test
           model(programs, dir, params)
     {}
 
-    /** Run preHandler/occupancy for a message at home node 0. */
+    /** Time a message at home node 0 the way MAGIC does when the
+     *  C++ handler's outcome is @p id. */
     HandlerTiming
     time(const Message &m, HandlerId id, bool cache_dirty = false)
     {
-        model.preHandler(m, 0, 0, cache_dirty);
-        HandlerResult res;
-        res.id = id;
-        res.cacheRetrieve = id == HandlerId::RetrieveFromCache;
-        return model.occupancy(m, res);
+        HandlerTiming t = model.run(m, 0, 0, cache_dirty);
+        if (id == HandlerId::RetrieveFromCache)
+            t.occupancy += cacheRetrieveCycles(params);
+        return t;
     }
 
     DirectoryStore dir;
@@ -156,11 +174,8 @@ TEST_F(PpTimingTest, HintCostGrowsWithListPosition)
         for (int i = 0; i < n_ahead; ++i)
             d2.addSharer(line, static_cast<NodeId>(i + 1));
         Message m = msg(MsgType::NetReplaceHint, 9, line, 9);
-        m2.preHandler(m, 0, 0, false); // warm
-        m2.preHandler(m, 0, 0, false);
-        HandlerResult res;
-        res.id = HandlerId::RemoteHintNth;
-        return m2.occupancy(m, res).occupancy;
+        m2.run(m, 0, 0, false); // warm
+        return m2.run(m, 0, 0, false).occupancy;
     };
     Cycles c0 = hint_cost(0);
     Cycles c2 = hint_cost(2);
@@ -192,15 +207,9 @@ TEST_F(PpTimingTest, GetxOccupancyScalesWithInvalidations)
         for (int i = 0; i < sharers; ++i)
             d2.addSharer(line, static_cast<NodeId>(i + 3));
         Message m = msg(MsgType::NetGetx, 2, line, 2);
-        m2.preHandler(m, 0, 0, false);
-        HandlerResult res;
-        res.id = HandlerId::ServeWriteMemory;
-        res.costParam = sharers;
-        Cycles warm_cold = m2.occupancy(m, res).occupancy;
-        (void)warm_cold;
-        // Re-prime the directory (the shadow discarded the walk).
-        m2.preHandler(m, 0, 0, false);
-        return m2.occupancy(m, res).occupancy;
+        m2.run(m, 0, 0, false); // warm
+        // The directory is unchanged (the shadow discarded the walk).
+        return m2.run(m, 0, 0, false).occupancy;
     };
     Cycles c1 = getx_cost(1);
     Cycles c4 = getx_cost(4);
