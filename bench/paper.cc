@@ -360,23 +360,24 @@ table_3_3(Plan &plan)
             {"Remote read, dirty in 3rd node", 136, 191, 61,
              &MissLatencies::remoteDirtyRemote},
         };
-        const magic::MagicParams p = MachineConfig::flash(16).magic;
+        using namespace magic;
         auto u = [](Cycles c) { return static_cast<unsigned long long>(c); };
 
         std::printf("Table 3.2: sub-operation latencies (10 ns cycles)\n");
         std::printf("  miss detect %llu, bus transit %llu, PI in %llu, "
                     "PI out %llu (ideal %llu)\n",
-                    u(p.missDetect), u(p.busTransit), u(p.piInbound),
-                    u(p.piOutbound), u(p.piOutboundIdeal));
+                    u(kMissDetect), u(kBusTransit), u(kPiInbound),
+                    u(kPiOutbound), u(kPiOutboundIdeal));
         std::printf("  cache state retrieve %llu, cache data retrieve "
                     "%llu\n",
-                    u(p.cacheStateRetrieve), u(p.cacheDataRetrieve));
+                    u(kCacheStateRetrieve), u(kCacheDataRetrieve));
         std::printf("  NI in %llu, NI out %llu, inbox arb %llu, jump "
                     "table %llu, outbox %llu\n",
-                    u(p.niInbound), u(p.niOutbound), u(p.inboxArb),
-                    u(p.jumpTable), u(p.outbox));
+                    u(kNiInbound), u(kNiOutbound), u(kInboxArb),
+                    u(kJumpTable), u(kOutbox));
         std::printf("  MDC miss penalty %llu, memory access %llu\n\n",
-                    u(p.mdcMissPenalty), u(p.memAccess));
+                    u(MachineConfig::flash(16).magic.mdcMissPenalty),
+                    u(kMemAccess));
 
         std::printf("Probing the five read-miss classes "
                     "(16-node machines, no contention)...\n\n");
@@ -403,20 +404,20 @@ table_3_3(Plan &plan)
         std::printf("\nFigure 3.1: sub-operations of a local clean read\n");
         Tick t = 0;
         std::printf("  t=%2llu processor detects miss\n", u(t));
-        t += p.missDetect + p.busTransit;
+        t += kMissDetect + kBusTransit;
         std::printf("  t=%2llu request on bus at MAGIC\n", u(t));
-        t += p.piInbound + p.inboxArb;
+        t += kPiInbound + kInboxArb;
         std::printf("  t=%2llu inbox selects message\n", u(t));
-        t += p.jumpTable;
+        t += kJumpTable;
         std::printf("  t=%2llu jump table done; speculative memory read "
                     "issued; PP handler starts\n",
                     u(t));
         std::printf("  t=%2llu memory returns first 8 bytes (handler has "
                     "been hidden underneath)\n",
-                    u(t + p.memAccess));
+                    u(t + kMemAccess));
         std::printf("  t=%2llu first 8 bytes on processor bus (measured "
                     "total: %.0f; paper: 27)\n",
-                    u(t + p.memAccess + p.busArb + p.busTransit),
+                    u(t + kMemAccess + kBusArb + kBusTransit),
                     pf.latency.localClean);
     };
 }
@@ -445,7 +446,7 @@ handlerOccupancy(const protocol::HandlerPrograms &programs,
         out = model.run(m, 0, home, cache_dirty).occupancy;
     }
     if (id == protocol::HandlerId::RetrieveFromCache)
-        out += magic::cacheRetrieveCycles(params);
+        out += magic::kCacheRetrieveCycles;
     return static_cast<double>(out);
 }
 

@@ -80,7 +80,8 @@ usage()
         "(default fft)\n"
         "  --machine M       flash|ideal (default flash)\n"
         "  --procs N         processor count, 1..32768 (default 16;\n"
-        "                    os wants 8)\n"
+        "                    os wants 8; lu needs a perfect square,\n"
+        "                    ocean a power of 4)\n"
         "  --cache SIZE      power of two >= 256, e.g. 1M, 64K, 4096\n"
         "                    (default 1M)\n"
         "  --placement P     rr|firstfit|node0 (default rr)\n"
@@ -99,11 +100,13 @@ usage()
         "fault injection (implies deterministic seeded perturbation):\n"
         "  --inject-seed N       injector RNG seed (default 1)\n"
         "  --inject-jitter N     max extra mesh transit cycles\n"
+        "                        (<= 4294967295)\n"
         "  --inject-nacks P      P(NACK a home request outright),\n"
         "                        in [0, 1): at 1 no request is served\n"
         "  --inject-drop-hints P P(drop a replacement hint)\n"
         "  --inject-dup-hints P  P(duplicate a replacement hint)\n"
         "  --inject-stall N      max extra inbound-queue stall cycles\n"
+        "                        (<= 4294967295)\n"
         "values: N is a whole number (>= 1 for the interval, age and\n"
         "window), P a probability in [0, 1]\n"
         "exit codes: 0 ok, 1 usage, 2 verification failed (violation or\n"
@@ -169,7 +172,7 @@ main(int argc, char **argv)
             // full set.
             std::uint32_t bytes = 0;
             if (!parseSize(next(), bytes) || (bytes & (bytes - 1)) != 0 ||
-                bytes < cfg.cache.assoc * cfg.cache.lineBytes)
+                bytes < cpu::kCacheAssoc * kLineSize)
                 reject();
             cfg.cache.sizeBytes = bytes;
         } else if (!std::strcmp(argv[i], "--placement")) {
@@ -209,7 +212,8 @@ main(int argc, char **argv)
             cfg.magic.verify.fault.seed = nextCount(0, kMaxU64);
         } else if (!std::strcmp(argv[i], "--inject-jitter")) {
             cfg.magic.verify.fault.enabled = true;
-            cfg.magic.verify.fault.meshJitter = nextCount(0, kMaxU64);
+            cfg.magic.verify.fault.meshJitter =
+                nextCount(0, verify::kMaxPerturbCycles);
         } else if (!std::strcmp(argv[i], "--inject-nacks")) {
             cfg.magic.verify.fault.enabled = true;
             cfg.magic.verify.fault.extraNackProb = nextProbability();
@@ -223,7 +227,8 @@ main(int argc, char **argv)
             cfg.magic.verify.fault.dupHintProb = nextProbability();
         } else if (!std::strcmp(argv[i], "--inject-stall")) {
             cfg.magic.verify.fault.enabled = true;
-            cfg.magic.verify.fault.inboundStall = nextCount(0, kMaxU64);
+            cfg.magic.verify.fault.inboundStall =
+                nextCount(0, verify::kMaxPerturbCycles);
         } else {
             reject();
         }
@@ -233,6 +238,8 @@ main(int argc, char **argv)
         cfg.magic.usePpEmulator = false;
     }
     auto w = apps::makeWorkload(app, scale);
+    if (!w->acceptsProcs(cfg.numProcs))
+        reject();
     std::printf("running %s on %s, %d procs, %u KB caches...\n",
                 app.c_str(), ideal ? "ideal" : "FLASH", cfg.numProcs,
                 cfg.cache.sizeBytes / 1024);

@@ -14,11 +14,9 @@ void
 Lu::setup(machine::Machine &m)
 {
     nprocs_ = m.numProcs();
-    procSide_ = 1;
-    while (procSide_ * procSide_ < nprocs_)
-        ++procSide_;
-    if (procSide_ * procSide_ != nprocs_)
+    if (!acceptsProcs(nprocs_))
         fatal("Lu: processor count must be a perfect square");
+    procSide_ = gridSide(nprocs_);
     if (p_.n % p_.blockSize != 0)
         fatal("Lu: n must be a multiple of the block size");
     nblocks_ = p_.n / p_.blockSize;

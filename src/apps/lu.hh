@@ -42,6 +42,7 @@ class Lu : public Workload
     explicit Lu(LuParams params = {}) : p_(params) {}
 
     std::string name() const override { return "lu"; }
+    bool acceptsProcs(int n) const override { return gridSide(n) != 0; }
     void setup(machine::Machine &m) override;
     tango::Task run(tango::Env &env) override;
 

@@ -14,15 +14,11 @@ void
 Ocean::setup(machine::Machine &m)
 {
     nprocs_ = m.numProcs();
-    procSide_ = 1;
-    while (procSide_ * procSide_ < nprocs_)
-        ++procSide_;
-    if (procSide_ * procSide_ != nprocs_)
-        fatal("Ocean: processor count must be a perfect square");
-    int interior = p_.n - 2;
-    if (interior % procSide_ != 0)
-        fatal("Ocean: (n - 2) must divide by the processor-grid side");
-    sub_ = interior / procSide_;
+    if (!acceptsProcs(nprocs_))
+        fatal("Ocean: processor count must be a perfect square whose "
+              "side divides n - 2");
+    procSide_ = gridSide(nprocs_);
+    sub_ = (p_.n - 2) / procSide_;
 
     const Addr sub_bytes =
         static_cast<Addr>(sub_) * sub_ * kElemBytes;

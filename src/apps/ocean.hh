@@ -44,6 +44,13 @@ class Ocean : public Workload
     explicit Ocean(OceanParams params = {}) : p_(params) {}
 
     std::string name() const override { return "ocean"; }
+    /** A square processor grid whose side divides the interior. */
+    bool
+    acceptsProcs(int nprocs) const override
+    {
+        const int side = gridSide(nprocs);
+        return side != 0 && (p_.n - 2) % side == 0;
+    }
     void setup(machine::Machine &m) override;
     tango::Task run(tango::Env &env) override;
 

@@ -42,11 +42,10 @@ OsWorkload::setup(machine::Machine &m)
     // Fresh-page pool: enough pages for every task of every process.
     int total_pages = p_.pagesPerTask * p_.tasks * nprocs_;
     for (int i = 0; i < total_pages; ++i)
-        freshPages_.push_back(m.allocAuto(m.config().pageBytes));
+        freshPages_.push_back(m.allocAuto(kPageBytes));
     for (int l = 0; l < kNumLocks; ++l)
         locks_.push_back(
             m.makeLock(static_cast<NodeId>(l % nprocs_)));
-    pageLines_ = m.config().pageBytes / kLineSize;
     bar_ = m.makeBarrier();
 }
 
@@ -57,7 +56,7 @@ OsWorkload::run(tango::Env &env)
     const int me = env.id();
     Rng rng(p_.seed + static_cast<std::uint64_t>(me) * 13 + 1);
     const Addr my_user = userBase_[static_cast<std::size_t>(me)];
-    const Addr lines_per_page = pageLines_;
+    constexpr Addr lines_per_page = kPageBytes / kLineSize;
 
     for (int task = 0; task < p_.tasks; ++task) {
         // --- User mode: a compiler pass over the private working set.

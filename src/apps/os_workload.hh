@@ -59,7 +59,6 @@ class OsWorkload : public Workload
   private:
     OsParams p_;
     int nprocs_ = 0;
-    Addr pageLines_ = 32;
     std::vector<Addr> userBase_;  ///< per-process private memory
     Addr kernelBase_ = 0;         ///< shared kernel tables
     Addr hotBase_ = 0;            ///< hot scheduler/VM counter lines

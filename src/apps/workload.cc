@@ -12,6 +12,15 @@
 namespace flashsim::apps
 {
 
+int
+gridSide(int nprocs)
+{
+    int side = 1;
+    while (side * side < nprocs)
+        ++side;
+    return side * side == nprocs ? side : 0;
+}
+
 std::unique_ptr<Workload>
 makeWorkload(const std::string &name, Scale scale)
 {

@@ -44,6 +44,10 @@ class Workload
 
     virtual std::string name() const = 0;
 
+    /** Whether the workload runs on @p nprocs processors; setup()
+     *  fatal()s on a count this rejects. */
+    virtual bool acceptsProcs(int /*nprocs*/) const { return true; }
+
     /** Allocate simulated memory and host state. Called exactly once,
      *  before run. */
     virtual void setup(machine::Machine &m) = 0;
@@ -58,6 +62,10 @@ class Workload
         return [this](tango::Env &env) { return run(env); };
     }
 };
+
+/** Side of a square grid of @p nprocs processors, or 0 when @p nprocs
+ *  is not a perfect square. */
+int gridSide(int nprocs);
 
 /** Factory: fft, lu, ocean, radix, barnes, mp3d, os. */
 std::unique_ptr<Workload> makeWorkload(const std::string &name,

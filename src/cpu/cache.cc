@@ -13,29 +13,24 @@ using protocol::MsgType;
 
 Cache::Cache(EventQueue &eq, NodeId self, const CacheParams &params,
              magic::Magic &magic)
-    : eq_(eq), self_(self), p_(params), magic_(magic)
+    : eq_(eq), self_(self), magic_(magic)
 {
-    numSets_ = p_.sizeBytes / (p_.assoc * p_.lineBytes);
+    numSets_ = params.sizeBytes /
+               (kCacheAssoc * static_cast<std::uint32_t>(kLineSize));
     if (numSets_ == 0 || (numSets_ & (numSets_ - 1)) != 0)
         fatal("Cache: set count %u must be a nonzero power of two",
               numSets_);
-    if (p_.lineBytes == 0 || (p_.lineBytes & (p_.lineBytes - 1)) != 0)
-        fatal("Cache: line size %u must be a nonzero power of two",
-              p_.lineBytes);
-    // Tag/set math runs on every access: precompute shift widths so
+    // Tag/set math runs on every access: precompute the set shift so
     // the hot path never divides by a runtime value.
-    for (std::uint32_t b = p_.lineBytes; b > 1; b >>= 1)
-        ++lineShift_;
     for (std::uint32_t ns = numSets_; ns > 1; ns >>= 1)
         ++setShift_;
     const std::size_t nways =
-        static_cast<std::size_t>(numSets_) * p_.assoc;
+        static_cast<std::size_t>(numSets_) * kCacheAssoc;
     states_.assign(nways, State::Invalid);
     // Deliberately default-initialized (uninitialized): a Way is only
     // read once its state leaves Invalid, and installLine fills it
     // first. Zeroing ~200 KB per construction is what this avoids.
     ways_.reset(new Way[nways]);
-    mshrs_.resize(static_cast<std::size_t>(p_.mshrs));
 }
 
 Cache::Mshr *
@@ -65,9 +60,8 @@ Cache::sendRequest(MsgType t, Addr line, bool retry)
     m.dest = self_;
     m.requester = self_;
     m.addr = line;
-    const magic::MagicParams &mp = magic_.params();
     // Retries skip miss detection; first issues pay detect + bus transit.
-    Cycles delay = retry ? 0 : mp.missDetect + mp.busTransit;
+    Cycles delay = retry ? 0 : magic::kMissDetect + magic::kBusTransit;
     magic_.fromProcessorAfter(m, delay);
 }
 
@@ -168,12 +162,12 @@ Cache::installLine(Addr line, State st)
         ways_[w].lru = ++lruClock_;
         return;
     }
-    Addr tag = line >> lineShift_ >> setShift_;
+    Addr tag = line >> kLineShift >> setShift_;
     const std::size_t base =
-        static_cast<std::size_t>(setIndex(line)) * p_.assoc;
+        static_cast<std::size_t>(setIndex(line)) * kCacheAssoc;
     std::size_t victim = base;
     bool have = false;
-    for (std::uint32_t w = 0; w < p_.assoc; ++w) {
+    for (std::uint32_t w = 0; w < kCacheAssoc; ++w) {
         if (states_[base + w] == State::Invalid) {
             victim = base + w;
             break;
@@ -186,13 +180,13 @@ Cache::installLine(Addr line, State st)
         ++writebacks;
         Addr victim_line = ((ways_[victim].tag << setShift_) +
                             setIndex(line))
-                           << lineShift_;
+                           << kLineShift;
         sendRequest(MsgType::PiWriteback, victim_line, true);
     } else if (states_[victim] == State::Shared) {
         ++replaceHints;
         Addr victim_line = ((ways_[victim].tag << setShift_) +
                             setIndex(line))
-                           << lineShift_;
+                           << kLineShift;
         sendRequest(MsgType::PiReplaceHint, victim_line, true);
     }
     states_[victim] = st;

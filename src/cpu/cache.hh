@@ -15,6 +15,7 @@
 #ifndef FLASHSIM_CPU_CACHE_HH_
 #define FLASHSIM_CPU_CACHE_HH_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -29,12 +30,13 @@
 namespace flashsim::cpu
 {
 
+/** Ways per set (of kLineSize lines) and outstanding misses. */
+inline constexpr std::uint32_t kCacheAssoc = 2;
+inline constexpr std::size_t kMshrs = 4;
+
 struct CacheParams
 {
     std::uint32_t sizeBytes = 1u << 20; ///< 1 MB default
-    std::uint32_t assoc = 2;
-    std::uint32_t lineBytes = 128;
-    int mshrs = 4; ///< outstanding misses
 
     bool operator==(const CacheParams &) const = default;
 };
@@ -163,7 +165,7 @@ class Cache
     std::uint32_t
     setIndex(Addr addr) const
     {
-        return static_cast<std::uint32_t>(addr >> lineShift_) &
+        return static_cast<std::uint32_t>(addr >> kLineShift) &
                (numSets_ - 1);
     }
 
@@ -171,10 +173,10 @@ class Cache
     std::int32_t
     findWay(Addr addr) const
     {
-        const Addr tag = addr >> lineShift_ >> setShift_;
+        const Addr tag = addr >> kLineShift >> setShift_;
         const std::size_t base =
-            static_cast<std::size_t>(setIndex(addr)) * p_.assoc;
-        for (std::uint32_t w = 0; w < p_.assoc; ++w) {
+            static_cast<std::size_t>(setIndex(addr)) * kCacheAssoc;
+        for (std::uint32_t w = 0; w < kCacheAssoc; ++w) {
             if (states_[base + w] != State::Invalid &&
                 ways_[base + w].tag == tag)
                 return static_cast<std::int32_t>(base + w);
@@ -191,16 +193,14 @@ class Cache
 
     EventQueue &eq_;
     NodeId self_;
-    CacheParams p_;
     magic::Magic &magic_;
 
     std::uint32_t numSets_;
-    std::uint32_t lineShift_ = 0; ///< log2(lineBytes)
-    std::uint32_t setShift_ = 0;  ///< log2(numSets_)
+    std::uint32_t setShift_ = 0; ///< log2(numSets_)
     std::uint64_t lruClock_ = 0;
     std::vector<State> states_; ///< per-way state; Invalid = 0
     std::unique_ptr<Way[]> ways_; ///< valid iff states_[i] != Invalid
-    std::vector<Mshr> mshrs_;
+    std::array<Mshr, kMshrs> mshrs_;
     Tick busyUntil_ = 0;
     std::vector<Callback> mshrFreeWaiters_;
     /** Scratch the completed MSHR's waiter list is swapped into before

@@ -26,6 +26,9 @@ enum class Placement
     FirstFit,        ///< fill one node's memory before the next (old IRIX)
 };
 
+/** Per-node memory filled before moving on under FirstFit. */
+inline constexpr std::uint64_t kFirstFitNodeBytes = std::uint64_t{8} << 20;
+
 struct MachineConfig
 {
     int numProcs = 16;
@@ -35,9 +38,6 @@ struct MachineConfig
     ppc::CompileOptions ppCompile;
 
     Placement placement = Placement::RoundRobinPages;
-    std::uint64_t pageBytes = 4096;
-    /** Per-node memory filled before moving on under FirstFit. */
-    std::uint64_t firstFitNodeBytes = std::uint64_t{8} << 20;
 
     /**
      * Page remapping hook (Section 4.4): when set it overrides every
@@ -59,9 +59,7 @@ struct MachineConfig
     {
         return numProcs == o.numProcs && magic == o.magic &&
                cache == o.cache && net == o.net &&
-               ppCompile == o.ppCompile && placement == o.placement &&
-               pageBytes == o.pageBytes &&
-               firstFitNodeBytes == o.firstFitNodeBytes;
+               ppCompile == o.ppCompile && placement == o.placement;
     }
 
     /** FLASH machine with @p cache_bytes processor caches. */

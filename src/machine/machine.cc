@@ -1,7 +1,6 @@
 #include "machine/machine.hh"
 
 #include <algorithm>
-#include <bit>
 
 #include "sim/logging.hh"
 
@@ -11,25 +10,17 @@ namespace flashsim::machine
 namespace
 {
 /** Base of the application address space (must stay clear of the
- *  protocol-data regions at 1<<44 and above). */
+ *  protocol-data regions at 1<<44 and above); page-aligned, so pageHeat
+ *  can rebase MAGIC's page numbers by subtracting its page. */
 constexpr Addr kAppBase = Addr{1} << 20;
+static_assert(kAppBase % kPageBytes == 0);
 } // namespace
 
 Machine::Machine(const MachineConfig &cfg)
     : cfg_(cfg), sync_(cfg.numProcs),
       programs_(protocol::sharedHandlerPrograms(cfg.ppCompile)),
-      base_(std::max(kAppBase, cfg.pageBytes)), next_(base_)
+      next_(kAppBase)
 {
-    // One shift maps an address to its page everywhere: homeOf and
-    // pageIndexOf from the page-aligned base_, MAGIC's page monitor
-    // from address 0 (pageHeat subtracts base_'s page).
-    if (cfg_.pageBytes < kLineSize || !std::has_single_bit(cfg_.pageBytes))
-        fatal("Machine: pageBytes %llu is not a power of two >= %llu",
-              static_cast<unsigned long long>(cfg_.pageBytes),
-              static_cast<unsigned long long>(kLineSize));
-    pageShift_ = static_cast<unsigned>(std::countr_zero(cfg_.pageBytes));
-    cfg_.magic.pageShift = pageShift_;
-
     net_ = std::make_unique<network::MeshNetwork>(eq_, cfg_.numProcs,
                                                   cfg_.net);
     nodes_.reserve(static_cast<std::size_t>(cfg_.numProcs));
@@ -100,12 +91,12 @@ Machine::alloc(std::uint64_t bytes, NodeId node)
         cfg_.placement == Placement::FirstFit || cfg_.placementHook)
         return allocAuto(bytes);
     Addr start = next_;
-    std::uint64_t pages = (bytes + cfg_.pageBytes - 1) >> pageShift_;
+    std::uint64_t pages = (bytes + kPageBytes - 1) >> kPageShift;
     if (pages == 0)
         pages = 1;
     for (std::uint64_t p = 0; p < pages; ++p)
         pageHome_.push_back(node);
-    next_ += pages * cfg_.pageBytes;
+    next_ += pages * kPageBytes;
     return start;
 }
 
@@ -113,7 +104,7 @@ Addr
 Machine::allocAuto(std::uint64_t bytes)
 {
     Addr start = next_;
-    std::uint64_t pages = (bytes + cfg_.pageBytes - 1) >> pageShift_;
+    std::uint64_t pages = (bytes + kPageBytes - 1) >> kPageShift;
     if (pages == 0)
         pages = 1;
     for (std::uint64_t p = 0; p < pages; ++p) {
@@ -134,24 +125,24 @@ Machine::allocAuto(std::uint64_t bytes)
             break;
           case Placement::FirstFit:
             home = static_cast<NodeId>(
-                (firstFitAllocated_ / cfg_.firstFitNodeBytes) %
+                (firstFitAllocated_ / kFirstFitNodeBytes) %
                 static_cast<std::uint64_t>(cfg_.numProcs));
-            firstFitAllocated_ += cfg_.pageBytes;
+            firstFitAllocated_ += kPageBytes;
             break;
         }
         pageHome_.push_back(home);
     }
-    next_ += pages * cfg_.pageBytes;
+    next_ += pages * kPageBytes;
     return start;
 }
 
 NodeId
 Machine::homeOf(Addr addr) const
 {
-    if (addr < base_)
+    if (addr < kAppBase)
         panic("homeOf: address 0x%llx below app base",
               static_cast<unsigned long long>(addr));
-    const std::uint64_t page = (addr - base_) >> pageShift_;
+    const std::uint64_t page = (addr - kAppBase) >> kPageShift;
     if (page >= pageHome_.size())
         panic("homeOf: address 0x%llx was never allocated",
               static_cast<unsigned long long>(addr));
@@ -192,7 +183,7 @@ Machine::makeLock(NodeId node)
 std::uint64_t
 Machine::pageIndexOf(Addr addr) const
 {
-    return (addr - base_) >> pageShift_;
+    return (addr - kAppBase) >> kPageShift;
 }
 
 FlatCounterMap
@@ -203,7 +194,7 @@ Machine::pageHeat() const
     for (const auto &n : nodes_)
         entries += n->magic().pageRemoteAccesses.size();
     heat.reserve(entries);
-    const std::uint64_t base_page = base_ >> pageShift_;
+    const std::uint64_t base_page = kAppBase >> kPageShift;
     for (const auto &n : nodes_) {
         for (const auto &[abs_page, count] :
              n->magic().pageRemoteAccesses)
@@ -272,7 +263,7 @@ Machine::stateDigest() const
             h *= 0x100000001b3ull;
         }
     };
-    for (Addr line = base_; line < next_; line += kLineSize) {
+    for (Addr line = kAppBase; line < next_; line += kLineSize) {
         const NodeId home = homeOf(line);
         const auto hdr = nodes_[home]->magic().directory().header(line);
         mix(hdr.pack());

@@ -118,10 +118,7 @@ class Machine : public protocol::AddressMap
 
     /** Page table: page index -> home node. */
     std::vector<NodeId> pageHome_;
-    Addr base_;
     Addr next_;
-    /** log2(pageBytes); the constructor requires a power of two. */
-    unsigned pageShift_ = 0;
     std::uint64_t rrCounter_ = 0;
     std::uint64_t firstFitAllocated_ = 0;
     Tick execTime_ = 0;

@@ -1,7 +1,5 @@
 #include "machine/node.hh"
 
-#include <algorithm>
-
 namespace flashsim::machine
 {
 
@@ -18,24 +16,7 @@ Node::Node(EventQueue &eq, NodeId id, const MachineConfig &cfg,
     env_ = std::make_unique<tango::Env>(proc_.get(), static_cast<int>(id),
                                         cfg.numProcs);
     magic_->connect(*cache_, net, *env_);
-    env_->blockSender = [this, &eq](NodeId dest, Addr addr,
-                                    std::uint32_t bytes, Tick when) {
-        eq.scheduleAt(std::max(when, eq.now()), [this, dest, addr,
-                                                 bytes] {
-            magic_->sendBlock(dest, addr, bytes);
-        });
-    };
-    env_->fetchOpSender = [this, &eq](Addr addr, Tick when) {
-        eq.scheduleAt(std::max(when, eq.now()), [this, addr] {
-            protocol::Message m;
-            m.type = protocol::MsgType::PiFetchOp;
-            m.src = id_;
-            m.dest = id_;
-            m.requester = id_;
-            m.addr = lineBase(addr);
-            magic_->fromProcessor(m);
-        });
-    };
+    env_->magic = magic_.get();
 
     net.connect(id, [this](const protocol::Message &m) {
         magic_->fromNetwork(m);

@@ -24,9 +24,9 @@ Magic::Magic(EventQueue &eq, NodeId self, const MagicParams &params,
              const protocol::AddressMap &map,
              const protocol::HandlerPrograms *programs)
     : eq_(eq), self_(self), params_(params), map_(map), dir_(),
-      mem_(params.memAccess, params.memBusy),
+      mem_(kMemAccess, kMemBusy),
       jumpTable_(JumpTable::standard(params.speculation)),
-      buffers_(params.dataBuffers, params.ideal), probe_(*this),
+      buffers_(kDataBuffers, params.ideal), probe_(*this),
       engine_(self, dir_, map_, probe_)
 {
     if (params_.usePpEmulator && !params_.ideal) {
@@ -71,7 +71,7 @@ Magic::inboundArrival(Cycles base, Tick &last)
 void
 Magic::fromProcessor(const Message &msg)
 {
-    Tick t = inboundArrival(params_.piInbound, lastPiArrival_);
+    Tick t = inboundArrival(kPiInbound, lastPiArrival_);
     eq_.scheduleAt(t, [this, msg] { enqueue(piQueue_, msg); });
 }
 
@@ -82,7 +82,7 @@ Magic::fromProcessorAfter(const Message &msg, Cycles delay)
         eq_.schedule(delay, [this, msg] { fromProcessor(msg); });
         return;
     }
-    eq_.scheduleAt(eq_.now() + delay + params_.piInbound,
+    eq_.scheduleAt(eq_.now() + delay + kPiInbound,
                    [this, msg] { enqueue(piQueue_, msg); });
 }
 
@@ -95,12 +95,28 @@ Magic::fromNetwork(const Message &msg)
         (msg.type == MsgType::NetGet || msg.type == MsgType::NetGetx) &&
         map_.homeOf(msg.addr) == self_)
         sentinel_->injector().skipRequestDraw(self_);
-    Tick t = inboundArrival(params_.niInbound, lastNiArrival_);
+    Tick t = inboundArrival(kNiInbound, lastNiArrival_);
     eq_.scheduleAt(t, [this, msg] { enqueue(niQueue_, msg); });
 }
 
 void
-Magic::sendBlock(NodeId dest, Addr addr, std::uint32_t bytes)
+Magic::sendBlock(NodeId dest, Addr addr, std::uint32_t bytes, Tick issue)
+{
+    eq_.scheduleAt(std::max(issue, eq_.now()), [this, dest, addr, bytes] {
+        streamBlock(dest, addr, bytes);
+    });
+}
+
+void
+Magic::fetchOp(Addr addr, Tick issue)
+{
+    const Message m{MsgType::PiFetchOp, self_, self_, self_, lineBase(addr)};
+    eq_.scheduleAt(std::max(issue, eq_.now()),
+                   [this, m] { fromProcessor(m); });
+}
+
+void
+Magic::streamBlock(NodeId dest, Addr addr, std::uint32_t bytes)
 {
     const Addr base = lineBase(addr);
     const std::uint32_t chunks =
@@ -124,7 +140,7 @@ Magic::sendBlock(NodeId dest, Addr addr, std::uint32_t bytes)
         m.addr = base + static_cast<Addr>(i) * kLineSize;
         m.aux = chunks - 1 - i; // chunks remaining after this one
         ++blockChunksSent;
-        Tick t = std::max(launch + params_.niOutbound, data_ready);
+        Tick t = std::max(launch + kNiOutbound, data_ready);
         net_->sendAt(m, t);
         launch = t; // chunks stay ordered on the wire
     }
@@ -166,7 +182,7 @@ Magic::enqueue(MagicFifo<Pending> &q, const Message &msg)
         if (!params_.ideal && map_.homeOf(msg.addr) == self_ &&
             jumpTable_.lookup(msg.type).specRead && buffers_.acquire()) {
             p.specIssued = true;
-            p.specReady = mem_.read(eq_.now() + params_.jumpTable);
+            p.specReady = mem_.read(eq_.now() + kJumpTable);
             ++specIssued;
         }
         q.push_back(p);
@@ -197,8 +213,7 @@ Magic::tryDispatch()
     ppBusy_ = true;
 
     // Inbox: queue selection/arbitration, then the jump-table lookup.
-    Cycles lead =
-        params_.inboxArb + (params_.ideal ? 0 : params_.jumpTable);
+    Cycles lead = kInboxArb + (params_.ideal ? 0 : kJumpTable);
     eq_.schedule(lead, [this] { runHandler(); });
 }
 
@@ -248,7 +263,7 @@ Magic::runHandler()
     if (!pp_)
         ht.occupancy = tableCost(res.id, res.costParam);
     else if (res.cacheRetrieve)
-        ht.occupancy += cacheRetrieveCycles(params_);
+        ht.occupancy += kCacheRetrieveCycles;
 
     if (traceLine_ && lineNumber(msg.addr) == *traceLine_) {
         std::fprintf(stderr,
@@ -268,9 +283,9 @@ Magic::runHandler()
     if (params_.monitorPages && at_home && msg.requester != self_ &&
         (msg.type == MsgType::PiGet || msg.type == MsgType::NetGet ||
          msg.type == MsgType::PiGetx || msg.type == MsgType::NetGetx)) {
-        ++pageRemoteAccesses[msg.addr >> params_.pageShift];
+        ++pageRemoteAccesses[msg.addr >> kPageShift];
         if (!params_.ideal)
-            occ += params_.monitorCost;
+            occ += kMonitorCost;
     }
 
     ppOcc.addBusy(occ);
@@ -326,15 +341,14 @@ Magic::runHandler()
     // Processor-cache operations directed through the PI.
     Tick cache_ready = 0;
     if (res.cacheRetrieve) {
-        cache_ready =
-            now + params_.cacheStateRetrieve + params_.cacheDataRetrieve;
+        cache_ready = now + kCacheStateRetrieve + kCacheDataRetrieve;
         cache_->busyUntil(cache_ready);
         if (res.cacheSharing)
             cache_->downgrade(msg.addr);
         if (res.cacheInvalidate)
             cache_->invalidate(msg.addr);
     } else if (res.cacheInvalidate) {
-        cache_ready = now + params_.cacheStateRetrieve;
+        cache_ready = now + kCacheStateRetrieve;
         cache_->busyUntil(cache_ready);
         cache_->invalidate(msg.addr);
     } else if (res.cacheSharing) {
@@ -383,7 +397,7 @@ Magic::runHandler()
     // A NACK reply at the requester: tell the cache so it retries.
     if (msg.type == MsgType::NetNack) {
         ++nacksReceived;
-        Tick t = pp_end + (params_.ideal ? 0 : params_.outbox);
+        Tick t = pp_end + (params_.ideal ? 0 : kOutbox);
         eq_.scheduleAt(t, [this, msg] { cache_->deliver(msg); });
     }
 
@@ -440,14 +454,14 @@ Magic::injectedNack(const Pending &pending, bool release_buffer)
 void
 Magic::launch(const Message &msg, Tick pp_end, Tick gate)
 {
-    const Cycles outbox = params_.ideal ? 0 : params_.outbox;
+    const Cycles outbox = params_.ideal ? 0 : kOutbox;
     const Tick header_start = pp_end + outbox;
 
     if (!protocol::isNetMsg(msg.type)) {
         // Processor-bound reply: outbound PI processing overlaps with
         // data staging; first word hits the bus after arbitration.
-        Tick t = std::max(header_start + params_.piOut(), gate) +
-                 params_.busArb + params_.busTransit;
+        const Cycles pi_out = params_.ideal ? kPiOutboundIdeal : kPiOutbound;
+        Tick t = std::max(header_start + pi_out, gate) + kBusArb + kBusTransit;
         eq_.scheduleAt(t, [this, msg] { cache_->deliver(msg); });
         return;
     }
@@ -463,7 +477,7 @@ Magic::launch(const Message &msg, Tick pp_end, Tick gate)
     // Network-bound: NI outbound header processing overlaps with data
     // staging (pipelined data buffers). The network takes the future
     // departure time directly; no event exists only to hand it over.
-    net_->sendAt(msg, std::max(header_start + params_.niOutbound, gate));
+    net_->sendAt(msg, std::max(header_start + kNiOutbound, gate));
 }
 
 } // namespace flashsim::magic

@@ -153,13 +153,18 @@ class Magic
 
     /**
      * Initiate an uncached block transfer (the message-passing
-     * protocol): stream @p bytes starting at @p addr to @p dest. The
+     * protocol) that the processor issued at @p issue: stream @p bytes
+     * starting at @p addr to @p dest, beginning at max(issue, now). The
      * PP sets the transfer up and the data-transfer logic pipelines
      * one line-sized chunk per local memory read; the receiver's
      * handler deposits chunks straight into its memory and the final
      * chunk is acknowledged back (Env::notifyBlockAcked).
      */
-    void sendBlock(NodeId dest, Addr addr, std::uint32_t bytes);
+    void sendBlock(NodeId dest, Addr addr, std::uint32_t bytes, Tick issue);
+
+    /** Issue the processor's uncached fetch&op on @p addr's line at
+     *  max(@p issue, now); completion is Env::notifyFetchOpDone. */
+    void fetchOp(Addr addr, Tick issue);
 
     memsys::MemoryController &memory() { return mem_; }
     const memsys::MemoryController &memory() const { return mem_; }
@@ -237,6 +242,7 @@ class Magic
         Tick specReady = 0;
     };
 
+    void streamBlock(NodeId dest, Addr addr, std::uint32_t bytes);
     void enqueue(MagicFifo<Pending> &q, const protocol::Message &msg);
     void tryDispatch();
     /** Run the handler for running_, the message the PP took. */

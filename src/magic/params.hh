@@ -1,6 +1,7 @@
 /**
  * @file
- * MAGIC and machine timing/configuration parameters.
+ * MAGIC timing constants and the controller settings that experiments
+ * vary.
  *
  * Latencies are the sub-operation latencies of Table 3.2 (10 ns system
  * clock cycles, taken by the authors from the MAGIC Verilog model). Of
@@ -21,6 +22,37 @@
 namespace flashsim::magic
 {
 
+// ---- Table 3.2 sub-operation latencies ----------------------------------
+inline constexpr Cycles kMissDetect = 5; ///< miss detect to request on bus
+inline constexpr Cycles kBusTransit = 1;
+inline constexpr Cycles kPiInbound = 1;
+inline constexpr Cycles kPiOutbound = 4;      ///< FLASH value
+inline constexpr Cycles kPiOutboundIdeal = 2; ///< ideal-machine value
+inline constexpr Cycles kBusArb = 1;
+inline constexpr Cycles kCacheStateRetrieve = 15; ///< state from proc cache
+inline constexpr Cycles kCacheDataRetrieve = 20;  ///< first double word
+inline constexpr Cycles kNiInbound = 8;
+inline constexpr Cycles kNiOutbound = 4;
+inline constexpr Cycles kInboxArb = 1; ///< queue selection and arbitration
+inline constexpr Cycles kJumpTable = 2;
+inline constexpr Cycles kOutbox = 1;
+inline constexpr Cycles kMemAccess = 14; ///< time to first 8 bytes
+/** Memory controller service interval per line: the 128-byte line
+ *  streams over the 64-bit path for 16 cycles plus bank turnaround
+ *  (calibrated so the Section 4.3 node-0 occupancies match the paper's
+ *  82% PP / 68% memory). */
+inline constexpr Cycles kMemBusy = 20;
+
+/** Table 3.1 data buffers. */
+inline constexpr int kDataBuffers = 16;
+
+/** MDC associativity and line size (Section 5.2). */
+inline constexpr std::uint32_t kMdcAssoc = 2;
+inline constexpr std::uint32_t kMdcLineBytes = 128;
+
+/** Extra PP cycles per request counted by page monitoring. */
+inline constexpr Cycles kMonitorCost = 2;
+
 struct MagicParams
 {
     /** Ideal (zero-time hardwired) controller instead of the PP. */
@@ -30,62 +62,28 @@ struct MagicParams
     /** Use the PP emulator for handler timing (vs the Table 3.4 table). */
     bool usePpEmulator = true;
 
-    // ---- Table 3.2 sub-operation latencies ------------------------------
-    Cycles missDetect = 5;   ///< miss detect to request on bus
-    Cycles busTransit = 1;
-    Cycles piInbound = 1;
-    Cycles piOutbound = 4;      ///< FLASH value
-    Cycles piOutboundIdeal = 2; ///< ideal-machine value
-    Cycles busArb = 1;
-    Cycles cacheStateRetrieve = 15; ///< retrieve state from proc cache
-    Cycles cacheDataRetrieve = 20;  ///< first double word from proc cache
-    Cycles niInbound = 8;
-    Cycles niOutbound = 4;
-    Cycles inboxArb = 1;  ///< queue selection and arbitration
-    Cycles jumpTable = 2;
-    Cycles outbox = 1;
+    /** MDC miss penalty (Table 3.2; zeroed by the Section 5.2 sweep). */
     Cycles mdcMissPenalty = 29;
-    Cycles memAccess = 14;   ///< time to first 8 bytes
-    /** Memory controller service interval per line: the 128-byte line
-     *  streams over the 64-bit path for 16 cycles plus bank turnaround
-     *  (calibrated so the Section 4.3 node-0 occupancies match the
-     *  paper's 82% PP / 68% memory). */
-    Cycles memBusy = 20;
     /** Cold-miss penalty charged on a handler's first invocation (MIC). */
     Cycles micColdMiss = 20;
 
-    // ---- Table 3.1 data buffers ------------------------------------------
-    int dataBuffers = 16;
-
-    // ---- MDC geometry (Section 5.2) --------------------------------------
+    /** MDC capacity (Section 5.2). */
     std::uint32_t mdcBytes = 64 * 1024;
-    std::uint32_t mdcAssoc = 2;
-    std::uint32_t mdcLineBytes = 128;
 
     /** NACKed requests retry after this backoff (not in the paper). */
     Cycles nackRetryBackoff = 16;
 
-    /** log2(page size), for the per-page access monitoring that backs
-     *  the Section 4.4 hot-spot detection (set by the machine). */
-    unsigned pageShift = 12;
     /** Count per-page remote accesses at the home node (the kind of
      *  performance monitoring the paper cites as a flexibility win;
-     *  costs a couple of PP cycles per monitored handler). */
+     *  costs kMonitorCost PP cycles per monitored request), for the
+     *  Section 4.4 hot-spot detection. */
     bool monitorPages = false;
-    /** Extra PP cycles per monitored request. */
-    Cycles monitorCost = 2;
 
     /** Verification layer (oracle / watchdog / fault injection); all
      *  off by default, see verify/params.hh. */
     verify::VerifyParams verify;
 
     bool operator==(const MagicParams &) const = default;
-
-    Cycles
-    piOut() const
-    {
-        return ideal ? piOutboundIdeal : piOutbound;
-    }
 };
 
 } // namespace flashsim::magic

@@ -92,7 +92,7 @@ PpTimingModel::PpTimingModel(const protocol::HandlerPrograms &programs,
                              const protocol::DirectoryStore &dir,
                              const MagicParams &params)
     : micColdMiss_(params.micColdMiss),
-      mdc_(params.mdcBytes, params.mdcAssoc, params.mdcLineBytes),
+      mdc_(params.mdcBytes, kMdcAssoc, kMdcLineBytes),
       shadow_(dir, mdc_, params.mdcMissPenalty)
 {
     // Debug aid: FS_TRACE_MDC=1 logs every MDC access on stderr.

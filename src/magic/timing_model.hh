@@ -51,11 +51,8 @@ Cycles tableCost(protocol::HandlerId id, int param);
  * processor cache, and Table 3.4 charges this to the handler
  * ("retrieve data from processor cache": 38 cycles total).
  */
-inline Cycles
-cacheRetrieveCycles(const MagicParams &params)
-{
-    return params.cacheStateRetrieve + params.cacheDataRetrieve - 1;
-}
+inline constexpr Cycles kCacheRetrieveCycles =
+    kCacheStateRetrieve + kCacheDataRetrieve - 1;
 
 /** PPsim-driven timing. */
 class PpTimingModel
@@ -68,7 +65,7 @@ class PpTimingModel
     /**
      * Run the handler program for @p msg arriving at @p self, against
      * the directory as it stands before the authoritative C++ handler
-     * mutates it. The occupancy excludes cacheRetrieveCycles(), which
+     * mutates it. The occupancy excludes kCacheRetrieveCycles, which
      * only the C++ handler's result decides.
      */
     HandlerTiming run(const protocol::Message &msg, NodeId self,

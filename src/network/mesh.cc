@@ -25,6 +25,25 @@ checkedNodeCount(int num_nodes)
     return num_nodes;
 }
 
+/** Average transit latency on a @p side x @p side mesh. */
+Cycles
+averageTransit(int side)
+{
+    // Average internal hop count for uniform traffic on a side x side
+    // mesh: the mean |dx| on a line of n nodes is (n^2 - 1) / (3n), the
+    // Manhattan distance doubles it, and excluding the self-pairs
+    // scales by N/(N-1). That gives the paper's 2.6 average hops for 16
+    // nodes; with one hop to enter and one to exit at 4 cycles each
+    // plus 3 header cycles the average transit is 22 cycles.
+    double n_nodes = static_cast<double>(side) * side;
+    double mean_axis =
+        (static_cast<double>(side) * side - 1.0) / (3.0 * side);
+    double internal = 2.0 * mean_axis *
+                      (n_nodes > 1 ? n_nodes / (n_nodes - 1.0) : 1.0);
+    double hops = internal + 2.0;
+    return static_cast<Cycles>(std::lround(kPerHop * hops + kHeader));
+}
+
 } // namespace
 
 MeshNetwork::MeshNetwork(EventQueue &eq, int num_nodes, MeshParams params)
@@ -35,7 +54,7 @@ MeshNetwork::MeshNetwork(EventQueue &eq, int num_nodes, MeshParams params)
     side_ = 1;
     while (side_ * side_ < num_nodes)
         ++side_;
-    avgTransit_ = avgTransitFor(num_nodes, params_);
+    avgTransit_ = averageTransit(side_);
 }
 
 void
@@ -55,7 +74,7 @@ MeshNetwork::transit(NodeId src, NodeId dest) const
     // self-pairs, so charging it here would overbill by the mean
     // internal hop count, ~22 cycles on 16 nodes.)
     if (src == dest)
-        return params_.perHop * 2 + params_.header;
+        return kPerHop * 2 + kHeader;
     if (!params_.distanceBased)
         return avgTransit_;
     int sx = static_cast<int>(src) % side_;
@@ -63,31 +82,9 @@ MeshNetwork::transit(NodeId src, NodeId dest) const
     int dx = static_cast<int>(dest) % side_;
     int dy = static_cast<int>(dest) / side_;
     int hops = std::abs(sx - dx) + std::abs(sy - dy) + 2;
-    return params_.perHop * static_cast<Cycles>(hops) + params_.header;
+    return kPerHop * static_cast<Cycles>(hops) + kHeader;
 }
 
-Cycles
-MeshNetwork::avgTransitFor(int num_nodes, MeshParams params)
-{
-    int side = 1;
-    while (side * side < num_nodes)
-        ++side;
-
-    // Average internal hop count for uniform traffic on a side x side
-    // mesh: the mean |dx| on a line of n nodes is (n^2 - 1) / (3n), the
-    // Manhattan distance doubles it, and excluding the self-pairs
-    // scales by N/(N-1). That gives the paper's 2.6 average hops for 16
-    // nodes; with one hop to enter and one to exit at 4 cycles each
-    // plus 3 header cycles the average transit is 22 cycles.
-    double n_nodes = static_cast<double>(side) * side;
-    double mean_axis =
-        (static_cast<double>(side) * side - 1.0) / (3.0 * side);
-    double internal = 2.0 * mean_axis *
-                      (n_nodes > 1 ? n_nodes / (n_nodes - 1.0) : 1.0);
-    double hops = internal + 2.0;
-    return static_cast<Cycles>(
-        std::lround(params.perHop * hops + params.header));
-}
 
 void
 MeshNetwork::setPerturb(std::function<Cycles(const protocol::Message &)> p)

@@ -34,10 +34,12 @@
 namespace flashsim::network
 {
 
+/** Per-hop fall-through time (40 ns) and header cycles per message. */
+inline constexpr Cycles kPerHop = 4;
+inline constexpr Cycles kHeader = 3;
+
 struct MeshParams
 {
-    Cycles perHop = 4;    ///< 40 ns fall-through
-    Cycles header = 3;    ///< header cycles
     bool distanceBased = false; ///< per-pair distance instead of average
 
     bool operator==(const MeshParams &) const = default;
@@ -75,9 +77,6 @@ class MeshNetwork
      *  enter the mesh and pay only entry/exit + header, in both
      *  modes. */
     Cycles transit(NodeId src, NodeId dest) const;
-
-    /** avgTransit() for a hypothetical network. */
-    static Cycles avgTransitFor(int num_nodes, MeshParams params);
 
     /** Mesh side length (smallest square covering num_nodes). */
     int side() const { return side_; }

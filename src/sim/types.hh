@@ -36,6 +36,10 @@ inline constexpr Addr kLineSize = 128;
 /** log2(kLineSize). */
 inline constexpr int kLineShift = 7;
 
+/** Page size (4 KB) of the page table and MAGIC's page monitor. */
+inline constexpr int kPageShift = 12;
+inline constexpr Addr kPageBytes = Addr{1} << kPageShift;
+
 /** Align an address down to its cache-line base. */
 constexpr Addr
 lineBase(Addr a)

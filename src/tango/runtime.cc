@@ -1,5 +1,6 @@
 #include "tango/runtime.hh"
 
+#include "magic/magic.hh"
 #include "tango/sync_phase.hh"
 
 namespace flashsim::tango
@@ -24,7 +25,7 @@ void
 BlockSendAwaiter::await_suspend(std::coroutine_handle<> h)
 {
     env->sendWaiter_ = h;
-    env->blockSender(dest, addr, bytes, env->proc().cursor());
+    env->magic->sendBlock(dest, addr, bytes, env->proc().cursor());
 }
 
 void
@@ -58,7 +59,7 @@ void
 FetchOpAwaiter::await_suspend(std::coroutine_handle<> h)
 {
     env->fetchOpWaiter_ = h;
-    env->fetchOpSender(addr, env->proc().cursor());
+    env->magic->fetchOp(addr, env->proc().cursor());
 }
 
 void

@@ -15,7 +15,6 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "cpu/processor.hh"
@@ -193,10 +192,9 @@ class Env
      */
     FetchOpAwaiter fetchOp(Addr addr) { return FetchOpAwaiter{this, addr}; }
 
-    /** Node-side wiring: initiate a transfer on this node's MAGIC. */
-    std::function<void(NodeId, Addr, std::uint32_t, Tick)> blockSender;
-    /** Node-side wiring: issue a fetch&op through this node's MAGIC. */
-    std::function<void(Addr, Tick)> fetchOpSender;
+    /** Node-side wiring: this node's MAGIC, which starts block
+     *  transfers and fetch&ops. */
+    magic::Magic *magic = nullptr;
     /** Machine wiring: the sync phase syncPoint() defers into. Null:
      *  syncPoint() is a no-op. */
     SyncPhase *syncPhase = nullptr;

@@ -17,6 +17,10 @@
 namespace flashsim::verify
 {
 
+/** Largest meshJitter and inboundStall: a draw in [0, max] must not
+ *  wrap, and a stalled arrival time must not overflow Tick. */
+inline constexpr Cycles kMaxPerturbCycles = 0xffffffff;
+
 /**
  * Seeded, deterministic protocol perturbations. Every decision comes
  * from one xorshift64* stream drawn in event order, so a (seed, config)

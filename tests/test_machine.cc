@@ -238,30 +238,31 @@ TEST(MachineTest, PlacementPoliciesRouteHomes)
         MachineConfig cfg = MachineConfig::flash(4);
         cfg.placement = Placement::RoundRobinPages;
         Machine m(cfg);
-        Addr a = m.allocAuto(4 * cfg.pageBytes);
+        Addr a = m.allocAuto(4 * kPageBytes);
         EXPECT_EQ(m.homeOf(a), 0u);
-        EXPECT_EQ(m.homeOf(a + cfg.pageBytes), 1u);
-        EXPECT_EQ(m.homeOf(a + 3 * cfg.pageBytes), 3u);
+        EXPECT_EQ(m.homeOf(a + kPageBytes), 1u);
+        EXPECT_EQ(m.homeOf(a + 3 * kPageBytes), 3u);
     }
     {
         MachineConfig cfg = MachineConfig::flash(4);
         cfg.placement = Placement::Node0;
         Machine m(cfg);
-        Addr a = m.allocAuto(8 * cfg.pageBytes);
+        Addr a = m.allocAuto(8 * kPageBytes);
         for (int p = 0; p < 8; ++p)
-            EXPECT_EQ(m.homeOf(a + static_cast<Addr>(p) * cfg.pageBytes),
+            EXPECT_EQ(m.homeOf(a + static_cast<Addr>(p) * kPageBytes),
                       0u);
     }
     {
         MachineConfig cfg = MachineConfig::flash(4);
         cfg.placement = Placement::FirstFit;
-        cfg.firstFitNodeBytes = 2 * cfg.pageBytes;
         Machine m(cfg);
-        Addr a = m.allocAuto(6 * cfg.pageBytes);
+        // Each node's memory fills before the next node's.
+        constexpr Addr node = kFirstFitNodeBytes;
+        Addr a = m.allocAuto(3 * node);
         EXPECT_EQ(m.homeOf(a), 0u);
-        EXPECT_EQ(m.homeOf(a + cfg.pageBytes), 0u);
-        EXPECT_EQ(m.homeOf(a + 2 * cfg.pageBytes), 1u);
-        EXPECT_EQ(m.homeOf(a + 4 * cfg.pageBytes), 2u);
+        EXPECT_EQ(m.homeOf(a + node - kPageBytes), 0u);
+        EXPECT_EQ(m.homeOf(a + node), 1u);
+        EXPECT_EQ(m.homeOf(a + 2 * node), 2u);
     }
 }
 
@@ -269,29 +270,10 @@ TEST(MachineTest, ExplicitAllocationHonored)
 {
     MachineConfig cfg = MachineConfig::flash(4);
     Machine m(cfg);
-    Addr a = m.alloc(3 * cfg.pageBytes, 2);
+    Addr a = m.alloc(3 * kPageBytes, 2);
     for (int p = 0; p < 3; ++p)
-        EXPECT_EQ(m.homeOf(a + static_cast<Addr>(p) * cfg.pageBytes), 2u);
-    EXPECT_DEATH(m.homeOf(a + 100 * cfg.pageBytes), "never allocated");
-}
-
-TEST(MachineTest, RejectsPageSizesOneShiftCannotMap)
-{
-    // Not a power of two (6144), below a cache line (64), or zero: each
-    // would make MAGIC's page monitor and homeOf disagree, or divide by
-    // zero in alloc.
-    for (std::uint64_t page_bytes :
-         {std::uint64_t{6144}, std::uint64_t{64}, std::uint64_t{0}}) {
-        MachineConfig cfg = MachineConfig::flash(4);
-        cfg.pageBytes = page_bytes;
-        EXPECT_DEATH(
-            {
-                Machine m(cfg);
-                (void)m.alloc(kLineSize, 0);
-            },
-            "pageBytes")
-            << page_bytes;
-    }
+        EXPECT_EQ(m.homeOf(a + static_cast<Addr>(p) * kPageBytes), 2u);
+    EXPECT_DEATH(m.homeOf(a + 100 * kPageBytes), "never allocated");
 }
 
 TEST(MachineTest, TableTimingModeRuns)
@@ -366,10 +348,17 @@ TEST(MachineConfigTest, EveryVariedFieldBreaksEquality)
              [](MachineConfig &c) { c.net.distanceBased = true; }},
             {"usePpEmulator",
              [](MachineConfig &c) { c.magic.usePpEmulator = false; }},
-            {"ppCompile",
+            {"useSpecialInstrs",
              [](MachineConfig &c) { c.ppCompile.useSpecialInstrs = false; }},
+            {"dualIssue",
+             [](MachineConfig &c) { c.ppCompile.dualIssue = false; }},
             {"monitorPages",
              [](MachineConfig &c) { c.magic.monitorPages = true; }},
+            {"micColdMiss",
+             [](MachineConfig &c) { c.magic.micColdMiss = 0; }},
+            {"ideal", [](MachineConfig &c) { c.magic.ideal = true; }},
+            {"verify",
+             [](MachineConfig &c) { c.magic.verify.oracle = true; }},
         };
     for (const auto &[field, flip] : flips) {
         MachineConfig c = base;

@@ -42,27 +42,23 @@ TEST(Monitoring, CountsRemoteRequestsPerPage)
     EXPECT_GE(heat[page], 2u);
 }
 
-TEST(Monitoring, HeatKeysArePageIndicesAtEveryPageSize)
+TEST(Monitoring, HeatKeysArePageIndices)
 {
     // The monitor and pageIndexOf must number pages alike, or a remap
     // built from pageHeat re-homes the wrong pages. The hammered line is
-    // a page's last, so a page larger than the application base only
-    // passes if the base is page-aligned.
-    for (std::uint64_t page_bytes :
-         {std::uint64_t{256}, std::uint64_t{8192}, std::uint64_t{4} << 20}) {
-        MachineConfig cfg = MachineConfig::flash(2);
-        cfg.magic.monitorPages = true;
-        cfg.pageBytes = page_bytes;
-        Machine m(cfg);
-        (void)m.alloc(5 * page_bytes, 1);
-        Addr a = m.alloc(page_bytes, 0) + page_bytes - kLineSize;
-        m.run([&](tango::Env &env) { return remoteHammer(env, a, 2); });
-        m.drain();
-        FlatCounterMap heat = m.pageHeat();
-        EXPECT_EQ(heat.size(), 1u) << page_bytes;
-        EXPECT_TRUE(heat.count(m.pageIndexOf(a))) << page_bytes;
-        EXPECT_EQ(m.pageIndexOf(a), 5u) << page_bytes;
-    }
+    // a page's last, so it only passes if the application base is
+    // page-aligned.
+    MachineConfig cfg = MachineConfig::flash(2);
+    cfg.magic.monitorPages = true;
+    Machine m(cfg);
+    (void)m.alloc(5 * kPageBytes, 1);
+    Addr a = m.alloc(kPageBytes, 0) + kPageBytes - kLineSize;
+    m.run([&](tango::Env &env) { return remoteHammer(env, a, 2); });
+    m.drain();
+    FlatCounterMap heat = m.pageHeat();
+    EXPECT_EQ(heat.size(), 1u);
+    EXPECT_TRUE(heat.count(m.pageIndexOf(a)));
+    EXPECT_EQ(m.pageIndexOf(a), 5u);
 }
 
 TEST(Monitoring, LocalRequestsNotCounted)
@@ -116,11 +112,11 @@ TEST(Monitoring, PlacementHookOverridesEverything)
         return static_cast<NodeId>((page * 3) % 4);
     };
     Machine m(cfg);
-    Addr a = m.alloc(3 * cfg.pageBytes, 1); // explicit hint ignored
+    Addr a = m.alloc(3 * kPageBytes, 1); // explicit hint ignored
     EXPECT_EQ(m.homeOf(a), 0u);
-    EXPECT_EQ(m.homeOf(a + cfg.pageBytes), 3u);
-    EXPECT_EQ(m.homeOf(a + 2 * cfg.pageBytes), 2u);
-    Addr b = m.allocAuto(cfg.pageBytes);
+    EXPECT_EQ(m.homeOf(a + kPageBytes), 3u);
+    EXPECT_EQ(m.homeOf(a + 2 * kPageBytes), 2u);
+    Addr b = m.allocAuto(kPageBytes);
     EXPECT_EQ(m.homeOf(b), 1u); // page index 3 -> node 1
 }
 
@@ -131,7 +127,7 @@ TEST(Monitoring, RemapMovesTrafficOffHotNode)
     auto run_once = [](MachineConfig cfg, std::uint64_t *hot_page) {
         cfg.magic.monitorPages = true;
         Machine m(cfg);
-        Addr a = m.allocAuto(cfg.pageBytes);
+        Addr a = m.allocAuto(kPageBytes);
         m.run([&](tango::Env &env) -> tango::Task {
             co_await env.busy(0);
             for (int i = 0; i < 4; ++i) {

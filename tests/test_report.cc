@@ -79,15 +79,16 @@ TEST(Report, OccupanciesBoundedByOne)
 
 TEST(Report, ProbeDetectsConfigChanges)
 {
-    // A slower network must show up in the remote classes but not the
-    // local clean latency.
-    MachineConfig fast = MachineConfig::flash(16);
-    MachineConfig slow = MachineConfig::flash(16);
-    slow.net.perHop = 8;
-    ProbeResult a = probeMissLatencies(fast);
-    ProbeResult b = probeMissLatencies(slow);
+    // A larger mesh (longer average transit) must show up in the remote
+    // classes but not the local clean latency.
+    MachineConfig near = MachineConfig::flash(16);
+    MachineConfig far = MachineConfig::flash(64);
+    ProbeResult a = probeMissLatencies(near);
+    ProbeResult b = probeMissLatencies(far);
     EXPECT_EQ(a.latency.localClean, b.latency.localClean);
-    EXPECT_GT(b.latency.remoteClean, a.latency.remoteClean + 30);
+    // Request and reply each cross the mesh: a 32-cycle average transit
+    // on 8x8 nodes against 22 on 4x4.
+    EXPECT_EQ(b.latency.remoteClean, a.latency.remoteClean + 2 * (32 - 22));
 }
 
 } // namespace

@@ -109,7 +109,7 @@ class PpTimingTest : public ::testing::Test
     {
         HandlerTiming t = model.run(m, 0, 0, cache_dirty);
         if (id == HandlerId::RetrieveFromCache)
-            t.occupancy += cacheRetrieveCycles(params);
+            t.occupancy += kCacheRetrieveCycles;
         return t;
     }
 
