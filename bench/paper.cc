@@ -374,7 +374,7 @@ table_3_3(Plan &plan)
         std::printf("  NI in %llu, NI out %llu, inbox arb %llu, jump "
                     "table %llu, outbox %llu\n",
                     u(kNiInbound), u(kNiOutbound), u(kInboxArb),
-                    u(kJumpTable), u(kOutbox));
+                    u(kJumpLookup), u(kOutbox));
         std::printf("  MDC miss penalty %llu, memory access %llu\n\n",
                     u(MachineConfig::flash(16).magic.mdcMissPenalty),
                     u(kMemAccess));
@@ -408,7 +408,7 @@ table_3_3(Plan &plan)
         std::printf("  t=%2llu request on bus at MAGIC\n", u(t));
         t += kPiInbound + kInboxArb;
         std::printf("  t=%2llu inbox selects message\n", u(t));
-        t += kJumpTable;
+        t += kJumpLookup;
         std::printf("  t=%2llu jump table done; speculative memory read "
                     "issued; PP handler starts\n",
                     u(t));

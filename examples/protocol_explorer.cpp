@@ -124,7 +124,8 @@ main()
     // The same GETX through the PP program, instruction by instruction.
     std::printf("\n3. The same GETX as PP handler code:\n\n");
     HandlerPrograms progs = buildHandlerPrograms();
-    std::printf("%s\n", progs.niGetx.toString().c_str());
+    const ppisa::Program &getx_prog = progs.forMessage(MsgType::NetGetx, true);
+    std::printf("%s\n", getx_prog.toString().c_str());
 
     std::printf("4. Executing it on PPsim against a fresh directory "
                 "with two sharers:\n");
@@ -136,7 +137,7 @@ main()
     std::vector<ppisa::SentMessage> sent;
     ppisa::RunStats stats;
     ppisa::PpSim sim;
-    Cycles cycles = sim.run(progs.niGetx, regs, mem, sent, stats);
+    Cycles cycles = sim.run(getx_prog, regs, mem, sent, stats);
     std::printf("  %llu cycles, %llu instruction pairs, dual-issue "
                 "efficiency %.2f, %llu special instructions\n",
                 static_cast<unsigned long long>(cycles),
@@ -150,6 +151,8 @@ main()
     std::printf("\n5. The compiler's baseline (no special instructions, "
                 "single issue) for comparison:\n");
     HandlerPrograms base = buildHandlerPrograms({false, false});
+    const ppisa::Program &base_getx =
+        base.forMessage(MsgType::NetGetx, true);
     DirectoryStore dir3;
     dir3.addSharer(line, 2);
     dir3.addSharer(line, 3);
@@ -158,13 +161,13 @@ main()
     sent.clear();
     ppisa::RunStats base_stats;
     Cycles base_cycles =
-        sim.run(base.niGetx, regs, mem3, sent, base_stats);
+        sim.run(base_getx, regs, mem3, sent, base_stats);
     std::printf("  optimized: %llu cycles / %zu bytes;  baseline: %llu "
                 "cycles / %zu bytes (%.1fx slower)\n",
                 static_cast<unsigned long long>(cycles),
-                progs.niGetx.codeBytes(),
+                getx_prog.codeBytes(),
                 static_cast<unsigned long long>(base_cycles),
-                base.niGetx.codeBytes(),
+                base_getx.codeBytes(),
                 static_cast<double>(base_cycles) /
                     static_cast<double>(cycles));
     return 0;

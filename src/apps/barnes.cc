@@ -18,9 +18,9 @@ void
 Barnes::setup(machine::Machine &m)
 {
     nprocs_ = m.numProcs();
-    perProc_ = p_.particles / nprocs_;
-    if (perProc_ == 0)
+    if (!acceptsProcs(nprocs_))
         fatal("Barnes: fewer particles than processors");
+    perProc_ = p_.particles / nprocs_;
 
     rng_ = Rng(p_.seed);
     px_.resize(static_cast<std::size_t>(p_.particles));

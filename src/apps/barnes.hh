@@ -47,6 +47,12 @@ class Barnes : public Workload
     explicit Barnes(BarnesParams params = {}) : p_(params) {}
 
     std::string name() const override { return "barnes"; }
+    /** At least one particle per processor. */
+    bool
+    acceptsProcs(int nprocs) const override
+    {
+        return nprocs <= p_.particles;
+    }
     void setup(machine::Machine &m) override;
     tango::Task run(tango::Env &env) override;
 

@@ -17,9 +17,9 @@ Fft::setup(machine::Machine &m)
     side_ = 1 << (p_.logN / 2);
     if ((1 << p_.logN) != side_ * side_)
         fatal("Fft: logN must be even");
-    rowsPerProc_ = side_ / nprocs_;
-    if (rowsPerProc_ == 0)
+    if (!acceptsProcs(nprocs_))
         fatal("Fft: fewer rows than processors");
+    rowsPerProc_ = side_ / nprocs_;
 
     const Addr block_bytes =
         static_cast<Addr>(rowsPerProc_) * side_ * kComplexBytes;

@@ -44,6 +44,12 @@ class Fft : public Workload
     explicit Fft(FftParams params = {}) : p_(params) {}
 
     std::string name() const override { return "fft"; }
+    /** At least one matrix row per processor. */
+    bool
+    acceptsProcs(int nprocs) const override
+    {
+        return nprocs <= 1 << (p_.logN / 2);
+    }
     void setup(machine::Machine &m) override;
     tango::Task run(tango::Env &env) override;
 

@@ -26,7 +26,7 @@ Machine::Machine(const MachineConfig &cfg)
     nodes_.reserve(static_cast<std::size_t>(cfg_.numProcs));
     for (int i = 0; i < cfg_.numProcs; ++i) {
         nodes_.push_back(std::make_unique<Node>(
-            eq_, static_cast<NodeId>(i), cfg_, *this, programs_.get(),
+            eq_, static_cast<NodeId>(i), cfg_, *this, *programs_,
             *net_));
         // Route every shared host-state access in the tango sync
         // primitives through the per-tick sync phase.

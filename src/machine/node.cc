@@ -5,7 +5,7 @@ namespace flashsim::machine
 
 Node::Node(EventQueue &eq, NodeId id, const MachineConfig &cfg,
            const protocol::AddressMap &map,
-           const protocol::HandlerPrograms *programs,
+           const protocol::HandlerPrograms &programs,
            network::MeshNetwork &net)
     : id_(id)
 {

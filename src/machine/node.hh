@@ -29,7 +29,7 @@ class Node
   public:
     Node(EventQueue &eq, NodeId id, const MachineConfig &cfg,
          const protocol::AddressMap &map,
-         const protocol::HandlerPrograms *programs,
+         const protocol::HandlerPrograms &programs,
          network::MeshNetwork &net);
 
     Node(const Node &) = delete;

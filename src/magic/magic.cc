@@ -22,18 +22,13 @@ using protocol::MsgType;
 
 Magic::Magic(EventQueue &eq, NodeId self, const MagicParams &params,
              const protocol::AddressMap &map,
-             const protocol::HandlerPrograms *programs)
+             const protocol::HandlerPrograms &programs)
     : eq_(eq), self_(self), params_(params), map_(map), dir_(),
-      mem_(kMemAccess, kMemBusy),
-      jumpTable_(JumpTable::standard(params.speculation)),
-      buffers_(kDataBuffers, params.ideal), probe_(*this),
+      mem_(kMemAccess, kMemBusy), programs_(programs), probe_(*this),
       engine_(self, dir_, map_, probe_)
 {
-    if (params_.usePpEmulator && !params_.ideal) {
-        if (programs == nullptr)
-            fatal("Magic: usePpEmulator requires handler programs");
-        pp_ = std::make_unique<PpTimingModel>(*programs, dir_, params_);
-    }
+    if (params_.usePpEmulator && !params_.ideal)
+        pp_ = std::make_unique<PpTimingModel>(programs_, dir_, params_);
     if (params_.monitorPages) {
         // Page-monitoring counters grow one entry per remotely accessed
         // local page; pre-size past any workload in-tree so the counting
@@ -179,10 +174,12 @@ Magic::enqueue(MagicFifo<Pending> &q, const Message &msg)
         // messages — this is what hides protocol processing behind the
         // memory access time even when the PP is backed up (Section 4.3).
         // Each early read stages into one of the 16 data buffers.
-        if (!params_.ideal && map_.homeOf(msg.addr) == self_ &&
-            jumpTable_.lookup(msg.type).specRead && buffers_.acquire()) {
+        if (!params_.ideal && params_.speculation && freeBuffers_ > 0 &&
+            programs_.entry(msg.type, map_.homeOf(msg.addr) == self_)
+                .specRead) {
+            --freeBuffers_;
             p.specIssued = true;
-            p.specReady = mem_.read(eq_.now() + kJumpTable);
+            p.specReady = mem_.read(eq_.now() + kJumpLookup);
             ++specIssued;
         }
         q.push_back(p);
@@ -213,7 +210,7 @@ Magic::tryDispatch()
     ppBusy_ = true;
 
     // Inbox: queue selection/arbitration, then the jump-table lookup.
-    Cycles lead = kInboxArb + (params_.ideal ? 0 : kJumpTable);
+    Cycles lead = kInboxArb + (params_.ideal ? 0 : kJumpLookup);
     eq_.schedule(lead, [this] { runHandler(); });
 }
 
@@ -246,8 +243,8 @@ Magic::runHandler()
     bool spec_issued = pending.specIssued;
     bool release_buffer = pending.specIssued;
     Tick mem_ready = pending.specReady;
-    if (!spec_issued && at_home &&
-        jumpTable_.lookup(msg.type).specRead) {
+    if (!spec_issued && params_.speculation &&
+        programs_.entry(msg.type, at_home).specRead) {
         mem_ready = mem_.read(now);
         spec_issued = true;
         ++specIssued;
@@ -403,7 +400,7 @@ Magic::runHandler()
 
     eq_.scheduleAt(pp_end, [this, release_buffer] {
         if (release_buffer)
-            buffers_.release();
+            ++freeBuffers_;
         ppBusy_ = false;
         tryDispatch();
     });
@@ -445,7 +442,7 @@ Magic::injectedNack(const Pending &pending, bool release_buffer)
     launch(nack, pp_end, 0);
     eq_.scheduleAt(pp_end, [this, release_buffer] {
         if (release_buffer)
-            buffers_.release();
+            ++freeBuffers_;
         ppBusy_ = false;
         tryDispatch();
     });

@@ -18,7 +18,15 @@
  * per-word-valid data buffers buy the real chip.
  *
  * The ideal machine (params.ideal) is the same pipeline with all
- * macropipeline stages at zero cycles and infinite queues.
+ * macropipeline stages at zero cycles, infinite queues and unlimited
+ * data buffers.
+ *
+ * The jump table is built with the handler programs
+ * (protocol::HandlerPrograms); each entry names the PP program and
+ * says whether the inbox starts a speculative memory read. A
+ * speculative read's data occupies one of the 16 data buffers until
+ * its handler finishes; with none free, the read starts with the
+ * handler instead.
  */
 
 #ifndef FLASHSIM_MAGIC_MAGIC_HH_
@@ -31,8 +39,6 @@
 #include <optional>
 #include <utility>
 
-#include "magic/data_buffer.hh"
-#include "magic/jump_table.hh"
 #include "magic/params.hh"
 #include "magic/timing_model.hh"
 #include "memsys/memory_controller.hh"
@@ -119,7 +125,7 @@ class Magic
   public:
     Magic(EventQueue &eq, NodeId self, const MagicParams &params,
           const protocol::AddressMap &map,
-          const protocol::HandlerPrograms *programs);
+          const protocol::HandlerPrograms &programs);
     ~Magic();
 
     Magic(const Magic &) = delete;
@@ -174,8 +180,6 @@ class Magic
 
     /** The PP emulator timing model, if in use (Table 5.2 stats). */
     const PpTimingModel *ppModel() const { return pp_.get(); }
-
-    JumpTable &jumpTable() { return jumpTable_; }
 
     /** Attach the machine's verification sentinel (null = none). MAGIC
      *  reports handler completions to it and asks its injector for
@@ -267,8 +271,11 @@ class Magic
 
     protocol::DirectoryStore dir_;
     memsys::MemoryController mem_;
-    JumpTable jumpTable_;
-    DataBufferPool buffers_;
+    /** The handler programs and the inbox jump table. */
+    const protocol::HandlerPrograms &programs_;
+    /** Table 3.1 data buffers not holding a speculative read's data.
+     *  The ideal machine never claims one (its buffers are unlimited). */
+    int freeBuffers_ = kDataBuffers;
 
     /** CacheProbe adapter over the node's processor cache. */
     class Probe : public protocol::CacheProbe

@@ -34,7 +34,7 @@ inline constexpr Cycles kCacheDataRetrieve = 20;  ///< first double word
 inline constexpr Cycles kNiInbound = 8;
 inline constexpr Cycles kNiOutbound = 4;
 inline constexpr Cycles kInboxArb = 1; ///< queue selection and arbitration
-inline constexpr Cycles kJumpTable = 2;
+inline constexpr Cycles kJumpLookup = 2; ///< jump table lookup
 inline constexpr Cycles kOutbox = 1;
 inline constexpr Cycles kMemAccess = 14; ///< time to first 8 bytes
 /** Memory controller service interval per line: the 128-byte line

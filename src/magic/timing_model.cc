@@ -1,11 +1,7 @@
 #include "magic/timing_model.hh"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <vector>
-
-#include "sim/logging.hh"
 
 namespace flashsim::magic
 {
@@ -91,54 +87,33 @@ PpTimingModel::ShadowMemory::reset()
 PpTimingModel::PpTimingModel(const protocol::HandlerPrograms &programs,
                              const protocol::DirectoryStore &dir,
                              const MagicParams &params)
-    : micColdMiss_(params.micColdMiss),
+    : programs_(programs), micColdMiss_(params.micColdMiss),
       mdc_(params.mdcBytes, kMdcAssoc, kMdcLineBytes),
-      shadow_(dir, mdc_, params.mdcMissPenalty)
+      shadow_(dir, mdc_, params.mdcMissPenalty),
+      warm_(programs.programs.size(), false)
 {
     // Debug aid: FS_TRACE_MDC=1 logs every MDC access on stderr.
     shadow_.trace = std::getenv("FS_TRACE_MDC") != nullptr;
-    // Resolve the (type, at_home) -> program mapping once — the handler
-    // load point — so no dispatch work remains on the per-message path.
-    // Entries aliasing the same program share a warm slot (see
-    // DispatchEntry).
-    std::vector<const ppisa::Program *> uniq;
-    for (int t = 0; t < protocol::kNumMsgTypes; ++t) {
-        for (int at_home = 0; at_home < 2; ++at_home) {
-            const ppisa::Program *prog = programs.forMessageOrNull(
-                static_cast<protocol::MsgType>(t), at_home != 0);
-            if (prog == nullptr)
-                continue;
-            auto it = std::find(uniq.begin(), uniq.end(), prog);
-            if (it == uniq.end())
-                it = uniq.insert(uniq.end(), prog);
-            dispatch_[static_cast<std::size_t>(t)]
-                     [static_cast<std::size_t>(at_home)] = DispatchEntry{
-                prog, static_cast<std::int8_t>(it - uniq.begin())};
-        }
-    }
 }
 
 HandlerTiming
 PpTimingModel::run(const protocol::Message &msg, NodeId self, NodeId home,
                    bool cache_dirty)
 {
-    const DispatchEntry &e =
-        dispatch_[static_cast<std::size_t>(msg.type)][home == self ? 1 : 0];
-    if (e.prog == nullptr)
-        panic("HandlerPrograms: no program for type %d",
-              static_cast<int>(msg.type));
+    const ppisa::Program &prog = programs_.forMessage(msg.type, home == self);
     shadow_.reset();
     ppisa::RegFile regs =
         protocol::makeHandlerRegs(msg, self, home, cache_dirty);
     sent_.clear();
 
     HandlerTiming t;
-    t.occupancy = sim_.run(*e.prog, regs, shadow_, sent_, stats_);
+    t.occupancy = sim_.run(prog, regs, shadow_, sent_, stats_);
     t.mdcMisses = shadow_.misses;
     t.mdcWritebacks = shadow_.writebacks;
-    bool &warm = warm_[static_cast<std::size_t>(e.warmSlot)];
-    if (!warm) {
-        warm = true;
+    const auto i =
+        static_cast<std::size_t>(&prog - programs_.programs.data());
+    if (!warm_[i]) {
+        warm_[i] = true;
         t.micColdMiss = true;
         t.occupancy += micColdMiss_;
     }

@@ -17,7 +17,6 @@
 #ifndef FLASHSIM_MAGIC_TIMING_MODEL_HH_
 #define FLASHSIM_MAGIC_TIMING_MODEL_HH_
 
-#include <array>
 #include <vector>
 
 #include "magic/magic_cache.hh"
@@ -106,23 +105,8 @@ class PpTimingModel
         ScratchWordMap writes_;
     };
 
-    /**
-     * One slot of the pre-resolved dispatch table: the handler program
-     * for a (message type, at-home) combination, with its MIC warm-up
-     * state resolved once at construction instead of per invocation
-     * (forMessage switch + hash-set probe).
-     * warmSlot indexes warm_ and is shared by every table entry that
-     * aliases the same program (e.g. niFetchOp serves both PiFetchOp
-     * at home and NetFetchOp), so a handler warms the MIC once no
-     * matter which path first dispatches it — the same semantics the
-     * old per-pointer set had.
-     */
-    struct DispatchEntry
-    {
-        const ppisa::Program *prog = nullptr;
-        std::int8_t warmSlot = -1;
-    };
-
+    /** The programs and jump table; shared, and outlive the model. */
+    const protocol::HandlerPrograms &programs_;
     Cycles micColdMiss_;
     MagicCache mdc_;
     ShadowMemory shadow_;
@@ -130,10 +114,10 @@ class PpTimingModel
     ppisa::RunStats stats_;
     /** Reused per-invocation Send buffer (no allocation per handler). */
     std::vector<ppisa::SentMessage> sent_;
-    std::array<std::array<DispatchEntry, 2>, protocol::kNumMsgTypes>
-        dispatch_{};
-    /** Per-unique-program "has run at least once" (MIC cold-miss). */
-    std::array<bool, protocol::kNumMsgTypes * 2> warm_{};
+    /** Per-program "has run at least once" (MIC cold miss), indexed
+     *  like HandlerPrograms::programs: jump-table entries that share a
+     *  program share its warm flag. */
+    std::vector<bool> warm_;
 };
 
 } // namespace flashsim::magic

@@ -8,9 +8,9 @@
  * contract verdicts, branch-target bounds). Run side: a computed-goto
  * dispatch loop whose kernels are hand-unrolled copies of exactly one
  * execMicro case each, so a single-issue Addi pair costs one table
- * jump, one add, and the shared epilogue. On compilers without the
- * labels-as-values extension the same kernel bodies compile into a
- * for/switch loop (see the KERNEL / DISPATCH macros).
+ * jump, one add, and the shared epilogue. The dispatch uses the GNU
+ * labels-as-values extension, which GCC and Clang (the only supported
+ * compilers) provide.
  *
  * Bit-identical semantics with the reference interpreter
  * (PpSim::runReference) are non-negotiable; the
@@ -197,19 +197,8 @@ Program::Program(std::string name, std::vector<InstrPair> pairs)
     ops_.push_back(sentinel);
 }
 
-// Token threading needs the GNU labels-as-values extension; elsewhere
-// the same kernel bodies become cases of a for/switch loop.
-#if defined(__GNUC__) || defined(__clang__)
-#define FLASHSIM_THREADED_GOTO 1
-#endif
-
-#if FLASHSIM_THREADED_GOTO
-#define KERNEL(n) k_##n
+/** Jump to pair `op`'s kernel (token threading). */
 #define JUMP() goto *ktab[static_cast<int>(op->kernel)]
-#else
-#define KERNEL(n) case ThreadedKernel::n
-#define JUMP() continue
-#endif
 
 /** Enter pair `op`: the interpreter's load-delay check (one AND of the
  *  pair's sources with the previous pair's load destinations), then the
@@ -244,7 +233,7 @@ Program::Program(std::string name, std::vector<InstrPair> pairs)
  *  fine: the write lands in regs[0] and the epilogue re-zeroes it,
  *  which is the interpreter's net effect. */
 #define ALU_KERNEL(K, EXPR)                                               \
-    KERNEL(K) : {                                                         \
+    k_##K : {                                                             \
         const ThreadedOp &t = *op;                                        \
         const std::uint64_t rs = regs[t.a.rs];                            \
         const std::uint64_t rt = regs[t.a.rt];                            \
@@ -255,7 +244,7 @@ Program::Program(std::string name, std::vector<InstrPair> pairs)
 
 /** Single-issue branch kernel: TAKEN may use `regs` and `t.a`. */
 #define BRANCH_KERNEL(K, TAKEN)                                           \
-    KERNEL(K) : {                                                         \
+    k_##K : {                                                             \
         const ThreadedOp &t = *op;                                        \
         const bool taken = (TAKEN);                                       \
         STEP_EPILOGUE(0, 0, taken ? base + t.a.target : op + 1);          \
@@ -277,7 +266,6 @@ runThreaded(const Program &prog, RegFile &regs, PpMemory &mem,
     // Packed statistics accumulators (layout in ThreadedOp::statPackA).
     std::uint64_t statA = 0, statB = 0;
 
-#if FLASHSIM_THREADED_GOTO
     // One entry per ThreadedKernel enumerator, in declaration order.
     static const void *const ktab[] = {
         &&k_Generic, &&k_Violation, &&k_OutOfRange, &&k_Halt, &&k_Nop,
@@ -291,17 +279,13 @@ runThreaded(const Program &prog, RegFile &regs, PpMemory &mem,
                       static_cast<std::size_t>(ThreadedKernel::Count_),
                   "dispatch table out of sync with ThreadedKernel");
     JUMP(); // pair 0 has no predecessor load
-#else
-    for (;;) {
-        switch (op->kernel) {
-#endif
 
     // A full lowered-pair step: generic two-slot execution and a
     // bounds-checked next pc. Every pair a specialized kernel cannot
     // take (lowering-time contract violations excepted) lands here, so
     // the threaded engine is never less capable than the reference
     // interpreter.
-    KERNEL(Generic) : {
+    k_Generic : {
         const ThreadedOp &t = *op;
         Cycles stall = 0;
         detail::MicroResult ra =
@@ -335,19 +319,19 @@ runThreaded(const Program &prog, RegFile &regs, PpMemory &mem,
         DISPATCH();
     }
 
-    KERNEL(Violation) : {
+    k_Violation : {
         // DISPATCH found no load-delay hit, so the lowering-time verdict
         // is what the interpreter reports here.
         detail::panicViolation(op->violation, op->violationReg,
                                static_cast<std::size_t>(op - base), name);
     }
 
-    KERNEL(OutOfRange) : {
+    k_OutOfRange : {
         panic("PpSim: pc %zu out of range in '%s'",
               static_cast<std::size_t>(op - base), name);
     }
 
-    KERNEL(Halt) : {
+    k_Halt : {
         // {Halt, Nop}: the interpreter executes the (effect-free) pair,
         // zeroes r0, folds statistics, charges the cycle, and breaks
         // before checking its budget.
@@ -359,7 +343,7 @@ runThreaded(const Program &prog, RegFile &regs, PpMemory &mem,
         goto done;
     }
 
-    KERNEL(Nop) : {
+    k_Nop : {
         const ThreadedOp &t = *op;
         STEP_EPILOGUE(0, 0, op + 1);
     }
@@ -394,7 +378,7 @@ runThreaded(const Program &prog, RegFile &regs, PpMemory &mem,
     ALU_KERNEL(Orfi, rs | t.a.mask)
     ALU_KERNEL(Andfi, rs & ~t.a.mask)
 
-    KERNEL(Ld) : {
+    k_Ld : {
         const ThreadedOp &t = *op;
         Cycles stall = 0;
         const std::uint64_t v = mem.load(
@@ -403,7 +387,7 @@ runThreaded(const Program &prog, RegFile &regs, PpMemory &mem,
         STEP_EPILOGUE(stall, t.loadMask, op + 1);
     }
 
-    KERNEL(Sd) : {
+    k_Sd : {
         const ThreadedOp &t = *op;
         Cycles stall = 0;
         mem.store(regs[t.a.rs] + static_cast<std::uint64_t>(t.a.imm),
@@ -417,19 +401,12 @@ runThreaded(const Program &prog, RegFile &regs, PpMemory &mem,
     BRANCH_KERNEL(Bbs, ((regs[t.a.rs] >> t.a.lo) & 1) != 0)
     BRANCH_KERNEL(Bbc, ((regs[t.a.rs] >> t.a.lo) & 1) == 0)
 
-    KERNEL(Send) : {
+    k_Send : {
         const ThreadedOp &t = *op;
         sent.push_back(SentMessage{static_cast<int>(t.a.imm),
                                    regs[t.a.rs], regs[t.a.rt]});
         STEP_EPILOGUE(0, 0, op + 1);
     }
-
-#if !FLASHSIM_THREADED_GOTO
-        case ThreadedKernel::Count_:
-            panic("PpSim: corrupt kernel token in '%s'", name);
-        }
-    }
-#endif
 
 load_delay : {
     // Pair `op` reads a register the previous pair loaded. The
@@ -457,7 +434,6 @@ done:
 #undef RUNAWAY_CHECK
 #undef ALU_KERNEL
 #undef BRANCH_KERNEL
-#undef KERNEL
 #undef DISPATCH
 #undef JUMP
 

@@ -3,8 +3,9 @@
  * Protocol message definitions.
  *
  * Everything that moves between units in a FLASH node (and between
- * nodes) is a message; MAGIC's inbox dispatches each message type to a
- * protocol handler via the jump table. The message vocabulary below
+ * nodes) is a message; MAGIC's inbox dispatches each message type,
+ * local or remote, to a protocol handler via the jump table
+ * (HandlerPrograms in pp_programs.hh). The message vocabulary below
  * implements the dynamic pointer allocation cache-coherence protocol
  * (Simoni; the paper's initial FLASH protocol) with NACK/retry conflict
  * resolution and three-hop dirty forwarding.
@@ -64,7 +65,7 @@ enum class MsgType : std::uint8_t
     NetFetchOpAck = 25,///< fetch&op result back to the requester
 };
 
-/** Number of distinct message type codes (jump table size). */
+/** Number of distinct message type codes (jump table rows). */
 inline constexpr int kNumMsgTypes = 26;
 
 /** True for messages that carry a full cache line of data. */

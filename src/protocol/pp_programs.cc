@@ -596,41 +596,64 @@ HandlerPrograms
 buildHandlerPrograms(const ppc::CompileOptions &opts)
 {
     HandlerPrograms p;
-    p.piGetLocal =
-        ppc::compile(buildGet("pi_get_local", MsgType::PiPut), opts);
-    p.piGetRemote = ppc::compile(
-        buildForwardToHome("pi_get_remote", MsgType::NetGet), opts);
-    p.piGetxLocal =
-        ppc::compile(buildGetx("pi_getx_local", MsgType::PiPutx), opts);
-    p.piGetxRemote = ppc::compile(
-        buildForwardToHome("pi_getx_remote", MsgType::NetGetx), opts);
-    p.piWbLocal = ppc::compile(buildWriteback("pi_wb_local"), opts);
-    p.piWbRemote = ppc::compile(
-        buildForwardToHome("pi_wb_remote", MsgType::NetWriteback), opts);
-    p.piHintLocal = ppc::compile(buildHint("pi_hint_local"), opts);
-    p.piHintRemote = ppc::compile(
-        buildForwardToHome("pi_hint_remote", MsgType::NetReplaceHint),
-        opts);
-    p.niGet = ppc::compile(buildGet("ni_get", MsgType::NetPut), opts);
-    p.niGetx = ppc::compile(buildGetx("ni_getx", MsgType::NetPutx), opts);
-    p.niFwdGet = ppc::compile(buildFwdGet(), opts);
-    p.niFwdGetx = ppc::compile(buildFwdGetx(), opts);
-    p.niSwb = ppc::compile(buildSwb(), opts);
-    p.niOwnXfer = ppc::compile(buildOwnXfer(), opts);
-    p.niInval = ppc::compile(buildInval(), opts);
-    p.niInvalAck = ppc::compile(buildInvalAck(), opts);
-    p.niPut = ppc::compile(buildPut(), opts);
-    p.niPutx = ppc::compile(buildPutx(), opts);
-    p.niNack = ppc::compile(buildNack(), opts);
-    p.niWb = ppc::compile(buildWriteback("ni_wb"), opts);
-    p.niHint = ppc::compile(buildHint("ni_hint"), opts);
-    p.niBlockXfer = ppc::compile(buildBlockXfer(), opts);
-    p.niBlockAck = ppc::compile(buildBlockAck(), opts);
-    p.niFetchOp = ppc::compile(buildFetchOp(), opts);
-    p.niFetchOpAck = ppc::compile(buildFetchOpAck(), opts);
-    p.piFetchOpRemote = ppc::compile(
-        buildForwardToHome("pi_fetchop_remote", MsgType::NetFetchOp),
-        opts);
+    const auto add = [&](const IrFunction &f) {
+        p.programs.push_back(ppc::compile(f, opts));
+        return static_cast<int>(p.programs.size() - 1);
+    };
+    // Jump-table slots: a message for a line homed here (local), homed
+    // elsewhere (remote), or either. Only the memory-reading requests
+    // at home start a speculative read.
+    const auto local = [&](MsgType t, int prog, bool spec_read = false) {
+        p.table[static_cast<std::size_t>(t)][1] = {prog, spec_read};
+    };
+    const auto remote = [&](MsgType t, int prog) {
+        p.table[static_cast<std::size_t>(t)][0] = {prog, false};
+    };
+    const auto either = [&](MsgType t, int prog, bool spec_read = false) {
+        local(t, prog, spec_read);
+        remote(t, prog);
+    };
+
+    local(MsgType::PiGet, add(buildGet("pi_get_local", MsgType::PiPut)),
+          true);
+    remote(MsgType::PiGet,
+           add(buildForwardToHome("pi_get_remote", MsgType::NetGet)));
+    local(MsgType::PiGetx,
+          add(buildGetx("pi_getx_local", MsgType::PiPutx)), true);
+    remote(MsgType::PiGetx,
+           add(buildForwardToHome("pi_getx_remote", MsgType::NetGetx)));
+    local(MsgType::PiWriteback, add(buildWriteback("pi_wb_local")));
+    remote(MsgType::PiWriteback,
+           add(buildForwardToHome("pi_wb_remote", MsgType::NetWriteback)));
+    local(MsgType::PiReplaceHint, add(buildHint("pi_hint_local")));
+    remote(MsgType::PiReplaceHint,
+           add(buildForwardToHome("pi_hint_remote",
+                                  MsgType::NetReplaceHint)));
+    either(MsgType::NetGet, add(buildGet("ni_get", MsgType::NetPut)), true);
+    either(MsgType::NetGetx, add(buildGetx("ni_getx", MsgType::NetPutx)),
+           true);
+    either(MsgType::NetFwdGet, add(buildFwdGet()));
+    either(MsgType::NetFwdGetx, add(buildFwdGetx()));
+    either(MsgType::NetSwb, add(buildSwb()));
+    either(MsgType::NetOwnXfer, add(buildOwnXfer()));
+    either(MsgType::NetInval, add(buildInval()));
+    either(MsgType::NetInvalAck, add(buildInvalAck()));
+    either(MsgType::NetPut, add(buildPut()));
+    either(MsgType::NetPutx, add(buildPutx()));
+    either(MsgType::NetNack, add(buildNack()));
+    either(MsgType::NetWriteback, add(buildWriteback("ni_wb")));
+    either(MsgType::NetReplaceHint, add(buildHint("ni_hint")));
+    either(MsgType::NetBlockXfer, add(buildBlockXfer()));
+    either(MsgType::NetBlockAck, add(buildBlockAck()));
+    // The fetch&op service runs for the home's own processor and for
+    // forwarded requests alike (the word RMW is issued by the handler).
+    const int fetchop = add(buildFetchOp());
+    local(MsgType::PiFetchOp, fetchop);
+    either(MsgType::NetFetchOp, fetchop);
+    either(MsgType::NetFetchOpAck, add(buildFetchOpAck()));
+    remote(MsgType::PiFetchOp,
+           add(buildForwardToHome("pi_fetchop_remote",
+                                  MsgType::NetFetchOp)));
     return p;
 }
 
@@ -655,66 +678,29 @@ sharedHandlerPrograms(const ppc::CompileOptions &opts)
 const ppisa::Program &
 HandlerPrograms::forMessage(MsgType t, bool at_home) const
 {
-    const ppisa::Program *p = forMessageOrNull(t, at_home);
-    if (p == nullptr)
+    const int i = entry(t, at_home).program;
+    if (i < 0)
         panic("HandlerPrograms: no program for type %d",
               static_cast<int>(t));
-    return *p;
-}
-
-const ppisa::Program *
-HandlerPrograms::forMessageOrNull(MsgType t, bool at_home) const
-{
-    switch (t) {
-      case MsgType::PiGet: return at_home ? &piGetLocal : &piGetRemote;
-      case MsgType::PiGetx:
-        return at_home ? &piGetxLocal : &piGetxRemote;
-      case MsgType::PiWriteback:
-        return at_home ? &piWbLocal : &piWbRemote;
-      case MsgType::PiReplaceHint:
-        return at_home ? &piHintLocal : &piHintRemote;
-      case MsgType::NetGet: return &niGet;
-      case MsgType::NetGetx: return &niGetx;
-      case MsgType::NetFwdGet: return &niFwdGet;
-      case MsgType::NetFwdGetx: return &niFwdGetx;
-      case MsgType::NetSwb: return &niSwb;
-      case MsgType::NetOwnXfer: return &niOwnXfer;
-      case MsgType::NetInval: return &niInval;
-      case MsgType::NetInvalAck: return &niInvalAck;
-      case MsgType::NetPut: return &niPut;
-      case MsgType::NetPutx: return &niPutx;
-      case MsgType::NetNack: return &niNack;
-      case MsgType::NetWriteback: return &niWb;
-      case MsgType::NetReplaceHint: return &niHint;
-      case MsgType::NetBlockXfer: return &niBlockXfer;
-      case MsgType::NetBlockAck: return &niBlockAck;
-      case MsgType::PiFetchOp:
-        return at_home ? &niFetchOp : &piFetchOpRemote;
-      case MsgType::NetFetchOp: return &niFetchOp;
-      case MsgType::NetFetchOpAck: return &niFetchOpAck;
-      default:
-        return nullptr;
-    }
+    return programs[static_cast<std::size_t>(i)];
 }
 
 std::vector<const ppisa::Program *>
 HandlerPrograms::all() const
 {
-    return {&piGetLocal, &piGetRemote, &piGetxLocal, &piGetxRemote,
-            &piWbLocal,  &piWbRemote,  &piHintLocal, &piHintRemote,
-            &niGet,      &niGetx,      &niFwdGet,    &niFwdGetx,
-            &niSwb,      &niOwnXfer,   &niInval,     &niInvalAck,
-            &niPut,      &niPutx,      &niNack,      &niWb,
-            &niHint,     &niBlockXfer, &niBlockAck,
-            &niFetchOp,  &niFetchOpAck, &piFetchOpRemote};
+    std::vector<const ppisa::Program *> v;
+    v.reserve(programs.size());
+    for (const ppisa::Program &prog : programs)
+        v.push_back(&prog);
+    return v;
 }
 
 std::size_t
 HandlerPrograms::totalCodeBytes() const
 {
     std::size_t total = 0;
-    for (const ppisa::Program *p : all())
-        total += p->codeBytes();
+    for (const ppisa::Program &prog : programs)
+        total += prog.codeBytes();
     return total;
 }
 

@@ -23,6 +23,7 @@
 #ifndef FLASHSIM_PROTOCOL_PP_PROGRAMS_HH_
 #define FLASHSIM_PROTOCOL_PP_PROGRAMS_HH_
 
+#include <array>
 #include <cstddef>
 #include <vector>
 
@@ -38,47 +39,42 @@ namespace flashsim::protocol
 // via the include for existing users.
 
 /**
- * The full set of compiled handler programs. The jump table dispatches
- * on message type plus the inbox's address decode (local vs remote), so
- * processor requests have distinct local-service and forward-to-home
- * programs, exactly as the real protocol code does.
+ * The compiled handler programs and the inbox jump table that
+ * dispatches to them. The table is indexed by message type and by the
+ * inbox's address decode (the line is local, i.e. homed here, or
+ * remote), so processor requests have distinct local-service and
+ * forward-to-home programs, exactly as the real protocol code does.
+ * Each entry also says whether the inbox starts a speculative memory
+ * read for the message (Section 5.1). Built once, with the programs,
+ * by buildHandlerPrograms; read-only afterwards.
  */
 struct HandlerPrograms
 {
-    ppisa::Program piGetLocal;   ///< PiGet serviced at home
-    ppisa::Program piGetRemote;  ///< PiGet forwarded to a remote home
-    ppisa::Program piGetxLocal;  ///< PiGetx serviced at home
-    ppisa::Program piGetxRemote; ///< PiGetx forwarded to a remote home
-    ppisa::Program piWbLocal;    ///< PiWriteback into local memory
-    ppisa::Program piWbRemote;   ///< PiWriteback forwarded to home
-    ppisa::Program piHintLocal;  ///< PiReplaceHint at home
-    ppisa::Program piHintRemote; ///< PiReplaceHint forwarded to home
-    ppisa::Program niGet;        ///< NetGet at home
-    ppisa::Program niGetx;       ///< NetGetx at home
-    ppisa::Program niFwdGet;     ///< NetFwdGet at the dirty owner
-    ppisa::Program niFwdGetx;    ///< NetFwdGetx at the dirty owner
-    ppisa::Program niSwb;        ///< NetSwb at home
-    ppisa::Program niOwnXfer;    ///< NetOwnXfer at home
-    ppisa::Program niInval;      ///< NetInval at a sharer
-    ppisa::Program niInvalAck;   ///< NetInvalAck at the requester
-    ppisa::Program niPut;        ///< NetPut at the requester
-    ppisa::Program niPutx;       ///< NetPutx at the requester
-    ppisa::Program niNack;       ///< NetNack at the requester
-    ppisa::Program niWb;         ///< NetWriteback at home
-    ppisa::Program niHint;       ///< NetReplaceHint at home
-    ppisa::Program niBlockXfer;  ///< block-transfer chunk (msg passing)
-    ppisa::Program niBlockAck;   ///< block-transfer completion
-    ppisa::Program niFetchOp;    ///< fetch&op service at home
-    ppisa::Program niFetchOpAck; ///< fetch&op result at the requester
-    ppisa::Program piFetchOpRemote; ///< fetch&op forwarded to home
+    /** One jump-table entry. */
+    struct Entry
+    {
+        /** Index into `programs`; -1 for a type MAGIC never receives. */
+        int program = -1;
+        /** Start a speculative memory read as the header is decoded. */
+        bool specRead = false;
+    };
 
-    /** Program dispatched for a message type (+ inbox address decode). */
+    std::vector<ppisa::Program> programs;
+    /** The jump table, indexed [message type][line is local]. Several
+     *  entries may share a program (fetch&op service at home serves
+     *  both PiFetchOp and NetFetchOp). */
+    std::array<std::array<Entry, 2>, kNumMsgTypes> table{};
+
+    /** The entry for a message type (+ inbox address decode). */
+    const Entry &
+    entry(MsgType t, bool at_home) const
+    {
+        return table[static_cast<std::size_t>(t)][at_home ? 1 : 0];
+    }
+
+    /** Program dispatched for a message type (+ inbox address decode);
+     *  panics for a type with no program. */
     const ppisa::Program &forMessage(MsgType t, bool at_home) const;
-
-    /** Like forMessage, but nullptr for types with no handler program —
-     *  lets PpTimingModel build its dispatch table over every
-     *  (type, at_home) slot without tripping the panic. */
-    const ppisa::Program *forMessageOrNull(MsgType t, bool at_home) const;
 
     /** All programs, for code-size and toolchain statistics. */
     std::vector<const ppisa::Program *> all() const;

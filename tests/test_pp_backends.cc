@@ -246,10 +246,10 @@ TEST(BackendDiff, HandlerFuzzAllProgramsAllOptions)
         for (int t = 0; t < protocol::kNumMsgTypes; ++t) {
             const auto type = static_cast<protocol::MsgType>(t);
             for (int at_home = 0; at_home < 2; ++at_home) {
-                const Program *prog =
-                    programs.forMessageOrNull(type, at_home != 0);
-                if (prog == nullptr)
+                if (programs.entry(type, at_home != 0).program < 0)
                     continue;
+                const Program *prog =
+                    &programs.forMessage(type, at_home != 0);
                 for (int iter = 0; iter < 8; ++iter) {
                     protocol::Message m;
                     m.type = type;
