@@ -14,6 +14,7 @@
 #include "magic/params.hh"
 #include "network/mesh.hh"
 #include "ppc/compiler.hh"
+#include "verify/params.hh"
 
 namespace flashsim::machine
 {
@@ -36,6 +37,8 @@ struct MachineConfig
     cpu::CacheParams cache;
     network::MeshParams net;
     ppc::CompileOptions ppCompile;
+    /** Verification layer; off by default, read only by Machine. */
+    verify::VerifyParams verify;
 
     Placement placement = Placement::RoundRobinPages;
 
@@ -59,7 +62,8 @@ struct MachineConfig
     {
         return numProcs == o.numProcs && magic == o.magic &&
                cache == o.cache && net == o.net &&
-               ppCompile == o.ppCompile && placement == o.placement;
+               ppCompile == o.ppCompile && verify == o.verify &&
+               placement == o.placement;
     }
 
     /** FLASH machine with @p cache_bytes processor caches. */

@@ -35,9 +35,9 @@ Machine::Machine(const MachineConfig &cfg)
 
     setLogTickSource([this] { return eq_.now(); });
 
-    if (cfg_.magic.verify.any()) {
-        sentinel_ = std::make_unique<verify::Sentinel>(
-            eq_, cfg_.magic.verify, cfg_.numProcs);
+    if (cfg_.verify.any()) {
+        sentinel_ = std::make_unique<verify::Sentinel>(eq_, cfg_.verify,
+                                                       cfg_.numProcs);
 
         verify::CoherenceOracle::Wiring w;
         w.numNodes = cfg_.numProcs;
@@ -58,16 +58,18 @@ Machine::Machine(const MachineConfig &cfg)
         };
         sentinel_->wireOracle(std::move(w));
 
+        // Null unless some fault class is nonzero (FaultParams::any).
+        verify::FaultInjector *inj = sentinel_->injector();
         for (auto &n : nodes_)
-            n->magic().attachSentinel(sentinel_.get());
-        if (sentinel_->injector().enabled()) {
+            n->magic().attachSentinel(sentinel_.get(), inj);
+        if (inj) {
             // Jitter draws come from the sending node's stream.
             // Installed whenever the injector is on — not only when the
-            // jitter knob is nonzero — so every send consumes exactly
-            // one draw and enabling another injection class (NACKs,
-            // hint fates) can never shift the per-node stream positions.
-            net_->setPerturb([this](const protocol::Message &m) {
-                return sentinel_->injector().meshJitter(m.src);
+            // jitter class is nonzero — so every send consumes exactly
+            // one draw and turning on another class (NACKs, hint fates)
+            // can never shift the per-node stream positions.
+            net_->setPerturb([inj](const protocol::Message &m) {
+                return inj->meshJitter(m.src);
             });
         }
     }

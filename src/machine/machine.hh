@@ -99,8 +99,9 @@ class Machine : public protocol::AddressMap
     const protocol::HandlerPrograms &programs() const { return *programs_; }
     Tick executionTime() const { return execTime_; }
 
-    /** The verification sentinel, or null when cfg.magic.verify is all
-     *  off (the default). */
+    /** The verification sentinel, or null when cfg.verify neither
+     *  checks nor injects (the default; a fault seed with every class
+     *  at zero builds none). */
     verify::Sentinel *sentinel() { return sentinel_.get(); }
     const verify::Sentinel *sentinel() const { return sentinel_.get(); }
 

@@ -53,8 +53,8 @@ Tick
 Magic::inboundArrival(Cycles base, Tick &last)
 {
     Tick t = eq_.now() + base;
-    if (sentinel_ && sentinel_->injector().enabled()) {
-        t += sentinel_->injector().inboundStall(self_);
+    if (injector_) {
+        t += injector_->inboundStall(self_);
         // Queue-full backpressure must not reorder the queue: clamp to
         // the latest stalled arrival (same-tick ties keep FIFO order).
         t = std::max(t, last);
@@ -73,7 +73,7 @@ Magic::fromProcessor(const Message &msg)
 void
 Magic::fromProcessorAfter(const Message &msg, Cycles delay)
 {
-    if (sentinel_ && sentinel_->injector().enabled()) {
+    if (injector_) {
         eq_.schedule(delay, [this, msg] { fromProcessor(msg); });
         return;
     }
@@ -86,10 +86,10 @@ Magic::fromNetwork(const Message &msg)
 {
     // A home request still takes its one injector draw, so seeded
     // injection runs keep their decisions (see skipRequestDraw).
-    if (sentinel_ && sentinel_->injector().enabled() &&
+    if (injector_ &&
         (msg.type == MsgType::NetGet || msg.type == MsgType::NetGetx) &&
         map_.homeOf(msg.addr) == self_)
-        sentinel_->injector().skipRequestDraw(self_);
+        injector_->skipRequestDraw(self_);
     Tick t = inboundArrival(kNiInbound, lastNiArrival_);
     eq_.scheduleAt(t, [this, msg] { enqueue(niQueue_, msg); });
 }
@@ -149,10 +149,9 @@ Magic::enqueue(MagicFifo<Pending> &q, const Message &msg)
     // invalidation), a duplicated one a double entry — both states the
     // real machine can reach through lost or replayed hint messages.
     int copies = 1;
-    if (sentinel_ && sentinel_->injector().enabled() &&
-        (msg.type == MsgType::PiReplaceHint ||
-         msg.type == MsgType::NetReplaceHint)) {
-        switch (sentinel_->injector().hintFate(self_)) {
+    if (injector_ && (msg.type == MsgType::PiReplaceHint ||
+                      msg.type == MsgType::NetReplaceHint)) {
+        switch (injector_->hintFate(self_)) {
           case verify::FaultInjector::HintFate::Drop:
             sentinel_->recordInjected(self_, eq_.now(), msg,
                                       verify::TraceEntry::Kind::DroppedHint);
@@ -228,10 +227,10 @@ Magic::runHandler()
     // Injector-forced NACK: the request is bounced as if the line were
     // in a transient state, exercising the retry paths without waiting
     // for a genuine race.
-    if (sentinel_ && at_home && sentinel_->injector().enabled() &&
+    if (injector_ && at_home &&
         (msg.type == MsgType::PiGet || msg.type == MsgType::PiGetx ||
          msg.type == MsgType::NetGet || msg.type == MsgType::NetGetx) &&
-        sentinel_->injector().rollNack(self_)) {
+        injector_->rollNack(self_)) {
         injectedNack(pending, pending.specIssued);
         setLogNode(kInvalidNode);
         return;

@@ -52,6 +52,7 @@
 
 namespace flashsim::verify
 {
+class FaultInjector;
 class Sentinel;
 }
 namespace flashsim::cpu
@@ -181,10 +182,15 @@ class Magic
     /** The PP emulator timing model, if in use (Table 5.2 stats). */
     const PpTimingModel *ppModel() const { return pp_.get(); }
 
-    /** Attach the machine's verification sentinel (null = none). MAGIC
-     *  reports handler completions to it and asks its injector for
+    /** Attach the machine's verification sentinel and its injector
+     *  (null = none; an injector comes with its sentinel). MAGIC reports
+     *  handler completions to the one and asks the other for
      *  perturbations; the hot path costs one null check when absent. */
-    void attachSentinel(verify::Sentinel *s) { sentinel_ = s; }
+    void attachSentinel(verify::Sentinel *s, verify::FaultInjector *inj)
+    {
+        sentinel_ = s;
+        injector_ = inj;
+    }
     verify::Sentinel *sentinel() const { return sentinel_; }
 
     // -- Statistics ---------------------------------------------------------
@@ -306,6 +312,7 @@ class Magic
     bool pickPiFirst_ = true;
 
     verify::Sentinel *sentinel_ = nullptr;
+    verify::FaultInjector *injector_ = nullptr;
     /** Last injector-stalled arrival per inbound queue (FIFO clamps). */
     Tick lastPiArrival_ = 0;
     Tick lastNiArrival_ = 0;

@@ -17,7 +17,6 @@
 #define FLASHSIM_MAGIC_PARAMS_HH_
 
 #include "sim/types.hh"
-#include "verify/params.hh"
 
 namespace flashsim::magic
 {
@@ -78,10 +77,6 @@ struct MagicParams
      *  costs kMonitorCost PP cycles per monitored request), for the
      *  Section 4.4 hot-spot detection. */
     bool monitorPages = false;
-
-    /** Verification layer (oracle / watchdog / fault injection); all
-     *  off by default, see verify/params.hh. */
-    verify::VerifyParams verify;
 
     bool operator==(const MagicParams &) const = default;
 };

@@ -43,15 +43,15 @@ class FaultInjector
                               (0x9e3779b97f4a7c15ull * (n + 1)));
     }
 
-    bool enabled() const { return p_.enabled; }
     const FaultParams &params() const { return p_; }
 
-    // Every decision method below consumes exactly the same number of
-    // stream draws regardless of which injection classes are enabled:
-    // a disabled class draws and discards rather than early-outing.
-    // Otherwise flipping one knob (say, enabling NACKs) would shift the
-    // per-node stream positions and change every *other* class's
-    // decisions for the same seed.
+    // The injector exists only while some class is nonzero (see
+    // FaultParams::any), and then every decision method below consumes
+    // exactly the same number of stream draws regardless of which
+    // classes are on: a zero class draws and discards rather than
+    // early-outing. Otherwise flipping one class (say, turning on NACKs)
+    // would shift the per-node stream positions and change every
+    // *other* class's decisions for the same seed.
 
     /** Extra mesh transit cycles for one message, drawn from the
      *  stream of its source node. */
@@ -125,7 +125,7 @@ class FaultInjector
     bool
     perturbsHints() const
     {
-        return p_.enabled && (p_.dropHintProb > 0.0 || p_.dupHintProb > 0.0);
+        return p_.dropHintProb > 0.0 || p_.dupHintProb > 0.0;
     }
 
     // -- Statistics (summed over nodes) -------------------------------------

@@ -1,12 +1,12 @@
 /**
  * @file
- * Configuration of the verification layer (src/verify): the coherence
- * oracle, the deadlock/livelock watchdog, and the deterministic fault
- * injector. Everything here is off by default, so a machine built
- * without touching these knobs behaves (and times) exactly as before.
- *
- * Scalars only: this header is embedded in magic::MagicParams and must
- * not pull protocol or machine types.
+ * Configuration of the verification layer (src/verify), carried by
+ * machine::MachineConfig::verify: one switch for the coherence oracle
+ * and the deadlock/livelock watchdog, their halt policies, and the
+ * deterministic fault injector's seed and classes. Everything here is
+ * off by default, so a machine built without touching these settings
+ * behaves (and times) exactly as before. The watchdog limits and the
+ * trace-ring depth are constants (verify/watchdog.hh, verify/trace.hh).
  */
 
 #ifndef FLASHSIM_VERIFY_PARAMS_HH_
@@ -31,7 +31,6 @@ inline constexpr Cycles kMaxPerturbCycles = 0xffffffff;
  */
 struct FaultParams
 {
-    bool enabled = false;
     std::uint64_t seed = 1;
 
     /** Max extra mesh transit cycles added per message (0 = off). */
@@ -49,16 +48,25 @@ struct FaultParams
     Cycles inboundStall = 0;
 
     bool operator==(const FaultParams &) const = default;
+
+    /** True when some class can perturb the run: the injector exists
+     *  only then, so a seed alone injects nothing and moves nothing. */
+    bool
+    any() const
+    {
+        return meshJitter != 0 || extraNackProb > 0.0 ||
+               dropHintProb > 0.0 || dupHintProb > 0.0 || inboundStall != 0;
+    }
 };
 
 /** The verification layer proper. */
 struct VerifyParams
 {
     /** Maintain the golden shadow state and cross-check the directory
-     *  and processor caches at every handler completion. */
-    bool oracle = false;
-    /** Track per-transaction ages and global protocol progress. */
-    bool watchdog = false;
+     *  and processor caches at every handler completion (the oracle),
+     *  and track per-transaction ages and global protocol progress
+     *  (the watchdog). */
+    bool check = false;
 
     /** fatal() on the first oracle violation (otherwise record and
      *  continue; the run's violation log is inspected afterwards). */
@@ -68,17 +76,6 @@ struct VerifyParams
      *  better than letting the run wedge; record-only is for tests. */
     bool haltOnTrip = true;
 
-    /** Watchdog sampling interval. */
-    Cycles watchdogInterval = 20000;
-    /** A single transaction older than this trips the watchdog. */
-    Cycles maxTransactionAge = 400000;
-    /** Trip when transactions are outstanding and events keep firing
-     *  but nothing has retired for this many cycles (NACK livelock). */
-    Cycles noProgressWindow = 200000;
-
-    /** Entries kept in each node's message/handler trace ring. */
-    std::uint32_t traceDepth = 64;
-
     FaultParams fault;
 
     bool operator==(const VerifyParams &) const = default;
@@ -87,7 +84,7 @@ struct VerifyParams
     bool
     any() const
     {
-        return oracle || watchdog || fault.enabled;
+        return check || fault.any();
     }
 };
 

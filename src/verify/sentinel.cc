@@ -9,15 +9,14 @@ namespace flashsim::verify
 
 Sentinel::Sentinel(EventQueue &eq, const VerifyParams &params,
                    int num_nodes)
-    : eq_(eq), params_(params), numNodes_(num_nodes),
-      injector_(params.fault, num_nodes)
+    : eq_(eq), params_(params), rings_(static_cast<std::size_t>(num_nodes))
 {
-    rings_.reserve(static_cast<std::size_t>(num_nodes));
-    for (int i = 0; i < num_nodes; ++i)
-        rings_.emplace_back(params_.traceDepth);
+    if (params_.fault.any())
+        injector_ = std::make_unique<FaultInjector>(params_.fault, num_nodes);
 
-    if (params_.watchdog) {
-        watchdog_ = std::make_unique<Watchdog>(eq_, params_);
+    if (params_.check) {
+        watchdog_ = std::make_unique<Watchdog>(
+            eq_, kWatchdogInterval, kMaxTransactionAge, kNoProgressWindow);
         watchdog_->onTrip = [this](const std::string &r) { onTrip(r); };
     }
 
@@ -34,10 +33,10 @@ Sentinel::~Sentinel()
 void
 Sentinel::wireOracle(CoherenceOracle::Wiring wiring)
 {
-    if (!params_.oracle)
+    if (!params_.check)
         return;
     oracle_ = std::make_unique<CoherenceOracle>(
-        std::move(wiring), injector_.perturbsHints());
+        std::move(wiring), injector_ && injector_->perturbsHints());
     oracle_->onViolation = [this](const Violation &v) { onViolation(v); };
 }
 
@@ -145,12 +144,13 @@ Sentinel::writeSummary(std::ostream &os) const
     if (watchdog_)
         os << " watchdog(" << watchdog_->retired() << " retired, "
            << watchdog_->trips() << " trips)";
-    if (injector_.enabled())
-        os << " injector(seed " << injector_.params().seed << ": "
-           << injector_.nacksInjected() << " nacks, "
-           << injector_.hintsDropped() << " hints dropped, "
-           << injector_.hintsDuped() << " duped, " << injector_.jitterCycles()
-           << " jitter cyc, " << injector_.stallCycles() << " stall cyc)";
+    if (injector_)
+        os << " injector(seed " << injector_->params().seed << ": "
+           << injector_->nacksInjected() << " nacks, "
+           << injector_->hintsDropped() << " hints dropped, "
+           << injector_->hintsDuped() << " duped, "
+           << injector_->jitterCycles() << " jitter cyc, "
+           << injector_->stallCycles() << " stall cyc)";
     os << "\n";
 }
 
@@ -169,18 +169,17 @@ Sentinel::writePostMortem(std::ostream &os, const char *reason) const
                << " line 0x" << std::hex << v.addr << std::dec << ": "
                << v.detail << "\n";
     }
-    if (injector_.enabled())
-        os << "injector: seed " << injector_.params().seed << ", "
-           << injector_.nacksInjected() << " nack(s) injected, "
-           << injector_.hintsDropped() << " hint(s) dropped, "
-           << injector_.hintsDuped() << " duplicated, "
-           << injector_.jitterCycles() << " jitter cycle(s), "
-           << injector_.stallCycles() << " stall cycle(s)\n";
-    os << "recent activity (oldest first, ring depth "
-       << params_.traceDepth << "):\n";
-    for (int n = 0; n < numNodes_; ++n)
-        rings_[static_cast<std::size_t>(n)].dump(
-            os, static_cast<NodeId>(n));
+    if (injector_)
+        os << "injector: seed " << injector_->params().seed << ", "
+           << injector_->nacksInjected() << " nack(s) injected, "
+           << injector_->hintsDropped() << " hint(s) dropped, "
+           << injector_->hintsDuped() << " duplicated, "
+           << injector_->jitterCycles() << " jitter cycle(s), "
+           << injector_->stallCycles() << " stall cycle(s)\n";
+    os << "recent activity (oldest first, ring depth " << kTraceDepth
+       << "):\n";
+    for (std::size_t n = 0; n < rings_.size(); ++n)
+        rings_[n].dump(os, static_cast<NodeId>(n));
     os << "=== end post-mortem ===\n";
 }
 

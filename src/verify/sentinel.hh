@@ -44,7 +44,7 @@ class Sentinel
     Sentinel(const Sentinel &) = delete;
     Sentinel &operator=(const Sentinel &) = delete;
 
-    /** Construct the oracle (if enabled) over the live machine. Called
+    /** Construct the oracle (under check) over the live machine. Called
      *  by machine::Machine once all nodes exist. */
     void wireOracle(CoherenceOracle::Wiring wiring);
 
@@ -64,7 +64,9 @@ class Sentinel
     void txnStart(NodeId node, Addr addr);
     void txnRetire(NodeId node, Addr addr);
 
-    FaultInjector &injector() { return injector_; }
+    /** The fault injector, or null when every fault class is zero. */
+    FaultInjector *injector() { return injector_.get(); }
+    const FaultInjector *injector() const { return injector_.get(); }
 
     /**
      * Test-only hook: runs after a handler's directory transition and
@@ -90,8 +92,6 @@ class Sentinel
 
     const CoherenceOracle *oracle() const { return oracle_.get(); }
     const Watchdog *watchdog() const { return watchdog_.get(); }
-    const FaultInjector &injectorStats() const { return injector_; }
-    const VerifyParams &params() const { return params_; }
 
     /** One-line component summary for the CLI. */
     void writeSummary(std::ostream &os) const;
@@ -107,9 +107,8 @@ class Sentinel
 
     EventQueue &eq_;
     VerifyParams params_;
-    int numNodes_;
 
-    FaultInjector injector_;
+    std::unique_ptr<FaultInjector> injector_;
     std::unique_ptr<Watchdog> watchdog_;
     std::unique_ptr<CoherenceOracle> oracle_;
     std::vector<TraceRing> rings_;

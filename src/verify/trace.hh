@@ -12,9 +12,9 @@
 #ifndef FLASHSIM_VERIFY_TRACE_HH_
 #define FLASHSIM_VERIFY_TRACE_HH_
 
+#include <array>
 #include <cstdint>
 #include <ostream>
-#include <vector>
 
 #include "protocol/handlers.hh"
 #include "protocol/message.hh"
@@ -22,6 +22,9 @@
 
 namespace flashsim::verify
 {
+
+/** Entries kept in each node's message/handler trace ring. */
+inline constexpr std::uint32_t kTraceDepth = 64;
 
 /** One recorded protocol event. */
 struct TraceEntry
@@ -44,18 +47,14 @@ struct TraceEntry
     std::uint32_t aux = 0;
 };
 
-/** Fixed-capacity ring of TraceEntry. */
+/** Ring of the last kTraceDepth TraceEntry records. */
 class TraceRing
 {
   public:
-    explicit TraceRing(std::uint32_t depth = 64)
-        : entries_(depth ? depth : 1)
-    {}
-
     void
     record(const TraceEntry &e)
     {
-        entries_[static_cast<std::size_t>(next_ % entries_.size())] = e;
+        entries_[next_ % kTraceDepth] = e;
         ++next_;
     }
 
@@ -63,13 +62,10 @@ class TraceRing
     void
     dump(std::ostream &os, NodeId node) const
     {
-        std::uint64_t n = next_ < entries_.size()
-                              ? next_
-                              : static_cast<std::uint64_t>(entries_.size());
-        std::uint64_t first = next_ - n;
+        const std::uint64_t first =
+            next_ < kTraceDepth ? 0 : next_ - kTraceDepth;
         for (std::uint64_t i = first; i < next_; ++i) {
-            const TraceEntry &e =
-                entries_[static_cast<std::size_t>(i % entries_.size())];
+            const TraceEntry &e = entries_[i % kTraceDepth];
             os << "  [node " << node << " t=" << e.tick << "] ";
             switch (e.kind) {
               case TraceEntry::Kind::Handler:
@@ -99,7 +95,7 @@ class TraceRing
     std::uint64_t recorded() const { return next_; }
 
   private:
-    std::vector<TraceEntry> entries_;
+    std::array<TraceEntry, kTraceDepth> entries_{};
     std::uint64_t next_ = 0;
 };
 

@@ -9,13 +9,13 @@
 namespace flashsim::verify
 {
 
-Watchdog::Watchdog(EventQueue &eq, const VerifyParams &params)
-    : eq_(eq), interval_(params.watchdogInterval),
-      maxAge_(params.maxTransactionAge),
-      noProgressWindow_(params.noProgressWindow)
+Watchdog::Watchdog(EventQueue &eq, Cycles interval, Cycles max_age,
+                   Cycles no_progress_window)
+    : eq_(eq), interval_(interval), maxAge_(max_age),
+      noProgressWindow_(no_progress_window)
 {
     if (interval_ == 0)
-        fatal("Watchdog: watchdogInterval must be nonzero");
+        fatal("Watchdog: the sampling interval must be nonzero");
 }
 
 void

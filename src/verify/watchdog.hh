@@ -6,11 +6,11 @@
  * completion) and samples the machine at a fixed interval. Two trip
  * conditions:
  *
- *  - a single transaction older than maxTransactionAge (a wedged or
+ *  - a single transaction older than the age limit (a wedged or
  *    starved request — deadlock, or a pathological NACK storm that
  *    never lets one requester win);
  *
- *  - no transaction has retired for noProgressWindow cycles while some
+ *  - no transaction has retired for the progress window while some
  *    are outstanding and events keep firing (global NACK livelock: the
  *    machine is busy going nowhere).
  *
@@ -33,15 +33,22 @@
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
-#include "verify/params.hh"
 
 namespace flashsim::verify
 {
 
+// The machine's limits (the Sentinel's; tests pass short ones): far
+// above any legitimate latency (the worst miss is hundreds of cycles)
+// but low enough to kill a hung run quickly.
+inline constexpr Cycles kWatchdogInterval = 20000;  ///< sampling interval
+inline constexpr Cycles kMaxTransactionAge = 400000; ///< per-txn age limit
+inline constexpr Cycles kNoProgressWindow = 200000; ///< global progress
+
 class Watchdog
 {
   public:
-    Watchdog(EventQueue &eq, const VerifyParams &params);
+    Watchdog(EventQueue &eq, Cycles interval, Cycles max_age,
+             Cycles no_progress_window);
 
     /** A processor transaction for @p addr's line left node @p node. */
     void txnStart(NodeId node, Addr addr);

@@ -71,12 +71,11 @@ signature(Machine &m)
     if (const verify::Sentinel *sent = m.sentinel()) {
         os << sent->violations() << '|' << sent->trips() << '|'
            << sent->watchdog()->retired() << '|'
-           << sent->oracle()->trackedLines() << '|'
-           << sent->injectorStats().nacksInjected() << '|'
-           << sent->injectorStats().hintsDropped() << '|'
-           << sent->injectorStats().hintsDuped() << '|'
-           << sent->injectorStats().jitterCycles() << '|'
-           << sent->injectorStats().stallCycles() << '|';
+           << sent->oracle()->trackedLines() << '|';
+        if (const verify::FaultInjector *inj = sent->injector())
+            os << inj->nacksInjected() << '|' << inj->hintsDropped() << '|'
+               << inj->hintsDuped() << '|' << inj->jitterCycles() << '|'
+               << inj->stallCycles() << '|';
         std::ostringstream pm;
         sent->writePostMortem(pm, "signature");
         const std::string text = pm.str();
@@ -220,10 +219,9 @@ makeGoldenWorkload(const std::string &name)
 void
 verifyOn(MachineConfig &cfg)
 {
-    cfg.magic.verify.oracle = true;
-    cfg.magic.verify.watchdog = true;
-    cfg.magic.verify.haltOnViolation = false;
-    cfg.magic.verify.haltOnTrip = false;
+    cfg.verify.check = true;
+    cfg.verify.haltOnViolation = false;
+    cfg.verify.haltOnTrip = false;
 }
 
 struct GoldenCase
@@ -262,13 +260,12 @@ goldenCases()
     // injection class on.
     MachineConfig injected = MachineConfig::flash(kProcs, k64K);
     verifyOn(injected);
-    injected.magic.verify.fault.enabled = true;
-    injected.magic.verify.fault.seed = 7;
-    injected.magic.verify.fault.meshJitter = 10;
-    injected.magic.verify.fault.extraNackProb = 0.05;
-    injected.magic.verify.fault.dropHintProb = 0.05;
-    injected.magic.verify.fault.dupHintProb = 0.05;
-    injected.magic.verify.fault.inboundStall = 4;
+    injected.verify.fault.seed = 7;
+    injected.verify.fault.meshJitter = 10;
+    injected.verify.fault.extraNackProb = 0.05;
+    injected.verify.fault.dropHintProb = 0.05;
+    injected.verify.fault.dupHintProb = 0.05;
+    injected.verify.fault.inboundStall = 4;
     cases.push_back({"mp3d_verify_inject7", "mp3d", injected});
     return cases;
 }
@@ -300,6 +297,22 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<GoldenCase> &info) {
         return info.param.name;
     });
+
+// A fault seed with every class at zero injects nothing, so it must
+// build no sentinel and leave the run exactly the plain FLASH record.
+TEST(InjectionTest, ZeroClassInjectorIsOff)
+{
+    MachineConfig cfg = MachineConfig::flash(16);
+    cfg.verify.fault.seed = 7;
+    ASSERT_FALSE(cfg.verify.fault.any());
+    auto w = makeGoldenWorkload("mp3d");
+    auto m = runWorkload(cfg, *w);
+    EXPECT_EQ(m->sentinel(), nullptr);
+    EXPECT_EQ(m->executionTime(), 54760u);
+    EXPECT_EQ(m->stateDigest(), 345467276190240738ull);
+    expectGolden("mp3d_flash", formatRecord(m->executionTime(),
+                                            m->stateDigest(), signature(*m)));
+}
 
 TEST(GoldenTest, LockAndBarrierTortureOrderMatchesRecord)
 {

@@ -357,8 +357,8 @@ TEST(MachineConfigTest, EveryVariedFieldBreaksEquality)
             {"micColdMiss",
              [](MachineConfig &c) { c.magic.micColdMiss = 0; }},
             {"ideal", [](MachineConfig &c) { c.magic.ideal = true; }},
-            {"verify",
-             [](MachineConfig &c) { c.magic.verify.oracle = true; }},
+            {"verify.check",
+             [](MachineConfig &c) { c.verify.check = true; }},
         };
     for (const auto &[field, flip] : flips) {
         MachineConfig c = base;

@@ -201,15 +201,13 @@ machine::MachineConfig
 injectedRaceConfig(int procs, std::uint64_t seed)
 {
     MachineConfig cfg = MachineConfig::flash(procs);
-    cfg.magic.verify.oracle = true;
-    cfg.magic.verify.watchdog = true;
-    cfg.magic.verify.haltOnViolation = false;
-    cfg.magic.verify.haltOnTrip = false;
-    cfg.magic.verify.fault.enabled = true;
-    cfg.magic.verify.fault.seed = seed;
-    cfg.magic.verify.fault.meshJitter = 16;
-    cfg.magic.verify.fault.extraNackProb = 0.2;
-    cfg.magic.verify.fault.inboundStall = 6;
+    cfg.verify.check = true;
+    cfg.verify.haltOnViolation = false;
+    cfg.verify.haltOnTrip = false;
+    cfg.verify.fault.seed = seed;
+    cfg.verify.fault.meshJitter = 16;
+    cfg.verify.fault.extraNackProb = 0.2;
+    cfg.verify.fault.inboundStall = 6;
     return cfg;
 }
 
@@ -298,7 +296,7 @@ TEST(RaceTest, NackStormConvergesOracleClean)
     // still serialise the writers, make forward progress (no watchdog
     // trip) and keep the directory golden throughout.
     MachineConfig cfg = injectedRaceConfig(4, 3);
-    cfg.magic.verify.fault.extraNackProb = 0.5;
+    cfg.verify.fault.extraNackProb = 0.5;
     Machine m(cfg);
     Addr a = m.alloc(kLineSize, 0);
     m.run([=](tango::Env &env) -> tango::Task {
@@ -313,7 +311,7 @@ TEST(RaceTest, NackStormConvergesOracleClean)
     });
     m.drain();
 
-    EXPECT_GT(m.sentinel()->injectorStats().nacksInjected(), 0u);
+    EXPECT_GT(m.sentinel()->injector()->nacksInjected(), 0u);
     EXPECT_EQ(m.sentinel()->violations(), 0u);
     EXPECT_EQ(m.sentinel()->trips(), 0u);
     const auto &dir = m.node(0).magic().directory();

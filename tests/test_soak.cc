@@ -59,17 +59,15 @@ soakConfig(std::uint64_t seed)
     // Small caches raise the eviction (hint) rate; moderate injection
     // probabilities exercise every perturbation without livelocking.
     machine::MachineConfig cfg = machine::MachineConfig::flash(4, 64u * 1024u);
-    cfg.magic.verify.oracle = true;
-    cfg.magic.verify.watchdog = true;
-    cfg.magic.verify.haltOnViolation = false;
-    cfg.magic.verify.haltOnTrip = false;
-    cfg.magic.verify.fault.enabled = true;
-    cfg.magic.verify.fault.seed = seed;
-    cfg.magic.verify.fault.meshJitter = 10;
-    cfg.magic.verify.fault.extraNackProb = 0.05;
-    cfg.magic.verify.fault.dropHintProb = 0.05;
-    cfg.magic.verify.fault.dupHintProb = 0.05;
-    cfg.magic.verify.fault.inboundStall = 4;
+    cfg.verify.check = true;
+    cfg.verify.haltOnViolation = false;
+    cfg.verify.haltOnTrip = false;
+    cfg.verify.fault.seed = seed;
+    cfg.verify.fault.meshJitter = 10;
+    cfg.verify.fault.extraNackProb = 0.05;
+    cfg.verify.fault.dropHintProb = 0.05;
+    cfg.verify.fault.dupHintProb = 0.05;
+    cfg.verify.fault.inboundStall = 4;
     return cfg;
 }
 
@@ -99,11 +97,10 @@ TEST(SoakTest, MultiSeedInjectionSweepIsOracleClean)
                 r.violations = sent->violations();
                 r.trips = sent->trips();
                 r.retired = sent->watchdog()->retired();
-                r.perturbations = sent->injectorStats().nacksInjected() +
-                                  sent->injectorStats().hintsDropped() +
-                                  sent->injectorStats().hintsDuped() +
-                                  sent->injectorStats().jitterCycles() +
-                                  sent->injectorStats().stallCycles();
+                const verify::FaultInjector *inj = sent->injector();
+                r.perturbations = inj->nacksInjected() +
+                                  inj->hintsDropped() + inj->hintsDuped() +
+                                  inj->jitterCycles() + inj->stallCycles();
                 r.trackedLines = sent->oracle()->trackedLines();
                 return r;
             });

@@ -25,7 +25,6 @@ namespace
 using protocol::HandlerId;
 using protocol::HandlerResult;
 using protocol::Message;
-using verify::VerifyParams;
 using verify::Watchdog;
 
 /** Verification-on config: record-only policies so tests can assert on
@@ -34,11 +33,9 @@ MachineConfig
 verifyConfig(int procs)
 {
     MachineConfig cfg = MachineConfig::flash(procs);
-    cfg.magic.verify.oracle = true;
-    cfg.magic.verify.watchdog = true;
-    cfg.magic.verify.haltOnViolation = false;
-    cfg.magic.verify.haltOnTrip = false;
-    cfg.magic.verify.traceDepth = 8; // keep post-mortem dumps short
+    cfg.verify.check = true;
+    cfg.verify.haltOnViolation = false;
+    cfg.verify.haltOnTrip = false;
     return cfg;
 }
 
@@ -281,23 +278,10 @@ TEST(OracleTest, InvalOvertakingReadReplyIsForgivenOnce)
 // Watchdog: trips on wedged transactions and on global no-progress,
 // disarms on quiescence so the event queue drains.
 
-VerifyParams
-watchdogParams(Cycles interval, Cycles max_age, Cycles window)
-{
-    VerifyParams p;
-    p.watchdog = true;
-    p.haltOnTrip = false;
-    p.watchdogInterval = interval;
-    p.maxTransactionAge = max_age;
-    p.noProgressWindow = window;
-    return p;
-}
-
 TEST(WatchdogTest, TripsOnWedgedTransaction)
 {
     EventQueue eq;
-    VerifyParams p = watchdogParams(100, 1000, 1u << 30);
-    Watchdog wd(eq, p);
+    Watchdog wd(eq, 100, 1000, 1u << 30);
     std::string reason;
     wd.onTrip = [&](const std::string &r) { reason = r; };
 
@@ -315,8 +299,7 @@ TEST(WatchdogTest, TripsOnWedgedTransaction)
 TEST(WatchdogTest, TripsOnNoProgress)
 {
     EventQueue eq;
-    VerifyParams p = watchdogParams(100, 1u << 30, 500);
-    Watchdog wd(eq, p);
+    Watchdog wd(eq, 100, 1u << 30, 500);
     std::string reason;
     wd.onTrip = [&](const std::string &r) { reason = r; };
 
@@ -331,8 +314,7 @@ TEST(WatchdogTest, TripsOnNoProgress)
 TEST(WatchdogTest, DisarmsWhenAllTransactionsRetire)
 {
     EventQueue eq;
-    VerifyParams p = watchdogParams(100, 1000, 500);
-    Watchdog wd(eq, p);
+    Watchdog wd(eq, 100, 1000, 500);
 
     wd.txnStart(1, kLineSize);
     wd.txnRetire(1, kLineSize);
@@ -346,8 +328,7 @@ TEST(WatchdogTest, DisarmsWhenAllTransactionsRetire)
 TEST(WatchdogTest, StatusListsOldestTransactions)
 {
     EventQueue eq;
-    VerifyParams p = watchdogParams(100, 1u << 30, 1u << 30);
-    Watchdog wd(eq, p);
+    Watchdog wd(eq, 100, 1u << 30, 1u << 30);
     wd.txnStart(3, 7 * kLineSize);
 
     std::ostringstream os;
@@ -367,13 +348,12 @@ injectionConfig(int procs, std::uint64_t seed)
 {
     MachineConfig cfg = verifyConfig(procs);
     cfg.cache.sizeBytes = 4096; // force evictions: hint traffic
-    cfg.magic.verify.fault.enabled = true;
-    cfg.magic.verify.fault.seed = seed;
-    cfg.magic.verify.fault.meshJitter = 12;
-    cfg.magic.verify.fault.extraNackProb = 0.15;
-    cfg.magic.verify.fault.dropHintProb = 0.1;
-    cfg.magic.verify.fault.dupHintProb = 0.1;
-    cfg.magic.verify.fault.inboundStall = 6;
+    cfg.verify.fault.seed = seed;
+    cfg.verify.fault.meshJitter = 12;
+    cfg.verify.fault.extraNackProb = 0.15;
+    cfg.verify.fault.dropHintProb = 0.1;
+    cfg.verify.fault.dupHintProb = 0.1;
+    cfg.verify.fault.inboundStall = 6;
     return cfg;
 }
 
@@ -400,11 +380,12 @@ runInjected(const MachineConfig &cfg)
     d.execTime = m.executionTime();
     d.violations = s->violations();
     d.trips = s->trips();
-    d.nacks = s->injectorStats().nacksInjected();
-    d.dropped = s->injectorStats().hintsDropped();
-    d.duped = s->injectorStats().hintsDuped();
-    d.jitter = s->injectorStats().jitterCycles();
-    d.stall = s->injectorStats().stallCycles();
+    const verify::FaultInjector *inj = s->injector();
+    d.nacks = inj->nacksInjected();
+    d.dropped = inj->hintsDropped();
+    d.duped = inj->hintsDuped();
+    d.jitter = inj->jitterCycles();
+    d.stall = inj->stallCycles();
     return d;
 }
 
@@ -475,7 +456,7 @@ TEST(FatalContextDeathTest, HaltOnViolationDiesWithPostMortem)
     EXPECT_DEATH(
         {
             MachineConfig cfg = verifyConfig(2);
-            cfg.magic.verify.haltOnViolation = true;
+            cfg.verify.haltOnViolation = true;
             Machine m(cfg);
             Addr a = m.alloc(kLineSize, 0);
             m.sentinel()->testMutator = [&](NodeId node,
