@@ -158,8 +158,8 @@ BM_PpDispatchCompiled(benchmark::State &state)
     fwd.requester = 0;
     fwd.addr = 0x20000;
 
-    // Resolve programs up front, the way PpTimingModel's dispatch
-    // table does at construction.
+    // Resolve programs up front, the way the inbox resolves each
+    // message's jump-table entry once, before the PP runs it.
     const ppisa::Program &getProg =
         programs.forMessage(get.type, /*at_home=*/true);
     const ppisa::Program &fwdProg =

@@ -443,7 +443,10 @@ handlerOccupancy(const protocol::HandlerPrograms &programs,
     for (int pass = 0; pass < 2; ++pass) {
         dir = protocol::DirectoryStore();
         setup(dir);
-        out = model.run(m, 0, home, cache_dirty).occupancy;
+        out = model
+                  .run(programs.dispatch(m.type, home == 0), m, 0, home,
+                       cache_dirty)
+                  .occupancy;
     }
     if (id == protocol::HandlerId::RetrieveFromCache)
         out += magic::kCacheRetrieveCycles;

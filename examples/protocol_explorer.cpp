@@ -23,25 +23,6 @@ using namespace flashsim::protocol;
 namespace
 {
 
-struct Map : AddressMap
-{
-    NodeId
-    homeOf(Addr a) const override
-    {
-        return static_cast<NodeId>((a >> 12) % 4);
-    }
-};
-
-struct Probe : CacheProbe
-{
-    bool dirty = false;
-    bool
-    holdsDirty(Addr) const override
-    {
-        return dirty;
-    }
-};
-
 /** PP memory adapter over a directory store. */
 struct DirMem : ppisa::PpMemory
 {
@@ -84,10 +65,18 @@ main()
     std::printf("==========================\n\n");
 
     const Addr line = 0x0000; // homed on node 0
-    Map map;
-    Probe probe;
+    const NodeId home = 0;
+    const HandlerPrograms progs = buildHandlerPrograms();
     DirectoryStore dir;
-    ProtocolEngine engine(0, dir, map, probe);
+    ProtocolEngine engine(home, dir);
+    // MAGIC's inbox decode: the jump-table entry for the message type
+    // and line-is-local bit names the C++ handler and its PP program;
+    // both take the message, the line's home and whether the local
+    // processor cache holds the line dirty (here it never does).
+    const auto run = [&](const Message &m) {
+        const HandlerPrograms::Entry &e = progs.dispatch(m.type, true);
+        return (engine.*e.handler)(m, home, false);
+    };
 
     // Scenario: nodes 2 and 3 read the line, then node 1 writes it.
     std::printf("1. Node 2 and node 3 read the line (clean at home):\n");
@@ -98,7 +87,7 @@ main()
         m.dest = 0;
         m.requester = reader;
         m.addr = line;
-        HandlerResult r = engine.handle(m);
+        HandlerResult r = run(m);
         std::printf("  GET from node %u -> handler %s, %zu message(s): ",
                     reader, handlerIdName(r.id), r.out.size());
         for (const OutMsg &o : r.out)
@@ -114,7 +103,7 @@ main()
     getx.dest = 0;
     getx.requester = 1;
     getx.addr = line;
-    HandlerResult r = engine.handle(getx);
+    HandlerResult r = run(getx);
     std::printf("  GETX from node 1 -> handler %s (%d invalidations):\n",
                 handlerIdName(r.id), r.costParam);
     for (const OutMsg &o : r.out)
@@ -123,7 +112,6 @@ main()
 
     // The same GETX through the PP program, instruction by instruction.
     std::printf("\n3. The same GETX as PP handler code:\n\n");
-    HandlerPrograms progs = buildHandlerPrograms();
     const ppisa::Program &getx_prog = progs.forMessage(MsgType::NetGetx, true);
     std::printf("%s\n", getx_prog.toString().c_str());
 
@@ -133,7 +121,7 @@ main()
     dir2.addSharer(line, 2);
     dir2.addSharer(line, 3);
     DirMem mem(dir2);
-    ppisa::RegFile regs = makeHandlerRegs(getx, 0, 0, false);
+    ppisa::RegFile regs = makeHandlerRegs(getx, home, home, false);
     std::vector<ppisa::SentMessage> sent;
     ppisa::RunStats stats;
     ppisa::PpSim sim;
@@ -157,7 +145,7 @@ main()
     dir3.addSharer(line, 2);
     dir3.addSharer(line, 3);
     DirMem mem3(dir3);
-    regs = makeHandlerRegs(getx, 0, 0, false);
+    regs = makeHandlerRegs(getx, home, home, false);
     sent.clear();
     ppisa::RunStats base_stats;
     Cycles base_cycles =

@@ -24,8 +24,7 @@ Magic::Magic(EventQueue &eq, NodeId self, const MagicParams &params,
              const protocol::AddressMap &map,
              const protocol::HandlerPrograms &programs)
     : eq_(eq), self_(self), params_(params), map_(map), dir_(),
-      mem_(kMemAccess, kMemBusy), programs_(programs), probe_(*this),
-      engine_(self, dir_, map_, probe_)
+      mem_(kMemAccess, kMemBusy), programs_(programs), engine_(self, dir_)
 {
     if (params_.usePpEmulator && !params_.ideal)
         pp_ = std::make_unique<PpTimingModel>(programs_, dir_, params_);
@@ -42,12 +41,6 @@ Magic::Magic(EventQueue &eq, NodeId self, const MagicParams &params,
 }
 
 Magic::~Magic() = default;
-
-bool
-Magic::Probe::holdsDirty(Addr addr) const
-{
-    return m_.cache_->holdsDirty(addr);
-}
 
 Tick
 Magic::inboundArrival(Cycles base, Tick &last)
@@ -165,17 +158,21 @@ Magic::enqueue(MagicFifo<Pending> &q, const Message &msg)
             break;
         }
     }
+    // The inbox decodes the header once: the line's home, then the
+    // jump-table entry the PP will run.
+    const NodeId home = map_.homeOf(msg.addr);
+    const protocol::HandlerPrograms::Entry &entry =
+        programs_.dispatch(msg.type, home == self_);
     for (int c = 0; c < copies; ++c) {
         ++msgsIn;
-        Pending p{msg, eq_.now(), false, 0};
+        Pending p{msg, &entry, home, false, eq_.now(), 0};
         // Speculative memory initiation happens as the inbox preprocesses
         // the incoming header, concurrently with the PP working on earlier
         // messages — this is what hides protocol processing behind the
         // memory access time even when the PP is backed up (Section 4.3).
         // Each early read stages into one of the 16 data buffers.
         if (!params_.ideal && params_.speculation && freeBuffers_ > 0 &&
-            programs_.entry(msg.type, map_.homeOf(msg.addr) == self_)
-                .specRead) {
+            entry.specRead) {
             --freeBuffers_;
             p.specIssued = true;
             p.specReady = mem_.read(eq_.now() + kJumpLookup);
@@ -218,8 +215,9 @@ Magic::runHandler()
 {
     const Pending &pending = running_;
     const Message &msg = pending.msg;
+    const protocol::HandlerPrograms::Entry &entry = *pending.entry;
     const Tick now = eq_.now();
-    const NodeId home = map_.homeOf(msg.addr);
+    const NodeId home = pending.home;
     const bool at_home = home == self_;
 
     setLogNode(self_);
@@ -242,20 +240,20 @@ Magic::runHandler()
     bool spec_issued = pending.specIssued;
     bool release_buffer = pending.specIssued;
     Tick mem_ready = pending.specReady;
-    if (!spec_issued && params_.speculation &&
-        programs_.entry(msg.type, at_home).specRead) {
+    if (!spec_issued && params_.speculation && entry.specRead) {
         mem_ready = mem_.read(now);
         spec_issued = true;
         ++specIssued;
     }
 
-    // The PP program runs against the directory as the C++ handler
-    // finds it, so it is timed first.
+    // The PP program and the C++ handler run from the same entry on the
+    // same inputs. The program runs against the directory as the C++
+    // handler finds it, so it is timed first.
     const bool cache_dirty = cache_->holdsDirty(msg.addr);
     HandlerTiming ht;
     if (pp_)
-        ht = pp_->run(msg, self_, home, cache_dirty);
-    HandlerResult res = engine_.handle(msg);
+        ht = pp_->run(entry, msg, self_, home, cache_dirty);
+    HandlerResult res = (engine_.*entry.handler)(msg, home, cache_dirty);
     if (!pp_)
         ht.occupancy = tableCost(res.id, res.costParam);
     else if (res.cacheRetrieve)

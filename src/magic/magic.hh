@@ -22,8 +22,13 @@
  * data buffers.
  *
  * The jump table is built with the handler programs
- * (protocol::HandlerPrograms); each entry names the PP program and
- * says whether the inbox starts a speculative memory read. A
+ * (protocol::HandlerPrograms); each entry names the C++ handler and
+ * its PP program and says whether the inbox starts a speculative
+ * memory read. The inbox decodes each message once, as it arrives: the
+ * home node of its line, then that entry. When the PP takes the
+ * message, MAGIC asks the processor cache once whether it holds the
+ * line dirty and runs the PP timing model and the C++ handler from the
+ * same entry on the same (message, home, cache dirty) inputs. A
  * speculative read's data occupies one of the 16 data buffers until
  * its handler finishes; with none free, the read starts with the
  * handler instead.
@@ -244,11 +249,15 @@ class Magic
     struct Pending
     {
         protocol::Message msg;
-        Tick enqueued;
+        /** The inbox's decode of msg: the jump-table entry for its type
+         *  and line-is-local bit, and the home node of its line. */
+        const protocol::HandlerPrograms::Entry *entry = nullptr;
+        NodeId home = 0;
         /** The inbox issued the speculative memory read on arrival
          *  (macropipeline: this overlaps queued messages' memory time
          *  with the PP's processing of earlier messages). */
         bool specIssued = false;
+        Tick enqueued = 0;
         Tick specReady = 0;
     };
 
@@ -283,17 +292,6 @@ class Magic
      *  The ideal machine never claims one (its buffers are unlimited). */
     int freeBuffers_ = kDataBuffers;
 
-    /** CacheProbe adapter over the node's processor cache. */
-    class Probe : public protocol::CacheProbe
-    {
-      public:
-        explicit Probe(const Magic &m) : m_(m) {}
-        bool holdsDirty(Addr addr) const override;
-
-      private:
-        const Magic &m_;
-    };
-    Probe probe_;
     protocol::ProtocolEngine engine_;
 
     /** PPsim handler timing; null on the ideal machine and under

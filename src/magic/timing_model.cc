@@ -97,10 +97,12 @@ PpTimingModel::PpTimingModel(const protocol::HandlerPrograms &programs,
 }
 
 HandlerTiming
-PpTimingModel::run(const protocol::Message &msg, NodeId self, NodeId home,
+PpTimingModel::run(const protocol::HandlerPrograms::Entry &entry,
+                   const protocol::Message &msg, NodeId self, NodeId home,
                    bool cache_dirty)
 {
-    const ppisa::Program &prog = programs_.forMessage(msg.type, home == self);
+    const auto i = static_cast<std::size_t>(entry.program);
+    const ppisa::Program &prog = programs_.programs[i];
     shadow_.reset();
     ppisa::RegFile regs =
         protocol::makeHandlerRegs(msg, self, home, cache_dirty);
@@ -110,8 +112,6 @@ PpTimingModel::run(const protocol::Message &msg, NodeId self, NodeId home,
     t.occupancy = sim_.run(prog, regs, shadow_, sent_, stats_);
     t.mdcMisses = shadow_.misses;
     t.mdcWritebacks = shadow_.writebacks;
-    const auto i =
-        static_cast<std::size_t>(&prog - programs_.programs.data());
     if (!warm_[i]) {
         warm_[i] = true;
         t.micColdMiss = true;

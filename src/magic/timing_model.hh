@@ -62,12 +62,14 @@ class PpTimingModel
                   const MagicParams &params);
 
     /**
-     * Run the handler program for @p msg arriving at @p self, against
-     * the directory as it stands before the authoritative C++ handler
-     * mutates it. The occupancy excludes kCacheRetrieveCycles, which
-     * only the C++ handler's result decides.
+     * Run @p entry's handler program for @p msg arriving at @p self,
+     * against the directory as it stands before the authoritative C++
+     * handler mutates it; @p home and @p cache_dirty are the inputs the
+     * C++ handler gets. The occupancy excludes kCacheRetrieveCycles,
+     * which only the C++ handler's result decides.
      */
-    HandlerTiming run(const protocol::Message &msg, NodeId self,
+    HandlerTiming run(const protocol::HandlerPrograms::Entry &entry,
+                      const protocol::Message &msg, NodeId self,
                       NodeId home, bool cache_dirty);
 
     /** Accumulated dynamic instruction statistics (Table 5.2). */

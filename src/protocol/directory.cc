@@ -14,7 +14,6 @@ DirHeader::unpack(std::uint64_t w)
 {
     DirHeader h;
     h.dirty = (w >> df::kDirtyBit) & 1;
-    h.pending = (w >> df::kPendingBit) & 1;
     h.head = static_cast<std::uint32_t>((w >> df::kHeadLo) &
                                         fieldMask(0, df::kHeadWidth));
     h.owner = static_cast<NodeId>((w >> df::kOwnerLo) &
@@ -27,7 +26,6 @@ DirHeader::pack() const
 {
     std::uint64_t w = 0;
     w |= static_cast<std::uint64_t>(dirty) << df::kDirtyBit;
-    w |= static_cast<std::uint64_t>(pending) << df::kPendingBit;
     w |= (static_cast<std::uint64_t>(head) & fieldMask(0, df::kHeadWidth))
          << df::kHeadLo;
     w |= (static_cast<std::uint64_t>(owner) & fieldMask(0, df::kOwnerWidth))

@@ -18,9 +18,9 @@
  *   linkAddr(idx)     = kLinkPoolBase + idx * 8
  *   free-list head    = linkAddr(0)  (link index 0 is the null index)
  *
- * Header word: bit 0 dirty, bit 1 pending, bits [16,32) head link index,
- * bits [32,48) owner node. Link word: bits [0,16) node, bits [16,32)
- * next link index.
+ * Header word: bit 0 dirty, bits [16,32) head link index, bits [32,48)
+ * owner node. Link word: bits [0,16) node, bits [16,32) next link
+ * index.
  *
  * Storage is a paged flat store rather than a hash map: a region
  * decoder maps each word address onto one of three index-addressed
@@ -75,7 +75,6 @@ ackAddr(Addr addr)
 namespace dirfield
 {
 inline constexpr unsigned kDirtyBit = 0;
-inline constexpr unsigned kPendingBit = 1;
 inline constexpr unsigned kHeadLo = 16;
 inline constexpr unsigned kHeadWidth = 16;
 inline constexpr unsigned kOwnerLo = 32;
@@ -100,11 +99,6 @@ linkAddr(std::uint32_t idx)
 struct DirHeader
 {
     bool dirty = false;
-    /** Reserved transient-state bit. The shipped protocol resolves all
-     *  races by NACK/retry instead of pending states (see handlers.hh),
-     *  so this bit is never set; it is kept in the encoding because a
-     *  pending-based protocol variant would live here. */
-    bool pending = false;
     std::uint32_t head = 0;  ///< first sharer link index (0 = empty)
     NodeId owner = 0;        ///< owning node when dirty
 

@@ -49,65 +49,12 @@ ProtocolEngine::make(MsgType type, NodeId dest, Addr addr, NodeId requester,
 }
 
 HandlerResult
-ProtocolEngine::handle(const Message &msg)
-{
-    const bool at_home = map_.homeOf(msg.addr) == self_;
-    switch (msg.type) {
-      case MsgType::PiGet:
-      case MsgType::PiGetx:
-      case MsgType::PiWriteback:
-      case MsgType::PiReplaceHint:
-        if (!at_home)
-            return handleRequestForward(msg);
-        switch (msg.type) {
-          case MsgType::PiGet: return handleGetAtHome(msg);
-          case MsgType::PiGetx: return handleGetxAtHome(msg);
-          case MsgType::PiWriteback: return handleWritebackAtHome(msg);
-          default: return handleReplaceHintAtHome(msg);
-        }
-      case MsgType::NetGet:
-        return handleGetAtHome(msg);
-      case MsgType::NetGetx:
-        return handleGetxAtHome(msg);
-      case MsgType::NetFwdGet:
-        return handleFwdGet(msg);
-      case MsgType::NetFwdGetx:
-        return handleFwdGetx(msg);
-      case MsgType::NetWriteback:
-        return handleWritebackAtHome(msg);
-      case MsgType::NetReplaceHint:
-        return handleReplaceHintAtHome(msg);
-      case MsgType::NetSwb:
-        return handleSwb(msg);
-      case MsgType::NetOwnXfer:
-        return handleOwnXfer(msg);
-      case MsgType::NetInval:
-        return handleInval(msg);
-      case MsgType::NetPut:
-      case MsgType::NetPutx:
-      case MsgType::NetInvalAck:
-      case MsgType::NetNack:
-        return handleReply(msg);
-      case MsgType::NetBlockXfer:
-      case MsgType::NetBlockAck:
-        return handleBlockXfer(msg);
-      case MsgType::PiFetchOp:
-      case MsgType::NetFetchOp:
-      case MsgType::NetFetchOpAck:
-        return handleFetchOp(msg);
-      default:
-        panic("ProtocolEngine: no handler for %s", msg.toString().c_str());
-    }
-}
-
-HandlerResult
-ProtocolEngine::handleRequestForward(const Message &msg)
+ProtocolEngine::handleRequestForward(const Message &msg, NodeId home, bool)
 {
     // Requester-side: pass the processor's request on to the home node.
     // "Forward request to home node" (Table 3.4: 3 cycles).
     HandlerResult r;
     r.id = HandlerId::FwdToHome;
-    NodeId home = map_.homeOf(msg.addr);
     MsgType t;
     switch (msg.type) {
       case MsgType::PiGet: t = MsgType::NetGet; break;
@@ -122,7 +69,7 @@ ProtocolEngine::handleRequestForward(const Message &msg)
 }
 
 HandlerResult
-ProtocolEngine::handleGetAtHome(const Message &msg)
+ProtocolEngine::handleGetAtHome(const Message &msg, NodeId, bool cache_dirty)
 {
     HandlerResult r;
     const Addr addr = msg.addr;
@@ -143,7 +90,7 @@ ProtocolEngine::handleGetAtHome(const Message &msg)
             // Dirty in the home node's own processor cache: retrieve the
             // data via the processor interface, downgrade to shared, and
             // do a sharing writeback to memory.
-            if (!probe_.holdsDirty(addr)) {
+            if (!cache_dirty) {
                 // Local writeback already left the cache and sits in the
                 // PI queue behind this message; retry.
                 r.id = HandlerId::HomeNack;
@@ -191,7 +138,7 @@ ProtocolEngine::handleGetAtHome(const Message &msg)
 }
 
 HandlerResult
-ProtocolEngine::handleGetxAtHome(const Message &msg)
+ProtocolEngine::handleGetxAtHome(const Message &msg, NodeId, bool cache_dirty)
 {
     HandlerResult r;
     const Addr addr = msg.addr;
@@ -207,7 +154,7 @@ ProtocolEngine::handleGetxAtHome(const Message &msg)
             return r;
         }
         if (h.owner == self_) {
-            if (!probe_.holdsDirty(addr)) {
+            if (!cache_dirty) {
                 r.id = HandlerId::HomeNack;
                 r.nackedRequest = true;
                 r.out.push_back(
@@ -276,16 +223,15 @@ ProtocolEngine::handleGetxAtHome(const Message &msg)
 }
 
 HandlerResult
-ProtocolEngine::handleFwdGet(const Message &msg)
+ProtocolEngine::handleFwdGet(const Message &msg, NodeId home, bool cache_dirty)
 {
     // At the (supposed) dirty owner: serve the requester directly and do
     // a sharing writeback to the home node.
     HandlerResult r;
     const Addr addr = msg.addr;
     const NodeId req = msg.requester;
-    const NodeId home = map_.homeOf(addr);
 
-    if (!probe_.holdsDirty(addr)) {
+    if (!cache_dirty) {
         // Ownership already left this cache (writeback or previous
         // forward in flight): NACK the requester, it will retry.
         r.id = HandlerId::NackReceive; // small handler: compose NACK
@@ -305,14 +251,14 @@ ProtocolEngine::handleFwdGet(const Message &msg)
 }
 
 HandlerResult
-ProtocolEngine::handleFwdGetx(const Message &msg)
+ProtocolEngine::handleFwdGetx(const Message &msg, NodeId home,
+                              bool cache_dirty)
 {
     HandlerResult r;
     const Addr addr = msg.addr;
     const NodeId req = msg.requester;
-    const NodeId home = map_.homeOf(addr);
 
-    if (!probe_.holdsDirty(addr)) {
+    if (!cache_dirty) {
         r.id = HandlerId::NackReceive;
         r.nackedRequest = true;
         r.out.push_back(
@@ -330,7 +276,7 @@ ProtocolEngine::handleFwdGetx(const Message &msg)
 }
 
 HandlerResult
-ProtocolEngine::handleWritebackAtHome(const Message &msg)
+ProtocolEngine::handleWritebackAtHome(const Message &msg, NodeId, bool)
 {
     HandlerResult r;
     const Addr addr = msg.addr;
@@ -354,7 +300,7 @@ ProtocolEngine::handleWritebackAtHome(const Message &msg)
 }
 
 HandlerResult
-ProtocolEngine::handleReplaceHintAtHome(const Message &msg)
+ProtocolEngine::handleReplaceHintAtHome(const Message &msg, NodeId, bool)
 {
     HandlerResult r;
     const NodeId node = msg.src;
@@ -372,7 +318,7 @@ ProtocolEngine::handleReplaceHintAtHome(const Message &msg)
 }
 
 HandlerResult
-ProtocolEngine::handleSwb(const Message &msg)
+ProtocolEngine::handleSwb(const Message &msg, NodeId, bool)
 {
     // Sharing writeback at home: the old owner downgraded and served the
     // requester; both become sharers, memory gets the data.
@@ -395,7 +341,7 @@ ProtocolEngine::handleSwb(const Message &msg)
 }
 
 HandlerResult
-ProtocolEngine::handleOwnXfer(const Message &msg)
+ProtocolEngine::handleOwnXfer(const Message &msg, NodeId, bool)
 {
     HandlerResult r;
     r.id = HandlerId::OwnXferReceive;
@@ -411,7 +357,7 @@ ProtocolEngine::handleOwnXfer(const Message &msg)
 }
 
 HandlerResult
-ProtocolEngine::handleInval(const Message &msg)
+ProtocolEngine::handleInval(const Message &msg, NodeId, bool)
 {
     // At a sharer: invalidate the processor cache copy and ack to the
     // requester (who counts acks for its pending write).
@@ -425,7 +371,7 @@ ProtocolEngine::handleInval(const Message &msg)
 }
 
 HandlerResult
-ProtocolEngine::handleReply(const Message &msg)
+ProtocolEngine::handleReply(const Message &msg, NodeId, bool)
 {
     // Replies at the requesting node: forward data to the processor /
     // account an invalidation ack / schedule a NACK retry. The protocol
@@ -458,7 +404,7 @@ ProtocolEngine::handleReply(const Message &msg)
 }
 
 HandlerResult
-ProtocolEngine::handleBlockXfer(const Message &msg)
+ProtocolEngine::handleBlockXfer(const Message &msg, NodeId, bool)
 {
     // Message-passing protocol: block-transfer chunks bypass the
     // coherence directory entirely and stream straight into local
@@ -482,7 +428,7 @@ ProtocolEngine::handleBlockXfer(const Message &msg)
 }
 
 HandlerResult
-ProtocolEngine::handleFetchOp(const Message &msg)
+ProtocolEngine::handleFetchOp(const Message &msg, NodeId home, bool)
 {
     // Uncached fetch&op: the home's PP performs the read-modify-write
     // on the memory word directly (no caching, no sharers, no
@@ -494,12 +440,12 @@ ProtocolEngine::handleFetchOp(const Message &msg)
         r.id = HandlerId::FetchOpAck;
         return r;
     }
-    if (map_.homeOf(msg.addr) != self_) {
+    if (home != self_) {
         // Requester side of a remote fetch&op: forward to home.
         r.id = HandlerId::FwdToHome;
-        r.out.push_back({make(MsgType::NetFetchOp, map_.homeOf(msg.addr),
-                              msg.addr, msg.requester),
-                         Gate::None});
+        r.out.push_back(
+            {make(MsgType::NetFetchOp, home, msg.addr, msg.requester),
+             Gate::None});
         return r;
     }
     r.id = HandlerId::FetchOpService;

@@ -2,12 +2,16 @@
  * @file
  * Authoritative cache-coherence handler logic.
  *
- * Each MAGIC message type dispatches to one handler, mirroring the PP
- * handler structure of the real machine. The C++ handlers here perform
- * the authoritative directory state transition and tell MAGIC what to do
- * (messages to launch, memory/cache operations to perform); their PP
- * program counterparts in pp_programs.cc reproduce the same control flow
- * for cycle-accurate timing, and a conformance test checks both agree.
+ * The inbox jump table (protocol::HandlerPrograms, built with the PP
+ * handler programs) names, per message type and line-is-local decode,
+ * both the C++ handler here and its PP program counterpart. MAGIC decodes
+ * each message once and runs both from that entry on the same inputs:
+ * the message, the home node of its line, and whether the local
+ * processor cache holds the line dirty. The C++ handlers perform the
+ * authoritative directory state transition and tell MAGIC what to do
+ * (messages to launch, memory/cache operations to perform); the PP
+ * programs in pp_programs.cc reproduce the same control flow for
+ * cycle-accurate timing, and a conformance test checks both agree.
  *
  * Race handling follows the NACK/retry discipline: requests that find
  * the line in a transient state (owner not yet holding data, writeback
@@ -35,15 +39,6 @@ class AddressMap
   public:
     virtual ~AddressMap() = default;
     virtual NodeId homeOf(Addr addr) const = 0;
-};
-
-/** Lets home-node handlers probe their local processor cache state. */
-class CacheProbe
-{
-  public:
-    virtual ~CacheProbe() = default;
-    /** True if the local processor cache holds @p addr's line dirty. */
-    virtual bool holdsDirty(Addr addr) const = 0;
 };
 
 /** What an outgoing message's launch must wait for. */
@@ -118,31 +113,40 @@ struct HandlerResult
 class ProtocolEngine
 {
   public:
-    ProtocolEngine(NodeId self, DirectoryStore &dir, const AddressMap &map,
-                   const CacheProbe &probe)
-        : self_(self), dir_(dir), map_(map), probe_(probe)
+    ProtocolEngine(NodeId self, DirectoryStore &dir) : self_(self), dir_(dir)
     {}
 
-    /** Dispatch @p msg to its handler and return MAGIC's directives. */
-    HandlerResult handle(const Message &msg);
-
-    NodeId self() const { return self_; }
-
-    // Individual handlers, public for direct unit testing. @p msg must be
-    // of the matching type and (for home handlers) homed at this node.
-    HandlerResult handleGetAtHome(const Message &msg);
-    HandlerResult handleGetxAtHome(const Message &msg);
-    HandlerResult handleRequestForward(const Message &msg);
-    HandlerResult handleFwdGet(const Message &msg);
-    HandlerResult handleFwdGetx(const Message &msg);
-    HandlerResult handleWritebackAtHome(const Message &msg);
-    HandlerResult handleReplaceHintAtHome(const Message &msg);
-    HandlerResult handleSwb(const Message &msg);
-    HandlerResult handleOwnXfer(const Message &msg);
-    HandlerResult handleInval(const Message &msg);
-    HandlerResult handleReply(const Message &msg);
-    HandlerResult handleBlockXfer(const Message &msg);
-    HandlerResult handleFetchOp(const Message &msg);
+    // The handlers, one per jump-table entry (see HandlerPrograms). Each
+    // takes @p msg of a type its entry names, the @p home node of
+    // msg.addr's line, and whether the local processor cache holds that
+    // line dirty (@p cache_dirty), the inputs the PP program gets in
+    // registers. Public so buildHandlerPrograms can place them.
+    HandlerResult handleGetAtHome(const Message &msg, NodeId home,
+                                  bool cache_dirty);
+    HandlerResult handleGetxAtHome(const Message &msg, NodeId home,
+                                   bool cache_dirty);
+    HandlerResult handleRequestForward(const Message &msg, NodeId home,
+                                       bool cache_dirty);
+    HandlerResult handleFwdGet(const Message &msg, NodeId home,
+                               bool cache_dirty);
+    HandlerResult handleFwdGetx(const Message &msg, NodeId home,
+                                bool cache_dirty);
+    HandlerResult handleWritebackAtHome(const Message &msg, NodeId home,
+                                        bool cache_dirty);
+    HandlerResult handleReplaceHintAtHome(const Message &msg, NodeId home,
+                                          bool cache_dirty);
+    HandlerResult handleSwb(const Message &msg, NodeId home,
+                            bool cache_dirty);
+    HandlerResult handleOwnXfer(const Message &msg, NodeId home,
+                                bool cache_dirty);
+    HandlerResult handleInval(const Message &msg, NodeId home,
+                              bool cache_dirty);
+    HandlerResult handleReply(const Message &msg, NodeId home,
+                              bool cache_dirty);
+    HandlerResult handleBlockXfer(const Message &msg, NodeId home,
+                                  bool cache_dirty);
+    HandlerResult handleFetchOp(const Message &msg, NodeId home,
+                                bool cache_dirty);
 
   private:
     Message make(MsgType type, NodeId dest, Addr addr, NodeId requester,
@@ -150,9 +154,12 @@ class ProtocolEngine
 
     NodeId self_;
     DirectoryStore &dir_;
-    const AddressMap &map_;
-    const CacheProbe &probe_;
 };
+
+/** A C++ handler as a jump-table entry names it. */
+using Handler = HandlerResult (ProtocolEngine::*)(const Message &msg,
+                                                  NodeId home,
+                                                  bool cache_dirty);
 
 } // namespace flashsim::protocol
 

@@ -601,59 +601,76 @@ buildHandlerPrograms(const ppc::CompileOptions &opts)
         return static_cast<int>(p.programs.size() - 1);
     };
     // Jump-table slots: a message for a line homed here (local), homed
-    // elsewhere (remote), or either. Only the memory-reading requests
-    // at home start a speculative read.
-    const auto local = [&](MsgType t, int prog, bool spec_read = false) {
-        p.table[static_cast<std::size_t>(t)][1] = {prog, spec_read};
+    // elsewhere (remote), or either. Each places a program and the C++
+    // handler it mirrors. Only the memory-reading requests at home
+    // start a speculative read.
+    const auto local = [&](MsgType t, int prog, Handler h,
+                           bool spec_read = false) {
+        p.table[static_cast<std::size_t>(t)][1] = {prog, h, spec_read};
     };
-    const auto remote = [&](MsgType t, int prog) {
-        p.table[static_cast<std::size_t>(t)][0] = {prog, false};
+    const auto remote = [&](MsgType t, int prog, Handler h) {
+        p.table[static_cast<std::size_t>(t)][0] = {prog, h, false};
     };
-    const auto either = [&](MsgType t, int prog, bool spec_read = false) {
-        local(t, prog, spec_read);
-        remote(t, prog);
+    const auto either = [&](MsgType t, int prog, Handler h,
+                            bool spec_read = false) {
+        local(t, prog, h, spec_read);
+        remote(t, prog, h);
     };
+    using E = ProtocolEngine;
 
     local(MsgType::PiGet, add(buildGet("pi_get_local", MsgType::PiPut)),
-          true);
+          &E::handleGetAtHome, true);
     remote(MsgType::PiGet,
-           add(buildForwardToHome("pi_get_remote", MsgType::NetGet)));
+           add(buildForwardToHome("pi_get_remote", MsgType::NetGet)),
+           &E::handleRequestForward);
     local(MsgType::PiGetx,
-          add(buildGetx("pi_getx_local", MsgType::PiPutx)), true);
+          add(buildGetx("pi_getx_local", MsgType::PiPutx)),
+          &E::handleGetxAtHome, true);
     remote(MsgType::PiGetx,
-           add(buildForwardToHome("pi_getx_remote", MsgType::NetGetx)));
-    local(MsgType::PiWriteback, add(buildWriteback("pi_wb_local")));
+           add(buildForwardToHome("pi_getx_remote", MsgType::NetGetx)),
+           &E::handleRequestForward);
+    local(MsgType::PiWriteback, add(buildWriteback("pi_wb_local")),
+          &E::handleWritebackAtHome);
     remote(MsgType::PiWriteback,
-           add(buildForwardToHome("pi_wb_remote", MsgType::NetWriteback)));
-    local(MsgType::PiReplaceHint, add(buildHint("pi_hint_local")));
+           add(buildForwardToHome("pi_wb_remote", MsgType::NetWriteback)),
+           &E::handleRequestForward);
+    local(MsgType::PiReplaceHint, add(buildHint("pi_hint_local")),
+          &E::handleReplaceHintAtHome);
     remote(MsgType::PiReplaceHint,
            add(buildForwardToHome("pi_hint_remote",
-                                  MsgType::NetReplaceHint)));
-    either(MsgType::NetGet, add(buildGet("ni_get", MsgType::NetPut)), true);
+                                  MsgType::NetReplaceHint)),
+           &E::handleRequestForward);
+    either(MsgType::NetGet, add(buildGet("ni_get", MsgType::NetPut)),
+           &E::handleGetAtHome, true);
     either(MsgType::NetGetx, add(buildGetx("ni_getx", MsgType::NetPutx)),
-           true);
-    either(MsgType::NetFwdGet, add(buildFwdGet()));
-    either(MsgType::NetFwdGetx, add(buildFwdGetx()));
-    either(MsgType::NetSwb, add(buildSwb()));
-    either(MsgType::NetOwnXfer, add(buildOwnXfer()));
-    either(MsgType::NetInval, add(buildInval()));
-    either(MsgType::NetInvalAck, add(buildInvalAck()));
-    either(MsgType::NetPut, add(buildPut()));
-    either(MsgType::NetPutx, add(buildPutx()));
-    either(MsgType::NetNack, add(buildNack()));
-    either(MsgType::NetWriteback, add(buildWriteback("ni_wb")));
-    either(MsgType::NetReplaceHint, add(buildHint("ni_hint")));
-    either(MsgType::NetBlockXfer, add(buildBlockXfer()));
-    either(MsgType::NetBlockAck, add(buildBlockAck()));
+           &E::handleGetxAtHome, true);
+    either(MsgType::NetFwdGet, add(buildFwdGet()), &E::handleFwdGet);
+    either(MsgType::NetFwdGetx, add(buildFwdGetx()), &E::handleFwdGetx);
+    either(MsgType::NetSwb, add(buildSwb()), &E::handleSwb);
+    either(MsgType::NetOwnXfer, add(buildOwnXfer()), &E::handleOwnXfer);
+    either(MsgType::NetInval, add(buildInval()), &E::handleInval);
+    either(MsgType::NetInvalAck, add(buildInvalAck()), &E::handleReply);
+    either(MsgType::NetPut, add(buildPut()), &E::handleReply);
+    either(MsgType::NetPutx, add(buildPutx()), &E::handleReply);
+    either(MsgType::NetNack, add(buildNack()), &E::handleReply);
+    either(MsgType::NetWriteback, add(buildWriteback("ni_wb")),
+           &E::handleWritebackAtHome);
+    either(MsgType::NetReplaceHint, add(buildHint("ni_hint")),
+           &E::handleReplaceHintAtHome);
+    either(MsgType::NetBlockXfer, add(buildBlockXfer()),
+           &E::handleBlockXfer);
+    either(MsgType::NetBlockAck, add(buildBlockAck()), &E::handleBlockXfer);
     // The fetch&op service runs for the home's own processor and for
     // forwarded requests alike (the word RMW is issued by the handler).
     const int fetchop = add(buildFetchOp());
-    local(MsgType::PiFetchOp, fetchop);
-    either(MsgType::NetFetchOp, fetchop);
-    either(MsgType::NetFetchOpAck, add(buildFetchOpAck()));
+    local(MsgType::PiFetchOp, fetchop, &E::handleFetchOp);
+    either(MsgType::NetFetchOp, fetchop, &E::handleFetchOp);
+    either(MsgType::NetFetchOpAck, add(buildFetchOpAck()),
+           &E::handleFetchOp);
     remote(MsgType::PiFetchOp,
            add(buildForwardToHome("pi_fetchop_remote",
-                                  MsgType::NetFetchOp)));
+                                  MsgType::NetFetchOp)),
+           &E::handleFetchOp);
     return p;
 }
 
@@ -675,14 +692,14 @@ sharedHandlerPrograms(const ppc::CompileOptions &opts)
     return slot;
 }
 
-const ppisa::Program &
-HandlerPrograms::forMessage(MsgType t, bool at_home) const
+const HandlerPrograms::Entry &
+HandlerPrograms::dispatch(MsgType t, bool at_home) const
 {
-    const int i = entry(t, at_home).program;
-    if (i < 0)
-        panic("HandlerPrograms: no program for type %d",
-              static_cast<int>(t));
-    return programs[static_cast<std::size_t>(i)];
+    const Entry &e = table[static_cast<std::size_t>(t)][at_home ? 1 : 0];
+    if (e.handler == nullptr)
+        panic("jump table: no handler for %s (%s line)", msgTypeName(t),
+              at_home ? "local" : "remote");
+    return e;
 }
 
 std::vector<const ppisa::Program *>

@@ -3,12 +3,14 @@
  * PP handler programs: the protocol handlers written in the PP IR.
  *
  * Each program mirrors the control flow of its authoritative C++
- * counterpart in handlers.cc, performing the same directory-word loads
- * and stores (through the MAGIC data cache) and launching the same
- * outgoing messages via Send. PpTimingModel executes these against a
- * shadow of the live directory to obtain cycle-accurate handler
- * occupancies; the conformance test in tests/ checks message-level
- * agreement with the C++ handlers across the protocol input space.
+ * counterpart in handlers.cc, which the same jump-table entry names and
+ * which takes the same inputs (the message, r7 and r10 below). It
+ * performs the same directory-word loads and stores (through the MAGIC
+ * data cache) and launches the same outgoing messages via Send.
+ * PpTimingModel executes these against a shadow of the live directory
+ * to obtain cycle-accurate handler occupancies; the conformance test in
+ * tests/ checks message-level agreement with the C++ handlers across
+ * the protocol input space.
  *
  * Handler ABI (registers preloaded by the inbox before dispatch):
  *   r1  message type          r2  line address
@@ -30,31 +32,34 @@
 #include "ppc/compiler.hh"
 #include "ppisa/ppsim.hh"
 #include "protocol/directory.hh"
+#include "protocol/handlers.hh"
 #include "protocol/message.hh"
 
 namespace flashsim::protocol
 {
-// kAckTableBase / ackAddr moved to directory.hh (the DirectoryStore
-// region decoder owns the protocol-data address map); re-exported here
-// via the include for existing users.
 
 /**
  * The compiled handler programs and the inbox jump table that
- * dispatches to them. The table is indexed by message type and by the
- * inbox's address decode (the line is local, i.e. homed here, or
- * remote), so processor requests have distinct local-service and
- * forward-to-home programs, exactly as the real protocol code does.
- * Each entry also says whether the inbox starts a speculative memory
- * read for the message (Section 5.1). Built once, with the programs,
- * by buildHandlerPrograms; read-only afterwards.
+ * dispatches to them: the one (message type, line is local) -> handler
+ * decision. The table is indexed by message type and by the inbox's
+ * address decode (the line is local, i.e. homed here, or remote), so
+ * processor requests have distinct local-service and forward-to-home
+ * handlers, exactly as the real protocol code does. Each entry names
+ * the authoritative C++ handler and its PP program, and says whether
+ * the inbox starts a speculative memory read for the message (Section
+ * 5.1). Built once, with the programs, by buildHandlerPrograms;
+ * read-only afterwards.
  */
 struct HandlerPrograms
 {
-    /** One jump-table entry. */
+    /** One jump-table entry. An entry has a program iff it has a
+     *  handler; both are unset for a type MAGIC never receives. */
     struct Entry
     {
-        /** Index into `programs`; -1 for a type MAGIC never receives. */
+        /** Index into `programs`; -1 when unset. */
         int program = -1;
+        /** The C++ handler; null when unset. */
+        Handler handler = nullptr;
         /** Start a speculative memory read as the header is decoded. */
         bool specRead = false;
     };
@@ -65,16 +70,17 @@ struct HandlerPrograms
      *  both PiFetchOp and NetFetchOp). */
     std::array<std::array<Entry, 2>, kNumMsgTypes> table{};
 
-    /** The entry for a message type (+ inbox address decode). */
-    const Entry &
-    entry(MsgType t, bool at_home) const
-    {
-        return table[static_cast<std::size_t>(t)][at_home ? 1 : 0];
-    }
+    /** The entry the inbox dispatches a message of type @p t through
+     *  (+ its address decode); panics for a type with no handler. */
+    const Entry &dispatch(MsgType t, bool at_home) const;
 
-    /** Program dispatched for a message type (+ inbox address decode);
-     *  panics for a type with no program. */
-    const ppisa::Program &forMessage(MsgType t, bool at_home) const;
+    /** The PP program of dispatch(t, at_home). */
+    const ppisa::Program &
+    forMessage(MsgType t, bool at_home) const
+    {
+        return programs[static_cast<std::size_t>(
+            dispatch(t, at_home).program)];
+    }
 
     /** All programs, for code-size and toolchain statistics. */
     std::vector<const ppisa::Program *> all() const;

@@ -127,12 +127,6 @@ setLogNode(NodeId node)
     logNode = node;
 }
 
-NodeId
-currentLogNode()
-{
-    return logNode;
-}
-
 int
 registerPostMortem(std::function<void(std::ostream &)> fn)
 {

@@ -57,8 +57,6 @@ void setLogTickSource(std::function<Tick()> fn);
  *  (kInvalidNode = none); fatal()/panic() report it. */
 void setLogNode(NodeId node);
 
-NodeId currentLogNode();
-
 // -- Post-mortem dumpers (thread-local) -------------------------------------
 
 /**

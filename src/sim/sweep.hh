@@ -80,15 +80,6 @@ struct SweepMetrics
     {
         return wallSeconds > 0.0 ? serialSeconds / wallSeconds : 0.0;
     }
-
-    /** Jobs completed per wall-clock second. */
-    double
-    jobsPerSecond() const
-    {
-        return wallSeconds > 0.0
-                   ? static_cast<double>(jobs.size()) / wallSeconds
-                   : 0.0;
-    }
 };
 
 /**

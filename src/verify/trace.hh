@@ -92,8 +92,6 @@ class TraceRing
         }
     }
 
-    std::uint64_t recorded() const { return next_; }
-
   private:
     std::array<TraceEntry, kTraceDepth> entries_{};
     std::uint64_t next_ = 0;

@@ -24,25 +24,6 @@ namespace
 
 constexpr NodeId kSelf = 0;
 
-struct TestMap : AddressMap
-{
-    NodeId
-    homeOf(Addr addr) const override
-    {
-        return static_cast<NodeId>((addr >> 12) % 4);
-    }
-};
-
-struct TestProbe : CacheProbe
-{
-    bool dirty = false;
-    bool
-    holdsDirty(Addr) const override
-    {
-        return dirty;
-    }
-};
-
 /** PP memory adapter writing directly into a DirectoryStore. */
 struct DirMem : ppisa::PpMemory
 {
@@ -254,9 +235,7 @@ TEST_P(ConformanceTest, CppAndPpAgree)
 {
     const Case &c = GetParam();
     const Addr line = c.local ? 0x0000 : 0x1000;
-    TestMap map;
-    TestProbe probe;
-    probe.dirty = c.cacheDirty;
+    const NodeId home = c.local ? kSelf : 1;
 
     Message m;
     m.type = c.type;
@@ -266,25 +245,29 @@ TEST_P(ConformanceTest, CppAndPpAgree)
     m.addr = line;
     m.aux = c.aux;
 
+    // Both sides run from the one jump-table entry MAGIC would decode,
+    // on the same (message, home, cache dirty) inputs.
+    static HandlerPrograms programs = buildHandlerPrograms();
+    const HandlerPrograms::Entry &entry =
+        programs.dispatch(c.type, home == kSelf);
+
     // C++ side.
     DirectoryStore dirC;
     applyState(dirC, line, c.state, c.requester);
-    ProtocolEngine engine(kSelf, dirC, map, probe);
-    HandlerResult res = engine.handle(m);
+    ProtocolEngine engine(kSelf, dirC);
+    HandlerResult res = (engine.*entry.handler)(m, home, c.cacheDirty);
 
     // PP side on an identically prepared store.
     DirectoryStore dirP;
     applyState(dirP, line, c.state, c.requester);
     DirMem mem(dirP);
-    static HandlerPrograms programs = buildHandlerPrograms();
-    const NodeId home = map.homeOf(line);
     ppisa::RegFile regs =
         makeHandlerRegs(m, kSelf, home, c.cacheDirty);
     std::vector<ppisa::SentMessage> sent;
     ppisa::RunStats stats;
     ppisa::PpSim sim;
-    sim.run(programs.forMessage(c.type, home == kSelf), regs, mem, sent,
-            stats);
+    sim.run(programs.programs[static_cast<std::size_t>(entry.program)],
+            regs, mem, sent, stats);
 
     // Message-level agreement.
     ASSERT_EQ(sent.size(), res.out.size()) << caseName(c);

@@ -168,12 +168,10 @@ TEST(DirHeader, PackUnpackRoundtrip)
 {
     DirHeader h;
     h.dirty = true;
-    h.pending = true;
     h.head = 0x1234;
     h.owner = 42;
     DirHeader r = DirHeader::unpack(h.pack());
     EXPECT_EQ(r.dirty, h.dirty);
-    EXPECT_EQ(r.pending, h.pending);
     EXPECT_EQ(r.head, h.head);
     EXPECT_EQ(r.owner, h.owner);
 }

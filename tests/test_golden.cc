@@ -14,6 +14,7 @@
  *
  * A model change that moves these numbers on purpose replaces the
  * record: on a mismatch the test prints the new one in full.
+ * VerifyTimingTest checks that turning verification on moves no result.
  */
 
 #include <gtest/gtest.h>
@@ -43,14 +44,10 @@ namespace
 using machine::Machine;
 using machine::MachineConfig;
 
-/**
- * Everything observable about a finished run, serialized. The
- * post-mortem is compared from its "recent activity" trace ring on:
- * the header's "t=" is the queue's final time after drain(), not
- * machine state.
- */
+/** The report Summary and mesh counters of a finished run, serialized:
+ *  what a run reports whether or not the sentinel watched it. */
 std::string
-signature(Machine &m)
+runSignature(Machine &m)
 {
     const machine::Summary s = machine::summarize(m);
     std::ostringstream os;
@@ -68,6 +65,21 @@ signature(Machine &m)
        << s.mdcMissRate << '|' << s.mdcProtocolMemOps << '|'
        << s.nacksSent << '|' << m.network().messages() << '|'
        << m.network().dataMessages() << '|';
+    return os.str();
+}
+
+/**
+ * Everything observable about a finished run, serialized: runSignature
+ * plus, with the sentinel on, its verdicts, injector draw counts and
+ * post-mortem. The post-mortem is compared from its "recent activity"
+ * trace ring on: the header's "t=" is the queue's final time after
+ * drain(), not machine state.
+ */
+std::string
+signature(Machine &m)
+{
+    std::ostringstream os;
+    os << runSignature(m);
     if (const verify::Sentinel *sent = m.sentinel()) {
         os << sent->violations() << '|' << sent->trips() << '|'
            << sent->watchdog()->retired() << '|'
@@ -313,6 +325,38 @@ TEST(InjectionTest, ZeroClassInjectorIsOff)
     expectGolden("mp3d_flash", formatRecord(m->executionTime(),
                                             m->stateDigest(), signature(*m)));
 }
+
+// Verification only observes: the same run with the sentinel checking
+// every handler must reach the same time, state and report as without.
+class VerifyTimingTest : public ::testing::TestWithParam<std::string>
+{};
+
+TEST_P(VerifyTimingTest, CheckNeverMovesTiming)
+{
+    MachineConfig cfg = MachineConfig::flash(8, 64u * 1024u);
+    auto w_off = makeGoldenWorkload(GetParam());
+    auto off = runWorkload(cfg, *w_off);
+    ASSERT_EQ(off->sentinel(), nullptr);
+
+    verifyOn(cfg);
+    auto w_on = makeGoldenWorkload(GetParam());
+    auto on = runWorkload(cfg, *w_on);
+    ASSERT_NE(on->sentinel(), nullptr);
+    EXPECT_EQ(on->sentinel()->violations(), 0u);
+    EXPECT_EQ(on->sentinel()->trips(), 0u);
+
+    EXPECT_EQ(on->executionTime(), off->executionTime());
+    EXPECT_EQ(on->stateDigest(), off->stateDigest());
+    EXPECT_EQ(runSignature(*on), runSignature(*off));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Apps, VerifyTimingTest,
+    ::testing::Values(std::string("fft"), std::string("mp3d"),
+                      std::string("radix")),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
 
 TEST(GoldenTest, LockAndBarrierTortureOrderMatchesRecord)
 {

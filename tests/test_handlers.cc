@@ -4,36 +4,17 @@
 
 #include "protocol/directory.hh"
 #include "protocol/handlers.hh"
+#include "protocol/pp_programs.hh"
 
 namespace flashsim::protocol
 {
 namespace
 {
 
-/** Home = address bits [12,16) modulo 4. */
-struct TestMap : AddressMap
-{
-    NodeId
-    homeOf(Addr addr) const override
-    {
-        return static_cast<NodeId>((addr >> 12) % 4);
-    }
-};
-
-struct TestProbe : CacheProbe
-{
-    bool dirty = false;
-    bool
-    holdsDirty(Addr) const override
-    {
-        return dirty;
-    }
-};
-
 class HandlersTest : public ::testing::Test
 {
   protected:
-    HandlersTest() : engine(kSelf, dir, map, probe) {}
+    HandlersTest() : engine(kSelf, dir) {}
 
     Message
     msg(MsgType t, NodeId src, Addr addr, NodeId req,
@@ -49,19 +30,30 @@ class HandlersTest : public ::testing::Test
         return m;
     }
 
+    /** Run @p m's handler the way MAGIC does: through its jump-table
+     *  entry, with the home of its line (address bits [12,16) modulo
+     *  4) and the local cache's dirty bit. */
+    HandlerResult
+    run(const Message &m)
+    {
+        const auto home = static_cast<NodeId>((m.addr >> 12) % 4);
+        const HandlerPrograms::Entry &e =
+            sharedHandlerPrograms()->dispatch(m.type, home == kSelf);
+        return (engine.*e.handler)(m, home, cacheDirty);
+    }
+
     static constexpr NodeId kSelf = 0;
     static constexpr Addr kLocal = 0x0000;  // homed at node 0
     static constexpr Addr kRemote = 0x1000; // homed at node 1
 
-    TestMap map;
-    TestProbe probe;
+    bool cacheDirty = false;
     DirectoryStore dir;
     ProtocolEngine engine;
 };
 
 TEST_F(HandlersTest, LocalGetCleanServesFromMemory)
 {
-    HandlerResult r = engine.handle(msg(MsgType::PiGet, 0, kLocal, 0));
+    HandlerResult r = run(msg(MsgType::PiGet, 0, kLocal, 0));
     EXPECT_EQ(r.id, HandlerId::ServeReadMemory);
     EXPECT_TRUE(r.memRead);
     ASSERT_EQ(r.out.size(), 1u);
@@ -73,7 +65,7 @@ TEST_F(HandlersTest, LocalGetCleanServesFromMemory)
 
 TEST_F(HandlersTest, RemoteRequestForwardsToHome)
 {
-    HandlerResult r = engine.handle(msg(MsgType::PiGet, 0, kRemote, 0));
+    HandlerResult r = run(msg(MsgType::PiGet, 0, kRemote, 0));
     EXPECT_EQ(r.id, HandlerId::FwdToHome);
     ASSERT_EQ(r.out.size(), 1u);
     EXPECT_EQ(r.out[0].msg.type, MsgType::NetGet);
@@ -83,7 +75,7 @@ TEST_F(HandlersTest, RemoteRequestForwardsToHome)
 
 TEST_F(HandlersTest, NetGetCleanAddsSharerAndReplies)
 {
-    HandlerResult r = engine.handle(msg(MsgType::NetGet, 2, kLocal, 2));
+    HandlerResult r = run(msg(MsgType::NetGet, 2, kLocal, 2));
     EXPECT_EQ(r.id, HandlerId::ServeReadMemory);
     ASSERT_EQ(r.out.size(), 1u);
     EXPECT_EQ(r.out[0].msg.type, MsgType::NetPut);
@@ -97,7 +89,7 @@ TEST_F(HandlersTest, GetDirtyRemoteForwardsThreeHop)
     h.dirty = true;
     h.owner = 3;
     dir.setHeader(kLocal, h);
-    HandlerResult r = engine.handle(msg(MsgType::NetGet, 2, kLocal, 2));
+    HandlerResult r = run(msg(MsgType::NetGet, 2, kLocal, 2));
     EXPECT_EQ(r.id, HandlerId::FwdHomeToDirty);
     ASSERT_EQ(r.out.size(), 1u);
     EXPECT_EQ(r.out[0].msg.type, MsgType::NetFwdGet);
@@ -112,8 +104,8 @@ TEST_F(HandlersTest, GetDirtyAtHomeRetrievesFromCache)
     h.dirty = true;
     h.owner = kSelf;
     dir.setHeader(kLocal, h);
-    probe.dirty = true;
-    HandlerResult r = engine.handle(msg(MsgType::NetGet, 2, kLocal, 2));
+    cacheDirty = true;
+    HandlerResult r = run(msg(MsgType::NetGet, 2, kLocal, 2));
     EXPECT_EQ(r.id, HandlerId::RetrieveFromCache);
     EXPECT_TRUE(r.cacheRetrieve);
     EXPECT_TRUE(r.cacheSharing);
@@ -132,8 +124,8 @@ TEST_F(HandlersTest, GetDirtyAtHomeButCacheCleanNacks)
     h.dirty = true;
     h.owner = kSelf;
     dir.setHeader(kLocal, h);
-    probe.dirty = false; // writeback in flight
-    HandlerResult r = engine.handle(msg(MsgType::NetGet, 2, kLocal, 2));
+    cacheDirty = false; // writeback in flight
+    HandlerResult r = run(msg(MsgType::NetGet, 2, kLocal, 2));
     EXPECT_EQ(r.id, HandlerId::HomeNack);
     EXPECT_TRUE(r.nackedRequest);
     ASSERT_EQ(r.out.size(), 1u);
@@ -147,14 +139,14 @@ TEST_F(HandlersTest, GetByOwnerWhileWritebackInFlightNacks)
     h.dirty = true;
     h.owner = 2;
     dir.setHeader(kLocal, h);
-    HandlerResult r = engine.handle(msg(MsgType::NetGet, 2, kLocal, 2));
+    HandlerResult r = run(msg(MsgType::NetGet, 2, kLocal, 2));
     EXPECT_EQ(r.id, HandlerId::HomeNack);
     EXPECT_EQ(r.out[0].msg.type, MsgType::NetNack);
 }
 
 TEST_F(HandlersTest, GetxNoSharersGrantsExclusive)
 {
-    HandlerResult r = engine.handle(msg(MsgType::NetGetx, 2, kLocal, 2));
+    HandlerResult r = run(msg(MsgType::NetGetx, 2, kLocal, 2));
     EXPECT_EQ(r.id, HandlerId::ServeWriteMemory);
     EXPECT_EQ(r.costParam, 0);
     ASSERT_EQ(r.out.size(), 1u);
@@ -171,7 +163,7 @@ TEST_F(HandlersTest, GetxInvalidatesOtherSharers)
     dir.addSharer(kLocal, 1);
     dir.addSharer(kLocal, 2);
     dir.addSharer(kLocal, 3); // list: 3 2 1
-    HandlerResult r = engine.handle(msg(MsgType::NetGetx, 2, kLocal, 2));
+    HandlerResult r = run(msg(MsgType::NetGetx, 2, kLocal, 2));
     EXPECT_EQ(r.costParam, 2); // nodes 3 and 1
     ASSERT_EQ(r.out.size(), 3u);
     EXPECT_EQ(r.out[0].msg.type, MsgType::NetInval);
@@ -188,7 +180,7 @@ TEST_F(HandlersTest, GetxWithHomeAsSharerAcksOnItsBehalf)
 {
     dir.addSharer(kLocal, 0); // home itself
     dir.addSharer(kLocal, 3);
-    HandlerResult r = engine.handle(msg(MsgType::NetGetx, 2, kLocal, 2));
+    HandlerResult r = run(msg(MsgType::NetGetx, 2, kLocal, 2));
     ASSERT_EQ(r.out.size(), 3u);
     EXPECT_TRUE(r.cacheInvalidate);
     // Order follows the list (3 first, then home's self-ack).
@@ -202,7 +194,7 @@ TEST_F(HandlersTest, GetxWithHomeAsSharerAcksOnItsBehalf)
 TEST_F(HandlersTest, UpgradeByCurrentSharerSendsNoInvalToSelf)
 {
     dir.addSharer(kLocal, 2);
-    HandlerResult r = engine.handle(msg(MsgType::NetGetx, 2, kLocal, 2));
+    HandlerResult r = run(msg(MsgType::NetGetx, 2, kLocal, 2));
     ASSERT_EQ(r.out.size(), 1u);
     EXPECT_EQ(r.out[0].msg.type, MsgType::NetPutx);
     EXPECT_EQ(r.out[0].msg.aux, 0u);
@@ -214,8 +206,8 @@ TEST_F(HandlersTest, GetxDirtyAtHomeTransfersOwnership)
     h.dirty = true;
     h.owner = kSelf;
     dir.setHeader(kLocal, h);
-    probe.dirty = true;
-    HandlerResult r = engine.handle(msg(MsgType::NetGetx, 2, kLocal, 2));
+    cacheDirty = true;
+    HandlerResult r = run(msg(MsgType::NetGetx, 2, kLocal, 2));
     EXPECT_EQ(r.id, HandlerId::RetrieveFromCache);
     EXPECT_TRUE(r.cacheInvalidate);
     EXPECT_FALSE(r.memWrite); // requester now owns the only copy
@@ -225,9 +217,8 @@ TEST_F(HandlersTest, GetxDirtyAtHomeTransfersOwnership)
 
 TEST_F(HandlersTest, FwdGetAtDirtyOwnerServesAndSwb)
 {
-    probe.dirty = true;
-    HandlerResult r =
-        engine.handle(msg(MsgType::NetFwdGet, 1, kRemote, 2));
+    cacheDirty = true;
+    HandlerResult r = run(msg(MsgType::NetFwdGet, 1, kRemote, 2));
     EXPECT_EQ(r.id, HandlerId::RetrieveFromCache);
     EXPECT_TRUE(r.cacheSharing);
     ASSERT_EQ(r.out.size(), 2u);
@@ -240,9 +231,8 @@ TEST_F(HandlersTest, FwdGetAtDirtyOwnerServesAndSwb)
 
 TEST_F(HandlersTest, FwdGetRaceNacksRequester)
 {
-    probe.dirty = false;
-    HandlerResult r =
-        engine.handle(msg(MsgType::NetFwdGet, 1, kRemote, 2));
+    cacheDirty = false;
+    HandlerResult r = run(msg(MsgType::NetFwdGet, 1, kRemote, 2));
     ASSERT_EQ(r.out.size(), 1u);
     EXPECT_EQ(r.out[0].msg.type, MsgType::NetNack);
     EXPECT_EQ(r.out[0].msg.dest, 2u);
@@ -250,9 +240,8 @@ TEST_F(HandlersTest, FwdGetRaceNacksRequester)
 
 TEST_F(HandlersTest, FwdGetxInvalidatesAndTransfers)
 {
-    probe.dirty = true;
-    HandlerResult r =
-        engine.handle(msg(MsgType::NetFwdGetx, 1, kRemote, 2));
+    cacheDirty = true;
+    HandlerResult r = run(msg(MsgType::NetFwdGetx, 1, kRemote, 2));
     EXPECT_TRUE(r.cacheInvalidate);
     ASSERT_EQ(r.out.size(), 2u);
     EXPECT_EQ(r.out[0].msg.type, MsgType::NetPutx);
@@ -265,8 +254,7 @@ TEST_F(HandlersTest, WritebackClearsDirty)
     h.dirty = true;
     h.owner = 2;
     dir.setHeader(kLocal, h);
-    HandlerResult r =
-        engine.handle(msg(MsgType::NetWriteback, 2, kLocal, 2));
+    HandlerResult r = run(msg(MsgType::NetWriteback, 2, kLocal, 2));
     EXPECT_EQ(r.id, HandlerId::RemoteWriteback);
     EXPECT_TRUE(r.memWrite);
     EXPECT_FALSE(dir.header(kLocal).dirty);
@@ -278,8 +266,7 @@ TEST_F(HandlersTest, LocalWritebackUsesLocalCost)
     h.dirty = true;
     h.owner = 0;
     dir.setHeader(kLocal, h);
-    HandlerResult r =
-        engine.handle(msg(MsgType::PiWriteback, 0, kLocal, 0));
+    HandlerResult r = run(msg(MsgType::PiWriteback, 0, kLocal, 0));
     EXPECT_EQ(r.id, HandlerId::LocalWriteback);
 }
 
@@ -289,8 +276,7 @@ TEST_F(HandlersTest, StaleWritebackLeavesNewOwner)
     h.dirty = true;
     h.owner = 3; // ownership already moved on
     dir.setHeader(kLocal, h);
-    HandlerResult r =
-        engine.handle(msg(MsgType::NetWriteback, 2, kLocal, 2));
+    HandlerResult r = run(msg(MsgType::NetWriteback, 2, kLocal, 2));
     EXPECT_TRUE(r.memWrite);
     EXPECT_EQ(dir.header(kLocal).owner, 3u);
     EXPECT_TRUE(dir.header(kLocal).dirty);
@@ -299,21 +285,18 @@ TEST_F(HandlersTest, StaleWritebackLeavesNewOwner)
 TEST_F(HandlersTest, ReplaceHintCosts)
 {
     dir.addSharer(kLocal, 2);
-    HandlerResult only =
-        engine.handle(msg(MsgType::NetReplaceHint, 2, kLocal, 2));
+    HandlerResult only = run(msg(MsgType::NetReplaceHint, 2, kLocal, 2));
     EXPECT_EQ(only.id, HandlerId::RemoteHintOnly);
     EXPECT_EQ(dir.countSharers(kLocal), 0);
 
     dir.addSharer(kLocal, 1);
     dir.addSharer(kLocal, 2);
     dir.addSharer(kLocal, 3); // 3 2 1
-    HandlerResult nth =
-        engine.handle(msg(MsgType::NetReplaceHint, 1, kLocal, 1));
+    HandlerResult nth = run(msg(MsgType::NetReplaceHint, 1, kLocal, 1));
     EXPECT_EQ(nth.id, HandlerId::RemoteHintNth);
     EXPECT_EQ(nth.costParam, 2);
 
-    HandlerResult local =
-        engine.handle(msg(MsgType::PiReplaceHint, 0, kLocal, 0));
+    HandlerResult local = run(msg(MsgType::PiReplaceHint, 0, kLocal, 0));
     EXPECT_EQ(local.id, HandlerId::LocalHint);
 }
 
@@ -323,7 +306,7 @@ TEST_F(HandlersTest, SwbMakesBothSharers)
     h.dirty = true;
     h.owner = 3;
     dir.setHeader(kLocal, h);
-    HandlerResult r = engine.handle(msg(MsgType::NetSwb, 3, kLocal, 2));
+    HandlerResult r = run(msg(MsgType::NetSwb, 3, kLocal, 2));
     EXPECT_EQ(r.id, HandlerId::SwbReceive);
     EXPECT_TRUE(r.memWrite);
     EXPECT_FALSE(dir.header(kLocal).dirty);
@@ -337,8 +320,7 @@ TEST_F(HandlersTest, OwnXferMovesOwnership)
     h.dirty = true;
     h.owner = 3;
     dir.setHeader(kLocal, h);
-    HandlerResult r =
-        engine.handle(msg(MsgType::NetOwnXfer, 3, kLocal, 2));
+    HandlerResult r = run(msg(MsgType::NetOwnXfer, 3, kLocal, 2));
     EXPECT_EQ(r.id, HandlerId::OwnXferReceive);
     EXPECT_EQ(dir.header(kLocal).owner, 2u);
     EXPECT_TRUE(dir.header(kLocal).dirty);
@@ -346,7 +328,7 @@ TEST_F(HandlersTest, OwnXferMovesOwnership)
 
 TEST_F(HandlersTest, InvalAtSharerAcksRequester)
 {
-    HandlerResult r = engine.handle(msg(MsgType::NetInval, 1, kRemote, 2));
+    HandlerResult r = run(msg(MsgType::NetInval, 1, kRemote, 2));
     EXPECT_EQ(r.id, HandlerId::InvalReceive);
     EXPECT_TRUE(r.cacheInvalidate);
     ASSERT_EQ(r.out.size(), 1u);
@@ -356,24 +338,21 @@ TEST_F(HandlersTest, InvalAtSharerAcksRequester)
 
 TEST_F(HandlersTest, RepliesForwardToProcessor)
 {
-    HandlerResult put = engine.handle(msg(MsgType::NetPut, 1, kRemote, 0));
+    HandlerResult put = run(msg(MsgType::NetPut, 1, kRemote, 0));
     EXPECT_EQ(put.id, HandlerId::ReplyToProc);
     ASSERT_EQ(put.out.size(), 1u);
     EXPECT_EQ(put.out[0].msg.type, MsgType::PiPut);
 
-    HandlerResult putx =
-        engine.handle(msg(MsgType::NetPutx, 1, kRemote, 0, 3));
+    HandlerResult putx = run(msg(MsgType::NetPutx, 1, kRemote, 0, 3));
     ASSERT_EQ(putx.out.size(), 1u);
     EXPECT_EQ(putx.out[0].msg.type, MsgType::PiPutx);
     EXPECT_EQ(putx.out[0].msg.aux, 3u);
 
-    HandlerResult ack =
-        engine.handle(msg(MsgType::NetInvalAck, 1, kRemote, 0));
+    HandlerResult ack = run(msg(MsgType::NetInvalAck, 1, kRemote, 0));
     EXPECT_EQ(ack.id, HandlerId::InvalAck);
     EXPECT_TRUE(ack.out.empty());
 
-    HandlerResult nack =
-        engine.handle(msg(MsgType::NetNack, 1, kRemote, 0));
+    HandlerResult nack = run(msg(MsgType::NetNack, 1, kRemote, 0));
     EXPECT_EQ(nack.id, HandlerId::NackReceive);
     EXPECT_TRUE(nack.out.empty());
 }

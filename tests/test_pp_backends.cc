@@ -246,7 +246,8 @@ TEST(BackendDiff, HandlerFuzzAllProgramsAllOptions)
         for (int t = 0; t < protocol::kNumMsgTypes; ++t) {
             const auto type = static_cast<protocol::MsgType>(t);
             for (int at_home = 0; at_home < 2; ++at_home) {
-                if (programs.entry(type, at_home != 0).program < 0)
+                if (programs.table[static_cast<std::size_t>(t)][at_home]
+                        .program < 0)
                     continue;
                 const Program *prog =
                     &programs.forMessage(type, at_home != 0);

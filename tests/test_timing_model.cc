@@ -107,7 +107,8 @@ class PpTimingTest : public ::testing::Test
     HandlerTiming
     time(const Message &m, HandlerId id, bool cache_dirty = false)
     {
-        HandlerTiming t = model.run(m, 0, 0, cache_dirty);
+        HandlerTiming t = model.run(programs.dispatch(m.type, true), m, 0,
+                                    0, cache_dirty);
         if (id == HandlerId::RetrieveFromCache)
             t.occupancy += kCacheRetrieveCycles;
         return t;
@@ -174,8 +175,9 @@ TEST_F(PpTimingTest, HintCostGrowsWithListPosition)
         for (int i = 0; i < n_ahead; ++i)
             d2.addSharer(line, static_cast<NodeId>(i + 1));
         Message m = msg(MsgType::NetReplaceHint, 9, line, 9);
-        m2.run(m, 0, 0, false); // warm
-        return m2.run(m, 0, 0, false).occupancy;
+        const HandlerPrograms::Entry &e = programs.dispatch(m.type, true);
+        m2.run(e, m, 0, 0, false); // warm
+        return m2.run(e, m, 0, 0, false).occupancy;
     };
     Cycles c0 = hint_cost(0);
     Cycles c2 = hint_cost(2);
@@ -207,9 +209,10 @@ TEST_F(PpTimingTest, GetxOccupancyScalesWithInvalidations)
         for (int i = 0; i < sharers; ++i)
             d2.addSharer(line, static_cast<NodeId>(i + 3));
         Message m = msg(MsgType::NetGetx, 2, line, 2);
-        m2.run(m, 0, 0, false); // warm
+        const HandlerPrograms::Entry &e = programs.dispatch(m.type, true);
+        m2.run(e, m, 0, 0, false); // warm
         // The directory is unchanged (the shadow discarded the walk).
-        return m2.run(m, 0, 0, false).occupancy;
+        return m2.run(e, m, 0, 0, false).occupancy;
     };
     Cycles c1 = getx_cost(1);
     Cycles c4 = getx_cost(4);
