@@ -9,7 +9,8 @@
  *
  * Coverage: the seven workloads on FLASH and on the ideal machine,
  * small (64 KB) caches for Radix and FFT, Table 3.4 timing, the
- * baseline PP, a verified run with seeded fault injection, and the
+ * baseline PP, a verified run with seeded fault injection, a
+ * lock-contended OS run, a 64-processor barrier-heavy LU run, and the
  * acquisition order of a lock/barrier torture loop.
  *
  * A model change that moves these numbers on purpose replaces the
@@ -195,6 +196,23 @@ makeGoldenWorkload(const std::string &name)
         p.n = 64;
         return std::make_unique<Lu>(p);
     }
+    if (name == "lu_64p") {
+        // 4x4 blocks over an 8x8 processor grid: most processors own
+        // no block in most steps, so the run is mostly barrier waits.
+        LuParams p;
+        p.n = 64;
+        return std::make_unique<Lu>(p);
+    }
+    if (name == "os_locks") {
+        // Short user phases between the kernel's locked sections, so
+        // every processor queues on the fs and table locks.
+        OsParams p;
+        p.tasks = 3;
+        p.userLines = 4;
+        p.pagesPerTask = 1;
+        p.hotOpsPerTask = 8;
+        return std::make_unique<OsWorkload>(p);
+    }
     if (name == "ocean") {
         OceanParams p;
         p.n = 34;
@@ -279,6 +297,11 @@ goldenCases()
     injected.verify.fault.dupHintProb = 0.05;
     injected.verify.fault.inboundStall = 4;
     cases.push_back({"mp3d_verify_inject7", "mp3d", injected});
+
+    // Lock and barrier waits: many processors spinning on one line.
+    cases.push_back({"os_locks_flash", "os_locks",
+                     MachineConfig::flash(kProcs)});
+    cases.push_back({"lu_64p_flash", "lu_64p", MachineConfig::flash(64)});
     return cases;
 }
 
