@@ -24,6 +24,7 @@
 #include "protocol/message.hh"
 #include "sim/event_queue.hh"
 #include "sim/inline_callback.hh"
+#include "sim/logging.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -91,6 +92,33 @@ class Cache
 
     /** One-shot callback the next time any MSHR completes. */
     void onMshrFree(Callback cb);
+
+    /** No miss is outstanding and nobody waits for an MSHR: nothing
+     *  the cache has started can still change it. */
+    bool
+    quiet() const
+    {
+        for (const Mshr &m : mshrs_)
+            if (m.valid)
+                return false;
+        return mshrFreeWaiters_.empty();
+    }
+
+    /** Account @p n read hits on @p addr's resident line exactly as
+     *  @p n readHit calls in a row would. */
+    void
+    replayHits(Addr addr, Counter n)
+    {
+        if (n == 0)
+            return;
+        const std::int32_t w = findWay(addr);
+        if (w < 0)
+            panic("Cache %u: replayed hits on a line it does not hold",
+                  self_);
+        reads += n;
+        lruClock_ += n;
+        ways_[w].lru = lruClock_;
+    }
 
     // -- MAGIC side ----------------------------------------------------------
     /** Deliver a PiPut / PiPutx / NetNack from MAGIC. */

@@ -71,6 +71,23 @@ class Processor
         bgRefCarry_ %= 3;
     }
 
+    /** Cycles the cursor would advance over @p instrs more
+     *  instructions (the sub-cycle carry included). */
+    Tick
+    cyclesFor(std::uint64_t instrs) const
+    {
+        return (instrCarry_ + instrs) / kIssueWidth;
+    }
+
+    /** The most whole repetitions of @p instrs instructions that
+     *  advance the cursor by at most @p cycles. */
+    std::uint64_t
+    repetitionsWithin(Tick cycles, std::uint64_t instrs) const
+    {
+        return (cycles * kIssueWidth + kIssueWidth - 1 - instrCarry_) /
+               instrs;
+    }
+
     /** Blocking read; @p done is resumed when the processor may
      *  proceed. */
     void read(Addr addr, bool in_sync, std::coroutine_handle<> done);

@@ -224,10 +224,19 @@ Machine::run(const Workload &workload)
             break;
         const Tick tq = eq_.nextTick();
         const Tick u = std::min(tq, sync_.minPending());
-        if (u == EventQueue::kNever)
+        if (u == EventQueue::kNever) {
+            // Nothing is scheduled, so no parked spin waiter can ever
+            // be woken: without parking they would spin forever.
+            int unfinished = 0, parked = 0;
+            for (auto &n : nodes_) {
+                unfinished += n->proc().finished() ? 0 : 1;
+                parked += n->env().spinParked() ? 1 : 0;
+            }
             fatal("Machine::run: deadlock — event queue empty with %d "
-                  "processors unfinished",
-                  cfg_.numProcs);
+                  "processors unfinished, %d of them parked in barrier "
+                  "or lock waits",
+                  unfinished, parked);
+        }
         if (tq == u)
             eq_.drainTick(u);
         if (sync_.minPending() == u)

@@ -137,6 +137,11 @@ Magic::streamBlock(NodeId dest, Addr addr, std::uint32_t bytes)
 void
 Magic::enqueue(MagicFifo<Pending> &q, const Message &msg)
 {
+    // A message entering the node is the first thing that can reach the
+    // processor cache of a spin waiter parked while MAGIC was idle: the
+    // waiter catches up to now before anything here is scheduled.
+    if (env_->spinParked())
+        env_->wakeSpin(eq_.now());
     // Injected replacement-hint perturbation: a dropped hint leaves a
     // stale sharer pointer in the directory (cleaned up by a later
     // invalidation), a duplicated one a double entry — both states the

@@ -184,6 +184,14 @@ class Magic
     const MagicParams &params() const { return params_; }
     NodeId self() const { return self_; }
 
+    /** No message is queued or being handled: until the next message
+     *  enters (enqueue), MAGIC will not touch the processor cache. */
+    bool
+    idle() const
+    {
+        return !ppBusy_ && piQueue_.empty() && niQueue_.empty();
+    }
+
     /** The PP emulator timing model, if in use (Table 5.2 stats). */
     const PpTimingModel *ppModel() const { return pp_.get(); }
 

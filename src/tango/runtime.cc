@@ -1,6 +1,8 @@
 #include "tango/runtime.hh"
 
+#include "cpu/cache.hh"
 #include "magic/magic.hh"
+#include "sim/logging.hh"
 #include "tango/sync_phase.hh"
 
 namespace flashsim::tango
@@ -68,6 +70,79 @@ FetchOpAwaiter::await_resume() const noexcept
     env->proc().absorbExternalWait(env->inSync());
 }
 
+bool
+SpinAwaiter::await_ready() noexcept
+{
+    cpu::Processor &p = env->proc();
+    const cpu::Cache &c = p.cache();
+    if (env->syncPhase != nullptr && c.quiet() && c.freeAt() <= p.cursor() &&
+        c.state(addr) != cpu::Cache::State::Invalid && env->magic->idle())
+        return false;
+    ++env->spinStats_.simulated;
+    return true;
+}
+
+void
+SpinAwaiter::await_suspend(std::coroutine_handle<> handle)
+{
+    h = handle;
+    env->spin_ = this;
+    parked->push_back(env);
+}
+
+void
+Env::wakeSpin(Tick now)
+{
+    SpinAwaiter &s = *spin_;
+    spin_ = nullptr;
+    std::erase(*s.parked, this);
+    cpu::Processor &p = proc();
+    const NodeId node = static_cast<NodeId>(id_);
+
+    // The parked state is the sync operation that parked: the cursor
+    // and carries are its own, and iteration k's re-test falls at
+    // cursor + cyclesFor(k * instrs). Every re-test up to the settled
+    // tick ran and failed, since the variable has not changed.
+    const Tick settled = syncPhase->settledThrough(node, now);
+    if (settled < p.cursor())
+        panic("Env %d: spin wake at %llu before its park at %llu", id_,
+              static_cast<unsigned long long>(now),
+              static_cast<unsigned long long>(p.cursor()));
+    std::uint64_t n = p.repetitionsWithin(settled - p.cursor(), s.instrs);
+    const bool join =
+        syncPhase->joinable(node, now) &&
+        p.cursor() + p.cyclesFor((n + 1) * s.instrs) == now;
+    if (join)
+        ++n; // its spin read at now already hit
+
+    p.busy(n * s.instrs, true);
+    p.cache().replayHits(s.addr, n);
+    spinStats_.elided += n;
+    ++spinStats_.wakes;
+    s.atTest = join;
+    if (join) {
+        ++spinStats_.joins;
+        syncPhase->join(node, s.h);
+    } else {
+        ++spinStats_.simulated; // the pending iteration runs live
+        s.h.resume();
+    }
+}
+
+namespace
+{
+
+/** The variable changed in the sync operation at @p now: wake every
+ *  waiter parked on it. */
+void
+wakeParked(std::vector<Env *> &parked, Tick now)
+{
+    while (!parked.empty())
+        parked.front()->wakeSpin(now);
+}
+
+} // namespace
+
 void
 Env::notifyFetchOpDone(Addr)
 {
@@ -104,16 +179,17 @@ Env::notifyBlockAcked(Addr)
 // machine's sync phase, in (tick, node, sequence) order, so races on
 // the *host* state resolve by simulated time and node number alone.
 // The simulated traffic (reads, writes, fetch&ops) is untouched —
-// syncPoint costs zero simulated time.
+// syncPoint costs zero simulated time. Where a variable changes, the
+// waiters parked on it wake first (wakeParked).
 
 Task
 Env::lockAcquire(LockVar &l)
 {
     SyncRegion region(*this);
+    // Test: spin on a (usually cached) read of the lock line.
+    co_await read(l.addr);
+    co_await syncPoint();
     while (true) {
-        // Test: spin on a (usually cached) read of the lock line.
-        co_await read(l.addr);
-        co_await syncPoint();
         if (!l.held) {
             // Test-and-set: gain exclusive ownership, then check that no
             // other processor won the race while our GETX was in flight.
@@ -125,7 +201,12 @@ Env::lockAcquire(LockVar &l)
                 co_return;
             }
         }
-        co_await busy(32); // backoff before re-testing
+        // Backoff, then re-test; a parked waiter may wake at the test.
+        if (co_await SpinAwaiter{this, &l.parked, l.addr, 32 + 1})
+            continue;
+        co_await busy(32);
+        co_await read(l.addr);
+        co_await syncPoint();
     }
 }
 
@@ -134,6 +215,7 @@ Env::lockRelease(LockVar &l)
 {
     SyncRegion region(*this);
     co_await syncPoint();
+    wakeParked(l.parked, proc().cursor());
     l.held = false;
     co_await write(l.addr);
 }
@@ -173,18 +255,22 @@ Env::barrier(BarrierVar &b)
         if (b.rootCount == static_cast<int>(b.groups.size())) {
             // Global last arrival: release every group.
             b.rootCount = 0;
+            wakeParked(b.parked, proc().cursor());
             ++b.gen;
             for (BarrierVar::Group &rg : b.groups)
                 co_await write(rg.flagAddr);
             co_return;
         }
     }
-    while (true) {
-        co_await syncPoint();
-        if (b.gen != my_gen)
-            break;
-        co_await busy(16); // spin backoff
+    co_await syncPoint();
+    while (b.gen == my_gen) {
+        // Backoff, then re-read the flag; a parked waiter may wake at
+        // the test.
+        if (co_await SpinAwaiter{this, &b.parked, g.flagAddr, 16 + 1})
+            continue;
+        co_await busy(16);
         co_await read(g.flagAddr);
+        co_await syncPoint();
     }
 }
 

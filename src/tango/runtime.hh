@@ -8,6 +8,10 @@
  * (test-and-test&set locks, sense-reversing counter barriers spinning
  * on a flag line). Time spent inside synchronization is attributed to
  * the Sync execution-time category.
+ *
+ * A spin wait whose reads keep hitting is not simulated iteration by
+ * iteration: the waiter parks (SpinAwaiter) and, when woken, replays
+ * the skipped iterations arithmetically (Env::wakeSpin, DESIGN.md §5g).
  */
 
 #ifndef FLASHSIM_TANGO_RUNTIME_HH_
@@ -18,6 +22,7 @@
 #include <vector>
 
 #include "cpu/processor.hh"
+#include "sim/stats.hh"
 #include "sim/types.hh"
 #include "tango/task.hh"
 
@@ -66,12 +71,42 @@ struct SyncPointAwaiter
     void await_resume() const noexcept {}
 };
 
+/**
+ * Awaitable at a spin wait's backoff, after its sync-phase test failed
+ * (the barrier generation is unchanged, or the lock is held). Ready —
+ * the iteration runs live — unless the waiter can park: its spin line
+ * is resident, its cache has no miss outstanding and no MAGIC operation
+ * pending (freeAt() <= cursor), and its node's MAGIC is idle. Then each
+ * iteration would only hit, and nothing queued can touch the cache, so
+ * the waiter schedules nothing until the variable changes or a message
+ * enters its node (Env::wakeSpin).
+ *
+ * Resumes true when woken into the sync phase at its re-test, false to
+ * run the backoff and the spin read.
+ */
+struct SpinAwaiter
+{
+    Env *env;
+    std::vector<Env *> *parked; ///< the variable's parked waiters
+    Addr addr;                  ///< the spin line
+    /** Instructions per iteration: the backoff plus the load. */
+    std::uint64_t instrs;
+    std::coroutine_handle<> h{};
+    bool atTest = false;
+
+    bool await_ready() noexcept;
+    void await_suspend(std::coroutine_handle<> handle);
+    bool await_resume() const noexcept { return atTest; }
+};
+
 /** A spin lock living on one cache line. */
 struct LockVar
 {
     Addr addr = 0;
     bool held = false; ///< host-side lock value
     std::uint64_t acquisitions = 0;
+    /** Waiters parked until the lock is released. */
+    std::vector<Env *> parked;
 };
 
 /**
@@ -104,6 +139,8 @@ struct BarrierVar
     int gen = 0;     ///< host-side generation
     int parties = 0; ///< number of processors participating
     std::uint64_t episodes = 0;
+    /** Waiters parked until the generation changes. */
+    std::vector<Env *> parked;
 };
 
 /** Awaitable for a synchronous block send (waits for the ack). */
@@ -208,15 +245,45 @@ class Env
     bool inSync() const { return inSync_; }
     void setInSync(bool v) { inSync_ = v; }
 
+    /** Spin-wait iterations: simulated one by one, replayed on wake
+     *  (elided), and the wakes themselves, of which @c joins woke into
+     *  the running sync phase at the re-test. */
+    struct SpinStats
+    {
+        Counter simulated = 0;
+        Counter elided = 0;
+        Counter wakes = 0;
+        Counter joins = 0;
+    };
+    const SpinStats &spinStats() const { return spinStats_; }
+
+    /** This processor is parked in a spin wait. */
+    bool spinParked() const { return spin_ != nullptr; }
+
+    /**
+     * Wake the parked waiter from an event or a sync-phase operation at
+     * @p now, before that event or operation changes anything the
+     * waiter can see. Replays every iteration whose re-test has already
+     * run, then resumes the waiter at its pending step: the backoff and
+     * spin read, or — when the re-test falls at @p now and the running
+     * round has not reached this node — the re-test itself, joined to
+     * that round.
+     */
+    void wakeSpin(Tick now);
+
   private:
     friend struct BlockSendAwaiter;
     friend struct BlockRecvAwaiter;
     friend struct FetchOpAwaiter;
+    friend struct SpinAwaiter;
 
     cpu::Processor *proc_;
     int id_;
     int nprocs_;
     bool inSync_ = false;
+    /** The parked spin wait, or null. */
+    SpinAwaiter *spin_ = nullptr;
+    SpinStats spinStats_;
 
     std::vector<Addr> arrivedBlocks_;
     std::coroutine_handle<> recvWaiter_;
