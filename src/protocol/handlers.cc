@@ -61,6 +61,7 @@ ProtocolEngine::handleRequestForward(const Message &msg, NodeId home, bool)
       case MsgType::PiGetx: t = MsgType::NetGetx; break;
       case MsgType::PiWriteback: t = MsgType::NetWriteback; break;
       case MsgType::PiReplaceHint: t = MsgType::NetReplaceHint; break;
+      case MsgType::PiFetchOp: t = MsgType::NetFetchOp; break;
       default:
         panic("handleRequestForward: bad type %s", msgTypeName(msg.type));
     }
@@ -428,38 +429,26 @@ ProtocolEngine::handleBlockXfer(const Message &msg, NodeId, bool)
 }
 
 HandlerResult
-ProtocolEngine::handleFetchOp(const Message &msg, NodeId home, bool)
+ProtocolEngine::handleFetchOp(const Message &msg, NodeId, bool)
 {
     // Uncached fetch&op: the home's PP performs the read-modify-write
     // on the memory word directly (no caching, no sharers, no
     // invalidations), so a hot counter costs one round trip however
     // many processors hammer it. The value itself is host-side; the
-    // handler models the memory read-modify-write and the reply.
+    // handler models the memory read-modify-write and the reply. A
+    // remote PiFetchOp never gets here: the jump table forwards it to
+    // the home (handleRequestForward).
     HandlerResult r;
     if (msg.type == MsgType::NetFetchOpAck) {
         r.id = HandlerId::FetchOpAck;
         return r;
     }
-    if (home != self_) {
-        // Requester side of a remote fetch&op: forward to home.
-        r.id = HandlerId::FwdToHome;
-        r.out.push_back(
-            {make(MsgType::NetFetchOp, home, msg.addr, msg.requester),
-             Gate::None});
-        return r;
-    }
     r.id = HandlerId::FetchOpService;
     // The word-granular read-modify-write is issued by MAGIC as a
     // single short memory access (no line streaming, no allocation).
-    if (msg.requester == self_) {
-        r.out.push_back({make(MsgType::NetFetchOpAck, self_, msg.addr,
-                              msg.requester),
-                         Gate::MemData});
-    } else {
-        r.out.push_back({make(MsgType::NetFetchOpAck, msg.requester,
-                              msg.addr, msg.requester),
-                         Gate::MemData});
-    }
+    r.out.push_back({make(MsgType::NetFetchOpAck, msg.requester, msg.addr,
+                          msg.requester),
+                     Gate::MemData});
     return r;
 }
 

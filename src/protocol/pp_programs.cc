@@ -670,7 +670,7 @@ buildHandlerPrograms(const ppc::CompileOptions &opts)
     remote(MsgType::PiFetchOp,
            add(buildForwardToHome("pi_fetchop_remote",
                                   MsgType::NetFetchOp)),
-           &E::handleFetchOp);
+           &E::handleRequestForward);
     return p;
 }
 

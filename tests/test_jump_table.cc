@@ -90,7 +90,7 @@ const PinnedRow kPinned[] = {
     {MsgType::NetNack, &E::handleReply, &E::handleReply},
     {MsgType::NetBlockXfer, &E::handleBlockXfer, &E::handleBlockXfer},
     {MsgType::NetBlockAck, &E::handleBlockXfer, &E::handleBlockXfer},
-    {MsgType::PiFetchOp, &E::handleFetchOp, &E::handleFetchOp},
+    {MsgType::PiFetchOp, &E::handleRequestForward, &E::handleFetchOp},
     {MsgType::NetFetchOp, &E::handleFetchOp, &E::handleFetchOp},
     {MsgType::NetFetchOpAck, &E::handleFetchOp, &E::handleFetchOp},
 };
