@@ -249,9 +249,9 @@ BM_DirectoryOps(benchmark::State &state)
 }
 
 /**
- * Pooled mesh send: inject and deliver messages through the slab-
- * backed network (send -> slot copy -> event -> deliver -> slot
- * recycle), 16 in flight like a busy 16-node machine.
+ * Mesh send: inject and deliver messages (send -> delivery event
+ * carrying the message -> deliver), 16 in flight like a busy 16-node
+ * machine.
  */
 void
 BM_MeshSend(benchmark::State &state)

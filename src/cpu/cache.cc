@@ -4,6 +4,7 @@
 
 #include "sim/logging.hh"
 #include "verify/sentinel.hh"
+#include "verify/watchdog.hh"
 
 namespace flashsim::cpu
 {
@@ -269,6 +270,18 @@ Cache::deliver(const Message &msg)
         if (m == nullptr)
             break; // request already satisfied (stale NACK)
         ++nackRetries;
+        // A miss NACKed past the watchdog's age limit is a retry
+        // livelock: stop even when no watchdog runs (verify off),
+        // instead of retrying forever.
+        if (const Cycles age = eq_.now() - m->issued;
+            age > verify::kMaxTransactionAge)
+            fatal("Cache %u: miss for line 0x%llx outstanding for %llu "
+                  "cycles (limit %llu) after %u NACKs: NACK livelock",
+                  self_, static_cast<unsigned long long>(line),
+                  static_cast<unsigned long long>(age),
+                  static_cast<unsigned long long>(
+                      verify::kMaxTransactionAge),
+                  m->nackCount + 1);
         MsgType t = m->sentType;
         // Exponential backoff with a per-node offset: hot lines (locks,
         // barrier counters) otherwise produce NACK storms where the

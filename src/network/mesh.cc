@@ -100,43 +100,12 @@ MeshNetwork::setPerturb(std::function<Cycles(const protocol::Message &)> p)
                              0);
 }
 
-std::uint32_t
-MeshNetwork::allocSlot()
-{
-    if (!freeSlots_.empty()) {
-        std::uint32_t s = freeSlots_.back();
-        freeSlots_.pop_back();
-        return s;
-    }
-    std::uint32_t s = static_cast<std::uint32_t>(slab_.size()) * kSlabChunk;
-    slab_.push_back(std::make_unique<protocol::Message[]>(kSlabChunk));
-    freeSlots_.reserve(slab_.size() * kSlabChunk);
-    for (std::uint32_t i = kSlabChunk - 1; i > 0; --i)
-        freeSlots_.push_back(s + i);
-    return s;
-}
-
-void
-MeshNetwork::deliverSlot(std::uint32_t s)
-{
-    // The slot is released only after the delivery callback returns:
-    // chunk storage is stable, so the reference survives nested sends
-    // that grow the slab, and the slot cannot be recycled underneath
-    // the receiver.
-    const protocol::Message &m = slot(s);
-    deliver_[m.dest](m);
-    freeSlots_.push_back(s);
-    --inFlight_;
-}
-
 void
 MeshNetwork::inject(const protocol::Message &msg, Tick when)
 {
     const std::uint64_t seq = srcSeq_[msg.src]++;
-    std::uint32_t s = allocSlot();
-    slot(s) = msg;
-    ++inFlight_;
-    eq_.scheduleNet(when, msg.src, seq, [this, s] { deliverSlot(s); });
+    eq_.scheduleNet(when, msg.src, seq,
+                    [this, msg] { deliver_[msg.dest](msg); });
 }
 
 void

@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "protocol/message.hh"
@@ -96,28 +95,9 @@ class MeshNetwork
     /** Data-carrying messages injected. */
     Counter dataMessages() const { return dataMessages_; }
 
-    /** In-flight slab slots currently occupied (tests/diagnostics). */
-    std::uint32_t inFlight() const { return inFlight_; }
-    /** Total slab capacity allocated so far (tests/diagnostics). */
-    std::uint32_t
-    slabCapacity() const
-    {
-        return static_cast<std::uint32_t>(slab_.size()) * kSlabChunk;
-    }
-
   private:
-    /** Messages per slab chunk; chunk storage never moves, so a
-     *  delivery may hold a reference across nested sends. */
-    static constexpr std::uint32_t kSlabChunk = 128;
-    using SlabChunk = std::unique_ptr<protocol::Message[]>;
-
-    std::uint32_t allocSlot();
-    void deliverSlot(std::uint32_t slot);
-    protocol::Message &
-    slot(std::uint32_t s)
-    {
-        return slab_[s / kSlabChunk][s % kSlabChunk];
-    }
+    /** Schedule @p msg's delivery at @p when; the event carries the
+     *  message by value. */
     void inject(const protocol::Message &msg, Tick when);
 
     EventQueue &eq_;
@@ -129,16 +109,10 @@ class MeshNetwork
     std::function<Cycles(const protocol::Message &)> perturb_;
     /** Last scheduled delivery per (src, dest), perturbed mode only. */
     std::vector<Tick> lastDelivery_;
-
-    /** In-flight message slab (chunked, slots recycled on delivery). */
-    std::vector<SlabChunk> slab_;
-    std::vector<std::uint32_t> freeSlots_;
-    std::uint32_t inFlight_ = 0;
     Counter messages_ = 0;
     Counter dataMessages_ = 0;
     /** Per-source monotonic send sequence: the delivery sort key. */
     std::vector<std::uint64_t> srcSeq_;
-
 };
 
 } // namespace flashsim::network

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <utility>
 
 #include "sim/logging.hh"
 
@@ -31,13 +30,11 @@ EventQueue::scheduleAt(Tick when, Callback cb)
               static_cast<unsigned long long>(when),
               static_cast<unsigned long long>(_now));
     if (when - _now < kRingSize) {
-        appendToRing(when) = std::move(cb);
+        appendToRing(when) = cb;
         return;
     }
-    overflow_.push_back(
-        Event{when, kOrdinaryKey | nextSeq_++, std::move(cb)});
+    overflow_.push_back(Event{when, kOrdinaryKey | nextSeq_++, cb});
     std::push_heap(overflow_.begin(), overflow_.end(), Later{});
-    lowerHorizon(when);
 }
 
 EventQueue::Callback &
@@ -49,12 +46,11 @@ EventQueue::appendToRing(Tick when)
     b.events.push_back(Event{when, kOrdinaryKey | nextSeq_++, {}});
     markLive(when);
     ++ringCount_;
-    lowerHorizon(when);
     return b.events.back().cb;
 }
 
 void
-EventQueue::insertSorted(Event &&e)
+EventQueue::insertSorted(const Event &e)
 {
     const Tick when = e.when;
     Bucket &b = bucketFor(when);
@@ -65,10 +61,9 @@ EventQueue::insertSorted(Event &&e)
         b.events.begin() + static_cast<std::ptrdiff_t>(b.head),
         b.events.end(), e.seq,
         [](std::uint64_t seq, const Event &x) { return seq < x.seq; });
-    b.events.insert(pos, std::move(e));
+    b.events.insert(pos, e);
     markLive(when);
     ++ringCount_;
-    lowerHorizon(when);
 }
 
 void
@@ -85,18 +80,16 @@ EventQueue::scheduleNet(Tick when, NodeId src, std::uint64_t srcSeq,
     if (when == _now) {
         // Degenerate zero-latency transit: this tick's deliveries may
         // already have run, so it joins as an ordinary event.
-        scheduleAt(when, std::move(cb));
+        scheduleAt(when, cb);
         return;
     }
-    Event e{when, (std::uint64_t{src} << kSrcShift) | srcSeq,
-            std::move(cb)};
+    const Event e{when, (std::uint64_t{src} << kSrcShift) | srcSeq, cb};
     if (when - _now < kRingSize) {
-        insertSorted(std::move(e));
+        insertSorted(e);
         return;
     }
-    overflow_.push_back(std::move(e));
+    overflow_.push_back(e);
     std::push_heap(overflow_.begin(), overflow_.end(), Later{});
-    lowerHorizon(when);
 }
 
 Tick
@@ -127,16 +120,6 @@ EventQueue::nextRingTick() const
 Tick
 EventQueue::nextTick() const
 {
-    if (!nextCacheValid_) {
-        nextCache_ = computeNextTick();
-        nextCacheValid_ = true;
-    }
-    return nextCache_;
-}
-
-Tick
-EventQueue::computeNextTick() const
-{
     const Tick t = nextRingTick();
     if (!overflow_.empty() && overflow_.front().when < t)
         return overflow_.front().when;
@@ -148,7 +131,7 @@ EventQueue::promoteOverflow(Tick t)
 {
     while (!overflow_.empty() && overflow_.front().when == t) {
         std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
-        insertSorted(std::move(overflow_.back()));
+        insertSorted(overflow_.back());
         overflow_.pop_back();
     }
 }
@@ -160,12 +143,11 @@ EventQueue::step()
     if (t == kNever)
         return false;
     _now = t;
-    nextCacheValid_ = false; // consuming: recompute lazily
     promoteOverflow(t);
     Bucket &b = bucketFor(t);
-    // Move the callback out before invoking: the callback may schedule
+    // Copy the callback out before invoking: the callback may schedule
     // into this same bucket and reallocate its vector.
-    Callback cb = std::move(b.events[b.head].cb);
+    Callback cb = b.events[b.head].cb;
     ++b.head;
     --ringCount_;
     if (b.head == b.events.size()) {
@@ -182,7 +164,6 @@ EventQueue::drainTick(Tick t)
 {
     std::uint64_t executed = 0;
     _now = t;
-    nextCacheValid_ = false; // callbacks schedule freely mid-drain
     promoteOverflow(t);
     // Drain the whole tick from its bucket, front to back: nothing
     // earlier can appear (overflow inserts land >= kRingSize ticks
@@ -193,7 +174,7 @@ EventQueue::drainTick(Tick t)
     Bucket &b = bucketFor(t);
     if (b.head < b.events.size()) {
         while (b.head < b.events.size()) {
-            Callback cb = std::move(b.events[b.head].cb);
+            Callback cb = b.events[b.head].cb;
             ++b.head;
             --ringCount_;
             cb();
@@ -203,10 +184,6 @@ EventQueue::drainTick(Tick t)
         b.head = 0;
         clearLive(t);
     }
-    // Tick t is fully consumed; warm the horizon cache while the
-    // structures are hot so the window loop's nextTick() is O(1).
-    nextCache_ = computeNextTick();
-    nextCacheValid_ = true;
     return executed;
 }
 
@@ -237,8 +214,6 @@ EventQueue::reset()
     overflow_.clear();
     _now = 0;
     nextSeq_ = 0;
-    nextCache_ = kNever;
-    nextCacheValid_ = true;
 }
 
 } // namespace flashsim

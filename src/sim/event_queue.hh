@@ -81,7 +81,7 @@ class EventQueue
     void
     schedule(Cycles delay, Callback cb)
     {
-        scheduleAt(_now + delay, std::move(cb));
+        scheduleAt(_now + delay, cb);
     }
 
     /** Schedule @p cb at absolute time @p when (must be >= now()). */
@@ -138,11 +138,9 @@ class EventQueue
         return ringCount_ + overflow_.size();
     }
 
-    /**
-     * Earliest pending tick (deliveries and ordinary events alike), or
-     * kNever. O(1) when the cached horizon is warm (see nextCache_) —
-     * Machine::run's loop asks it once per simulated tick.
-     */
+    /** Earliest pending tick (deliveries and ordinary events alike),
+     *  or kNever: a scan of the ring's occupancy bitmap from now, and
+     *  the overflow heap's front. */
     Tick nextTick() const;
 
     /**
@@ -208,18 +206,10 @@ class EventQueue
 
     /** Sorted insert of @p e into its tick's bucket (which must lie
      *  in the ring window), at the upper bound of its seq. */
-    void insertSorted(Event &&e);
+    void insertSorted(const Event &e);
 
     void markLive(Tick when);
     void clearLive(Tick when);
-
-    /** An event was added at @p when: lower the cached horizon. */
-    void
-    lowerHorizon(Tick when)
-    {
-        if (nextCacheValid_ && when < nextCache_)
-            nextCache_ = when;
-    }
 
     /** Recycle a fully executed bucket's storage before reuse. */
     static void
@@ -231,9 +221,6 @@ class EventQueue
         }
     }
 
-    /** Recompute the earliest pending tick (bitmap scan + heap
-     *  front); nextTick() caches the result. */
-    Tick computeNextTick() const;
     /** Earliest pending tick in the ring, or kNever. */
     Tick nextRingTick() const;
     /** Move overflow events for tick @p t into its bucket. */
@@ -256,16 +243,6 @@ class EventQueue
     /** Overflow min-heap (std::push_heap/std::pop_heap over a vector,
      *  ordered by Later so front() is the earliest event). */
     std::vector<Event> overflow_;
-
-    /**
-     * Cached nextTick(). Exact-min maintained on schedule (an earlier
-     * insert lowers it); invalidated for the duration of a drain/step
-     * (callbacks schedule freely without touching it) and recomputed
-     * once when the tick completes. mutable: nextTick() is logically
-     * const and refreshes the cache on a cold read.
-     */
-    mutable Tick nextCache_ = kNever;
-    mutable bool nextCacheValid_ = true;
 };
 
 } // namespace flashsim

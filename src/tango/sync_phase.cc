@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sim/logging.hh"
+
 namespace flashsim::tango
 {
 
@@ -9,39 +11,41 @@ void
 SyncPhase::run(Tick tick, EventQueue &eq)
 {
     running_ = tick;
-    while (true) {
-        round_.clear();
-        Tick rest = EventQueue::kNever; // earliest op left for later
-        for (std::size_t k = 0; k < ops_.size();) {
-            if (ops_[k].tick == tick) {
-                round_.push_back(ops_[k]);
-                ops_[k] = ops_.back();
-                ops_.pop_back();
-            } else {
-                rest = std::min(rest, ops_[k].tick);
-                ++k;
-            }
+    round_.clear();
+    for (std::size_t k = 0; k < ops_.size();) {
+        if (ops_[k].tick == tick) {
+            round_.push_back(ops_[k]);
+            ops_[k] = ops_.back();
+            ops_.pop_back();
+        } else {
+            ++k;
         }
-        if (round_.empty()) {
-            minTick_ = rest;
-            break;
-        }
-        std::sort(round_.begin(), round_.end(),
-                  [](const Op &a, const Op &b) {
-                      if (a.node != b.node)
-                          return a.node < b.node;
-                      return a.seq < b.seq;
-                  });
-        // Indexed, with the handle copied out: a resumed coroutine may
-        // wake a spin waiter that joins this round (join), growing it.
-        inRound_ = true;
-        for (next_ = 0; next_ < round_.size(); ++next_) {
-            const std::coroutine_handle<> h = round_[next_].h;
-            h.resume();
-        }
-        inRound_ = false;
-        if (eq.nextTick() == tick)
-            eq.drainTick(tick);
+    }
+    std::sort(round_.begin(), round_.end(), [](const Op &a, const Op &b) {
+        if (a.node != b.node)
+            return a.node < b.node;
+        return a.seq < b.seq;
+    });
+    // Indexed, with the handle copied out: a resumed coroutine may wake
+    // a spin waiter that joins this round (join), growing it.
+    inRound_ = true;
+    for (next_ = 0; next_ < round_.size(); ++next_) {
+        const std::coroutine_handle<> h = round_[next_].h;
+        h.resume();
+    }
+    inRound_ = false;
+    if (eq.nextTick() == tick)
+        eq.drainTick(tick);
+    // One round is the whole phase: a sync point reached during the
+    // round or the drain continued inline (inlineOk), so nothing can
+    // have parked at this tick.
+    minTick_ = EventQueue::kNever;
+    for (const Op &op : ops_) {
+        if (op.tick == tick)
+            panic("SyncPhase: node %u parked at tick %llu while its "
+                  "phase ran",
+                  op.node, static_cast<unsigned long long>(tick));
+        minTick_ = std::min(minTick_, op.tick);
     }
     running_ = EventQueue::kNever;
 }

@@ -6,19 +6,19 @@
  * Every access the tango lock and barrier primitives make to their
  * host-side variables sits behind Env::syncPoint(), which defers the
  * coroutine here. Once a tick's events have run, the machine's run loop
- * runs that tick's deferred operations in (node, per-node sequence)
- * order, in rounds: a resumed coroutine that reaches another sync point
- * at the same tick continues inline, and events a round schedules at
- * the tick are drained before the next round. Lock winners and barrier
- * arrival order therefore follow from simulated time and node numbers
- * alone, never from the order events happened to be queued in.
+ * runs that tick's deferred operations as one round, in (node,
+ * per-node sequence) order; events the round schedules at the tick are
+ * drained after it. A resumed coroutine that reaches another sync point
+ * at the same tick continues inline, so nothing parks at a running tick
+ * and one round is the whole phase (run() panics otherwise). Lock
+ * winners and barrier arrival order therefore follow from simulated
+ * time and node numbers alone, never from the order events happened to
+ * be queued in.
  *
- * Only the first round at a tick has operations: a sync point reached
- * while the phase at its tick runs continues inline, so nothing parks
- * at a running tick. A spin waiter parked by tango::SpinAwaiter has no
- * operation queued here. When it wakes it asks which of its re-tests
- * have already run (settledThrough), and a re-test due at the running
- * tick whose node the round has not reached yet joins it (join).
+ * A spin waiter parked by tango::SpinAwaiter has no operation queued
+ * here. When it wakes it asks which of its re-tests have already run
+ * (settledThrough), and a re-test due at the running tick whose node
+ * the round has not reached yet joins it (join).
  */
 
 #ifndef FLASHSIM_TANGO_SYNC_PHASE_HH_
@@ -60,7 +60,7 @@ class SyncPhase
     Tick minPending() const { return minTick_; }
 
     /** Run the phase at @p tick; events the resumed coroutines schedule
-     *  on @p eq at @p tick are drained between rounds. */
+     *  on @p eq at @p tick are drained after the round. */
     void run(Tick tick, EventQueue &eq);
 
     /** True while a round at @p now is running and has not yet reached
@@ -100,7 +100,7 @@ class SyncPhase
     };
 
     std::vector<Op> ops_;
-    /** One round's operations (kept to reuse its storage). */
+    /** The running round's operations (kept to reuse its storage). */
     std::vector<Op> round_;
     std::vector<std::uint64_t> nodeSeq_;
     Tick minTick_ = EventQueue::kNever;

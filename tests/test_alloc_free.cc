@@ -121,10 +121,9 @@ struct MaxPayload
     std::uint32_t fields[6];
     std::uint8_t flags[2];
 };
-// [&sink, p] below fills InlineCallback::kInlineBytes exactly; the
-// constructor's static_assert rejects anything larger at compile time.
-static_assert(sizeof(MaxPayload) + sizeof(void *) ==
-              InlineCallback::kInlineBytes);
+// [&sink, p] below fills kInlineCallbackBytes exactly; the
+// constructor's constraint rejects anything larger at compile time.
+static_assert(sizeof(MaxPayload) + sizeof(void *) == kInlineCallbackBytes);
 
 TEST(AllocFree, SteadyStateScheduleDoesNotAllocate)
 {
@@ -181,8 +180,8 @@ TEST(AllocFree, MaxCaptureIntoWarmBucketDoesNotAllocate)
  * A workload of cache hits and misses (with upgrades and writebacks)
  * on lines homed at @p home runs the processor, cache, MAGIC inbox and
  * dispatch, PP emulator and MDC model on every iteration; with a
- * remote home (node 1) every miss also crosses the mesh slab, the
- * event queue's sorted delivery insert and the NI inbound queue. The
+ * remote home (node 1) every miss also crosses the mesh, the event
+ * queue's sorted delivery insert and the NI inbound queue. The
  * warm-up spans hundreds of event-ring wraps, so every ring bucket has
  * grown to its steady capacity; the loop then samples the allocation
  * counter at two iterations, and nothing on the per-reference or

@@ -308,5 +308,27 @@ TEST(CacheTest, InterventionCausesCacheContention)
     EXPECT_GT(mm.node(0).proc().breakdown().cont, 0u);
 }
 
+// Every home GET is NACKed (an injected probability of 1, which the CLI
+// does not accept), so processor 0's one read miss retries until it has
+// been outstanding longer than verify::kMaxTransactionAge. No watchdog
+// runs with verify off; the cache itself stops the livelock.
+TEST(CacheDeathTest, NackLivelockPastTheAgeLimitIsFatal)
+{
+    MachineConfig cfg = MachineConfig::flash(2);
+    cfg.verify.fault.extraNackProb = 1.0;
+    EXPECT_DEATH(
+        {
+            Machine mm(cfg);
+            const Addr a = mm.alloc(kLineSize, 1);
+            mm.run([a](tango::Env &env) -> tango::Task {
+                co_await env.busy(0);
+                if (env.id() == 0)
+                    co_await env.read(a);
+            });
+        },
+        "Cache 0: miss for line 0x[0-9a-f]+ outstanding for [0-9]+ "
+        "cycles \\(limit 400000\\) after [0-9]+ NACKs: NACK livelock");
+}
+
 } // namespace
 } // namespace flashsim::machine

@@ -222,41 +222,58 @@ TEST(MeshNetwork, SendAtUnderPerturbKeepsFifoClamp)
     EXPECT_EQ(order, (std::vector<Addr>{1, 2}));
 }
 
-TEST(MeshNetwork, SlabSlotsRecycleAcrossSends)
+TEST(MeshNetwork, DeliveryOutlivesNestedSendsAndBursts)
 {
-    // Sequential send/deliver cycles must recycle freed slots instead
-    // of growing the slab: the capacity stays at one chunk no matter
-    // how many messages pass through.
+    // Each delivery event carries its message by value. A receiver that
+    // sends more than 128 messages from inside its delivery callback,
+    // growing the event queue's buckets while it runs, still sees its
+    // own message intact afterwards, and a burst wider than that from
+    // one tick arrives whole and in send order.
     EventQueue eq;
     MeshNetwork net(eq, 4);
-    int received = 0;
-    net.connect(1, [&](const protocol::Message &) { ++received; });
-    for (int i = 0; i < 1000; ++i) {
-        net.send(msg(0, 1));
-        eq.run();
-    }
-    EXPECT_EQ(received, 1000);
-    EXPECT_EQ(net.inFlight(), 0u);
-    EXPECT_EQ(net.slabCapacity(), 128u);
-}
+    constexpr int kWide = 300;
 
-TEST(MeshNetwork, SlabGrowsUnderBurstThenDrains)
-{
-    // A burst wider than one chunk grows the slab; every slot is back
-    // on the free list once the burst drains.
-    EventQueue eq;
-    MeshNetwork net(eq, 4);
-    int received = 0;
-    net.connect(1, [&](const protocol::Message &) { ++received; });
-    constexpr int kBurst = 300;
+    protocol::Message first = msg(0, 1, true);
+    first.requester = 3;
+    first.addr = 0xabc0;
+    first.aux = 77;
+    int first_seen = 0;
+    net.connect(1, [&](const protocol::Message &m) {
+        ++first_seen;
+        for (int i = 0; i < kWide; ++i)
+            net.send(msg(1, 2));
+        EXPECT_EQ(m.type, protocol::MsgType::NetPut);
+        EXPECT_EQ(m.src, 0u);
+        EXPECT_EQ(m.dest, 1u);
+        EXPECT_EQ(m.requester, 3u);
+        EXPECT_EQ(m.addr, 0xabc0u);
+        EXPECT_EQ(m.aux, 77u);
+    });
+    int fanned = 0;
+    net.connect(2, [&](const protocol::Message &m) {
+        EXPECT_EQ(m.src, 1u);
+        ++fanned;
+    });
+    std::vector<Addr> burst;
+    net.connect(3, [&](const protocol::Message &m) {
+        burst.push_back(m.addr);
+    });
+
     eq.schedule(0, [&] {
-        for (int i = 0; i < kBurst; ++i)
-            net.send(msg(0, 1));
+        net.send(first);
+        for (int i = 0; i < kWide; ++i) {
+            protocol::Message b = msg(0, 3);
+            b.addr = static_cast<Addr>(i);
+            net.send(b);
+        }
     });
     eq.run();
-    EXPECT_EQ(received, kBurst);
-    EXPECT_EQ(net.inFlight(), 0u);
-    EXPECT_GE(net.slabCapacity(), static_cast<std::uint32_t>(kBurst));
+    EXPECT_EQ(first_seen, 1);
+    EXPECT_EQ(fanned, kWide);
+    ASSERT_EQ(burst.size(), static_cast<std::size_t>(kWide));
+    for (int i = 0; i < kWide; ++i)
+        EXPECT_EQ(burst[static_cast<std::size_t>(i)], static_cast<Addr>(i));
+    EXPECT_EQ(net.messages(), static_cast<Counter>(2 * kWide + 1));
 }
 
 TEST(MeshNetwork, UnconnectedDestinationPanics)

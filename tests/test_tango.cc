@@ -223,6 +223,24 @@ TEST(SyncPhase, MinPendingTracksParkAndRun)
     EXPECT_EQ(sp.minPending(), EventQueue::kNever);
 }
 
+// A sync point reached while the phase at its tick runs continues
+// inline, so one round is the whole phase. An operation parked at the
+// running tick anyway, here by an event the phase drains, breaks that
+// invariant and must not be left behind.
+TEST(SyncPhaseDeathTest, ParkingAtTheRunningTickPanics)
+{
+    EXPECT_DEATH(
+        {
+            SyncPhase sp(2);
+            EventQueue eq;
+            sp.park(3, 0, std::noop_coroutine());
+            eq.scheduleAt(3,
+                          [&sp] { sp.park(3, 1, std::noop_coroutine()); });
+            sp.run(3, eq);
+        },
+        "SyncPhase: node 1 parked at tick 3 while its phase ran");
+}
+
 
 // ---------------------------------------------------------------------------
 // Barrier and lock waits, pinned to the cycle. The expected values were
