@@ -92,7 +92,7 @@ usage()
         "  --distance-net    per-pair mesh distances instead of the\n"
         "                    22-cycle average\n"
         "verification (src/verify):\n"
-        "  --verify          enable the coherence oracle and watchdog\n"
+        "  --verify          enable the coherence oracle\n"
         "  --halt-on-violation   fatal() on the first oracle violation\n"
         "fault injection (deterministic seeded perturbation; on while\n"
         "any class below is nonzero):\n"
@@ -107,7 +107,8 @@ usage()
         "  --inject-stall N      max extra inbound-queue stall cycles\n"
         "                        (<= 4294967295)\n"
         "values: N is a whole number, P a probability in [0, 1]\n"
-        "exit codes: 0 ok, 1 usage, 2 oracle violation; a watchdog trip\n"
+        "exit codes: 0 ok, 1 usage, 2 oracle violation; a hang (a miss\n"
+        "wedged or no progress, checked with or without --verify)\n"
         "aborts (SIGABRT, exit 134) after printing the post-mortem\n");
 }
 
@@ -264,8 +265,7 @@ main(int argc, char **argv)
         std::fflush(stdout);
         sent->writeSummary(std::cout);
         std::cout.flush();
-        // A watchdog trip never gets here: the CLI keeps haltOnTrip,
-        // so a trip is fatal() with the post-mortem.
+        // A hang never gets here: it is fatal() with the post-mortem.
         if (sent->violations() != 0) {
             std::fprintf(stderr, "VERIFICATION FAILED: %llu violation(s)\n",
                          static_cast<unsigned long long>(

@@ -29,6 +29,8 @@ struct RadixParams
     std::uint64_t seed = 12345;
     std::uint64_t instrsPerKey = 10;
 
+    bool operator==(const RadixParams &) const = default;
+
     static RadixParams
     paper()
     {

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "sim/logging.hh"
-#include "verify/sentinel.hh"
-#include "verify/watchdog.hh"
 
 namespace flashsim::cpu
 {
@@ -94,8 +92,6 @@ Cache::read(Addr addr, Callback on_fill)
     m->issued = eq_.now();
     m->readWaiters.clear();
     m->readWaiters.push_back(std::move(on_fill));
-    if (verify::Sentinel *s = magic_.sentinel())
-        s->txnStart(self_, line);
     sendRequest(MsgType::PiGet, line, false);
     return ReadOutcome::Miss;
 }
@@ -140,8 +136,6 @@ Cache::write(Addr addr)
     m->nackCount = 0;
     m->issued = eq_.now();
     m->readWaiters.clear();
-    if (verify::Sentinel *s = magic_.sentinel())
-        s->txnStart(self_, line);
     sendRequest(MsgType::PiGetx, line, false);
     return WriteOutcome::Queued;
 }
@@ -198,8 +192,7 @@ Cache::installLine(Addr line, State st)
 void
 Cache::completeMshr(Mshr &m)
 {
-    if (verify::Sentinel *s = magic_.sentinel())
-        s->txnRetire(self_, m.line);
+    ++retired_;
     // Swap (not move) so the MSHR inherits the scratch's spare buffer:
     // steady-state completion is allocation-free. Fills only arrive via
     // event-queue deliveries, never from inside these callbacks, so the
@@ -270,18 +263,6 @@ Cache::deliver(const Message &msg)
         if (m == nullptr)
             break; // request already satisfied (stale NACK)
         ++nackRetries;
-        // A miss NACKed past the watchdog's age limit is a retry
-        // livelock: stop even when no watchdog runs (verify off),
-        // instead of retrying forever.
-        if (const Cycles age = eq_.now() - m->issued;
-            age > verify::kMaxTransactionAge)
-            fatal("Cache %u: miss for line 0x%llx outstanding for %llu "
-                  "cycles (limit %llu) after %u NACKs: NACK livelock",
-                  self_, static_cast<unsigned long long>(line),
-                  static_cast<unsigned long long>(age),
-                  static_cast<unsigned long long>(
-                      verify::kMaxTransactionAge),
-                  m->nackCount + 1);
         MsgType t = m->sentType;
         // Exponential backoff with a per-node offset: hot lines (locks,
         // barrier counters) otherwise produce NACK storms where the

@@ -54,6 +54,25 @@ class Cache
     enum class ReadOutcome { Hit, Miss, MshrFull };
     enum class WriteOutcome { Done, Queued, MshrFull, Conflict };
 
+    /** One outstanding miss (Section 3.2's MSHRs): the requesting
+     *  node's only record of a transaction in flight. */
+    struct Mshr
+    {
+        bool valid = false;
+        Addr line = 0; ///< line base address
+        protocol::MsgType sentType = protocol::MsgType::PiGet;
+        bool needsUpgrade = false; ///< read fill must be followed by GETX
+        /** An invalidation raced ahead of our read reply (it is not
+         *  gated on memory data, the reply is): the fill satisfies the
+         *  blocked read with its critical word but the line must not
+         *  stay resident. */
+        bool invalOnFill = false;
+        /** Consecutive NACKs for this miss (exponential backoff). */
+        std::uint32_t nackCount = 0;
+        Tick issued = 0; ///< when the request (or its upgrade) left
+        std::vector<Callback> readWaiters;
+    };
+
     Cache(EventQueue &eq, NodeId self, const CacheParams &params,
           magic::Magic &magic);
 
@@ -103,6 +122,12 @@ class Cache
                 return false;
         return mshrFreeWaiters_.empty();
     }
+
+    /** The MSHRs, read by the machine's hang check and post-mortem. */
+    const std::array<Mshr, kMshrs> &mshrs() const { return mshrs_; }
+    /** Misses completed so far (an upgrade chasing a read fill is part
+     *  of the same miss). */
+    Counter retiredMisses() const { return retired_; }
 
     /** Account @p n read hits on @p addr's resident line exactly as
      *  @p n readHit calls in a row would. */
@@ -173,23 +198,6 @@ class Cache
         std::uint64_t lru;
     };
 
-    struct Mshr
-    {
-        bool valid = false;
-        Addr line = 0; ///< line base address
-        protocol::MsgType sentType = protocol::MsgType::PiGet;
-        bool needsUpgrade = false; ///< read fill must be followed by GETX
-        /** An invalidation raced ahead of our read reply (it is not
-         *  gated on memory data, the reply is): the fill satisfies the
-         *  blocked read with its critical word but the line must not
-         *  stay resident. */
-        bool invalOnFill = false;
-        /** Consecutive NACKs for this miss (exponential backoff). */
-        std::uint32_t nackCount = 0;
-        Tick issued = 0;
-        std::vector<Callback> readWaiters;
-    };
-
     std::uint32_t
     setIndex(Addr addr) const
     {
@@ -221,6 +229,8 @@ class Cache
 
     EventQueue &eq_;
     NodeId self_;
+    /** Fills the padding after self_, so the cache does not grow. */
+    std::uint32_t retired_ = 0;
     magic::Magic &magic_;
 
     std::uint32_t numSets_;

@@ -1,6 +1,9 @@
 #include "machine/machine.hh"
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
+#include <vector>
 
 #include "sim/logging.hh"
 
@@ -14,6 +17,50 @@ namespace
  *  can rebase MAGIC's page numbers by subtracting its page. */
 constexpr Addr kAppBase = Addr{1} << 20;
 static_assert(kAppBase % kPageBytes == 0);
+
+/** The machine's outstanding misses at one instant. */
+struct MissCensus
+{
+    int outstanding = 0;
+    Counter retired = 0;
+    NodeId oldestNode = 0;
+    const cpu::Cache::Mshr *oldest = nullptr;
+};
+
+MissCensus
+census(const std::vector<std::unique_ptr<Node>> &nodes)
+{
+    MissCensus c;
+    for (const auto &n : nodes) {
+        c.retired += n->cache().retiredMisses();
+        for (const cpu::Cache::Mshr &m : n->cache().mshrs()) {
+            if (!m.valid)
+                continue;
+            ++c.outstanding;
+            if (c.oldest == nullptr || m.issued < c.oldest->issued) {
+                c.oldest = &m;
+                c.oldestNode = n->id();
+            }
+        }
+    }
+    return c;
+}
+
+/** The oldest miss of @p c (which has one), for a fatal() message. */
+std::string
+describeOldest(const MissCensus &c, Tick now)
+{
+    char buf[192];
+    std::snprintf(buf, sizeof(buf),
+                  "node %u line 0x%llx outstanding for %llu cycles "
+                  "(limit %llu) after %u NACKs",
+                  c.oldestNode,
+                  static_cast<unsigned long long>(c.oldest->line),
+                  static_cast<unsigned long long>(now - c.oldest->issued),
+                  static_cast<unsigned long long>(kMaxTransactionAge),
+                  c.oldest->nackCount);
+    return buf;
+}
 } // namespace
 
 Machine::Machine(const MachineConfig &cfg)
@@ -34,6 +81,8 @@ Machine::Machine(const MachineConfig &cfg)
     }
 
     setLogTickSource([this] { return eq_.now(); });
+    postMortemToken_ = registerPostMortem(
+        [this](std::ostream &os) { writeMisses(os); });
 
     if (cfg_.verify.any()) {
         sentinel_ = std::make_unique<verify::Sentinel>(eq_, cfg_.verify,
@@ -77,6 +126,7 @@ Machine::Machine(const MachineConfig &cfg)
 
 Machine::~Machine()
 {
+    unregisterPostMortem(postMortemToken_);
     setLogTickSource({});
 }
 
@@ -206,41 +256,113 @@ Machine::pageHeat() const
     return heat;
 }
 
+template <typename Done>
+bool
+Machine::tickUntil(Done done)
+{
+    // Tick by tick: the tick's events (mesh deliveries first), then its
+    // sync phase, with the hang check every kWatchdogInterval cycles.
+    while (!done()) {
+        const Tick tq = eq_.nextTick();
+        const Tick u = std::min(tq, sync_.minPending());
+        if (u == EventQueue::kNever)
+            return false;
+        if (u >= nextCheck_) {
+            checkProgress();
+            nextCheck_ = u + kWatchdogInterval;
+        }
+        if (tq == u)
+            eq_.drainTick(u);
+        if (sync_.minPending() == u)
+            sync_.run(u, eq_);
+    }
+    return true;
+}
+
+void
+Machine::checkProgress()
+{
+    const Tick now = eq_.now();
+    const MissCensus c = census(nodes_);
+    if (c.outstanding == 0 || c.retired != lastRetired_) {
+        lastRetired_ = c.retired;
+        lastProgress_ = now;
+    }
+    if (c.oldest == nullptr)
+        return;
+    if (now - c.oldest->issued > kMaxTransactionAge)
+        fatal("Machine: wedged or starved miss: %s",
+              describeOldest(c, now).c_str());
+    if (now - lastProgress_ > kNoProgressWindow)
+        fatal("Machine: no miss retired for %llu cycles (limit %llu) "
+              "with %d outstanding, NACK livelock or deadlock; oldest: %s",
+              static_cast<unsigned long long>(now - lastProgress_),
+              static_cast<unsigned long long>(kNoProgressWindow),
+              c.outstanding, describeOldest(c, now).c_str());
+}
+
+void
+Machine::writeMisses(std::ostream &os) const
+{
+    const Tick now = eq_.now();
+    struct Row
+    {
+        NodeId node;
+        const cpu::Cache::Mshr *m;
+    };
+    std::vector<Row> rows;
+    Counter retired = 0;
+    for (const auto &n : nodes_) {
+        retired += n->cache().retiredMisses();
+        for (const cpu::Cache::Mshr &m : n->cache().mshrs())
+            if (m.valid)
+                rows.push_back({n->id(), &m});
+    }
+    std::sort(rows.begin(), rows.end(), [](const Row &a, const Row &b) {
+        if (a.m->issued != b.m->issued)
+            return a.m->issued < b.m->issued;
+        return a.node < b.node;
+    });
+    os << "outstanding misses: " << rows.size() << ", " << retired
+       << " retired, last progress at t=" << lastProgress_ << " (now t="
+       << now << ")\n";
+    const std::size_t shown = std::min<std::size_t>(rows.size(), 16);
+    for (std::size_t i = 0; i < shown; ++i)
+        os << "  node " << rows[i].node << " line 0x" << std::hex
+           << rows[i].m->line << std::dec << " age "
+           << (now - rows[i].m->issued) << " nacks "
+           << rows[i].m->nackCount << "\n";
+    if (rows.size() > shown)
+        os << "  ... and " << (rows.size() - shown) << " more\n";
+}
+
 Tick
 Machine::run(const Workload &workload)
 {
     for (auto &n : nodes_)
         n->startWorkload(workload);
 
-    // Tick by tick: the tick's events (mesh deliveries first),
-    // then its sync phase. finished() is monotone, so it suffices to
-    // watch one unfinished processor at a time: the scan resumes where
-    // it left off instead of walking every node on every step.
+    // finished() is monotone, so it suffices to watch one unfinished
+    // processor at a time: the scan resumes where it left off instead
+    // of walking every node on every tick.
     std::size_t watch = 0;
-    while (true) {
+    const bool finished = tickUntil([&] {
         while (watch < nodes_.size() && nodes_[watch]->proc().finished())
             ++watch;
-        if (watch == nodes_.size())
-            break;
-        const Tick tq = eq_.nextTick();
-        const Tick u = std::min(tq, sync_.minPending());
-        if (u == EventQueue::kNever) {
-            // Nothing is scheduled, so no parked spin waiter can ever
-            // be woken: without parking they would spin forever.
-            int unfinished = 0, parked = 0;
-            for (auto &n : nodes_) {
-                unfinished += n->proc().finished() ? 0 : 1;
-                parked += n->env().spinParked() ? 1 : 0;
-            }
-            fatal("Machine::run: deadlock — event queue empty with %d "
-                  "processors unfinished, %d of them parked in barrier "
-                  "or lock waits",
-                  unfinished, parked);
+        return watch == nodes_.size();
+    });
+    if (!finished) {
+        // Nothing is scheduled, so no parked spin waiter can ever be
+        // woken: without parking they would spin forever.
+        int unfinished = 0, parked = 0;
+        for (auto &n : nodes_) {
+            unfinished += n->proc().finished() ? 0 : 1;
+            parked += n->env().spinParked() ? 1 : 0;
         }
-        if (tq == u)
-            eq_.drainTick(u);
-        if (sync_.minPending() == u)
-            sync_.run(u, eq_);
+        fatal("Machine::run: deadlock — event queue empty with %d "
+              "processors unfinished, %d of them parked in barrier or "
+              "lock waits",
+              unfinished, parked);
     }
 
     execTime_ = 0;
@@ -252,7 +374,14 @@ Machine::run(const Workload &workload)
 void
 Machine::drain()
 {
-    eq_.run();
+    tickUntil([] { return false; });
+    // Nothing is left to deliver, so a miss still outstanding lost its
+    // reply.
+    const MissCensus c = census(nodes_);
+    if (c.oldest != nullptr)
+        fatal("Machine::drain: event queue empty with %d miss(es) "
+              "outstanding, a reply was lost; oldest: %s",
+              c.outstanding, describeOldest(c, eq_.now()).c_str());
     // The machine is quiesced: every in-flight message has landed, so
     // the oracle can hold it to the strict (no transient windows)
     // whole-machine invariants.

@@ -2,6 +2,23 @@
  * @file
  * The whole simulated multiprocessor: nodes, mesh, shared address space
  * with page placement, and the run loop.
+ *
+ * The run loop is also the one hang detector. The requesting node's
+ * MSHRs are its record of every miss in flight (Section 3.2), so every
+ * kWatchdogInterval cycles the loop reads each cache's MSHRs and its
+ * retired-miss count and stops the run with fatal() when
+ *
+ *  - one miss is older than kMaxTransactionAge (a wedged or starved
+ *    request: deadlock, or NACKs that never let one requester win), or
+ *
+ *  - no miss has retired machine-wide for kNoProgressWindow while some
+ *    are outstanding (NACK livelock: the machine is busy going nowhere).
+ *
+ * drain() also stops if the event queue empties while a miss is still
+ * outstanding (its reply was lost). The check only reads state, so it
+ * never moves a simulated result, and it runs with or without
+ * verification. Every machine registers a post-mortem dumper that
+ * lists its oldest outstanding misses.
  */
 
 #ifndef FLASHSIM_MACHINE_MACHINE_HH_
@@ -9,6 +26,7 @@
 
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -26,6 +44,13 @@
 
 namespace flashsim::machine
 {
+
+// Hang limits: far above any legitimate miss (the oldest seen over the
+// tests and the paper driver took about 22000 cycles) but low enough
+// to stop a hung run quickly.
+inline constexpr Cycles kWatchdogInterval = 20000;  ///< check interval
+inline constexpr Cycles kMaxTransactionAge = 400000; ///< per-miss age
+inline constexpr Cycles kNoProgressWindow = 200000; ///< machine-wide
 
 /** Workload body run on every processor. */
 using Workload = std::function<tango::Task(tango::Env &)>;
@@ -71,7 +96,8 @@ class Machine : public protocol::AddressMap
      */
     Tick run(const Workload &workload);
 
-    /** Drain remaining protocol events (trailing writebacks, acks). */
+    /** Drain remaining protocol events (trailing writebacks, acks);
+     *  fatal() if a miss is still outstanding once none are left. */
     void drain();
 
     /**
@@ -106,6 +132,14 @@ class Machine : public protocol::AddressMap
     const verify::Sentinel *sentinel() const { return sentinel_.get(); }
 
   private:
+    /** Run ticks (each tick's events, then its sync phase) until
+     *  @p done() holds; false if nothing was left to run first. */
+    template <typename Done> bool tickUntil(Done done);
+    /** The hang check: fatal() on a wedged miss or lost progress. */
+    void checkProgress();
+    /** The outstanding misses, oldest first, for the post-mortem. */
+    void writeMisses(std::ostream &os) const;
+
     MachineConfig cfg_;
     EventQueue eq_;
     /** Deferred tango lock/barrier operations (see tango/sync_phase.hh). */
@@ -123,6 +157,12 @@ class Machine : public protocol::AddressMap
     std::uint64_t rrCounter_ = 0;
     std::uint64_t firstFitAllocated_ = 0;
     Tick execTime_ = 0;
+
+    Tick nextCheck_ = 0;
+    /** Last check that saw a miss retire or none outstanding. */
+    Tick lastProgress_ = 0;
+    Counter lastRetired_ = 0;
+    int postMortemToken_ = -1;
 };
 
 } // namespace flashsim::machine

@@ -371,36 +371,28 @@ ProtocolEngine::handleInval(const Message &msg, NodeId, bool)
     return r;
 }
 
+// Data replies at the requesting node go on to the processor. The
+// protocol state here lives in MAGIC's miss-tracking structures, so the
+// handler only forwards; MAGIC performs the bookkeeping.
+
 HandlerResult
-ProtocolEngine::handleReply(const Message &msg, NodeId, bool)
+ProtocolEngine::handlePut(const Message &msg, NodeId, bool)
 {
-    // Replies at the requesting node: forward data to the processor /
-    // account an invalidation ack / schedule a NACK retry. The protocol
-    // state here lives in MAGIC's miss-tracking structures, so the
-    // handler only classifies; MAGIC performs the bookkeeping.
     HandlerResult r;
-    switch (msg.type) {
-      case MsgType::NetPut:
-        r.id = HandlerId::ReplyToProc;
-        r.out.push_back(
-            {make(MsgType::PiPut, self_, msg.addr, msg.requester),
-             Gate::None});
-        break;
-      case MsgType::NetPutx:
-        r.id = HandlerId::ReplyToProc;
-        r.out.push_back({make(MsgType::PiPutx, self_, msg.addr,
-                              msg.requester, msg.aux),
-                         Gate::None});
-        break;
-      case MsgType::NetInvalAck:
-        r.id = HandlerId::InvalAck;
-        break;
-      case MsgType::NetNack:
-        r.id = HandlerId::NackReceive;
-        break;
-      default:
-        panic("handleReply: bad type %s", msgTypeName(msg.type));
-    }
+    r.id = HandlerId::ReplyToProc;
+    r.out.push_back({make(MsgType::PiPut, self_, msg.addr, msg.requester),
+                     Gate::None});
+    return r;
+}
+
+HandlerResult
+ProtocolEngine::handlePutx(const Message &msg, NodeId, bool)
+{
+    HandlerResult r;
+    r.id = HandlerId::ReplyToProc;
+    r.out.push_back({make(MsgType::PiPutx, self_, msg.addr, msg.requester,
+                          msg.aux),
+                     Gate::None});
     return r;
 }
 
@@ -414,10 +406,6 @@ ProtocolEngine::handleBlockXfer(const Message &msg, NodeId, bool)
     // notification to the receiving processor is MAGIC-level
     // bookkeeping (like ack counting).
     HandlerResult r;
-    if (msg.type == MsgType::NetBlockAck) {
-        r.id = HandlerId::BlockAckReceive;
-        return r;
-    }
     r.id = HandlerId::BlockXferReceive;
     r.memWrite = true;
     if (msg.aux == 0) { // last chunk of the block
@@ -439,10 +427,6 @@ ProtocolEngine::handleFetchOp(const Message &msg, NodeId, bool)
     // remote PiFetchOp never gets here: the jump table forwards it to
     // the home (handleRequestForward).
     HandlerResult r;
-    if (msg.type == MsgType::NetFetchOpAck) {
-        r.id = HandlerId::FetchOpAck;
-        return r;
-    }
     r.id = HandlerId::FetchOpService;
     // The word-granular read-modify-write is issued by MAGIC as a
     // single short memory access (no line streaming, no allocation).

@@ -141,12 +141,26 @@ class ProtocolEngine
                                 bool cache_dirty);
     HandlerResult handleInval(const Message &msg, NodeId home,
                               bool cache_dirty);
-    HandlerResult handleReply(const Message &msg, NodeId home,
-                              bool cache_dirty);
+    HandlerResult handlePut(const Message &msg, NodeId home,
+                            bool cache_dirty);
+    HandlerResult handlePutx(const Message &msg, NodeId home,
+                             bool cache_dirty);
     HandlerResult handleBlockXfer(const Message &msg, NodeId home,
                                   bool cache_dirty);
     HandlerResult handleFetchOp(const Message &msg, NodeId home,
                                 bool cache_dirty);
+
+    /** A receipt MAGIC books itself (invalidation-ack counting, NACK
+     *  retry, block-transfer and fetch&op completion): the handler only
+     *  names itself. */
+    template <HandlerId Id>
+    HandlerResult
+    handleReceipt(const Message &, NodeId, bool)
+    {
+        HandlerResult r;
+        r.id = Id;
+        return r;
+    }
 
   private:
     Message make(MsgType type, NodeId dest, Addr addr, NodeId requester,

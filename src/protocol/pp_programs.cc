@@ -649,24 +649,27 @@ buildHandlerPrograms(const ppc::CompileOptions &opts)
     either(MsgType::NetSwb, add(buildSwb()), &E::handleSwb);
     either(MsgType::NetOwnXfer, add(buildOwnXfer()), &E::handleOwnXfer);
     either(MsgType::NetInval, add(buildInval()), &E::handleInval);
-    either(MsgType::NetInvalAck, add(buildInvalAck()), &E::handleReply);
-    either(MsgType::NetPut, add(buildPut()), &E::handleReply);
-    either(MsgType::NetPutx, add(buildPutx()), &E::handleReply);
-    either(MsgType::NetNack, add(buildNack()), &E::handleReply);
+    either(MsgType::NetInvalAck, add(buildInvalAck()),
+           &E::handleReceipt<HandlerId::InvalAck>);
+    either(MsgType::NetPut, add(buildPut()), &E::handlePut);
+    either(MsgType::NetPutx, add(buildPutx()), &E::handlePutx);
+    either(MsgType::NetNack, add(buildNack()),
+           &E::handleReceipt<HandlerId::NackReceive>);
     either(MsgType::NetWriteback, add(buildWriteback("ni_wb")),
            &E::handleWritebackAtHome);
     either(MsgType::NetReplaceHint, add(buildHint("ni_hint")),
            &E::handleReplaceHintAtHome);
     either(MsgType::NetBlockXfer, add(buildBlockXfer()),
            &E::handleBlockXfer);
-    either(MsgType::NetBlockAck, add(buildBlockAck()), &E::handleBlockXfer);
+    either(MsgType::NetBlockAck, add(buildBlockAck()),
+           &E::handleReceipt<HandlerId::BlockAckReceive>);
     // The fetch&op service runs for the home's own processor and for
     // forwarded requests alike (the word RMW is issued by the handler).
     const int fetchop = add(buildFetchOp());
     local(MsgType::PiFetchOp, fetchop, &E::handleFetchOp);
     either(MsgType::NetFetchOp, fetchop, &E::handleFetchOp);
     either(MsgType::NetFetchOpAck, add(buildFetchOpAck()),
-           &E::handleFetchOp);
+           &E::handleReceipt<HandlerId::FetchOpAck>);
     remote(MsgType::PiFetchOp,
            add(buildForwardToHome("pi_fetchop_remote",
                                   MsgType::NetFetchOp)),

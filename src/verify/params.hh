@@ -1,12 +1,14 @@
 /**
  * @file
  * Configuration of the verification layer (src/verify), carried by
- * machine::MachineConfig::verify: one switch for the coherence oracle
- * and the deadlock/livelock watchdog, their halt policies, and the
- * deterministic fault injector's seed and classes. Everything here is
- * off by default, so a machine built without touching these settings
- * behaves (and times) exactly as before. The watchdog limits and the
- * trace-ring depth are constants (verify/watchdog.hh, verify/trace.hh).
+ * machine::MachineConfig::verify: one switch for the coherence oracle,
+ * its halt policy, and the deterministic fault injector's seed and
+ * classes. Everything here is off by default, so a machine built
+ * without touching these settings behaves (and times) exactly as
+ * before. The trace-ring depth is a constant (verify/trace.hh). Hang
+ * detection is not configured here: every machine checks its caches'
+ * MSHRs for wedged misses and lost progress on every run
+ * (machine/machine.hh).
  */
 
 #ifndef FLASHSIM_VERIFY_PARAMS_HH_
@@ -63,18 +65,12 @@ struct FaultParams
 struct VerifyParams
 {
     /** Maintain the golden shadow state and cross-check the directory
-     *  and processor caches at every handler completion (the oracle),
-     *  and track per-transaction ages and global protocol progress
-     *  (the watchdog). */
+     *  and processor caches at every handler completion (the oracle). */
     bool check = false;
 
     /** fatal() on the first oracle violation (otherwise record and
      *  continue; the run's violation log is inspected afterwards). */
     bool haltOnViolation = false;
-    /** fatal() on a watchdog trip. A trip means the simulation is
-     *  hanging, so dying loudly (with the post-mortem dump) is usually
-     *  better than letting the run wedge; record-only is for tests. */
-    bool haltOnTrip = true;
 
     FaultParams fault;
 

@@ -14,14 +14,8 @@ Sentinel::Sentinel(EventQueue &eq, const VerifyParams &params,
     if (params_.fault.any())
         injector_ = std::make_unique<FaultInjector>(params_.fault, num_nodes);
 
-    if (params_.check) {
-        watchdog_ = std::make_unique<Watchdog>(
-            eq_, kWatchdogInterval, kMaxTransactionAge, kNoProgressWindow);
-        watchdog_->onTrip = [this](const std::string &r) { onTrip(r); };
-    }
-
     postMortemToken_ = registerPostMortem(
-        [this](std::ostream &os) { writePostMortem(os, "fatal"); });
+        [this](std::ostream &os) { writePostMortem(os, dumpReason_); });
 }
 
 Sentinel::~Sentinel()
@@ -76,20 +70,6 @@ Sentinel::recordInjected(NodeId node, Tick now, const protocol::Message &msg,
 }
 
 void
-Sentinel::txnStart(NodeId node, Addr addr)
-{
-    if (watchdog_)
-        watchdog_->txnStart(node, addr);
-}
-
-void
-Sentinel::txnRetire(NodeId node, Addr addr)
-{
-    if (watchdog_)
-        watchdog_->txnRetire(node, addr);
-}
-
-void
 Sentinel::finalCheck()
 {
     if (oracle_)
@@ -100,8 +80,8 @@ void
 Sentinel::onViolation(const Violation &v)
 {
     if (params_.haltOnViolation) {
-        // fatal() replays the registered post-mortem (trace rings,
-        // watchdog status) before aborting.
+        // fatal() replays the registered post-mortems (outstanding
+        // misses, trace rings) before aborting.
         fatal("coherence violation [%s] at t=%llu node %u line %#llx: %s",
               v.kind.c_str(), static_cast<unsigned long long>(v.tick),
               v.node, static_cast<unsigned long long>(v.addr),
@@ -110,27 +90,14 @@ Sentinel::onViolation(const Violation &v)
     warn("coherence violation [%s] at t=%llu node %u line %#llx: %s",
          v.kind.c_str(), static_cast<unsigned long long>(v.tick), v.node,
          static_cast<unsigned long long>(v.addr), v.detail.c_str());
-    dumpOnce("coherence violation");
-}
-
-void
-Sentinel::onTrip(const std::string &reason)
-{
-    if (params_.haltOnTrip)
-        fatal("watchdog trip at t=%llu: %s",
-              static_cast<unsigned long long>(eq_.now()), reason.c_str());
-    warn("watchdog trip at t=%llu: %s",
-         static_cast<unsigned long long>(eq_.now()), reason.c_str());
-    dumpOnce("watchdog trip");
-}
-
-void
-Sentinel::dumpOnce(const char *reason)
-{
     if (dumped_)
         return;
     dumped_ = true;
-    writePostMortem(std::cerr, reason);
+    // Replay every dumper on this thread, as fatal() would, so the
+    // machine's outstanding misses come with the trace rings.
+    dumpReason_ = "coherence violation";
+    runPostMortems(std::cerr);
+    dumpReason_ = "fatal";
     std::cerr.flush();
 }
 
@@ -141,9 +108,6 @@ Sentinel::writeSummary(std::ostream &os) const
     if (oracle_)
         os << " oracle(" << oracle_->trackedLines() << " lines, "
            << oracle_->violations() << " violations)";
-    if (watchdog_)
-        os << " watchdog(" << watchdog_->retired() << " retired, "
-           << watchdog_->trips() << " trips)";
     if (injector_)
         os << " injector(seed " << injector_->params().seed << ": "
            << injector_->nacksInjected() << " nacks, "
@@ -159,8 +123,6 @@ Sentinel::writePostMortem(std::ostream &os, const char *reason) const
 {
     os << "=== sentinel post-mortem (" << reason << ") t=" << eq_.now()
        << " ===\n";
-    if (watchdog_)
-        watchdog_->writeStatus(os);
     if (oracle_) {
         os << "oracle: " << oracle_->violations() << " violation(s), "
            << oracle_->trackedLines() << " line(s) tracked\n";

@@ -2,17 +2,18 @@
  * @file
  * The coherence sentinel: composition root of the verification layer.
  *
- * One Sentinel per Machine owns the three cooperating pieces —
- * CoherenceOracle (golden shadow state, invariant checks), Watchdog
- * (transaction ages + global progress), FaultInjector (seeded
- * perturbations) — plus the per-node trace rings they all dump from.
- * The hardware models only ever talk to the Sentinel through narrow
- * hooks (observeHandler, txnStart/txnRetire, injector()); policy (dump
- * post-mortems, halt or record) lives entirely here.
+ * One Sentinel per Machine owns the two cooperating pieces —
+ * CoherenceOracle (golden shadow state, invariant checks) and
+ * FaultInjector (seeded perturbations) — plus the per-node trace rings
+ * they dump from. The hardware models only ever talk to the Sentinel
+ * through narrow hooks (observeHandler, injector()); policy (dump
+ * post-mortems, halt or record) lives entirely here. Hang detection is
+ * not part of it: the machine checks the caches' own MSHRs on every
+ * run (machine::Machine).
  *
  * The Sentinel registers itself with the logging layer's thread-local
  * post-mortem registry, so any fatal()/panic() on the machine's thread
- * replays the trace rings and watchdog status before dying.
+ * replays the trace rings before dying.
  */
 
 #ifndef FLASHSIM_VERIFY_SENTINEL_HH_
@@ -30,7 +31,6 @@
 #include "verify/oracle.hh"
 #include "verify/params.hh"
 #include "verify/trace.hh"
-#include "verify/watchdog.hh"
 
 namespace flashsim::verify
 {
@@ -60,10 +60,6 @@ class Sentinel
     void recordInjected(NodeId node, Tick now, const protocol::Message &msg,
                         TraceEntry::Kind kind);
 
-    /** A processor transaction left / completed at @p node. */
-    void txnStart(NodeId node, Addr addr);
-    void txnRetire(NodeId node, Addr addr);
-
     /** The fault injector, or null when every fault class is zero. */
     FaultInjector *injector() { return injector_.get(); }
     const FaultInjector *injector() const { return injector_.get(); }
@@ -87,33 +83,30 @@ class Sentinel
     {
         return oracle_ ? oracle_->violations() : 0;
     }
-    Counter trips() const { return watchdog_ ? watchdog_->trips() : 0; }
     bool dumped() const { return dumped_; }
 
     const CoherenceOracle *oracle() const { return oracle_.get(); }
-    const Watchdog *watchdog() const { return watchdog_.get(); }
 
     /** One-line component summary for the CLI. */
     void writeSummary(std::ostream &os) const;
 
-    /** Full post-mortem: watchdog status, oracle violations, injector
-     *  counters, per-node trace rings. */
+    /** Full post-mortem: oracle violations, injector counters,
+     *  per-node trace rings. */
     void writePostMortem(std::ostream &os, const char *reason) const;
 
   private:
     void onViolation(const Violation &v);
-    void onTrip(const std::string &reason);
-    void dumpOnce(const char *reason);
 
     EventQueue &eq_;
     VerifyParams params_;
 
     std::unique_ptr<FaultInjector> injector_;
-    std::unique_ptr<Watchdog> watchdog_;
     std::unique_ptr<CoherenceOracle> oracle_;
     std::vector<TraceRing> rings_;
 
     bool dumped_ = false;
+    /** The header reason of the registered post-mortem. */
+    const char *dumpReason_ = "fatal";
     int postMortemToken_ = -1;
 };
 

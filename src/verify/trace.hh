@@ -5,8 +5,8 @@
  * Each node owns a fixed-depth ring recording handler invocations and
  * injector actions. The rings cost two stores per record and never
  * allocate after construction; they exist solely to be replayed as a
- * post-mortem when the watchdog trips, the oracle flags a violation, or
- * the process dies in fatal()/panic().
+ * post-mortem when the oracle flags a violation or the process dies in
+ * fatal()/panic() (a hang among other causes).
  */
 
 #ifndef FLASHSIM_VERIFY_TRACE_HH_

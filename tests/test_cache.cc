@@ -309,9 +309,10 @@ TEST(CacheTest, InterventionCausesCacheContention)
 }
 
 // Every home GET is NACKed (an injected probability of 1, which the CLI
-// does not accept), so processor 0's one read miss retries until it has
-// been outstanding longer than verify::kMaxTransactionAge. No watchdog
-// runs with verify off; the cache itself stops the livelock.
+// does not accept), so processor 0's one read miss retries forever.
+// With verify off, the machine's hang check still stops the livelock:
+// no miss retires within machine::kNoProgressWindow, and the message
+// names the miss, its age and machine::kMaxTransactionAge.
 TEST(CacheDeathTest, NackLivelockPastTheAgeLimitIsFatal)
 {
     MachineConfig cfg = MachineConfig::flash(2);
@@ -326,8 +327,10 @@ TEST(CacheDeathTest, NackLivelockPastTheAgeLimitIsFatal)
                     co_await env.read(a);
             });
         },
-        "Cache 0: miss for line 0x[0-9a-f]+ outstanding for [0-9]+ "
-        "cycles \\(limit 400000\\) after [0-9]+ NACKs: NACK livelock");
+        "Machine: no miss retired for [0-9]+ cycles \\(limit 200000\\) "
+        "with 1 outstanding, NACK livelock or deadlock; oldest: node 0 "
+        "line 0x[0-9a-f]+ outstanding for [0-9]+ cycles \\(limit "
+        "400000\\) after [0-9]+ NACKs");
 }
 
 } // namespace

@@ -77,22 +77,26 @@ const PinnedRow kPinned[] = {
     {MsgType::NetGetx, &E::handleGetxAtHome, &E::handleGetxAtHome},
     {MsgType::NetFwdGet, &E::handleFwdGet, &E::handleFwdGet},
     {MsgType::NetFwdGetx, &E::handleFwdGetx, &E::handleFwdGetx},
-    {MsgType::NetPut, &E::handleReply, &E::handleReply},
-    {MsgType::NetPutx, &E::handleReply, &E::handleReply},
+    {MsgType::NetPut, &E::handlePut, &E::handlePut},
+    {MsgType::NetPutx, &E::handlePutx, &E::handlePutx},
     {MsgType::NetSwb, &E::handleSwb, &E::handleSwb},
     {MsgType::NetOwnXfer, &E::handleOwnXfer, &E::handleOwnXfer},
     {MsgType::NetInval, &E::handleInval, &E::handleInval},
-    {MsgType::NetInvalAck, &E::handleReply, &E::handleReply},
+    {MsgType::NetInvalAck, &E::handleReceipt<HandlerId::InvalAck>,
+     &E::handleReceipt<HandlerId::InvalAck>},
     {MsgType::NetWriteback, &E::handleWritebackAtHome,
      &E::handleWritebackAtHome},
     {MsgType::NetReplaceHint, &E::handleReplaceHintAtHome,
      &E::handleReplaceHintAtHome},
-    {MsgType::NetNack, &E::handleReply, &E::handleReply},
+    {MsgType::NetNack, &E::handleReceipt<HandlerId::NackReceive>,
+     &E::handleReceipt<HandlerId::NackReceive>},
     {MsgType::NetBlockXfer, &E::handleBlockXfer, &E::handleBlockXfer},
-    {MsgType::NetBlockAck, &E::handleBlockXfer, &E::handleBlockXfer},
+    {MsgType::NetBlockAck, &E::handleReceipt<HandlerId::BlockAckReceive>,
+     &E::handleReceipt<HandlerId::BlockAckReceive>},
     {MsgType::PiFetchOp, &E::handleRequestForward, &E::handleFetchOp},
     {MsgType::NetFetchOp, &E::handleFetchOp, &E::handleFetchOp},
-    {MsgType::NetFetchOpAck, &E::handleFetchOp, &E::handleFetchOp},
+    {MsgType::NetFetchOpAck, &E::handleReceipt<HandlerId::FetchOpAck>,
+     &E::handleReceipt<HandlerId::FetchOpAck>},
 };
 static_assert(std::size(kPinned) == kNumMsgTypes);
 

@@ -203,7 +203,6 @@ injectedRaceConfig(int procs, std::uint64_t seed)
     MachineConfig cfg = MachineConfig::flash(procs);
     cfg.verify.check = true;
     cfg.verify.haltOnViolation = false;
-    cfg.verify.haltOnTrip = false;
     cfg.verify.fault.seed = seed;
     cfg.verify.fault.meshJitter = 16;
     cfg.verify.fault.extraNackProb = 0.2;
@@ -243,7 +242,6 @@ TEST_P(InjectedRaceTest, WritebackVsGetOracleClean)
     m.drain();
 
     EXPECT_EQ(m.sentinel()->violations(), 0u);
-    EXPECT_EQ(m.sentinel()->trips(), 0u);
     const auto &dir = m.node(0).magic().directory();
     auto h = dir.header(a);
     if (h.dirty) {
@@ -283,7 +281,6 @@ TEST_P(InjectedRaceTest, InterventionChainOracleClean)
     m.drain();
 
     EXPECT_EQ(m.sentinel()->violations(), 0u);
-    EXPECT_EQ(m.sentinel()->trips(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, InjectedRaceTest,
@@ -293,8 +290,9 @@ TEST(RaceTest, NackStormConvergesOracleClean)
 {
     // Half of all home GET/GETX requests are NACKed outright on top of
     // three writers fighting for one line: the retry machinery must
-    // still serialise the writers, make forward progress (no watchdog
-    // trip) and keep the directory golden throughout.
+    // still serialise the writers, make forward progress (a wedged
+    // miss or lost progress is fatal) and keep the directory golden
+    // throughout.
     MachineConfig cfg = injectedRaceConfig(4, 3);
     cfg.verify.fault.extraNackProb = 0.5;
     Machine m(cfg);
@@ -313,7 +311,6 @@ TEST(RaceTest, NackStormConvergesOracleClean)
 
     EXPECT_GT(m.sentinel()->injector()->nacksInjected(), 0u);
     EXPECT_EQ(m.sentinel()->violations(), 0u);
-    EXPECT_EQ(m.sentinel()->trips(), 0u);
     const auto &dir = m.node(0).magic().directory();
     auto h = dir.header(a);
     int holders = 0;

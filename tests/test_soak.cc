@@ -1,9 +1,9 @@
 /**
  * @file
  * Multi-seed fault-injection soak: every (seed, workload) pair runs
- * with the coherence oracle and watchdog enabled under seeded protocol
- * perturbation (mesh jitter, forced NACKs, hint drop/duplication,
- * inbound stalls) and must finish with zero violations and zero trips.
+ * with the coherence oracle enabled under seeded protocol perturbation
+ * (mesh jitter, forced NACKs, hint drop/duplication, inbound stalls)
+ * and must finish with zero violations (a hang would be fatal).
  * This is the robustness acceptance bar: injection stresses the
  * NACK/retry and stale-pointer corner paths far harder than clean runs
  * do, and the oracle holds the machine to the golden invariants the
@@ -61,7 +61,6 @@ soakConfig(std::uint64_t seed)
     machine::MachineConfig cfg = machine::MachineConfig::flash(4, 64u * 1024u);
     cfg.verify.check = true;
     cfg.verify.haltOnViolation = false;
-    cfg.verify.haltOnTrip = false;
     cfg.verify.fault.seed = seed;
     cfg.verify.fault.meshJitter = 10;
     cfg.verify.fault.extraNackProb = 0.05;
@@ -75,7 +74,6 @@ struct SoakResult
 {
     Tick execTime = 0;
     Counter violations = 0;
-    Counter trips = 0;
     Counter retired = 0;
     Counter perturbations = 0;
     std::size_t trackedLines = 0;
@@ -95,8 +93,8 @@ TEST(SoakTest, MultiSeedInjectionSweepIsOracleClean)
                 SoakResult r;
                 r.execTime = m->executionTime();
                 r.violations = sent->violations();
-                r.trips = sent->trips();
-                r.retired = sent->watchdog()->retired();
+                for (int n = 0; n < m->numProcs(); ++n)
+                    r.retired += m->node(n).cache().retiredMisses();
                 const verify::FaultInjector *inj = sent->injector();
                 r.perturbations = inj->nacksInjected() +
                                   inj->hintsDropped() + inj->hintsDuped() +
@@ -115,7 +113,6 @@ TEST(SoakTest, MultiSeedInjectionSweepIsOracleClean)
                      std::to_string(i % kSeeds + 1));
         const SoakResult &r = results[i];
         EXPECT_EQ(r.violations, 0u);
-        EXPECT_EQ(r.trips, 0u);
         EXPECT_GT(r.execTime, 0u);
         EXPECT_GT(r.retired, 0u);
         EXPECT_GT(r.trackedLines, 0u);

@@ -2,8 +2,8 @@
  * @file
  * Verification-layer tests: the coherence oracle must stay silent on
  * correct runs and catch deliberately broken handlers (with a
- * post-mortem dump); the watchdog must trip on wedged transactions and
- * livelock, and disarm cleanly on quiescence; fault injection must be
+ * post-mortem dump); the machine's hang check must stop a run whose
+ * miss lost its reply, with or without the oracle; fault injection must be
  * seeded-deterministic and never provoke a real violation; fatal()
  * must report tick/node context and replay post-mortem dumpers.
  */
@@ -25,17 +25,15 @@ namespace
 using protocol::HandlerId;
 using protocol::HandlerResult;
 using protocol::Message;
-using verify::Watchdog;
 
-/** Verification-on config: record-only policies so tests can assert on
- *  the counters instead of dying. */
+/** Verification-on config: record-only violations so tests can assert
+ *  on the counters instead of dying. */
 MachineConfig
 verifyConfig(int procs)
 {
     MachineConfig cfg = MachineConfig::flash(procs);
     cfg.verify.check = true;
     cfg.verify.haltOnViolation = false;
-    cfg.verify.haltOnTrip = false;
     return cfg;
 }
 
@@ -85,11 +83,14 @@ TEST(OracleTest, CleanRunHasNoViolations)
 
     ASSERT_NE(m.sentinel(), nullptr);
     EXPECT_EQ(m.sentinel()->violations(), 0u);
-    EXPECT_EQ(m.sentinel()->trips(), 0u);
     EXPECT_FALSE(m.sentinel()->dumped());
     EXPECT_GT(m.sentinel()->oracle()->trackedLines(), 0u);
-    EXPECT_GT(m.sentinel()->watchdog()->retired(), 0u);
-    EXPECT_EQ(m.sentinel()->watchdog()->outstanding(), 0u);
+    Counter retired = 0;
+    for (int n = 0; n < m.numProcs(); ++n) {
+        retired += m.node(n).cache().retiredMisses();
+        EXPECT_TRUE(m.node(n).cache().quiet());
+    }
+    EXPECT_GT(retired, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -275,68 +276,143 @@ TEST(OracleTest, InvalOvertakingReadReplyIsForgivenOnce)
 }
 
 // ---------------------------------------------------------------------------
-// Watchdog: trips on wedged transactions and on global no-progress,
-// disarms on quiescence so the event queue drains.
+// Hang detection: the run loop reads every cache's MSHRs, with or
+// without verification, and stops a run whose miss can never retire.
+// Each test loses a reply to node 0 through the test mutator; a mesh
+// jitter of 1 cycle builds the sentinel that carries the mutator while
+// the oracle stays off.
 
-TEST(WatchdogTest, TripsOnWedgedTransaction)
+MachineConfig
+lossyConfig()
 {
-    EventQueue eq;
-    Watchdog wd(eq, 100, 1000, 1u << 30);
-    std::string reason;
-    wd.onTrip = [&](const std::string &r) { reason = r; };
-
-    wd.txnStart(2, 5 * kLineSize);
-    eq.run(); // checks fire every 100 cycles until the age trips
-
-    EXPECT_EQ(wd.trips(), 1u);
-    EXPECT_EQ(wd.outstanding(), 1u);
-    EXPECT_NE(reason.find("node 2"), std::string::npos) << reason;
-    EXPECT_NE(reason.find("outstanding"), std::string::npos) << reason;
-    // The trip disarmed the watchdog, which is why eq.run() returned at
-    // all: a record-only trip must not keep the queue alive forever.
+    MachineConfig cfg = MachineConfig::flash(2);
+    cfg.verify.fault.meshJitter = 1;
+    return cfg;
 }
 
-TEST(WatchdogTest, TripsOnNoProgress)
+/** Drop node 0's @p type replies, so its miss never fills. */
+void
+dropRepliesAtNode0(Machine &m, protocol::MsgType type)
 {
-    EventQueue eq;
-    Watchdog wd(eq, 100, 1u << 30, 500);
-    std::string reason;
-    wd.onTrip = [&](const std::string &r) { reason = r; };
-
-    wd.txnStart(0, 0);
-    eq.run();
-
-    EXPECT_EQ(wd.trips(), 1u);
-    EXPECT_NE(reason.find("livelock or deadlock"), std::string::npos)
-        << reason;
+    m.sentinel()->testMutator = [type](NodeId node, const Message &msg,
+                                       HandlerResult &res) {
+        if (node == 0 && msg.type == type)
+            res.out.clear();
+    };
 }
 
-TEST(WatchdogTest, DisarmsWhenAllTransactionsRetire)
+std::string
+hex(Addr a)
 {
-    EventQueue eq;
-    Watchdog wd(eq, 100, 1000, 500);
-
-    wd.txnStart(1, kLineSize);
-    wd.txnRetire(1, kLineSize);
-    eq.run(); // the one scheduled check sees no txns and stops
-
-    EXPECT_EQ(wd.trips(), 0u);
-    EXPECT_EQ(wd.retired(), 1u);
-    EXPECT_EQ(wd.outstanding(), 0u);
-}
-
-TEST(WatchdogTest, StatusListsOldestTransactions)
-{
-    EventQueue eq;
-    Watchdog wd(eq, 100, 1u << 30, 1u << 30);
-    wd.txnStart(3, 7 * kLineSize);
-
     std::ostringstream os;
-    wd.writeStatus(os);
-    EXPECT_NE(os.str().find("1 transaction(s) outstanding"),
-              std::string::npos)
-        << os.str();
-    EXPECT_NE(os.str().find("node 3"), std::string::npos) << os.str();
+    os << "0x" << std::hex << a;
+    return os.str();
+}
+
+TEST(HangDeathTest, LostWriteReplyIsFatalAtDrain)
+{
+    // The write does not block, so the processor finishes; only the
+    // MSHR still waiting once the queue is empty shows the lost reply.
+    Machine m(lossyConfig());
+    ASSERT_FALSE(m.config().verify.check);
+    const Addr a = m.alloc(kLineSize, 1);
+    dropRepliesAtNode0(m, protocol::MsgType::NetPutx);
+    EXPECT_DEATH(
+        {
+            m.run([a](tango::Env &env) -> tango::Task {
+                co_await env.busy(0);
+                if (env.id() == 0)
+                    co_await env.write(a);
+            });
+            m.drain();
+        },
+        "Machine::drain: event queue empty with 1 miss\\(es\\) "
+        "outstanding, a reply was lost; oldest: node 0 line " +
+            hex(a) +
+            " outstanding for [0-9]+ cycles \\(limit 400000\\) after 0 "
+            "NACKs.*outstanding misses: 1, [0-9]+ retired.*node 0 line " +
+            hex(a) + " age [0-9]+ nacks 0");
+}
+
+TEST(HangDeathTest, MissOlderThanTheAgeLimitIsFatal)
+{
+    // Node 0's read blocks forever while node 1 keeps retiring misses
+    // (three lines cycling through a one-set cache) for longer than the
+    // age limit, so the machine makes progress and only the age trips.
+    MachineConfig cfg = lossyConfig();
+    cfg.cache.sizeBytes = 2 * kLineSize;
+    Machine m(cfg);
+    const Addr a = m.alloc(kLineSize, 1);
+    const Addr b = m.alloc(3 * kLineSize, 1);
+    dropRepliesAtNode0(m, protocol::MsgType::NetPut);
+    EXPECT_DEATH(
+        {
+            m.run([a, b](tango::Env &env) -> tango::Task {
+                co_await env.busy(0);
+                if (env.id() == 0) {
+                    co_await env.read(a);
+                    co_return;
+                }
+                for (int i = 0; i < 10000; ++i) {
+                    co_await env.read(b + (i % 3) * kLineSize);
+                    co_await env.busy(100);
+                }
+            });
+        },
+        "Machine: wedged or starved miss: node 0 line " + hex(a) +
+            " outstanding for [0-9]+ cycles \\(limit 400000\\) after 0 "
+            "NACKs");
+}
+
+TEST(HangDeathTest, NoRetiredMissForTheWindowIsFatal)
+{
+    // Node 1 computes and reads one line that stays resident, so events
+    // keep firing while no miss retires: the progress window trips long
+    // before the age limit.
+    Machine m(lossyConfig());
+    const Addr a = m.alloc(kLineSize, 1);
+    const Addr b = m.alloc(kLineSize, 1);
+    dropRepliesAtNode0(m, protocol::MsgType::NetPut);
+    EXPECT_DEATH(
+        {
+            m.run([a, b](tango::Env &env) -> tango::Task {
+                co_await env.busy(0);
+                if (env.id() == 0) {
+                    co_await env.read(a);
+                    co_return;
+                }
+                for (int i = 0; i < 1000; ++i) {
+                    co_await env.busy(1000);
+                    co_await env.read(b);
+                }
+            });
+        },
+        "Machine: no miss retired for [0-9]+ cycles \\(limit 200000\\) "
+        "with 1 outstanding, NACK livelock or deadlock; oldest: node 0 "
+        "line " +
+            hex(a) + " outstanding for [0-9]+ cycles");
+}
+
+TEST(HangDeathTest, UnverifiedPostMortemListsOutstandingMisses)
+{
+    // No sentinel: the machine's own dumper still lists the write miss
+    // in flight when the run dies.
+    Machine m(MachineConfig::flash(2));
+    ASSERT_EQ(m.sentinel(), nullptr);
+    const Addr a = m.alloc(kLineSize, 1);
+    EXPECT_DEATH(
+        {
+            m.run([a](tango::Env &env) -> tango::Task {
+                co_await env.busy(0);
+                if (env.id() == 0) {
+                    co_await env.write(a);
+                    fatal("stop with the write in flight");
+                }
+            });
+        },
+        "stop with the write in flight.*outstanding misses: 1, 0 "
+        "retired.*node 0 line " +
+            hex(a) + " age [0-9]+ nacks 0");
 }
 
 // ---------------------------------------------------------------------------
@@ -361,7 +437,6 @@ struct InjectionDigest
 {
     Tick execTime = 0;
     Counter violations = 0;
-    Counter trips = 0;
     Counter nacks = 0;
     Counter dropped = 0;
     Counter duped = 0;
@@ -379,7 +454,6 @@ runInjected(const MachineConfig &cfg)
     InjectionDigest d;
     d.execTime = m.executionTime();
     d.violations = s->violations();
-    d.trips = s->trips();
     const verify::FaultInjector *inj = s->injector();
     d.nacks = inj->nacksInjected();
     d.dropped = inj->hintsDropped();
@@ -393,7 +467,6 @@ TEST(InjectionTest, PerturbedRunStaysCoherent)
 {
     InjectionDigest d = runInjected(injectionConfig(4, 7));
     EXPECT_EQ(d.violations, 0u);
-    EXPECT_EQ(d.trips, 0u);
     // The perturbations actually happened.
     EXPECT_GT(d.nacks, 0u);
     EXPECT_GT(d.jitter, 0u);
