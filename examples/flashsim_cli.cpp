@@ -261,17 +261,29 @@ main(int argc, char **argv)
     if (s.mdcMissRate > 0)
         std::printf("MDC: %.2f%% miss rate (%.2f%% reads)\n",
                     100 * s.mdcMissRate, 100 * s.mdcReadMissRate);
-    if (const verify::Sentinel *sent = m->sentinel()) {
+    const verify::CoherenceOracle *oracle = m->oracle();
+    const verify::FaultInjector *inj = m->injector();
+    if (oracle || inj) {
         std::fflush(stdout);
-        sent->writeSummary(std::cout);
+        std::cout << "sentinel:";
+        if (oracle)
+            std::cout << " oracle(" << oracle->trackedLines() << " lines, "
+                      << oracle->violations() << " violations)";
+        if (inj)
+            std::cout << " injector(seed " << inj->params().seed << ": "
+                      << inj->nacksInjected() << " nacks, "
+                      << inj->hintsDropped() << " hints dropped, "
+                      << inj->hintsDuped() << " duped, "
+                      << inj->jitterCycles() << " jitter cyc, "
+                      << inj->stallCycles() << " stall cyc)";
+        std::cout << "\n";
         std::cout.flush();
-        // A hang never gets here: it is fatal() with the post-mortem.
-        if (sent->violations() != 0) {
-            std::fprintf(stderr, "VERIFICATION FAILED: %llu violation(s)\n",
-                         static_cast<unsigned long long>(
-                             sent->violations()));
-            return 2;
-        }
+    }
+    // A hang never gets here: it is fatal() with the post-mortem.
+    if (oracle && oracle->violations() != 0) {
+        std::fprintf(stderr, "VERIFICATION FAILED: %llu violation(s)\n",
+                     static_cast<unsigned long long>(oracle->violations()));
+        return 2;
     }
     return 0;
 }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -82,12 +84,22 @@ Machine::Machine(const MachineConfig &cfg)
 
     setLogTickSource([this] { return eq_.now(); });
     postMortemToken_ = registerPostMortem(
-        [this](std::ostream &os) { writeMisses(os); });
+        [this](std::ostream &os) { writePostMortem(os, "fatal"); });
 
-    if (cfg_.verify.any()) {
-        sentinel_ = std::make_unique<verify::Sentinel>(eq_, cfg_.verify,
-                                                       cfg_.numProcs);
-
+    rings_.resize(static_cast<std::size_t>(cfg_.numProcs));
+    if (cfg_.verify.fault.any()) {
+        injector_ = std::make_unique<verify::FaultInjector>(cfg_.verify.fault,
+                                                            cfg_.numProcs);
+        // Jitter draws come from the sending node's stream. Installed
+        // whenever the injector is on — not only when the jitter class
+        // is nonzero — so every send consumes exactly one draw and
+        // turning on another class (NACKs, hint fates) can never shift
+        // the per-node stream positions.
+        net_->setPerturb([inj = injector_.get()](const protocol::Message &m) {
+            return inj->meshJitter(m.src);
+        });
+    }
+    if (cfg_.verify.check) {
         verify::CoherenceOracle::Wiring w;
         w.numNodes = cfg_.numProcs;
         w.homeOf = [this](Addr a) { return homeOf(a); };
@@ -105,23 +117,15 @@ Machine::Machine(const MachineConfig &cfg)
             }
             return 0;
         };
-        sentinel_->wireOracle(std::move(w));
-
-        // Null unless some fault class is nonzero (FaultParams::any).
-        verify::FaultInjector *inj = sentinel_->injector();
-        for (auto &n : nodes_)
-            n->magic().attachSentinel(sentinel_.get(), inj);
-        if (inj) {
-            // Jitter draws come from the sending node's stream.
-            // Installed whenever the injector is on — not only when the
-            // jitter class is nonzero — so every send consumes exactly
-            // one draw and turning on another class (NACKs, hint fates)
-            // can never shift the per-node stream positions.
-            net_->setPerturb([inj](const protocol::Message &m) {
-                return inj->meshJitter(m.src);
-            });
-        }
+        oracle_ = std::make_unique<verify::CoherenceOracle>(
+            std::move(w), injector_ && injector_->perturbsHints());
+        oracle_->onViolation = [this](const verify::Violation &v) {
+            onViolation(v);
+        };
     }
+    for (auto &n : nodes_)
+        n->magic().attachTrace(rings_[n->id()], oracle_.get(),
+                               injector_.get(), testMutator);
 }
 
 Machine::~Machine()
@@ -336,6 +340,55 @@ Machine::writeMisses(std::ostream &os) const
         os << "  ... and " << (rows.size() - shown) << " more\n";
 }
 
+void
+Machine::onViolation(const verify::Violation &v)
+{
+    if (cfg_.verify.haltOnViolation) {
+        // fatal() replays the post-mortem before aborting.
+        fatal("coherence violation [%s] at t=%llu node %u line %#llx: %s",
+              v.kind.c_str(), static_cast<unsigned long long>(v.tick),
+              v.node, static_cast<unsigned long long>(v.addr),
+              v.detail.c_str());
+    }
+    warn("coherence violation [%s] at t=%llu node %u line %#llx: %s",
+         v.kind.c_str(), static_cast<unsigned long long>(v.tick), v.node,
+         static_cast<unsigned long long>(v.addr), v.detail.c_str());
+    if (oracle_->violations() == 1) {
+        // One write, so a sweep worker's dump never interleaves with
+        // another thread's output.
+        std::ostringstream pm;
+        writePostMortem(pm, "coherence violation");
+        std::cerr << pm.str() << std::flush;
+    }
+}
+
+void
+Machine::writePostMortem(std::ostream &os, const char *reason) const
+{
+    os << "=== post-mortem (" << reason << ") t=" << eq_.now() << " ===\n";
+    writeMisses(os);
+    if (oracle_) {
+        os << "oracle: " << oracle_->violations() << " violation(s), "
+           << oracle_->trackedLines() << " line(s) tracked\n";
+        for (const verify::Violation &v : oracle_->violationLog())
+            os << "  [" << v.kind << "] t=" << v.tick << " node " << v.node
+               << " line 0x" << std::hex << v.addr << std::dec << ": "
+               << v.detail << "\n";
+    }
+    if (injector_)
+        os << "injector: seed " << injector_->params().seed << ", "
+           << injector_->nacksInjected() << " nack(s) injected, "
+           << injector_->hintsDropped() << " hint(s) dropped, "
+           << injector_->hintsDuped() << " duplicated, "
+           << injector_->jitterCycles() << " jitter cycle(s), "
+           << injector_->stallCycles() << " stall cycle(s)\n";
+    os << "recent activity (oldest first, ring depth " << verify::kTraceDepth
+       << "):\n";
+    for (std::size_t n = 0; n < rings_.size(); ++n)
+        rings_[n].dump(os, static_cast<NodeId>(n));
+    os << "=== end post-mortem ===\n";
+}
+
 Tick
 Machine::run(const Workload &workload)
 {
@@ -385,8 +438,8 @@ Machine::drain()
     // The machine is quiesced: every in-flight message has landed, so
     // the oracle can hold it to the strict (no transient windows)
     // whole-machine invariants.
-    if (sentinel_)
-        sentinel_->finalCheck();
+    if (oracle_)
+        oracle_->finalCheck(eq_.now());
 }
 
 std::uint64_t

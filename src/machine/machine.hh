@@ -17,8 +17,15 @@
  * drain() also stops if the event queue empties while a miss is still
  * outstanding (its reply was lost). The check only reads state, so it
  * never moves a simulated result, and it runs with or without
- * verification. Every machine registers a post-mortem dumper that
- * lists its oldest outstanding misses.
+ * verification.
+ *
+ * The machine also owns the verification layer (src/verify): one trace
+ * ring per node, which that node's MAGIC fills on every run, plus the
+ * coherence oracle (cfg.verify.check) and the fault injector (some
+ * cfg.verify.fault class nonzero) when asked for. Every machine
+ * registers one post-mortem dumper, replayed by any fatal()/panic() on
+ * its thread: the oldest outstanding misses, the oracle's violation
+ * log, the injector's counters and every node's recent activity.
  */
 
 #ifndef FLASHSIM_MACHINE_MACHINE_HH_
@@ -40,7 +47,9 @@
 #include "tango/runtime.hh"
 #include "tango/sync_phase.hh"
 #include "tango/task.hh"
-#include "verify/sentinel.hh"
+#include "verify/fault.hh"
+#include "verify/oracle.hh"
+#include "verify/trace.hh"
 
 namespace flashsim::machine
 {
@@ -125,11 +134,18 @@ class Machine : public protocol::AddressMap
     const protocol::HandlerPrograms &programs() const { return *programs_; }
     Tick executionTime() const { return execTime_; }
 
-    /** The verification sentinel, or null when cfg.verify neither
-     *  checks nor injects (the default; a fault seed with every class
-     *  at zero builds none). */
-    verify::Sentinel *sentinel() { return sentinel_.get(); }
-    const verify::Sentinel *sentinel() const { return sentinel_.get(); }
+    /** The coherence oracle, or null unless cfg.verify.check. */
+    const verify::CoherenceOracle *oracle() const { return oracle_.get(); }
+    /** The fault injector, or null unless some cfg.verify.fault class
+     *  is nonzero (a seed alone builds none). */
+    const verify::FaultInjector *injector() const { return injector_.get(); }
+
+    /** The post-mortem: outstanding misses, oracle violations, injector
+     *  counters and every node's trace ring, headed by @p reason. */
+    void writePostMortem(std::ostream &os, const char *reason) const;
+
+    /** Test-only: see magic::HandlerMutator. Empty in normal use. */
+    magic::HandlerMutator testMutator;
 
   private:
     /** Run ticks (each tick's events, then its sync phase) until
@@ -139,6 +155,9 @@ class Machine : public protocol::AddressMap
     void checkProgress();
     /** The outstanding misses, oldest first, for the post-mortem. */
     void writeMisses(std::ostream &os) const;
+    /** The oracle's violation policy: fatal() under haltOnViolation,
+     *  else warn() and dump one post-mortem at the first. */
+    void onViolation(const verify::Violation &v);
 
     MachineConfig cfg_;
     EventQueue eq_;
@@ -149,7 +168,10 @@ class Machine : public protocol::AddressMap
     std::shared_ptr<const protocol::HandlerPrograms> programs_;
     std::unique_ptr<network::MeshNetwork> net_;
     std::vector<std::unique_ptr<Node>> nodes_;
-    std::unique_ptr<verify::Sentinel> sentinel_;
+    /** One per node, allocated together: see Magic::attachTrace. */
+    std::vector<verify::TraceRing> rings_;
+    std::unique_ptr<verify::FaultInjector> injector_;
+    std::unique_ptr<verify::CoherenceOracle> oracle_;
 
     /** Page table: page index -> home node. */
     std::vector<NodeId> pageHome_;

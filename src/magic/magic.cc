@@ -1,15 +1,15 @@
 #include "magic/magic.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 #include "cpu/cache.hh"
 #include "network/mesh.hh"
 #include "sim/logging.hh"
 #include "tango/runtime.hh"
-#include "verify/sentinel.hh"
+#include "verify/fault.hh"
+#include "verify/oracle.hh"
+#include "verify/trace.hh"
 
 namespace flashsim::magic
 {
@@ -34,10 +34,6 @@ Magic::Magic(EventQueue &eq, NodeId self, const MagicParams &params,
         // in the handler path never rehashes.
         pageRemoteAccesses.reserve(1024);
     }
-    // Debug aid: FS_TRACE_LINE=<line number> traces every handler
-    // invocation for that cache line on stderr.
-    if (const char *env = std::getenv("FS_TRACE_LINE"))
-        traceLine_ = std::strtoull(env, nullptr, 0);
 }
 
 Magic::~Magic() = default;
@@ -151,12 +147,12 @@ Magic::enqueue(MagicFifo<Pending> &q, const Message &msg)
                       msg.type == MsgType::NetReplaceHint)) {
         switch (injector_->hintFate(self_)) {
           case verify::FaultInjector::HintFate::Drop:
-            sentinel_->recordInjected(self_, eq_.now(), msg,
-                                      verify::TraceEntry::Kind::DroppedHint);
+            ring_->record(eq_.now(), verify::TraceEntry::Kind::DroppedHint,
+                          msg);
             return;
           case verify::FaultInjector::HintFate::Duplicate:
-            sentinel_->recordInjected(self_, eq_.now(), msg,
-                                      verify::TraceEntry::Kind::DupedHint);
+            ring_->record(eq_.now(), verify::TraceEntry::Kind::DupedHint,
+                          msg);
             copies = 2;
             break;
           case verify::FaultInjector::HintFate::Deliver:
@@ -264,17 +260,6 @@ Magic::runHandler()
     else if (res.cacheRetrieve)
         ht.occupancy += kCacheRetrieveCycles;
 
-    if (traceLine_ && lineNumber(msg.addr) == *traceLine_) {
-        std::fprintf(stderr,
-                     "[magic %u t=%llu] %s -> %s occ=%llu out=%zu "
-                     "cdirty=%d\n",
-                     self_, static_cast<unsigned long long>(now),
-                     msg.toString().c_str(),
-                     protocol::handlerIdName(res.id),
-                     static_cast<unsigned long long>(ht.occupancy),
-                     res.out.size(), cache_dirty);
-    }
-
     Cycles occ = params_.ideal ? 0 : ht.occupancy;
 
     // Optional PP-side page monitoring (Section 4.4): count remote
@@ -355,14 +340,15 @@ Magic::runHandler()
     }
 
     // The handler's directory transition and cache operations are all
-    // applied: let the sentinel update its golden state and cross-check
-    // the machine. The test mutator (if any) corrupts state first so
-    // tests can prove a broken handler is caught.
-    if (sentinel_) {
-        if (sentinel_->testMutator)
-            sentinel_->testMutator(self_, msg, res);
-        sentinel_->observeHandler(self_, at_home, now, msg, res);
-    }
+    // applied: trace it, and let the oracle (if on) update its golden
+    // state and cross-check the machine. The test mutator (if any)
+    // corrupts state first so tests can prove a broken handler is
+    // caught.
+    if (*mutator_)
+        (*mutator_)(self_, msg, res);
+    ring_->record(now, verify::TraceEntry::Kind::Handler, msg, res.id);
+    if (oracle_)
+        oracle_->onHandler(self_, at_home, now, msg, res);
 
     for (const protocol::OutMsg &o : res.out) {
         Tick gate = 0;
@@ -430,8 +416,7 @@ Magic::injectedNack(const Pending &pending, bool release_buffer)
     if (pending.specIssued)
         ++specUseless;
 
-    sentinel_->recordInjected(self_, now, msg,
-                              verify::TraceEntry::Kind::InjectedNack);
+    ring_->record(now, verify::TraceEntry::Kind::InjectedNack, msg);
 
     Message nack;
     nack.type = MsgType::NetNack;

@@ -40,8 +40,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "magic/params.hh"
@@ -57,8 +57,9 @@
 
 namespace flashsim::verify
 {
+class CoherenceOracle;
 class FaultInjector;
-class Sentinel;
+class TraceRing;
 }
 namespace flashsim::cpu
 {
@@ -75,6 +76,12 @@ class Env;
 
 namespace flashsim::magic
 {
+
+/** Test hook run after each handler's directory transition and cache
+ *  operations, before the trace and the oracle see it: free to corrupt
+ *  machine state so tests can prove a broken handler is caught. */
+using HandlerMutator = std::function<void(
+    NodeId node, const protocol::Message &msg, protocol::HandlerResult &res)>;
 
 /**
  * FIFO of inbound messages waiting for the PP: a growable power-of-two
@@ -195,16 +202,20 @@ class Magic
     /** The PP emulator timing model, if in use (Table 5.2 stats). */
     const PpTimingModel *ppModel() const { return pp_.get(); }
 
-    /** Attach the machine's verification sentinel and its injector
-     *  (null = none; an injector comes with its sentinel). MAGIC reports
-     *  handler completions to the one and asks the other for
-     *  perturbations; the hot path costs one null check when absent. */
-    void attachSentinel(verify::Sentinel *s, verify::FaultInjector *inj)
+    /** Wire MAGIC to the machine's trace ring for this node, its
+     *  coherence oracle and fault injector (each null when off) and its
+     *  test mutator. Every handler invocation and injector action is
+     *  recorded in the ring; the oracle checks each handler. Called
+     *  once, after construction, before any message arrives. */
+    void
+    attachTrace(verify::TraceRing &ring, verify::CoherenceOracle *oracle,
+                verify::FaultInjector *inj, const HandlerMutator &mutator)
     {
-        sentinel_ = s;
+        ring_ = &ring;
+        oracle_ = oracle;
         injector_ = inj;
+        mutator_ = &mutator;
     }
-    verify::Sentinel *sentinel() const { return sentinel_; }
 
     // -- Statistics ---------------------------------------------------------
     Occupancy ppOcc;        ///< protocol processor busy time
@@ -289,8 +300,6 @@ class Magic
     cpu::Cache *cache_ = nullptr;
     network::MeshNetwork *net_ = nullptr;
     tango::Env *env_ = nullptr;
-    /** FS_TRACE_LINE: trace every handler for this line number. */
-    std::optional<std::uint64_t> traceLine_;
 
     protocol::DirectoryStore dir_;
     memsys::MemoryController mem_;
@@ -317,8 +326,10 @@ class Magic
     bool ppBusy_ = false;
     bool pickPiFirst_ = true;
 
-    verify::Sentinel *sentinel_ = nullptr;
+    verify::TraceRing *ring_ = nullptr;
+    verify::CoherenceOracle *oracle_ = nullptr;
     verify::FaultInjector *injector_ = nullptr;
+    const HandlerMutator *mutator_ = nullptr;
     /** Last injector-stalled arrival per inbound queue (FIFO clamps). */
     Tick lastPiArrival_ = 0;
     Tick lastNiArrival_ = 0;

@@ -1,8 +1,5 @@
 #include "magic/timing_model.hh"
 
-#include <cstdio>
-#include <cstdlib>
-
 namespace flashsim::magic
 {
 
@@ -46,10 +43,6 @@ std::uint64_t
 PpTimingModel::ShadowMemory::load(Addr addr, Cycles &extra)
 {
     MdcAccess a = mdc_.access(addr, false);
-    if (trace)
-        std::fprintf(stderr, "[mdc] ld 0x%llx %s\n",
-                     static_cast<unsigned long long>(addr),
-                     a.hit ? "hit" : "MISS");
     extra = a.hit ? 0 : missPenalty_;
     if (!a.hit)
         ++misses;
@@ -64,10 +57,6 @@ PpTimingModel::ShadowMemory::store(Addr addr, std::uint64_t value,
                                    Cycles &extra)
 {
     MdcAccess a = mdc_.access(addr, true);
-    if (trace)
-        std::fprintf(stderr, "[mdc] sd 0x%llx %s\n",
-                     static_cast<unsigned long long>(addr),
-                     a.hit ? "hit" : "MISS");
     extra = a.hit ? 0 : missPenalty_;
     if (!a.hit)
         ++misses;
@@ -91,10 +80,7 @@ PpTimingModel::PpTimingModel(const protocol::HandlerPrograms &programs,
       mdc_(params.mdcBytes, kMdcAssoc, kMdcLineBytes),
       shadow_(dir, mdc_, params.mdcMissPenalty),
       warm_(programs.programs.size(), false)
-{
-    // Debug aid: FS_TRACE_MDC=1 logs every MDC access on stderr.
-    shadow_.trace = std::getenv("FS_TRACE_MDC") != nullptr;
-}
+{}
 
 HandlerTiming
 PpTimingModel::run(const protocol::HandlerPrograms::Entry &entry,

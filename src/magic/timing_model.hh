@@ -96,7 +96,6 @@ class PpTimingModel
         void reset();
         std::uint32_t misses = 0;
         std::uint32_t writebacks = 0;
-        bool trace = false; ///< log every access on stderr
 
       private:
         const protocol::DirectoryStore &dir_;

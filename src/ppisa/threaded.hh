@@ -28,7 +28,7 @@
  * charges, statistics, and every contract panic text — is bit-identical
  * to the oracle, PpSim::runReference. This is enforced by the
  * conformance oracle in ppsim.cc (FS_PP_ORACLE), the differential fuzz
- * suite in tests/test_pp_backends.cc, and the coherence sentinel
+ * suite in tests/test_pp_backends.cc, and the coherence oracle
  * running full workloads in CI.
  */
 

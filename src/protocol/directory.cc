@@ -9,6 +9,18 @@ namespace flashsim::protocol
 using ppisa::fieldMask;
 namespace df = dirfield;
 
+namespace
+{
+/** A word address no region decodes: a PP program or address-map bug. */
+[[noreturn]] void
+badWordAddr(const char *op, Addr a)
+{
+    panic("DirectoryStore::%s: address 0x%llx is misaligned or outside "
+          "the header, link-pool and ack-table regions",
+          op, static_cast<unsigned long long>(a));
+}
+} // namespace
+
 DirHeader
 DirHeader::unpack(std::uint64_t w)
 {
@@ -66,10 +78,9 @@ DirectoryStore::setHeaderWord(std::uint64_t w, std::uint64_t v)
     if (page >= headerPages_.size())
         headerPages_.resize(page + 1);
     if (!headerPages_[page]) {
+        // make_unique value-initializes: the page reads as zeros.
         headerPages_[page] =
             std::make_unique<std::uint64_t[]>(kPageWords);
-        // make_unique value-initializes: the page reads as zeros, the
-        // same as absent keys in the historical map-backed store.
     }
     headerPages_[page][w % kPageWords] = v;
 }
@@ -89,9 +100,7 @@ DirectoryStore::setLinkWord(std::uint64_t idx, std::uint64_t v)
 std::uint64_t
 DirectoryStore::loadWord(Addr a) const
 {
-    // Region decoder: header page, link pool, ack table, or overflow.
-    // Misaligned addresses never alias onto a word slot (the historical
-    // store keyed on the raw address), so they take the overflow path.
+    // Region decoder: header page, link pool or ack table.
     if ((a & 7) == 0) {
         if (a >= kDirHeaderBase && a < kLinkPoolBase) {
             std::uint64_t w = (a - kDirHeaderBase) >> 3;
@@ -107,8 +116,7 @@ DirectoryStore::loadWord(Addr a) const
                 return ackTable_[w];
         }
     }
-    auto it = overflow_.find(a);
-    return it == overflow_.end() ? 0 : it->second;
+    badWordAddr("loadWord", a);
 }
 
 void
@@ -135,26 +143,31 @@ DirectoryStore::storeWord(Addr a, std::uint64_t v)
             }
         }
     }
-    overflow_[a] = v;
+    badWordAddr("storeWord", a);
+}
+
+std::uint64_t
+DirectoryStore::headerIndex(Addr line)
+{
+    const std::uint64_t w = lineNumber(line);
+    if (w >= kMaxHeaderWords)
+        panic("DirectoryStore: line 0x%llx is past the %llu directory "
+              "headers",
+              static_cast<unsigned long long>(line),
+              static_cast<unsigned long long>(kMaxHeaderWords));
+    return w;
 }
 
 DirHeader
 DirectoryStore::header(Addr line) const
 {
-    std::uint64_t w = lineNumber(line);
-    if (w < kMaxHeaderWords)
-        return DirHeader::unpack(headerWord(w));
-    return DirHeader::unpack(loadWord(headerAddr(line)));
+    return DirHeader::unpack(headerWord(headerIndex(line)));
 }
 
 void
 DirectoryStore::setHeader(Addr line, const DirHeader &h)
 {
-    std::uint64_t w = lineNumber(line);
-    if (w < kMaxHeaderWords)
-        setHeaderWord(w, h.pack());
-    else
-        storeWord(headerAddr(line), h.pack());
+    setHeaderWord(headerIndex(line), h.pack());
 }
 
 LinkEntry

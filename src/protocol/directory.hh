@@ -27,10 +27,9 @@
  * backings — fixed-size zero-filled header pages indexed by line
  * number, a flat link-pool vector, and the fixed ack-table array — so
  * the word-level view PP programs execute through costs a couple of
- * compares and an array index instead of a hash probe. Addresses
- * outside the decoded regions (or misaligned ones) fall back to a
- * small overflow map, keeping loadWord/storeWord bit-identical to the
- * historical map-backed store for every address.
+ * compares and an array index instead of a hash probe. A word address
+ * outside the decoded regions, or a misaligned one, is a bug and
+ * panics.
  */
 
 #ifndef FLASHSIM_PROTOCOL_DIRECTORY_HH_
@@ -38,7 +37,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/types.hh"
@@ -125,10 +123,10 @@ class DirectoryStore
   public:
     /** Words per header page (one page covers this many memory lines). */
     static constexpr std::uint32_t kPageWords = 4096;
-    /** Header words directly decoded; beyond this, overflow map. */
+    /** Header words decoded (lines past this panic). */
     static constexpr std::uint64_t kMaxHeaderWords = std::uint64_t{1}
                                                      << 26;
-    /** Link words directly decoded; beyond this, overflow map. */
+    /** Link words decoded (indices past this panic). */
     static constexpr std::uint64_t kMaxLinkWords = std::uint64_t{1} << 26;
 
     /** @param pool_limit maximum live link entries (fatal if exceeded). */
@@ -170,6 +168,8 @@ class DirectoryStore
     /** One zero-filled header page. */
     using Page = std::unique_ptr<std::uint64_t[]>;
 
+    /** lineNumber(@p line); panics past kMaxHeaderWords. */
+    static std::uint64_t headerIndex(Addr line);
     std::uint32_t allocLink();
     void freeLink(std::uint32_t idx);
     /** Keep the free-list head word readable by PP programs. */
@@ -197,9 +197,6 @@ class DirectoryStore
     std::vector<Page> headerPages_;
     std::vector<std::uint64_t> links_;
     std::vector<std::uint64_t> ackTable_;
-    /** Escape hatch for addresses outside the decoded regions; keeps
-     *  the word view semantics of the historical map-backed store. */
-    std::unordered_map<Addr, std::uint64_t> overflow_;
 
     std::uint32_t freeHead_ = 1;
     std::uint32_t nextUnused_ = 2;

@@ -49,27 +49,6 @@ ProtocolEngine::make(MsgType type, NodeId dest, Addr addr, NodeId requester,
 }
 
 HandlerResult
-ProtocolEngine::handleRequestForward(const Message &msg, NodeId home, bool)
-{
-    // Requester-side: pass the processor's request on to the home node.
-    // "Forward request to home node" (Table 3.4: 3 cycles).
-    HandlerResult r;
-    r.id = HandlerId::FwdToHome;
-    MsgType t;
-    switch (msg.type) {
-      case MsgType::PiGet: t = MsgType::NetGet; break;
-      case MsgType::PiGetx: t = MsgType::NetGetx; break;
-      case MsgType::PiWriteback: t = MsgType::NetWriteback; break;
-      case MsgType::PiReplaceHint: t = MsgType::NetReplaceHint; break;
-      case MsgType::PiFetchOp: t = MsgType::NetFetchOp; break;
-      default:
-        panic("handleRequestForward: bad type %s", msgTypeName(msg.type));
-    }
-    r.out.push_back({make(t, home, msg.addr, self_), Gate::None});
-    return r;
-}
-
-HandlerResult
 ProtocolEngine::handleGetAtHome(const Message &msg, NodeId, bool cache_dirty)
 {
     HandlerResult r;
@@ -425,7 +404,7 @@ ProtocolEngine::handleFetchOp(const Message &msg, NodeId, bool)
     // many processors hammer it. The value itself is host-side; the
     // handler models the memory read-modify-write and the reply. A
     // remote PiFetchOp never gets here: the jump table forwards it to
-    // the home (handleRequestForward).
+    // the home (handleForward<NetFetchOp>).
     HandlerResult r;
     r.id = HandlerId::FetchOpService;
     // The word-granular read-modify-write is issued by MAGIC as a

@@ -125,8 +125,6 @@ class ProtocolEngine
                                   bool cache_dirty);
     HandlerResult handleGetxAtHome(const Message &msg, NodeId home,
                                    bool cache_dirty);
-    HandlerResult handleRequestForward(const Message &msg, NodeId home,
-                                       bool cache_dirty);
     HandlerResult handleFwdGet(const Message &msg, NodeId home,
                                bool cache_dirty);
     HandlerResult handleFwdGetx(const Message &msg, NodeId home,
@@ -149,6 +147,19 @@ class ProtocolEngine
                                   bool cache_dirty);
     HandlerResult handleFetchOp(const Message &msg, NodeId home,
                                 bool cache_dirty);
+
+    /** Requester side: pass the processor's request on to the home
+     *  node as @p Net ("Forward request to home node", Table 3.4: 3
+     *  cycles). */
+    template <MsgType Net>
+    HandlerResult
+    handleForward(const Message &msg, NodeId home, bool)
+    {
+        HandlerResult r;
+        r.id = HandlerId::FwdToHome;
+        r.out.push_back({make(Net, home, msg.addr, self_), Gate::None});
+        return r;
+    }
 
     /** A receipt MAGIC books itself (invalidation-ack counting, NACK
      *  retry, block-transfer and fetch&op completion): the handler only

@@ -622,24 +622,24 @@ buildHandlerPrograms(const ppc::CompileOptions &opts)
           &E::handleGetAtHome, true);
     remote(MsgType::PiGet,
            add(buildForwardToHome("pi_get_remote", MsgType::NetGet)),
-           &E::handleRequestForward);
+           &E::handleForward<MsgType::NetGet>);
     local(MsgType::PiGetx,
           add(buildGetx("pi_getx_local", MsgType::PiPutx)),
           &E::handleGetxAtHome, true);
     remote(MsgType::PiGetx,
            add(buildForwardToHome("pi_getx_remote", MsgType::NetGetx)),
-           &E::handleRequestForward);
+           &E::handleForward<MsgType::NetGetx>);
     local(MsgType::PiWriteback, add(buildWriteback("pi_wb_local")),
           &E::handleWritebackAtHome);
     remote(MsgType::PiWriteback,
            add(buildForwardToHome("pi_wb_remote", MsgType::NetWriteback)),
-           &E::handleRequestForward);
+           &E::handleForward<MsgType::NetWriteback>);
     local(MsgType::PiReplaceHint, add(buildHint("pi_hint_local")),
           &E::handleReplaceHintAtHome);
     remote(MsgType::PiReplaceHint,
            add(buildForwardToHome("pi_hint_remote",
                                   MsgType::NetReplaceHint)),
-           &E::handleRequestForward);
+           &E::handleForward<MsgType::NetReplaceHint>);
     either(MsgType::NetGet, add(buildGet("ni_get", MsgType::NetPut)),
            &E::handleGetAtHome, true);
     either(MsgType::NetGetx, add(buildGetx("ni_getx", MsgType::NetPutx)),
@@ -673,7 +673,7 @@ buildHandlerPrograms(const ppc::CompileOptions &opts)
     remote(MsgType::PiFetchOp,
            add(buildForwardToHome("pi_fetchop_remote",
                                   MsgType::NetFetchOp)),
-           &E::handleRequestForward);
+           &E::handleForward<MsgType::NetFetchOp>);
     return p;
 }
 

@@ -7,7 +7,7 @@
  * Both fatal() and panic() die via abort() after (a) prefixing the
  * message with the current simulation tick and node when a context has
  * been registered, and (b) replaying any registered post-mortem dumpers
- * (the machine's outstanding misses, the verify::Sentinel's trace
+ * (the machine's outstanding misses, oracle violations and trace
  * rings) to stderr — so a death mid-simulation is never blind.
  *
  * Context and dumpers are thread-local: sweep-runner workers each run a

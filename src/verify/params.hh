@@ -5,10 +5,10 @@
  * its halt policy, and the deterministic fault injector's seed and
  * classes. Everything here is off by default, so a machine built
  * without touching these settings behaves (and times) exactly as
- * before. The trace-ring depth is a constant (verify/trace.hh). Hang
- * detection is not configured here: every machine checks its caches'
- * MSHRs for wedged misses and lost progress on every run
- * (machine/machine.hh).
+ * before. The per-node trace rings are always on and take no setting
+ * (their depth is a constant, verify/trace.hh). Hang detection is not
+ * configured here either: every machine checks its caches' MSHRs for
+ * wedged misses and lost progress on every run (machine/machine.hh).
  */
 
 #ifndef FLASHSIM_VERIFY_PARAMS_HH_
@@ -75,13 +75,6 @@ struct VerifyParams
     FaultParams fault;
 
     bool operator==(const VerifyParams &) const = default;
-
-    /** True when any component needs a Sentinel constructed. */
-    bool
-    any() const
-    {
-        return check || fault.any();
-    }
 };
 
 } // namespace flashsim::verify

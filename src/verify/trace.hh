@@ -2,11 +2,13 @@
  * @file
  * Bounded per-node trace of recent protocol activity.
  *
- * Each node owns a fixed-depth ring recording handler invocations and
- * injector actions. The rings cost two stores per record and never
- * allocate after construction; they exist solely to be replayed as a
- * post-mortem when the oracle flags a violation or the process dies in
- * fatal()/panic() (a hang among other causes).
+ * Every machine keeps one fixed-depth ring per node, and that node's
+ * MAGIC records each handler invocation and each injector action into
+ * it on every run, verified or not. A record is one entry store and a
+ * counter bump and never allocates. The machine's post-mortem replays
+ * the rings when the oracle flags a violation or the process dies in
+ * fatal()/panic() (a hang among other causes). This is the simulator's
+ * one trace facility.
  */
 
 #ifndef FLASHSIM_VERIFY_TRACE_HH_
@@ -51,10 +53,15 @@ struct TraceEntry
 class TraceRing
 {
   public:
+    /** Record @p msg at @p now: run by @p handler (Kind::Handler), or
+     *  NACKed, dropped or duplicated by the injector. */
     void
-    record(const TraceEntry &e)
+    record(Tick now, TraceEntry::Kind kind, const protocol::Message &msg,
+           protocol::HandlerId handler = protocol::HandlerId::ServeReadMemory)
     {
-        entries_[next_ % kTraceDepth] = e;
+        entries_[next_ % kTraceDepth] = {now, kind, msg.type, handler,
+                                         msg.src, msg.requester, msg.addr,
+                                         msg.aux};
         ++next_;
     }
 

@@ -407,13 +407,11 @@ TEST(DirectoryOracle, RandomizedSequencesMatchLegacyMapStore)
             << "link word " << idx;
 }
 
-TEST(DirectoryOracle, WordViewMatchesOutsideDecodedRegions)
+TEST(DirectoryDeathTest, WordViewPanicsOutsideDecodedRegions)
 {
-    // Misaligned and out-of-region addresses take the overflow path and
-    // must behave exactly like the historical map: keyed on the raw
-    // address, zero until written.
+    // Every PP program address decodes to a header, link or ack-table
+    // word; a misaligned or out-of-region address is a bug.
     DirectoryStore d;
-    LegacyMapStore o;
     const Addr addrs[] = {
         headerAddr(kLine) + 1,              // misaligned header
         linkAddr(7) + 3,                    // misaligned link
@@ -421,14 +419,14 @@ TEST(DirectoryOracle, WordViewMatchesOutsideDecodedRegions)
         kAckTableBase + kAckTableEntries * 8, // past the ack table
     };
     for (Addr a : addrs) {
-        EXPECT_EQ(d.loadWord(a), o.loadWord(a));
-        d.storeWord(a, 0xdeadbeef0 + a);
-        o.storeWord(a, 0xdeadbeef0 + a);
-        EXPECT_EQ(d.loadWord(a), o.loadWord(a));
+        EXPECT_DEATH(d.loadWord(a), "DirectoryStore::loadWord: address");
+        EXPECT_DEATH(d.storeWord(a, 1), "DirectoryStore::storeWord: address");
     }
-    // The misaligned stores must not have leaked into the aligned slots.
-    EXPECT_EQ(d.loadWord(headerAddr(kLine)), o.loadWord(headerAddr(kLine)));
-    EXPECT_EQ(d.loadWord(linkAddr(7)), o.loadWord(linkAddr(7)));
+    // A line past the decoded headers has no header word either.
+    const Addr past = DirectoryStore::kMaxHeaderWords * kLineSize;
+    EXPECT_DEATH(d.header(past), "past the [0-9]+ directory headers");
+    EXPECT_DEATH(d.setHeader(past, DirHeader{}),
+                 "past the [0-9]+ directory headers");
 }
 
 TEST(DirectoryStore, FreeListReusedAfterClearSharers)

@@ -4,8 +4,9 @@
  * small runs, committed under tests/golden/. Each record holds the
  * machine execution time, Machine::stateDigest() and a full-fat
  * signature — the complete report Summary, mesh counters and, when the
- * sentinel is on, its verdicts, injector draw counts and post-mortem
- * trace ring. Any change to a simulated result fails here.
+ * run checks or injects, the oracle's verdicts, the injector's draw
+ * counts and the post-mortem trace rings. Any change to a simulated
+ * result fails here.
  *
  * Coverage: the seven workloads on FLASH and on the ideal machine,
  * small (64 KB) caches for Radix and FFT, Table 3.4 timing, the
@@ -46,7 +47,7 @@ using machine::Machine;
 using machine::MachineConfig;
 
 /** The report Summary and mesh counters of a finished run, serialized:
- *  what a run reports whether or not the sentinel watched it. */
+ *  what a run reports whether or not the oracle watched it. */
 std::string
 runSignature(Machine &m)
 {
@@ -71,30 +72,33 @@ runSignature(Machine &m)
 
 /**
  * Everything observable about a finished run, serialized: runSignature
- * plus, with the sentinel on, its verdicts, injector draw counts and
- * post-mortem. The post-mortem is compared from its "recent activity"
- * trace ring on: the header's "t=" is the queue's final time after
- * drain(), not machine state.
+ * plus, when the run checks or injects, the oracle's verdicts, the
+ * injector's draw counts and the post-mortem. The post-mortem is
+ * compared from its "recent activity" trace rings on: the header's
+ * "t=" is the queue's final time after drain(), not machine state.
  */
 std::string
 signature(Machine &m)
 {
     std::ostringstream os;
     os << runSignature(m);
-    if (const verify::Sentinel *sent = m.sentinel()) {
+    const verify::CoherenceOracle *oracle = m.oracle();
+    const verify::FaultInjector *inj = m.injector();
+    if (oracle || inj) {
         // The second field counted hang trips, which are now fatal, so
         // a finished run prints 0 there.
         Counter retired = 0;
         for (int n = 0; n < m.numProcs(); ++n)
             retired += m.node(n).cache().retiredMisses();
-        os << sent->violations() << '|' << 0 << '|' << retired << '|'
-           << sent->oracle()->trackedLines() << '|';
-        if (const verify::FaultInjector *inj = sent->injector())
+        os << (oracle ? oracle->violations() : 0) << '|' << 0 << '|'
+           << retired << '|' << (oracle ? oracle->trackedLines() : 0)
+           << '|';
+        if (inj)
             os << inj->nacksInjected() << '|' << inj->hintsDropped() << '|'
                << inj->hintsDuped() << '|' << inj->jitterCycles() << '|'
                << inj->stallCycles() << '|';
         std::ostringstream pm;
-        sent->writePostMortem(pm, "signature");
+        m.writePostMortem(pm, "signature");
         const std::string text = pm.str();
         const std::size_t at = text.find("recent activity");
         os << (at == std::string::npos ? text : text.substr(at));
@@ -322,8 +326,8 @@ TEST_P(GoldenTest, RunMatchesRecord)
     const GoldenCase &c = GetParam();
     auto w = makeGoldenWorkload(c.app);
     auto m = runWorkload(c.cfg, *w);
-    if (const verify::Sentinel *sent = m->sentinel()) {
-        EXPECT_EQ(sent->violations(), 0u);
+    if (const verify::CoherenceOracle *oracle = m->oracle()) {
+        EXPECT_EQ(oracle->violations(), 0u);
     }
     expectGolden(c.name, formatRecord(m->executionTime(),
                                       m->stateDigest(), signature(*m)));
@@ -336,7 +340,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // A fault seed with every class at zero injects nothing, so it must
-// build no sentinel and leave the run exactly the plain FLASH record.
+// build no injector and leave the run exactly the plain FLASH record.
 TEST(InjectionTest, ZeroClassInjectorIsOff)
 {
     MachineConfig cfg = MachineConfig::flash(16);
@@ -344,14 +348,15 @@ TEST(InjectionTest, ZeroClassInjectorIsOff)
     ASSERT_FALSE(cfg.verify.fault.any());
     auto w = makeGoldenWorkload("mp3d");
     auto m = runWorkload(cfg, *w);
-    EXPECT_EQ(m->sentinel(), nullptr);
+    EXPECT_EQ(m->injector(), nullptr);
+    EXPECT_EQ(m->oracle(), nullptr);
     EXPECT_EQ(m->executionTime(), 54760u);
     EXPECT_EQ(m->stateDigest(), 345467276190240738ull);
     expectGolden("mp3d_flash", formatRecord(m->executionTime(),
                                             m->stateDigest(), signature(*m)));
 }
 
-// Verification only observes: the same run with the sentinel checking
+// Verification only observes: the same run with the oracle checking
 // every handler must reach the same time, state and report as without.
 class VerifyTimingTest : public ::testing::TestWithParam<std::string>
 {};
@@ -361,13 +366,13 @@ TEST_P(VerifyTimingTest, CheckNeverMovesTiming)
     MachineConfig cfg = MachineConfig::flash(8, 64u * 1024u);
     auto w_off = makeGoldenWorkload(GetParam());
     auto off = runWorkload(cfg, *w_off);
-    ASSERT_EQ(off->sentinel(), nullptr);
+    ASSERT_EQ(off->oracle(), nullptr);
 
     verifyOn(cfg);
     auto w_on = makeGoldenWorkload(GetParam());
     auto on = runWorkload(cfg, *w_on);
-    ASSERT_NE(on->sentinel(), nullptr);
-    EXPECT_EQ(on->sentinel()->violations(), 0u);
+    ASSERT_NE(on->oracle(), nullptr);
+    EXPECT_EQ(on->oracle()->violations(), 0u);
 
     EXPECT_EQ(on->executionTime(), off->executionTime());
     EXPECT_EQ(on->stateDigest(), off->stateDigest());

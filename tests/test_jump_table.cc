@@ -63,11 +63,13 @@ struct PinnedRow
 
 using E = ProtocolEngine;
 const PinnedRow kPinned[] = {
-    {MsgType::PiGet, &E::handleRequestForward, &E::handleGetAtHome},
-    {MsgType::PiGetx, &E::handleRequestForward, &E::handleGetxAtHome},
-    {MsgType::PiWriteback, &E::handleRequestForward,
+    {MsgType::PiGet, &E::handleForward<MsgType::NetGet>,
+     &E::handleGetAtHome},
+    {MsgType::PiGetx, &E::handleForward<MsgType::NetGetx>,
+     &E::handleGetxAtHome},
+    {MsgType::PiWriteback, &E::handleForward<MsgType::NetWriteback>,
      &E::handleWritebackAtHome},
-    {MsgType::PiReplaceHint, &E::handleRequestForward,
+    {MsgType::PiReplaceHint, &E::handleForward<MsgType::NetReplaceHint>,
      &E::handleReplaceHintAtHome},
     {MsgType::PiPut, nullptr, nullptr},
     {MsgType::PiPutx, nullptr, nullptr},
@@ -93,7 +95,8 @@ const PinnedRow kPinned[] = {
     {MsgType::NetBlockXfer, &E::handleBlockXfer, &E::handleBlockXfer},
     {MsgType::NetBlockAck, &E::handleReceipt<HandlerId::BlockAckReceive>,
      &E::handleReceipt<HandlerId::BlockAckReceive>},
-    {MsgType::PiFetchOp, &E::handleRequestForward, &E::handleFetchOp},
+    {MsgType::PiFetchOp, &E::handleForward<MsgType::NetFetchOp>,
+     &E::handleFetchOp},
     {MsgType::NetFetchOp, &E::handleFetchOp, &E::handleFetchOp},
     {MsgType::NetFetchOpAck, &E::handleReceipt<HandlerId::FetchOpAck>,
      &E::handleReceipt<HandlerId::FetchOpAck>},

@@ -182,19 +182,6 @@ TEST(MagicTest, MemoryOccupiedByProtocolData)
     EXPECT_GT(m.node(0).magic().memory().protocolAccesses, 50u);
 }
 
-TEST(MagicTest, TraceLineEnvDoesNotCrash)
-{
-    // Smoke-test the FS_TRACE_LINE debugging aid.
-    setenv("FS_TRACE_LINE", "8192", 1);
-    MachineConfig cfg = MachineConfig::flash(2);
-    Machine m(cfg);
-    Addr a = m.alloc(kLineSize, 0);
-    m.run([&](tango::Env &env) { return singleRead(env, a, 0); });
-    m.drain();
-    unsetenv("FS_TRACE_LINE");
-    SUCCEED();
-}
-
 TEST(MagicFifoTest, FifoOrderHoldsAcrossWrapAndGrowth)
 {
     magic::MagicFifo<int> q;

@@ -241,7 +241,7 @@ TEST_P(InjectedRaceTest, WritebackVsGetOracleClean)
     });
     m.drain();
 
-    EXPECT_EQ(m.sentinel()->violations(), 0u);
+    EXPECT_EQ(m.oracle()->violations(), 0u);
     const auto &dir = m.node(0).magic().directory();
     auto h = dir.header(a);
     if (h.dirty) {
@@ -280,7 +280,7 @@ TEST_P(InjectedRaceTest, InterventionChainOracleClean)
     });
     m.drain();
 
-    EXPECT_EQ(m.sentinel()->violations(), 0u);
+    EXPECT_EQ(m.oracle()->violations(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, InjectedRaceTest,
@@ -309,8 +309,8 @@ TEST(RaceTest, NackStormConvergesOracleClean)
     });
     m.drain();
 
-    EXPECT_GT(m.sentinel()->injector()->nacksInjected(), 0u);
-    EXPECT_EQ(m.sentinel()->violations(), 0u);
+    EXPECT_GT(m.injector()->nacksInjected(), 0u);
+    EXPECT_EQ(m.oracle()->violations(), 0u);
     const auto &dir = m.node(0).magic().directory();
     auto h = dir.header(a);
     int holders = 0;

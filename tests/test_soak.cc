@@ -89,17 +89,16 @@ TEST(SoakTest, MultiSeedInjectionSweepIsOracleClean)
                 auto m = runWorkload(soakConfig(
                                          static_cast<std::uint64_t>(s) + 1),
                                      *workload);
-                const verify::Sentinel *sent = m->sentinel();
                 SoakResult r;
                 r.execTime = m->executionTime();
-                r.violations = sent->violations();
+                r.violations = m->oracle()->violations();
                 for (int n = 0; n < m->numProcs(); ++n)
                     r.retired += m->node(n).cache().retiredMisses();
-                const verify::FaultInjector *inj = sent->injector();
+                const verify::FaultInjector *inj = m->injector();
                 r.perturbations = inj->nacksInjected() +
                                   inj->hintsDropped() + inj->hintsDuped() +
                                   inj->jitterCycles() + inj->stallCycles();
-                r.trackedLines = sent->oracle()->trackedLines();
+                r.trackedLines = m->oracle()->trackedLines();
                 return r;
             });
         }
@@ -124,7 +123,7 @@ TEST(SoakTest, MultiSeedInjectionSweepIsOracleClean)
 
 TEST(SoakTest, InjectionSweepIsDeterministicAcrossWorkerCounts)
 {
-    // The thread-local sentinel plumbing must not let one worker's
+    // The thread-local post-mortem plumbing must not let one worker's
     // machine leak into another's: the same injected job list must
     // digest identically serial and parallel.
     auto jobs = [] {

@@ -37,6 +37,18 @@ verifyConfig(int procs)
     return cfg;
 }
 
+/** Record-mode post-mortems in @p err (captured stderr). */
+int
+postMortems(const std::string &err)
+{
+    const std::string header = "=== post-mortem (coherence violation)";
+    int n = 0;
+    for (std::size_t at = err.find(header); at != std::string::npos;
+         at = err.find(header, at + 1))
+        ++n;
+    return n;
+}
+
 /** All nodes hammer a 64-line region spread across every node's memory
  *  with a deterministic mixed read/write pattern: plenty of sharing,
  *  invalidations, 3-hop transfers and (with small caches) evictions. */
@@ -79,12 +91,14 @@ TEST(OracleTest, CleanRunHasNoViolations)
     MachineConfig cfg = verifyConfig(4);
     Machine m(cfg);
     Addr base = allocSpread(m);
+    testing::internal::CaptureStderr();
     runContention(m, base);
+    const std::string err = testing::internal::GetCapturedStderr();
 
-    ASSERT_NE(m.sentinel(), nullptr);
-    EXPECT_EQ(m.sentinel()->violations(), 0u);
-    EXPECT_FALSE(m.sentinel()->dumped());
-    EXPECT_GT(m.sentinel()->oracle()->trackedLines(), 0u);
+    ASSERT_NE(m.oracle(), nullptr);
+    EXPECT_EQ(m.oracle()->violations(), 0u);
+    EXPECT_EQ(err.find("post-mortem"), std::string::npos);
+    EXPECT_GT(m.oracle()->trackedLines(), 0u);
     Counter retired = 0;
     for (int n = 0; n < m.numProcs(); ++n) {
         retired += m.node(n).cache().retiredMisses();
@@ -107,8 +121,8 @@ TEST(OracleTest, CatchesDroppedSharerInBrokenHandler)
     // sharer list, and this mutator immediately undoes it — the classic
     // forgotten-addSharer bug.
     bool corrupted = false;
-    m.sentinel()->testMutator = [&](NodeId node, const Message &msg,
-                                    HandlerResult &res) {
+    m.testMutator = [&](NodeId node, const Message &msg,
+                        HandlerResult &res) {
         if (corrupted || res.id != HandlerId::ServeReadMemory)
             return;
         corrupted = true;
@@ -116,25 +130,27 @@ TEST(OracleTest, CatchesDroppedSharerInBrokenHandler)
                                                       msg.requester);
     };
 
+    testing::internal::CaptureStderr();
     m.run([=](tango::Env &env) -> tango::Task {
         co_await env.busy(0);
         if (env.id() == 1)
             co_await env.read(a);
     });
     m.drain();
+    const std::string err = testing::internal::GetCapturedStderr();
 
     ASSERT_TRUE(corrupted);
-    ASSERT_GE(m.sentinel()->violations(), 1u);
-    const auto &log = m.sentinel()->oracle()->violationLog();
+    ASSERT_GE(m.oracle()->violations(), 1u);
+    const auto &log = m.oracle()->violationLog();
     ASSERT_FALSE(log.empty());
     EXPECT_EQ(log[0].kind, "dir-mismatch");
     EXPECT_EQ(log[0].node, 0u);         // blamed at the home node
     EXPECT_EQ(log[0].addr, lineBase(a)); // and the corrupted line
     // Record-only policy still dumps a post-mortem (once).
-    EXPECT_TRUE(m.sentinel()->dumped());
+    EXPECT_EQ(postMortems(err), 1);
 
     std::ostringstream pm;
-    m.sentinel()->writePostMortem(pm, "test");
+    m.writePostMortem(pm, "test");
     EXPECT_NE(pm.str().find("dir-mismatch"), std::string::npos);
     EXPECT_NE(pm.str().find("recent activity"), std::string::npos);
     EXPECT_NE(pm.str().find("ServeReadMemory"), std::string::npos);
@@ -150,8 +166,8 @@ TEST(OracleTest, CatchesCorruptedOwnerInBrokenHandler)
     // the directory claims home owns the line while the requester's
     // cache goes Exclusive.
     bool corrupted = false;
-    m.sentinel()->testMutator = [&](NodeId node, const Message &msg,
-                                    HandlerResult &res) {
+    m.testMutator = [&](NodeId node, const Message &msg,
+                        HandlerResult &res) {
         if (corrupted || res.id != HandlerId::ServeWriteMemory)
             return;
         corrupted = true;
@@ -161,18 +177,19 @@ TEST(OracleTest, CatchesCorruptedOwnerInBrokenHandler)
         dir.setHeader(msg.addr, h);
     };
 
+    testing::internal::CaptureStderr();
     m.run([=](tango::Env &env) -> tango::Task {
         co_await env.busy(0);
         if (env.id() == 1)
             co_await env.write(a);
     });
     m.drain();
+    const std::string err = testing::internal::GetCapturedStderr();
 
     ASSERT_TRUE(corrupted);
-    ASSERT_GE(m.sentinel()->violations(), 1u);
-    EXPECT_EQ(m.sentinel()->oracle()->violationLog()[0].kind,
-              "dir-mismatch");
-    EXPECT_TRUE(m.sentinel()->dumped());
+    ASSERT_GE(m.oracle()->violations(), 1u);
+    EXPECT_EQ(m.oracle()->violationLog()[0].kind, "dir-mismatch");
+    EXPECT_EQ(postMortems(err), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -278,24 +295,15 @@ TEST(OracleTest, InvalOvertakingReadReplyIsForgivenOnce)
 // ---------------------------------------------------------------------------
 // Hang detection: the run loop reads every cache's MSHRs, with or
 // without verification, and stops a run whose miss can never retire.
-// Each test loses a reply to node 0 through the test mutator; a mesh
-// jitter of 1 cycle builds the sentinel that carries the mutator while
-// the oracle stays off.
-
-MachineConfig
-lossyConfig()
-{
-    MachineConfig cfg = MachineConfig::flash(2);
-    cfg.verify.fault.meshJitter = 1;
-    return cfg;
-}
+// Each test loses a reply to node 0 through the test mutator, on a
+// machine with neither the oracle nor the injector.
 
 /** Drop node 0's @p type replies, so its miss never fills. */
 void
 dropRepliesAtNode0(Machine &m, protocol::MsgType type)
 {
-    m.sentinel()->testMutator = [type](NodeId node, const Message &msg,
-                                       HandlerResult &res) {
+    m.testMutator = [type](NodeId node, const Message &msg,
+                           HandlerResult &res) {
         if (node == 0 && msg.type == type)
             res.out.clear();
     };
@@ -313,8 +321,9 @@ TEST(HangDeathTest, LostWriteReplyIsFatalAtDrain)
 {
     // The write does not block, so the processor finishes; only the
     // MSHR still waiting once the queue is empty shows the lost reply.
-    Machine m(lossyConfig());
-    ASSERT_FALSE(m.config().verify.check);
+    Machine m(MachineConfig::flash(2));
+    ASSERT_EQ(m.oracle(), nullptr);
+    ASSERT_EQ(m.injector(), nullptr);
     const Addr a = m.alloc(kLineSize, 1);
     dropRepliesAtNode0(m, protocol::MsgType::NetPutx);
     EXPECT_DEATH(
@@ -339,7 +348,7 @@ TEST(HangDeathTest, MissOlderThanTheAgeLimitIsFatal)
     // Node 0's read blocks forever while node 1 keeps retiring misses
     // (three lines cycling through a one-set cache) for longer than the
     // age limit, so the machine makes progress and only the age trips.
-    MachineConfig cfg = lossyConfig();
+    MachineConfig cfg = MachineConfig::flash(2);
     cfg.cache.sizeBytes = 2 * kLineSize;
     Machine m(cfg);
     const Addr a = m.alloc(kLineSize, 1);
@@ -369,7 +378,7 @@ TEST(HangDeathTest, NoRetiredMissForTheWindowIsFatal)
     // Node 1 computes and reads one line that stays resident, so events
     // keep firing while no miss retires: the progress window trips long
     // before the age limit.
-    Machine m(lossyConfig());
+    Machine m(MachineConfig::flash(2));
     const Addr a = m.alloc(kLineSize, 1);
     const Addr b = m.alloc(kLineSize, 1);
     dropRepliesAtNode0(m, protocol::MsgType::NetPut);
@@ -395,24 +404,32 @@ TEST(HangDeathTest, NoRetiredMissForTheWindowIsFatal)
 
 TEST(HangDeathTest, UnverifiedPostMortemListsOutstandingMisses)
 {
-    // No sentinel: the machine's own dumper still lists the write miss
-    // in flight when the run dies.
+    // Neither oracle nor injector: the machine's own dumper still lists
+    // the write miss in flight when the run dies, and node 0's trace
+    // ring shows the request it forwarded to the home.
     Machine m(MachineConfig::flash(2));
-    ASSERT_EQ(m.sentinel(), nullptr);
+    ASSERT_EQ(m.oracle(), nullptr);
+    ASSERT_EQ(m.injector(), nullptr);
     const Addr a = m.alloc(kLineSize, 1);
+    // The processor runs ahead of the event queue, so the run dies from
+    // an event: after node 0's MAGIC forwarded the write, before the
+    // reply lands.
+    m.eq().scheduleAt(40, [] { fatal("stop with the write in flight"); });
     EXPECT_DEATH(
         {
             m.run([a](tango::Env &env) -> tango::Task {
                 co_await env.busy(0);
-                if (env.id() == 0) {
+                if (env.id() == 0)
                     co_await env.write(a);
-                    fatal("stop with the write in flight");
-                }
             });
+            m.drain();
         },
         "stop with the write in flight.*outstanding misses: 1, 0 "
         "retired.*node 0 line " +
-            hex(a) + " age [0-9]+ nacks 0");
+            hex(a) +
+            " age [0-9]+ nacks 0.*recent activity.*\\[node 0 t=[0-9]+\\] "
+            "PiGetx -> FwdToHome src=0 req=0 addr=" +
+            hex(a));
 }
 
 // ---------------------------------------------------------------------------
@@ -450,11 +467,10 @@ runInjected(const MachineConfig &cfg)
     Machine m(cfg);
     Addr base = allocSpread(m);
     runContention(m, base);
-    const verify::Sentinel *s = m.sentinel();
     InjectionDigest d;
     d.execTime = m.executionTime();
-    d.violations = s->violations();
-    const verify::FaultInjector *inj = s->injector();
+    d.violations = m.oracle()->violations();
+    const verify::FaultInjector *inj = m.injector();
     d.nacks = inj->nacksInjected();
     d.dropped = inj->hintsDropped();
     d.duped = inj->hintsDuped();
@@ -532,9 +548,8 @@ TEST(FatalContextDeathTest, HaltOnViolationDiesWithPostMortem)
             cfg.verify.haltOnViolation = true;
             Machine m(cfg);
             Addr a = m.alloc(kLineSize, 0);
-            m.sentinel()->testMutator = [&](NodeId node,
-                                            const Message &msg,
-                                            HandlerResult &res) {
+            m.testMutator = [&](NodeId node, const Message &msg,
+                                HandlerResult &res) {
                 if (res.id != HandlerId::ServeReadMemory)
                     return;
                 m.node(node).magic().directory().removeSharer(
