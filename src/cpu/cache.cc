@@ -73,8 +73,8 @@ Cache::read(Addr addr, Callback on_fill)
     ++readMisses;
     Addr line = lineBase(addr);
     if (Mshr *m = findMshr(line)) {
-        // Merge into the outstanding miss; the read blocks until fill.
-        m->readWaiters.push_back(std::move(on_fill));
+        // Merge into the outstanding write miss; block until its fill.
+        park(Waiting::Fill, m, on_fill);
         return ReadOutcome::Miss;
     }
     Mshr *m = allocMshr();
@@ -86,12 +86,10 @@ Cache::read(Addr addr, Callback on_fill)
     m->valid = true;
     m->line = line;
     m->sentType = MsgType::PiGet;
-    m->needsUpgrade = false;
     m->invalOnFill = false;
     m->nackCount = 0;
     m->issued = eq_.now();
-    m->readWaiters.clear();
-    m->readWaiters.push_back(std::move(on_fill));
+    park(Waiting::Fill, m, on_fill);
     sendRequest(MsgType::PiGet, line, false);
     return ReadOutcome::Miss;
 }
@@ -108,9 +106,11 @@ Cache::write(Addr addr)
     }
     ++writeMisses;
     if (Mshr *m = findMshr(line)) {
-        // Same index, same tag: merge with the outstanding miss.
+        // Same index, same tag: merge with the outstanding write miss.
         if (m->sentType == MsgType::PiGet)
-            m->needsUpgrade = true;
+            panic("Cache %u: write to line 0x%llx merges into a read "
+                  "miss, but reads block",
+                  self_, static_cast<unsigned long long>(line));
         return WriteOutcome::Queued;
     }
     // Same index, different tag, with a miss outstanding: stall.
@@ -131,11 +131,9 @@ Cache::write(Addr addr)
     m->valid = true;
     m->line = line;
     m->sentType = MsgType::PiGetx;
-    m->needsUpgrade = false;
     m->invalOnFill = false;
     m->nackCount = 0;
     m->issued = eq_.now();
-    m->readWaiters.clear();
     sendRequest(MsgType::PiGetx, line, false);
     return WriteOutcome::Queued;
 }
@@ -143,14 +141,27 @@ Cache::write(Addr addr)
 void
 Cache::onMshrFree(Callback cb)
 {
-    mshrFreeWaiters_.push_back(std::move(cb));
+    park(Waiting::FreeMshr, nullptr, cb);
+}
+
+void
+Cache::park(Waiting what, const Mshr *fill_of, Callback cb)
+{
+    if (waiting_ != Waiting::Nothing)
+        panic("Cache %u: a second continuation while one is pending, but "
+              "the processor blocks on reads and refused accesses",
+              self_);
+    waiting_ = what;
+    fillOf_ = fill_of;
+    waiter_ = cb;
 }
 
 void
 Cache::installLine(Addr line, State st)
 {
-    // An upgrade fill (or a refetch racing an invalidation) may find the
-    // line already resident: promote in place, never duplicate the tag.
+    // An upgrade of a Shared line (or a refetch racing an invalidation)
+    // may find the line already resident: promote in place, never
+    // duplicate the tag.
     if (std::int32_t w = findWay(line); w >= 0) {
         if (st == State::Exclusive)
             states_[w] = State::Exclusive;
@@ -193,21 +204,15 @@ void
 Cache::completeMshr(Mshr &m)
 {
     ++retired_;
-    // Swap (not move) so the MSHR inherits the scratch's spare buffer:
-    // steady-state completion is allocation-free. Fills only arrive via
-    // event-queue deliveries, never from inside these callbacks, so the
-    // scratch cannot be re-entered while we iterate it.
-    fillScratch_.swap(m.readWaiters);
     m.valid = false;
-    // Wake the processor retry hook first so a stalled access can claim
-    // the freed MSHR, then release the blocked readers.
-    std::vector<Callback> hooks = std::move(mshrFreeWaiters_);
-    mshrFreeWaiters_.clear();
-    for (Callback &cb : hooks)
+    // The read blocked on this fill, or an access refused for want of
+    // an MSHR, resumes now. Run a copy: it may park a new continuation.
+    if (waiting_ == Waiting::FreeMshr ||
+        (waiting_ == Waiting::Fill && fillOf_ == &m)) {
+        waiting_ = Waiting::Nothing;
+        Callback cb = waiter_;
         cb();
-    for (Callback &cb : fillScratch_)
-        cb();
-    fillScratch_.clear();
+    }
 }
 
 void
@@ -231,21 +236,6 @@ Cache::fill(const Message &msg)
             states_[w] = State::Invalid;
     }
 
-    if (m->needsUpgrade && st == State::Shared) {
-        // A write merged into this read miss: chase the fill with an
-        // upgrade. The MSHR stays live for the GETX; readers proceed.
-        m->sentType = MsgType::PiGetx;
-        m->needsUpgrade = false;
-        m->invalOnFill = false;
-        m->nackCount = 0;
-        m->issued = eq_.now();
-        sendRequest(MsgType::PiGetx, line, true);
-        fillScratch_.swap(m->readWaiters);
-        for (Callback &cb : fillScratch_)
-            cb();
-        fillScratch_.clear();
-        return;
-    }
     completeMshr(*m);
 }
 

@@ -4,8 +4,16 @@
  *
  * Two-way set associative, 128-byte lines, up to 4 outstanding misses,
  * critical-word-first fills (Section 3.2). Reads are blocking; writes
- * are non-blocking and merge into an outstanding miss to the same line,
- * stalling only on an index conflict or when the MSHRs are exhausted.
+ * are non-blocking and merge into an outstanding write miss to the same
+ * line, stalling only on an index conflict or when the MSHRs are
+ * exhausted.
+ *
+ * One processor drives the cache and blocks on a read miss or a refused
+ * access, so at most one processor continuation is ever pending: a read
+ * waiting for a fill, or a retry waiting for any MSHR to free. A write
+ * never finds its line's miss to be a read miss (the read would still
+ * be blocking the processor), so there is no read-then-upgrade chase.
+ * Either broken assumption panics.
  *
  * The processor implements its own cache control, so MAGIC reaches in
  * through explicit operations (invalidate / downgrade / retrieve) that
@@ -61,7 +69,6 @@ class Cache
         bool valid = false;
         Addr line = 0; ///< line base address
         protocol::MsgType sentType = protocol::MsgType::PiGet;
-        bool needsUpgrade = false; ///< read fill must be followed by GETX
         /** An invalidation raced ahead of our read reply (it is not
          *  gated on memory data, the reply is): the fill satisfies the
          *  blocked read with its critical word but the line must not
@@ -69,8 +76,7 @@ class Cache
         bool invalOnFill = false;
         /** Consecutive NACKs for this miss (exponential backoff). */
         std::uint32_t nackCount = 0;
-        Tick issued = 0; ///< when the request (or its upgrade) left
-        std::vector<Callback> readWaiters;
+        Tick issued = 0; ///< when the request left
     };
 
     Cache(EventQueue &eq, NodeId self, const CacheParams &params,
@@ -82,7 +88,8 @@ class Cache
 
     /**
      * Read access. Hit: complete. Miss: @p on_fill fires when the first
-     * 8 bytes arrive. MshrFull: retry after onMshrFree.
+     * 8 bytes arrive (a miss merges into its line's outstanding write
+     * miss). MshrFull: retry after onMshrFree.
      */
     ReadOutcome read(Addr addr, Callback on_fill);
 
@@ -103,16 +110,17 @@ class Cache
     }
 
     /**
-     * Write access. Done: line exclusive, proceed. Queued: request or
-     * merge launched, proceed (non-blocking write). Conflict/MshrFull:
-     * the processor must stall; retry after onMshrFree.
+     * Write access. Done: line exclusive, proceed. Queued: request
+     * launched or merged into the line's outstanding write miss, proceed
+     * (non-blocking write). Conflict/MshrFull: the processor must stall;
+     * retry after onMshrFree.
      */
     WriteOutcome write(Addr addr);
 
     /** One-shot callback the next time any MSHR completes. */
     void onMshrFree(Callback cb);
 
-    /** No miss is outstanding and nobody waits for an MSHR: nothing
+    /** No miss is outstanding and no continuation is pending: nothing
      *  the cache has started can still change it. */
     bool
     quiet() const
@@ -120,13 +128,12 @@ class Cache
         for (const Mshr &m : mshrs_)
             if (m.valid)
                 return false;
-        return mshrFreeWaiters_.empty();
+        return waiting_ == Waiting::Nothing;
     }
 
     /** The MSHRs, read by the machine's hang check and post-mortem. */
     const std::array<Mshr, kMshrs> &mshrs() const { return mshrs_; }
-    /** Misses completed so far (an upgrade chasing a read fill is part
-     *  of the same miss). */
+    /** Misses completed so far. */
     Counter retiredMisses() const { return retired_; }
 
     /** Account @p n read hits on @p addr's resident line exactly as
@@ -220,8 +227,13 @@ class Cache
         return -1;
     }
 
+    /** What the pending continuation waits for. */
+    enum class Waiting : std::uint8_t { Nothing, Fill, FreeMshr };
+
     Mshr *findMshr(Addr line);
     Mshr *allocMshr();
+    /** Make @p cb the pending continuation; panics if one is pending. */
+    void park(Waiting what, const Mshr *fill_of, Callback cb);
     void sendRequest(protocol::MsgType t, Addr line, bool retry);
     void fill(const protocol::Message &msg);
     void installLine(Addr line, State st);
@@ -240,11 +252,11 @@ class Cache
     std::unique_ptr<Way[]> ways_; ///< valid iff states_[i] != Invalid
     std::array<Mshr, kMshrs> mshrs_;
     Tick busyUntil_ = 0;
-    std::vector<Callback> mshrFreeWaiters_;
-    /** Scratch the completed MSHR's waiter list is swapped into before
-     *  running (callbacks may re-enter the cache); the swap hands the
-     *  scratch's spare capacity back, so steady state never allocates. */
-    std::vector<Callback> fillScratch_;
+    /** The one pending continuation: a read blocked on fillOf_'s fill
+     *  (Fill) or an access retried when any MSHR completes (FreeMshr). */
+    Waiting waiting_ = Waiting::Nothing;
+    const Mshr *fillOf_ = nullptr;
+    Callback waiter_;
 };
 
 } // namespace flashsim::cpu

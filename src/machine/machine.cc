@@ -366,6 +366,17 @@ void
 Machine::writePostMortem(std::ostream &os, const char *reason) const
 {
     os << "=== post-mortem (" << reason << ") t=" << eq_.now() << " ===\n";
+    // A workload runs ahead of the event queue: its own time may be
+    // later than the t= above.
+    os << "processor local times:";
+    for (const auto &n : nodes_) {
+        os << (n->id() == 0 ? " node " : ", node ") << n->id();
+        if (n->proc().finished())
+            os << " finished";
+        else
+            os << " t=" << n->proc().cursor();
+    }
+    os << "\n";
     writeMisses(os);
     if (oracle_) {
         os << "oracle: " << oracle_->violations() << " violation(s), "

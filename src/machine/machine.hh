@@ -24,8 +24,9 @@
  * coherence oracle (cfg.verify.check) and the fault injector (some
  * cfg.verify.fault class nonzero) when asked for. Every machine
  * registers one post-mortem dumper, replayed by any fatal()/panic() on
- * its thread: the oldest outstanding misses, the oracle's violation
- * log, the injector's counters and every node's recent activity.
+ * its thread: each processor's local time, the oldest outstanding
+ * misses, the oracle's violation log, the injector's counters and
+ * every node's recent activity.
  */
 
 #ifndef FLASHSIM_MACHINE_MACHINE_HH_
@@ -140,8 +141,9 @@ class Machine : public protocol::AddressMap
      *  is nonzero (a seed alone builds none). */
     const verify::FaultInjector *injector() const { return injector_.get(); }
 
-    /** The post-mortem: outstanding misses, oracle violations, injector
-     *  counters and every node's trace ring, headed by @p reason. */
+    /** The post-mortem: each processor's local time, outstanding
+     *  misses, oracle violations, injector counters and every node's
+     *  trace ring, headed by @p reason. */
     void writePostMortem(std::ostream &os, const char *reason) const;
 
     /** Test-only: see magic::HandlerMutator. Empty in normal use. */

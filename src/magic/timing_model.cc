@@ -48,8 +48,10 @@ PpTimingModel::ShadowMemory::load(Addr addr, Cycles &extra)
         ++misses;
     if (a.victimWriteback)
         ++writebacks;
-    const std::uint64_t *w = writes_.find(addr);
-    return w != nullptr ? *w : dir_.loadWord(addr);
+    for (const auto &[at, word] : writes_)
+        if (at == addr)
+            return word;
+    return dir_.loadWord(addr);
 }
 
 void
@@ -62,13 +64,19 @@ PpTimingModel::ShadowMemory::store(Addr addr, std::uint64_t value,
         ++misses;
     if (a.victimWriteback)
         ++writebacks;
-    writes_.put(addr, value);
+    for (auto &[at, word] : writes_) {
+        if (at == addr) {
+            word = value;
+            return;
+        }
+    }
+    writes_.emplace_back(addr, value);
 }
 
 void
 PpTimingModel::ShadowMemory::reset()
 {
-    writes_.reset();
+    writes_.clear();
     misses = 0;
     writebacks = 0;
 }

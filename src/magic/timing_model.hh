@@ -17,10 +17,10 @@
 #ifndef FLASHSIM_MAGIC_TIMING_MODEL_HH_
 #define FLASHSIM_MAGIC_TIMING_MODEL_HH_
 
+#include <utility>
 #include <vector>
 
 #include "magic/magic_cache.hh"
-#include "sim/flat_table.hh"
 #include "magic/params.hh"
 #include "ppisa/ppsim.hh"
 #include "protocol/directory.hh"
@@ -88,7 +88,9 @@ class PpTimingModel
         ShadowMemory(const protocol::DirectoryStore &dir, MagicCache &mdc,
                      Cycles miss_penalty)
             : dir_(dir), mdc_(mdc), missPenalty_(miss_penalty)
-        {}
+        {
+            writes_.reserve(32);
+        }
 
         std::uint64_t load(Addr addr, Cycles &extra) override;
         void store(Addr addr, std::uint64_t value, Cycles &extra) override;
@@ -101,9 +103,10 @@ class PpTimingModel
         const protocol::DirectoryStore &dir_;
         MagicCache &mdc_;
         Cycles missPenalty_;
-        /** Buffered shadow writes for the current invocation; bulk-
-         *  cleared in O(1) by reset() (generation-stamped flat table). */
-        ScratchWordMap writes_;
+        /** The current invocation's shadow writes, one (address, word)
+         *  entry per word written, cleared by reset(). A handler writes
+         *  a handful of words, so a linear scan is all it needs. */
+        std::vector<std::pair<Addr, std::uint64_t>> writes_;
     };
 
     /** The programs and jump table; shared, and outlive the model. */

@@ -7,7 +7,7 @@
  *   - RAW latency 1 (2 from loads: one load-delay pair),
  *   - WAW latency 1, WAR latency 0 (same-pair OK, reader in slot a),
  *   - one memory operation and one Send per pair,
- *   - branches issue in the final pair of their block,
+ *   - a block's terminating branch issues alone, in its final pair,
  *   - no load in the final pair of a block (cross-block load delay).
  *
  * Single-issue mode emits one instruction per pair with an explicit
@@ -269,8 +269,9 @@ scheduleBlock(const LinearCode &code, const Block &blk,
     if (blk.hasTerm) {
         const IrInstr &term = code.instrs[blk.last - 1];
         ppisa::Instr it = term.toInstr(0);
-        // Earliest legal cycle for the terminator given its producers.
-        int term_earliest = cycle == 0 ? 0 : cycle; // after all body pairs
+        // Earliest legal cycle for the terminator given its producers:
+        // after all body pairs, so it never co-issues with the body.
+        int term_earliest = cycle;
         for (int i = 0; i < n; ++i) {
             ppisa::Instr ii = code.instrs[blk.first + i].toInstr(0);
             int di = ii.destReg();
@@ -284,38 +285,15 @@ scheduleBlock(const LinearCode &code, const Block &blk,
                 }
             }
         }
-        bool coIssued = false;
-        if (term_earliest <= cycle - 1 && out.size() > blockPairBase) {
-            ppisa::InstrPair &lastPair = out.back();
-            // Co-issue into an empty slot b if legal; never pair a load
-            // with a branch (cross-block load delay).
-            if (lastPair.b.isNop() && !lastPair.a.isLoad() &&
-                !lastPair.a.isBranch()) {
-                int da = lastPair.a.destReg();
-                bool hazard = false;
-                for (int s : it.srcRegs())
-                    if (s == da && da > 0)
-                        hazard = true;
-                if (!hazard) {
-                    lastPair.b = it;
-                    if (term.label >= 0)
-                        branch_fixups.emplace_back(
-                            (out.size() - 1) * 2 + 1, term.label);
-                    coIssued = true;
-                }
-            }
-        }
-        if (!coIssued) {
-            while (static_cast<int>(out.size() - blockPairBase) <
-                   term_earliest)
-                out.push_back(ppisa::InstrPair{nop(), nop()});
-            ppisa::InstrPair pair;
-            pair.a = it;
-            pair.b = nop();
-            if (term.label >= 0)
-                branch_fixups.emplace_back(out.size() * 2, term.label);
-            out.push_back(pair);
-        }
+        while (static_cast<int>(out.size() - blockPairBase) <
+               term_earliest)
+            out.push_back(ppisa::InstrPair{nop(), nop()});
+        ppisa::InstrPair pair;
+        pair.a = it;
+        pair.b = nop();
+        if (term.label >= 0)
+            branch_fixups.emplace_back(out.size() * 2, term.label);
+        out.push_back(pair);
     } else if (!out.empty() && out.size() > blockPairBase) {
         // Fallthrough block: keep loads out of the final pair so a
         // successor's first pair can always consume safely.

@@ -1,22 +1,13 @@
 /**
  * @file
- * Flat open-addressing tables for hot-path bookkeeping.
+ * A flat open-addressing table for hot-path bookkeeping.
  *
- * Two index-addressed replacements for the std::unordered_map layers
- * that used to sit between a coherence miss and its handler:
- *
- *  - FlatCounterMap: a persistent 64-bit-key -> counter table (linear
- *    probing, power-of-two capacity) used for the MAGIC per-page
- *    monitoring counters and their machine-wide aggregation. Iteration
- *    is in slot order, which is deterministic for a deterministic
- *    insertion history.
- *
- *  - ScratchWordMap: a key -> word buffer that is bulk-reset between
- *    uses in O(1) via a generation stamp, for the MDC shadow-write
- *    tracker that is cleared at every handler invocation.
- *
- * Neither table supports erase; both grow by doubling and rehashing
- * when half full, so probes stay short.
+ * FlatCounterMap is the one table left here: a persistent 64-bit-key ->
+ * counter map (linear probing, power-of-two capacity) used for the
+ * MAGIC per-page monitoring counters, their machine-wide aggregation
+ * and FlatPpMemory. Iteration is in slot order, which is deterministic
+ * for a deterministic insertion history. It does not support erase; it
+ * grows by doubling and rehashing when half full, so probes stay short.
  */
 
 #ifndef FLASHSIM_SIM_FLAT_TABLE_HH_
@@ -207,91 +198,6 @@ class FlatCounterMap
     }
 
     std::vector<Slot> slots_;
-    std::size_t live_ = 0;
-};
-
-/**
- * Scratch 64-bit-key -> word map with O(1) bulk reset: each slot
- * carries the generation it was written in, and reset() just bumps the
- * current generation so every slot reads as empty.
- */
-class ScratchWordMap
-{
-    struct Slot
-    {
-        std::uint64_t key = 0;
-        std::uint64_t value = 0;
-        std::uint64_t gen = 0; ///< 0 = never used; matches gen_ = live
-    };
-
-  public:
-    explicit ScratchWordMap(std::size_t initial_slots = 64)
-    {
-        std::size_t want = 16;
-        while (want < initial_slots)
-            want <<= 1;
-        slots_.assign(want, Slot{});
-    }
-
-    /** Forget every entry (O(1): stale generations read as empty). */
-    void
-    reset()
-    {
-        ++gen_;
-        live_ = 0;
-    }
-
-    /** Pointer to @p key's value from the current generation, or null. */
-    const std::uint64_t *
-    find(std::uint64_t key) const
-    {
-        const Slot &s = const_cast<ScratchWordMap *>(this)->probe(key);
-        return s.gen == gen_ ? &s.value : nullptr;
-    }
-
-    /** Insert or overwrite @p key -> @p value. */
-    void
-    put(std::uint64_t key, std::uint64_t value)
-    {
-        if (2 * (live_ + 1) > slots_.size())
-            grow();
-        Slot &s = probe(key);
-        if (s.gen != gen_) {
-            s.gen = gen_;
-            s.key = key;
-            ++live_;
-        }
-        s.value = value;
-    }
-
-    std::size_t size() const { return live_; }
-
-  private:
-    Slot &
-    probe(std::uint64_t key)
-    {
-        std::size_t mask = slots_.size() - 1;
-        std::size_t i = flatTableHash(key) & mask;
-        while (slots_[i].gen == gen_ && slots_[i].key != key)
-            i = (i + 1) & mask;
-        return slots_[i];
-    }
-
-    void
-    grow()
-    {
-        std::vector<Slot> old = std::move(slots_);
-        slots_.assign(old.size() * 2, Slot{});
-        for (const Slot &s : old) {
-            if (s.gen != gen_)
-                continue;
-            Slot &d = probe(s.key);
-            d = s;
-        }
-    }
-
-    std::vector<Slot> slots_;
-    std::uint64_t gen_ = 1;
     std::size_t live_ = 0;
 };
 

@@ -146,12 +146,4 @@ unregisterPostMortem(int token)
     }
 }
 
-void
-runPostMortems(std::ostream &os)
-{
-    std::lock_guard<std::mutex> lock(logMutex());
-    for (const auto &[token, fn] : postMortems)
-        fn(os);
-}
-
 } // namespace flashsim

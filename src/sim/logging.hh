@@ -67,10 +67,6 @@ int registerPostMortem(std::function<void(std::ostream &)> fn);
 
 void unregisterPostMortem(int token);
 
-/** Replay this thread's registered dumpers onto @p os (also used to
- *  produce a dump without dying, e.g. on a record-only violation). */
-void runPostMortems(std::ostream &os);
-
 } // namespace flashsim
 
 #endif // FLASHSIM_SIM_LOGGING_HH_

@@ -283,6 +283,32 @@ TEST(CacheTest, ReadMergesIntoOutstandingWrite)
     EXPECT_EQ(c.state(a), Cache::State::Exclusive);
 }
 
+TEST(CacheTest, ReadMergedIntoWriteMissResumesOnceAtItsFill)
+{
+    // The read finds the write's MSHR and parks on it: the one fill
+    // (the write's) resumes it once, at the fill's tick.
+    Machine mm(MachineConfig::flash(2));
+    const Addr a = mm.alloc(kLineSize, 1);
+    Cache &c = mm.node(0).cache();
+    const EventQueue &eq = mm.eq();
+    ASSERT_EQ(c.write(a), Cache::WriteOutcome::Queued);
+    int resumed = 0;
+    Tick at = 0;
+    auto on_fill = [&resumed, &at, &eq] {
+        ++resumed;
+        at = eq.now();
+    };
+    ASSERT_EQ(c.read(a + 8, on_fill), Cache::ReadOutcome::Miss);
+    mm.drain();
+    EXPECT_EQ(resumed, 1);
+    ASSERT_EQ(c.missLatency.count(), 1u); // one fill: the write's
+    EXPECT_EQ(static_cast<double>(at), c.missLatency.last()); // issued at 0
+    EXPECT_GT(at, 0u);
+    EXPECT_EQ(c.retiredMisses(), 1u);
+    EXPECT_EQ(c.state(a), Cache::State::Exclusive);
+    EXPECT_TRUE(c.quiet());
+}
+
 TEST(CacheTest, InterventionCausesCacheContention)
 {
     MachineConfig cfg = MachineConfig::flash(2);
@@ -331,6 +357,30 @@ TEST(CacheDeathTest, NackLivelockPastTheAgeLimitIsFatal)
         "with 1 outstanding, NACK livelock or deadlock; oldest: node 0 "
         "line 0x[0-9a-f]+ outstanding for [0-9]+ cycles \\(limit "
         "400000\\) after [0-9]+ NACKs");
+}
+
+// Reads block, so a write never finds its line's miss to be a read
+// miss: the cache has no read-then-upgrade chase and panics instead.
+TEST(CacheDeathTest, WriteIntoReadMissPanics)
+{
+    Machine mm(MachineConfig::flash(2));
+    const Addr a = mm.alloc(kLineSize, 1);
+    Cache &c = mm.node(0).cache();
+    ASSERT_EQ(c.read(a, [] {}), Cache::ReadOutcome::Miss);
+    EXPECT_DEATH(c.write(a + 8),
+                 "Cache 0: write to line 0x[0-9a-f]+ merges into a read "
+                 "miss");
+}
+
+// One processor blocks on each continuation it parks, so the cache
+// holds one: a second one panics.
+TEST(CacheDeathTest, SecondPendingContinuationPanics)
+{
+    Machine mm(MachineConfig::flash(2));
+    Cache &c = mm.node(0).cache();
+    c.onMshrFree([] {});
+    EXPECT_DEATH(c.onMshrFree([] {}),
+                 "Cache 0: a second continuation while one is pending");
 }
 
 } // namespace

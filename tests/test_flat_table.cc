@@ -1,12 +1,11 @@
 /**
  * @file
- * Edge cases for the flat open-addressing tables (sim/flat_table.hh).
+ * Edge cases for the flat open-addressing table (sim/flat_table.hh).
  *
- * The slot encodings make three classes of bugs easy to introduce and
+ * The slot encoding makes two classes of bugs easy to introduce and
  * hard to notice: key 0 colliding with the default-initialized (empty)
- * slot key, off-by-one errors at the grow-at-half-full boundary, and
- * ScratchWordMap's generation stamp resurrecting stale entries across
- * reset cycles. Each gets a dedicated test.
+ * slot key, and off-by-one errors at the grow-at-half-full boundary.
+ * Each gets a dedicated test.
  */
 
 #include <gtest/gtest.h>
@@ -151,99 +150,6 @@ TEST(FlatCounterMap, ClearEmptiesAndReusesCleanly)
     m[10] = 7;
     EXPECT_EQ(m.size(), 1u);
     EXPECT_EQ(*m.find(10), 7u);
-}
-
-// ---------------------------------------------------------------------
-// ScratchWordMap: generation stamp across many reset cycles.
-// ---------------------------------------------------------------------
-
-TEST(ScratchWordMap, KeyZeroDistinctFromNeverUsedSlot)
-{
-    // A fresh slot has key == 0 and gen == 0; the first generation is
-    // 1, so find(0) must miss until key 0 is genuinely inserted.
-    ScratchWordMap m;
-    EXPECT_EQ(m.find(0), nullptr);
-    m.put(0, 99);
-    ASSERT_NE(m.find(0), nullptr);
-    EXPECT_EQ(*m.find(0), 99u);
-    m.reset();
-    EXPECT_EQ(m.find(0), nullptr);
-}
-
-TEST(ScratchWordMap, ResetForgetsInConstantTime)
-{
-    ScratchWordMap m;
-    for (std::uint64_t k = 0; k < 20; ++k)
-        m.put(k, k * 10);
-    EXPECT_EQ(m.size(), 20u);
-    m.reset();
-    EXPECT_EQ(m.size(), 0u);
-    for (std::uint64_t k = 0; k < 20; ++k)
-        EXPECT_EQ(m.find(k), nullptr) << "stale key " << k;
-}
-
-TEST(ScratchWordMap, ManyResetCyclesNeverResurrectStaleEntries)
-{
-    // The MDC shadow tracker resets once per handler invocation —
-    // millions of times per simulation. Each generation writes a
-    // distinguishable value; any stale read from an earlier generation
-    // (or a stamp collision) is caught immediately.
-    ScratchWordMap m(16);
-    for (std::uint64_t gen = 0; gen < 10000; ++gen) {
-        // Overlapping key sets between generations so stale slots are
-        // frequently re-probed.
-        const std::uint64_t base = gen % 7;
-        m.put(base, gen);
-        m.put(base + 1, gen + 1);
-        ASSERT_EQ(m.size(), 2u) << "generation " << gen;
-        const std::uint64_t *a = m.find(base);
-        const std::uint64_t *b = m.find(base + 1);
-        ASSERT_NE(a, nullptr);
-        ASSERT_NE(b, nullptr);
-        EXPECT_EQ(*a, gen);
-        EXPECT_EQ(*b, gen + 1);
-        // A key from the previous generation that is not in this one
-        // must read as absent even though its slot bytes are intact.
-        if (gen > 0 && (gen - 1) % 7 != base && (gen - 1) % 7 != base + 1) {
-            EXPECT_EQ(m.find((gen - 1) % 7), nullptr)
-                << "generation " << gen;
-        }
-        m.reset();
-    }
-}
-
-TEST(ScratchWordMap, OverwriteWithinGenerationKeepsSizeStable)
-{
-    ScratchWordMap m;
-    m.put(5, 1);
-    m.put(5, 2);
-    m.put(5, 3);
-    EXPECT_EQ(m.size(), 1u);
-    EXPECT_EQ(*m.find(5), 3u);
-}
-
-TEST(ScratchWordMap, GrowthMidGenerationKeepsLiveEntriesOnly)
-{
-    // Fill past the half-full boundary of the initial 16-slot table in
-    // one generation, with stale garbage from a previous generation
-    // occupying many slots: grow() must carry live entries and drop the
-    // stale ones.
-    ScratchWordMap m(16);
-    for (std::uint64_t k = 100; k < 108; ++k)
-        m.put(k, 0xdead);
-    m.reset();
-    constexpr std::uint64_t kLive = 40; // forces 16 -> 32 -> ... growth
-    for (std::uint64_t k = 0; k < kLive; ++k) {
-        m.put(k, k + 1000);
-        ASSERT_EQ(m.size(), k + 1);
-    }
-    for (std::uint64_t k = 0; k < kLive; ++k) {
-        const std::uint64_t *v = m.find(k);
-        ASSERT_NE(v, nullptr) << "lost key " << k << " across grow";
-        EXPECT_EQ(*v, k + 1000);
-    }
-    for (std::uint64_t k = 100; k < 108; ++k)
-        EXPECT_EQ(m.find(k), nullptr) << "stale key " << k << " revived";
 }
 
 } // namespace

@@ -432,6 +432,31 @@ TEST(HangDeathTest, UnverifiedPostMortemListsOutstandingMisses)
             hex(a));
 }
 
+TEST(HangDeathTest, PostMortemListsProcessorLocalTimes)
+{
+    // Workload code runs ahead of the event queue: its fatal() fires
+    // inside the t=0 event that issued the write, while node 0's own
+    // clock already stands at t=5, past the busy(20). The post-mortem
+    // gives both; node 1 has returned.
+    Machine m(MachineConfig::flash(2));
+    const Addr a = m.alloc(kLineSize, 1);
+    EXPECT_DEATH(
+        {
+            m.run([a](tango::Env &env) -> tango::Task {
+                co_await env.busy(0);
+                if (env.id() != 0)
+                    co_return;
+                co_await env.write(a);
+                co_await env.busy(20);
+                fatal("stop from the workload");
+            });
+        },
+        "fatal: \\[t=0\\] stop from the workload.*=== post-mortem "
+        "\\(fatal\\) t=0 ===.processor local times: node 0 t=5, node 1 "
+        "finished.outstanding misses: 1, 0 retired.*node 0 line " +
+            hex(a));
+}
+
 // ---------------------------------------------------------------------------
 // Fault injection: perturbed runs stay coherent and replay
 // bit-identically for the same (seed, config).
