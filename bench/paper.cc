@@ -117,7 +117,8 @@ struct RunResult
 {
     Summary summary;
     ppisa::RunStats pp; ///< PP statistics summed over the nodes
-    /** Pages with remote traffic, hottest first (monitorPages only). */
+    /** Pages with remote traffic, hottest first and ties in page
+     *  order (monitorPages only). */
     std::vector<std::pair<std::uint64_t, Counter>> hotPages;
 };
 
@@ -131,11 +132,14 @@ simulate(const MachineConfig &cfg, apps::Workload &w)
         if (const magic::PpTimingModel *pm = m->node(i).magic().ppModel())
             r.pp.accumulate(pm->runStats());
     if (cfg.magic.monitorPages) {
-        FlatCounterMap heat = m->pageHeat();
-        r.hotPages.assign(heat.begin(), heat.end());
+        const std::vector<Counter> heat = m->pageHeat();
+        for (std::uint64_t page = 0; page < heat.size(); ++page)
+            if (heat[page] != 0)
+                r.hotPages.emplace_back(page, heat[page]);
         std::sort(r.hotPages.begin(), r.hotPages.end(),
                   [](const auto &a, const auto &b) {
-                      return a.second > b.second;
+                      return a.second != b.second ? a.second > b.second
+                                                  : a.first < b.first;
                   });
     }
     return r;

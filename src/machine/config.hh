@@ -44,10 +44,11 @@ struct MachineConfig
 
     /**
      * Page remapping hook (Section 4.4): when set it overrides every
-     * allocation's home with placementHook(page index). Allocation
-     * order is deterministic, so a map derived from a prior run's
-     * MAGIC page-monitoring counters (see Magic::pageRemoteAccesses)
-     * re-homes exactly the pages it measured — the "automatic page
+     * allocation's home, explicit hints included, with
+     * placementHook(page index) modulo numProcs. Allocation order is
+     * deterministic and Machine::pageHeat() is indexed by the same page
+     * index (Machine::pageIndexOf), so a map derived from a prior run's
+     * heat re-homes exactly the pages it measured — the "automatic page
      * remapping" the paper proposes building on flexibility.
      */
     std::function<NodeId(std::uint64_t page_index)> placementHook;

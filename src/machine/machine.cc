@@ -15,8 +15,8 @@ namespace flashsim::machine
 namespace
 {
 /** Base of the application address space (must stay clear of the
- *  protocol-data regions at 1<<44 and above); page-aligned, so pageHeat
- *  can rebase MAGIC's page numbers by subtracting its page. */
+ *  protocol-data regions at 1<<44 and above); page-aligned, so
+ *  pageIndexOf numbers whole pages from 0. */
 constexpr Addr kAppBase = Addr{1} << 20;
 static_assert(kAppBase % kPageBytes == 0);
 
@@ -242,21 +242,17 @@ Machine::pageIndexOf(Addr addr) const
     return (addr - kAppBase) >> kPageShift;
 }
 
-FlatCounterMap
+std::vector<Counter>
 Machine::pageHeat() const
 {
-    FlatCounterMap heat;
-    std::size_t entries = 0;
-    for (const auto &n : nodes_)
-        entries += n->magic().pageRemoteAccesses.size();
-    heat.reserve(entries);
-    const std::uint64_t base_page = kAppBase >> kPageShift;
+    std::vector<Counter> heat;
     for (const auto &n : nodes_) {
-        for (const auto &[abs_page, count] :
-             n->magic().pageRemoteAccesses)
-            heat[abs_page - base_page] += count;
+        const std::vector<Counter> &pages = n->magic().pageRemoteAccesses;
+        if (pages.size() > heat.size())
+            heat.resize(pages.size());
+        for (std::size_t p = 0; p < pages.size(); ++p)
+            heat[p] += pages[p];
     }
-    // NRVO/move: the aggregate is handed to the caller, never copied.
     return heat;
 }
 

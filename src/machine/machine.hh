@@ -44,7 +44,6 @@
 #include "protocol/handlers.hh"
 #include "protocol/pp_programs.hh"
 #include "sim/event_queue.hh"
-#include "sim/flat_table.hh"
 #include "tango/runtime.hh"
 #include "tango/sync_phase.hh"
 #include "tango/task.hh"
@@ -89,15 +88,17 @@ class Machine : public protocol::AddressMap
 
     /** Index of @p addr's page in allocation order (the key space of
      *  MachineConfig::placementHook). */
-    std::uint64_t pageIndexOf(Addr addr) const;
+    std::uint64_t pageIndexOf(Addr addr) const override;
 
     /**
-     * Aggregate the MAGIC page-monitoring counters machine-wide
-     * (requires cfg.magic.monitorPages): page index -> remote requests.
-     * Feed this into a placementHook on a fresh machine to implement
-     * the paper's Section 4.4 page remapping.
+     * Sum the MAGIC page-monitoring counters machine-wide (requires
+     * cfg.magic.monitorPages): remote requests per page, indexed by
+     * page index, up to the highest page any node counted; a page with
+     * no remote traffic reads 0. Feed this into a placementHook on a
+     * fresh machine to implement the paper's Section 4.4 page
+     * remapping.
      */
-    FlatCounterMap pageHeat() const;
+    std::vector<Counter> pageHeat() const;
 
     // -- Execution ------------------------------------------------------------
     /**

@@ -28,12 +28,6 @@ Magic::Magic(EventQueue &eq, NodeId self, const MagicParams &params,
 {
     if (params_.usePpEmulator && !params_.ideal)
         pp_ = std::make_unique<PpTimingModel>(programs_, dir_, params_);
-    if (params_.monitorPages) {
-        // Page-monitoring counters grow one entry per remotely accessed
-        // local page; pre-size past any workload in-tree so the counting
-        // in the handler path never rehashes.
-        pageRemoteAccesses.reserve(1024);
-    }
 }
 
 Magic::~Magic() = default;
@@ -254,7 +248,7 @@ Magic::runHandler()
     HandlerTiming ht;
     if (pp_)
         ht = pp_->run(entry, msg, self_, home, cache_dirty);
-    HandlerResult res = (engine_.*entry.handler)(msg, home, cache_dirty);
+    HandlerResult &res = (engine_.*entry.handler)(msg, home, cache_dirty);
     if (!pp_)
         ht.occupancy = tableCost(res.id, res.costParam);
     else if (res.cacheRetrieve)
@@ -267,7 +261,10 @@ Magic::runHandler()
     if (params_.monitorPages && at_home && msg.requester != self_ &&
         (msg.type == MsgType::PiGet || msg.type == MsgType::NetGet ||
          msg.type == MsgType::PiGetx || msg.type == MsgType::NetGetx)) {
-        ++pageRemoteAccesses[msg.addr >> kPageShift];
+        const std::uint64_t page = map_.pageIndexOf(msg.addr);
+        if (page >= pageRemoteAccesses.size())
+            pageRemoteAccesses.resize(page + 1);
+        ++pageRemoteAccesses[page];
         if (!params_.ideal)
             occ += kMonitorCost;
     }

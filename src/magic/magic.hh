@@ -43,6 +43,7 @@
 #include <functional>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "magic/params.hh"
 #include "magic/timing_model.hh"
@@ -52,7 +53,6 @@
 #include "protocol/message.hh"
 #include "protocol/pp_programs.hh"
 #include "sim/event_queue.hh"
-#include "sim/flat_table.hh"
 #include "sim/stats.hh"
 
 namespace flashsim::verify
@@ -258,11 +258,12 @@ class Magic
      * Per-page remote-request counts (params.monitorPages): the
      * protocol-processor-side performance monitoring the paper names as
      * a key advantage of flexibility (Sections 1 and 4.4), usable to
-     * drive page migration policies. Keyed by page index; stored in an
-     * open-addressing flat table so the handler-path increment is an
-     * array probe, not a hash-map node walk.
+     * drive page migration policies. Indexed by page index
+     * (AddressMap::pageIndexOf); grows when a page past its end is first
+     * counted, so a page with no remote traffic reads 0 or lies past
+     * the end.
      */
-    FlatCounterMap pageRemoteAccesses;
+    std::vector<Counter> pageRemoteAccesses;
 
   private:
     struct Pending

@@ -16,11 +16,11 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ppisa/instruction.hh"
 #include "ppisa/threaded.hh"
-#include "sim/flat_table.hh"
 #include "sim/types.hh"
 
 namespace flashsim::ppisa
@@ -78,8 +78,10 @@ class PpMemory
                        Cycles &extra_cycles) = 0;
 };
 
-/** Trivial PpMemory backed by a flat hash table, for tests and benches;
- *  every access hits (0 stall). */
+/** Trivial PpMemory for tests and benches: every access hits (0 stall)
+ *  and unwritten words read 0. The words written live in one (address,
+ *  word) entry each; a handler touches a handful, so a linear scan is
+ *  all a lookup needs. */
 class FlatPpMemory final : public PpMemory
 {
   public:
@@ -101,14 +103,26 @@ class FlatPpMemory final : public PpMemory
     std::uint64_t
     peek(Addr addr) const
     {
-        const Counter *v = data_.find(addr);
-        return v != nullptr ? *v : 0;
+        for (const auto &[at, word] : words_)
+            if (at == addr)
+                return word;
+        return 0;
     }
 
-    void poke(Addr addr, std::uint64_t value) { data_[addr] = value; }
+    void
+    poke(Addr addr, std::uint64_t value)
+    {
+        for (auto &[at, word] : words_) {
+            if (at == addr) {
+                word = value;
+                return;
+            }
+        }
+        words_.emplace_back(addr, value);
+    }
 
   private:
-    FlatCounterMap data_;
+    std::vector<std::pair<Addr, std::uint64_t>> words_;
 };
 
 /** An outgoing message launched by a Send instruction. */

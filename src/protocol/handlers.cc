@@ -48,10 +48,10 @@ ProtocolEngine::make(MsgType type, NodeId dest, Addr addr, NodeId requester,
     return m;
 }
 
-HandlerResult
+HandlerResult &
 ProtocolEngine::handleGetAtHome(const Message &msg, NodeId, bool cache_dirty)
 {
-    HandlerResult r;
+    HandlerResult &r = fresh();
     const Addr addr = msg.addr;
     const NodeId req = msg.requester;
     DirHeader h = dir_.header(addr);
@@ -117,10 +117,10 @@ ProtocolEngine::handleGetAtHome(const Message &msg, NodeId, bool cache_dirty)
     return r;
 }
 
-HandlerResult
+HandlerResult &
 ProtocolEngine::handleGetxAtHome(const Message &msg, NodeId, bool cache_dirty)
 {
-    HandlerResult r;
+    HandlerResult &r = fresh();
     const Addr addr = msg.addr;
     const NodeId req = msg.requester;
     DirHeader h = dir_.header(addr);
@@ -202,12 +202,12 @@ ProtocolEngine::handleGetxAtHome(const Message &msg, NodeId, bool cache_dirty)
     return r;
 }
 
-HandlerResult
+HandlerResult &
 ProtocolEngine::handleFwdGet(const Message &msg, NodeId home, bool cache_dirty)
 {
     // At the (supposed) dirty owner: serve the requester directly and do
     // a sharing writeback to the home node.
-    HandlerResult r;
+    HandlerResult &r = fresh();
     const Addr addr = msg.addr;
     const NodeId req = msg.requester;
 
@@ -230,11 +230,11 @@ ProtocolEngine::handleFwdGet(const Message &msg, NodeId home, bool cache_dirty)
     return r;
 }
 
-HandlerResult
+HandlerResult &
 ProtocolEngine::handleFwdGetx(const Message &msg, NodeId home,
                               bool cache_dirty)
 {
-    HandlerResult r;
+    HandlerResult &r = fresh();
     const Addr addr = msg.addr;
     const NodeId req = msg.requester;
 
@@ -255,10 +255,10 @@ ProtocolEngine::handleFwdGetx(const Message &msg, NodeId home,
     return r;
 }
 
-HandlerResult
+HandlerResult &
 ProtocolEngine::handleWritebackAtHome(const Message &msg, NodeId, bool)
 {
-    HandlerResult r;
+    HandlerResult &r = fresh();
     const Addr addr = msg.addr;
     const NodeId writer = msg.src;
     r.id = writer == self_ ? HandlerId::LocalWriteback
@@ -279,10 +279,10 @@ ProtocolEngine::handleWritebackAtHome(const Message &msg, NodeId, bool)
     return r;
 }
 
-HandlerResult
+HandlerResult &
 ProtocolEngine::handleReplaceHintAtHome(const Message &msg, NodeId, bool)
 {
-    HandlerResult r;
+    HandlerResult &r = fresh();
     const NodeId node = msg.src;
     int pos = dir_.removeSharer(msg.addr, node);
     int remaining = dir_.countSharers(msg.addr);
@@ -297,12 +297,12 @@ ProtocolEngine::handleReplaceHintAtHome(const Message &msg, NodeId, bool)
     return r;
 }
 
-HandlerResult
+HandlerResult &
 ProtocolEngine::handleSwb(const Message &msg, NodeId, bool)
 {
     // Sharing writeback at home: the old owner downgraded and served the
     // requester; both become sharers, memory gets the data.
-    HandlerResult r;
+    HandlerResult &r = fresh();
     r.id = HandlerId::SwbReceive;
     r.memWrite = true;
     const Addr addr = msg.addr;
@@ -320,10 +320,10 @@ ProtocolEngine::handleSwb(const Message &msg, NodeId, bool)
     return r;
 }
 
-HandlerResult
+HandlerResult &
 ProtocolEngine::handleOwnXfer(const Message &msg, NodeId, bool)
 {
-    HandlerResult r;
+    HandlerResult &r = fresh();
     r.id = HandlerId::OwnXferReceive;
     DirHeader h = dir_.header(msg.addr);
     if (!h.dirty || h.owner != msg.src) {
@@ -336,12 +336,12 @@ ProtocolEngine::handleOwnXfer(const Message &msg, NodeId, bool)
     return r;
 }
 
-HandlerResult
+HandlerResult &
 ProtocolEngine::handleInval(const Message &msg, NodeId, bool)
 {
     // At a sharer: invalidate the processor cache copy and ack to the
     // requester (who counts acks for its pending write).
-    HandlerResult r;
+    HandlerResult &r = fresh();
     r.id = HandlerId::InvalReceive;
     r.cacheInvalidate = true;
     r.out.push_back({make(MsgType::NetInvalAck, msg.requester, msg.addr,
@@ -354,20 +354,20 @@ ProtocolEngine::handleInval(const Message &msg, NodeId, bool)
 // protocol state here lives in MAGIC's miss-tracking structures, so the
 // handler only forwards; MAGIC performs the bookkeeping.
 
-HandlerResult
+HandlerResult &
 ProtocolEngine::handlePut(const Message &msg, NodeId, bool)
 {
-    HandlerResult r;
+    HandlerResult &r = fresh();
     r.id = HandlerId::ReplyToProc;
     r.out.push_back({make(MsgType::PiPut, self_, msg.addr, msg.requester),
                      Gate::None});
     return r;
 }
 
-HandlerResult
+HandlerResult &
 ProtocolEngine::handlePutx(const Message &msg, NodeId, bool)
 {
-    HandlerResult r;
+    HandlerResult &r = fresh();
     r.id = HandlerId::ReplyToProc;
     r.out.push_back({make(MsgType::PiPutx, self_, msg.addr, msg.requester,
                           msg.aux),
@@ -375,7 +375,7 @@ ProtocolEngine::handlePutx(const Message &msg, NodeId, bool)
     return r;
 }
 
-HandlerResult
+HandlerResult &
 ProtocolEngine::handleBlockXfer(const Message &msg, NodeId, bool)
 {
     // Message-passing protocol: block-transfer chunks bypass the
@@ -384,7 +384,7 @@ ProtocolEngine::handleBlockXfer(const Message &msg, NodeId, bool)
     // protocol). The final chunk acknowledges the sender; delivery
     // notification to the receiving processor is MAGIC-level
     // bookkeeping (like ack counting).
-    HandlerResult r;
+    HandlerResult &r = fresh();
     r.id = HandlerId::BlockXferReceive;
     r.memWrite = true;
     if (msg.aux == 0) { // last chunk of the block
@@ -395,7 +395,7 @@ ProtocolEngine::handleBlockXfer(const Message &msg, NodeId, bool)
     return r;
 }
 
-HandlerResult
+HandlerResult &
 ProtocolEngine::handleFetchOp(const Message &msg, NodeId, bool)
 {
     // Uncached fetch&op: the home's PP performs the read-modify-write
@@ -405,7 +405,7 @@ ProtocolEngine::handleFetchOp(const Message &msg, NodeId, bool)
     // handler models the memory read-modify-write and the reply. A
     // remote PiFetchOp never gets here: the jump table forwards it to
     // the home (handleForward<NetFetchOp>).
-    HandlerResult r;
+    HandlerResult &r = fresh();
     r.id = HandlerId::FetchOpService;
     // The word-granular read-modify-write is issued by MAGIC as a
     // single short memory access (no line streaming, no allocation).

@@ -23,11 +23,11 @@
 #define FLASHSIM_PROTOCOL_HANDLERS_HH_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "protocol/directory.hh"
 #include "protocol/message.hh"
-#include "sim/small_vector.hh"
 #include "sim/types.hh"
 
 namespace flashsim::protocol
@@ -39,6 +39,9 @@ class AddressMap
   public:
     virtual ~AddressMap() = default;
     virtual NodeId homeOf(Addr addr) const = 0;
+    /** Index of @p addr's page in allocation order, the key space of
+     *  page placement and of MAGIC's page monitoring. */
+    virtual std::uint64_t pageIndexOf(Addr addr) const = 0;
 };
 
 /** What an outgoing message's launch must wait for. */
@@ -95,9 +98,10 @@ struct HandlerResult
     HandlerId id = HandlerId::ServeReadMemory;
     int costParam = 0; ///< inval count / sharer-list position, as needed
 
-    /** Outgoing messages. Inline capacity covers every handler except
-     *  a wide invalidation fan-out, so the hot path never allocates. */
-    SmallVector<OutMsg, 4> out;
+    /** Outgoing messages. The engine reuses one result, so this list
+     *  keeps its capacity: it allocates only for a fan-out wider than
+     *  any before it. */
+    std::vector<OutMsg> out;
 
     bool memRead = false;   ///< handler needs local memory read data
     bool memWrite = false;  ///< handler writes the line back to memory
@@ -120,42 +124,44 @@ class ProtocolEngine
     // takes @p msg of a type its entry names, the @p home node of
     // msg.addr's line, and whether the local processor cache holds that
     // line dirty (@p cache_dirty), the inputs the PP program gets in
-    // registers. Public so buildHandlerPrograms can place them.
-    HandlerResult handleGetAtHome(const Message &msg, NodeId home,
-                                  bool cache_dirty);
-    HandlerResult handleGetxAtHome(const Message &msg, NodeId home,
+    // registers. Public so buildHandlerPrograms can place them. Each
+    // returns the engine's one result (handlers never call each other),
+    // valid until the next call; a caller that keeps it copies it.
+    HandlerResult &handleGetAtHome(const Message &msg, NodeId home,
                                    bool cache_dirty);
-    HandlerResult handleFwdGet(const Message &msg, NodeId home,
-                               bool cache_dirty);
-    HandlerResult handleFwdGetx(const Message &msg, NodeId home,
+    HandlerResult &handleGetxAtHome(const Message &msg, NodeId home,
+                                    bool cache_dirty);
+    HandlerResult &handleFwdGet(const Message &msg, NodeId home,
                                 bool cache_dirty);
-    HandlerResult handleWritebackAtHome(const Message &msg, NodeId home,
-                                        bool cache_dirty);
-    HandlerResult handleReplaceHintAtHome(const Message &msg, NodeId home,
-                                          bool cache_dirty);
-    HandlerResult handleSwb(const Message &msg, NodeId home,
-                            bool cache_dirty);
-    HandlerResult handleOwnXfer(const Message &msg, NodeId home,
-                                bool cache_dirty);
-    HandlerResult handleInval(const Message &msg, NodeId home,
-                              bool cache_dirty);
-    HandlerResult handlePut(const Message &msg, NodeId home,
-                            bool cache_dirty);
-    HandlerResult handlePutx(const Message &msg, NodeId home,
+    HandlerResult &handleFwdGetx(const Message &msg, NodeId home,
+                                 bool cache_dirty);
+    HandlerResult &handleWritebackAtHome(const Message &msg, NodeId home,
+                                         bool cache_dirty);
+    HandlerResult &handleReplaceHintAtHome(const Message &msg, NodeId home,
+                                           bool cache_dirty);
+    HandlerResult &handleSwb(const Message &msg, NodeId home,
                              bool cache_dirty);
-    HandlerResult handleBlockXfer(const Message &msg, NodeId home,
-                                  bool cache_dirty);
-    HandlerResult handleFetchOp(const Message &msg, NodeId home,
-                                bool cache_dirty);
+    HandlerResult &handleOwnXfer(const Message &msg, NodeId home,
+                                 bool cache_dirty);
+    HandlerResult &handleInval(const Message &msg, NodeId home,
+                               bool cache_dirty);
+    HandlerResult &handlePut(const Message &msg, NodeId home,
+                             bool cache_dirty);
+    HandlerResult &handlePutx(const Message &msg, NodeId home,
+                              bool cache_dirty);
+    HandlerResult &handleBlockXfer(const Message &msg, NodeId home,
+                                   bool cache_dirty);
+    HandlerResult &handleFetchOp(const Message &msg, NodeId home,
+                                 bool cache_dirty);
 
     /** Requester side: pass the processor's request on to the home
      *  node as @p Net ("Forward request to home node", Table 3.4: 3
      *  cycles). */
     template <MsgType Net>
-    HandlerResult
+    HandlerResult &
     handleForward(const Message &msg, NodeId home, bool)
     {
-        HandlerResult r;
+        HandlerResult &r = fresh();
         r.id = HandlerId::FwdToHome;
         r.out.push_back({make(Net, home, msg.addr, self_), Gate::None});
         return r;
@@ -165,26 +171,38 @@ class ProtocolEngine
      *  retry, block-transfer and fetch&op completion): the handler only
      *  names itself. */
     template <HandlerId Id>
-    HandlerResult
+    HandlerResult &
     handleReceipt(const Message &, NodeId, bool)
     {
-        HandlerResult r;
+        HandlerResult &r = fresh();
         r.id = Id;
         return r;
     }
 
   private:
+    /** The engine's one result, reset for a new invocation: every field
+     *  back to its default, the message list empty but keeping its
+     *  capacity. */
+    HandlerResult &
+    fresh()
+    {
+        result_.out.clear();
+        result_ = HandlerResult{.out = std::move(result_.out)};
+        return result_;
+    }
+
     Message make(MsgType type, NodeId dest, Addr addr, NodeId requester,
                  std::uint32_t aux = 0) const;
 
     NodeId self_;
     DirectoryStore &dir_;
+    HandlerResult result_;
 };
 
 /** A C++ handler as a jump-table entry names it. */
-using Handler = HandlerResult (ProtocolEngine::*)(const Message &msg,
-                                                  NodeId home,
-                                                  bool cache_dirty);
+using Handler = HandlerResult &(ProtocolEngine::*)(const Message &msg,
+                                                    NodeId home,
+                                                    bool cache_dirty);
 
 } // namespace flashsim::protocol
 

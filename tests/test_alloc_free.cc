@@ -1,7 +1,7 @@
 /**
  * @file
- * Proves EventQueue::schedule() and the machine's per-reference path
- * are allocation-free in steady state.
+ * Proves EventQueue::schedule(), the machine's per-reference path and
+ * a wide invalidation fan-out are allocation-free in steady state.
  *
  * The whole point of InlineCallback + the bucket ring is that the
  * per-event path performs zero heap allocations once bucket capacity
@@ -16,10 +16,13 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <new>
 
 #include "machine/machine.hh"
 #include "ppisa/ppsim.hh"
+#include "protocol/directory.hh"
+#include "protocol/handlers.hh"
 #include "sim/event_queue.hh"
 
 namespace
@@ -41,6 +44,36 @@ operator new[](std::size_t size)
 {
     ++g_allocs;
     if (void *p = std::malloc(size))
+        return p;
+    throw std::bad_alloc{};
+}
+
+// The over-aligned forms count too: a container of over-aligned
+// elements allocates through them, not through the two above.
+namespace
+{
+void *
+countedAlignedAlloc(std::size_t size, std::align_val_t al)
+{
+    ++g_allocs;
+    const auto a = static_cast<std::size_t>(al);
+    // aligned_alloc wants a size that is a multiple of the alignment.
+    return std::aligned_alloc(a, (size + a - 1) / a * a);
+}
+} // namespace
+
+void *
+operator new(std::size_t size, std::align_val_t al)
+{
+    if (void *p = countedAlignedAlloc(size, al))
+        return p;
+    throw std::bad_alloc{};
+}
+
+void *
+operator new[](std::size_t size, std::align_val_t al)
+{
+    if (void *p = countedAlignedAlloc(size, al))
         return p;
     throw std::bad_alloc{};
 }
@@ -100,6 +133,30 @@ operator delete(void *p, const std::nothrow_t &) noexcept
 
 [[gnu::noinline]] void
 operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void *p, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void *p, std::size_t, std::align_val_t) noexcept
 {
     std::free(p);
 }
@@ -225,6 +282,43 @@ expectReferenceLoopDoesNotAllocate(NodeId home)
               static_cast<Counter>(kWarm + kMeasured));
     EXPECT_EQ(after, before)
         << "the machine's reference loop allocated in steady state";
+}
+
+/**
+ * A write to a line with six sharers sends six invalidations and the
+ * exclusive reply: wider than the common case. Each round cleans the
+ * line and re-adds the sharers, then runs the GETX at home; once the
+ * engine's result has grown to that fan-out, neither the directory's
+ * sharer list nor the handler's message list may allocate.
+ */
+TEST(AllocFree, WideInvalidationFanOutDoesNotAllocate)
+{
+    protocol::DirectoryStore dir;
+    protocol::ProtocolEngine engine(/*self=*/0, dir);
+    constexpr Addr kLine = 0x4000;
+    constexpr NodeId kSharers[] = {2, 3, 4, 5, 6, 7};
+    protocol::Message getx;
+    getx.type = protocol::MsgType::NetGetx;
+    getx.src = 1;
+    getx.dest = 0;
+    getx.requester = 1;
+    getx.addr = kLine;
+    auto round = [&] {
+        dir.setHeader(kLine, protocol::DirHeader{});
+        for (NodeId s : kSharers)
+            dir.addSharer(kLine, s);
+        const protocol::HandlerResult &r =
+            engine.handleGetxAtHome(getx, /*home=*/0, false);
+        return r.out.size();
+    };
+
+    for (int i = 0; i < 8; ++i)
+        ASSERT_EQ(round(), std::size(kSharers) + 1);
+    const std::uint64_t before = g_allocs.load();
+    for (int i = 0; i < 1000; ++i)
+        round();
+    EXPECT_EQ(g_allocs.load(), before)
+        << "a wide invalidation fan-out allocated once warm";
 }
 
 TEST(AllocFree, MachineReferenceLoopDoesNotAllocate)

@@ -255,7 +255,8 @@ TEST_P(ConformanceTest, CppAndPpAgree)
     DirectoryStore dirC;
     applyState(dirC, line, c.state, c.requester);
     ProtocolEngine engine(kSelf, dirC);
-    HandlerResult res = (engine.*entry.handler)(m, home, c.cacheDirty);
+    const HandlerResult &res =
+        (engine.*entry.handler)(m, home, c.cacheDirty);
 
     // PP side on an identically prepared store.
     DirectoryStore dirP;

@@ -32,7 +32,8 @@ class HandlersTest : public ::testing::Test
 
     /** Run @p m's handler the way MAGIC does: through its jump-table
      *  entry, with the home of its line (address bits [12,16) modulo
-     *  4) and the local cache's dirty bit. */
+     *  4) and the local cache's dirty bit. Returns a copy, since the
+     *  engine reuses its one result on the next call. */
     HandlerResult
     run(const Message &m)
     {

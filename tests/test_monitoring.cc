@@ -6,12 +6,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "machine/machine.hh"
 
 namespace flashsim::machine
 {
 namespace
 {
+
+bool
+nonzero(Counter c)
+{
+    return c != 0;
+}
 
 tango::Task
 remoteHammer(tango::Env &env, Addr a, int times)
@@ -34,9 +43,9 @@ TEST(Monitoring, CountsRemoteRequestsPerPage)
     Addr a = m.alloc(kLineSize, 0); // homed node 0, hammered by node 1
     m.run([&](tango::Env &env) { return remoteHammer(env, a, 5); });
     m.drain();
-    auto heat = m.pageHeat();
+    const std::vector<Counter> heat = m.pageHeat();
     std::uint64_t page = m.pageIndexOf(a);
-    ASSERT_TRUE(heat.count(page));
+    ASSERT_LT(page, heat.size());
     // At least the initial GET and GETX; re-reads after ownership
     // changes add more.
     EXPECT_GE(heat[page], 2u);
@@ -55,9 +64,10 @@ TEST(Monitoring, HeatKeysArePageIndices)
     Addr a = m.alloc(kPageBytes, 0) + kPageBytes - kLineSize;
     m.run([&](tango::Env &env) { return remoteHammer(env, a, 2); });
     m.drain();
-    FlatCounterMap heat = m.pageHeat();
-    EXPECT_EQ(heat.size(), 1u);
-    EXPECT_TRUE(heat.count(m.pageIndexOf(a)));
+    const std::vector<Counter> heat = m.pageHeat();
+    EXPECT_EQ(std::ranges::count_if(heat, nonzero), 1);
+    ASSERT_GT(heat.size(), 5u);
+    EXPECT_NE(heat[5], 0u);
     EXPECT_EQ(m.pageIndexOf(a), 5u);
 }
 
@@ -75,7 +85,7 @@ TEST(Monitoring, LocalRequestsNotCounted)
         }
     });
     m.drain();
-    EXPECT_TRUE(m.pageHeat().empty());
+    EXPECT_FALSE(std::ranges::any_of(m.pageHeat(), nonzero));
 }
 
 TEST(Monitoring, DisabledByDefault)
@@ -85,7 +95,7 @@ TEST(Monitoring, DisabledByDefault)
     Addr a = m.alloc(kLineSize, 0);
     m.run([&](tango::Env &env) { return remoteHammer(env, a, 3); });
     m.drain();
-    EXPECT_TRUE(m.pageHeat().empty());
+    EXPECT_FALSE(std::ranges::any_of(m.pageHeat(), nonzero));
 }
 
 TEST(Monitoring, MonitoringCostsPpCycles)
@@ -137,9 +147,10 @@ TEST(Monitoring, RemapMovesTrafficOffHotNode)
             }
         });
         m.drain();
-        auto heat = m.pageHeat();
-        if (hot_page && !heat.empty())
-            *hot_page = heat.begin()->first;
+        const std::vector<Counter> heat = m.pageHeat();
+        const auto hot = std::ranges::find_if(heat, nonzero);
+        if (hot_page && hot != heat.end())
+            *hot_page = static_cast<std::uint64_t>(hot - heat.begin());
         return m.node(0).magic().invocations;
     };
 
