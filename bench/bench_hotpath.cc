@@ -128,8 +128,8 @@ BM_EventQueueScheduleRun(benchmark::State &state)
  * emulated execution). The mix alternates the hot read path (GET at
  * home, clean) with the cheap forward program.
  *
- * Release builds leave the conformance oracle off (see
- * PpSim::oracleEnabled), so this is the production configuration.
+ * The engine runs unchecked, as in every machine without --verify, so
+ * this is the production configuration.
  */
 void
 BM_PpDispatchCompiled(benchmark::State &state)

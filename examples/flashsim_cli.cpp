@@ -92,7 +92,9 @@ usage()
         "  --distance-net    per-pair mesh distances instead of the\n"
         "                    22-cycle average\n"
         "verification (src/verify):\n"
-        "  --verify          enable the coherence oracle\n"
+        "  --verify          enable the coherence oracle and replay\n"
+        "                    every PP handler run through the\n"
+        "                    reference interpreter\n"
         "  --halt-on-violation   fatal() on the first oracle violation\n"
         "fault injection (deterministic seeded perturbation; on while\n"
         "any class below is nonzero):\n"
@@ -107,9 +109,10 @@ usage()
         "  --inject-stall N      max extra inbound-queue stall cycles\n"
         "                        (<= 4294967295)\n"
         "values: N is a whole number, P a probability in [0, 1]\n"
-        "exit codes: 0 ok, 1 usage, 2 oracle violation; a hang (a miss\n"
-        "wedged or no progress, checked with or without --verify)\n"
-        "aborts (SIGABRT, exit 134) after printing the post-mortem\n");
+        "exit codes: 0 ok, 1 usage, 2 oracle violation; a PP engine\n"
+        "divergence (--verify) or a hang (a miss wedged or no\n"
+        "progress, checked with or without --verify) aborts (SIGABRT,\n"
+        "exit 134) after printing the post-mortem\n");
 }
 
 /** Reject a bad command line: usage text, exit 1. */

@@ -205,8 +205,10 @@ class Magic
     /** Wire MAGIC to the machine's trace ring for this node, its
      *  coherence oracle and fault injector (each null when off) and its
      *  test mutator. Every handler invocation and injector action is
-     *  recorded in the ring; the oracle checks each handler. Called
-     *  once, after construction, before any message arrives. */
+     *  recorded in the ring; the oracle checks each handler, and with
+     *  it the PP engine checks each handler program run against its
+     *  reference interpreter. Called once, after construction, before
+     *  any message arrives. */
     void
     attachTrace(verify::TraceRing &ring, verify::CoherenceOracle *oracle,
                 verify::FaultInjector *inj, const HandlerMutator &mutator)
@@ -215,6 +217,8 @@ class Magic
         oracle_ = oracle;
         injector_ = inj;
         mutator_ = &mutator;
+        if (pp_)
+            pp_->checkEngine(oracle != nullptr);
     }
 
     // -- Statistics ---------------------------------------------------------

@@ -72,6 +72,11 @@ class PpTimingModel
                       const protocol::Message &msg, NodeId self,
                       NodeId home, bool cache_dirty);
 
+    /** Cross-check every handler run against the reference
+     *  interpreter (ppisa::PpSim's checked run). */
+    void checkEngine(bool on) { sim_ = ppisa::PpSim(on); }
+    bool engineChecked() const { return sim_.checked(); }
+
     /** Accumulated dynamic instruction statistics (Table 5.2). */
     const ppisa::RunStats &runStats() const { return stats_; }
 

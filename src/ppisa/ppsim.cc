@@ -1,7 +1,6 @@
 #include "ppisa/ppsim.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 
 #include "sim/logging.hh"
@@ -302,21 +301,6 @@ class ReplayMemory : public PpMemory
 };
 
 } // namespace
-
-bool
-PpSim::oracleEnabled()
-{
-    static const bool enabled = [] {
-        if (const char *env = std::getenv("FS_PP_ORACLE"))
-            return env[0] == '1' && env[1] == '\0';
-#ifdef NDEBUG
-        return false;
-#else
-        return true;
-#endif
-    }();
-    return enabled;
-}
 
 Cycles
 PpSim::run(const Program &prog, RegFile &regs, PpMemory &mem,

@@ -168,18 +168,13 @@ class PpSim
     /** Upper bound on cycles per handler; exceeded => runaway handler. */
     static constexpr Cycles kMaxCycles = 1 << 20;
 
-    /** With the conformance oracle enabled (see oracleEnabled()),
-     *  run() cross-checks every invocation against runReference(). */
-    PpSim() : checkThreaded_(oracleEnabled()) {}
+    /** With @p checked, run() cross-checks every invocation against
+     *  runReference() and panics ("PpSim oracle: ...") on the first
+     *  divergence. A machine turns this on with its coherence oracle
+     *  (verify.check); off, run() is the threaded engine alone. */
+    explicit PpSim(bool checked = false) : checkThreaded_(checked) {}
 
-    /**
-     * True when threaded runs are cross-checked step-for-step against
-     * the reference interpreter. Controlled by the FS_PP_ORACLE
-     * environment variable ("1" forces on, anything else forces off);
-     * when unset, on in debug builds (!NDEBUG) and off in release
-     * builds. Read once per process.
-     */
-    static bool oracleEnabled();
+    bool checked() const { return checkThreaded_; }
 
     /**
      * Execute @p prog from pair 0 until Halt.
@@ -208,7 +203,7 @@ class PpSim
      * The original per-issue-slot interpreter, which re-decodes each
      * instruction (bitfields, source/dest sets, contract checks) every
      * time it executes. Kept as the conformance oracle for run(): the
-     * FS_PP_ORACLE check and the differential tests require identical
+     * checked run() and the differential tests require identical
      * results from both.
      */
     Cycles runReference(const Program &prog, RegFile &regs, PpMemory &mem,
@@ -221,8 +216,7 @@ class PpSim
                               std::vector<SentMessage> &sent,
                               RunStats &stats) const;
 
-    /** Oracle on, latched at construction so run() skips the
-     *  static-local guard of oracleEnabled() per call. */
+    /** Cross-check every run() against runReference(). */
     bool checkThreaded_ = false;
 };
 

@@ -26,10 +26,9 @@
  *
  * Architectural behaviour — register/memory/message effects, cycle
  * charges, statistics, and every contract panic text — is bit-identical
- * to the oracle, PpSim::runReference. This is enforced by the
- * conformance oracle in ppsim.cc (FS_PP_ORACLE), the differential fuzz
- * suite in tests/test_pp_backends.cc, and the coherence oracle
- * running full workloads in CI.
+ * to the oracle, PpSim::runReference. This is enforced by the checked
+ * run() in ppsim.cc, which every --verify machine and the engine tests
+ * use, and by the differential fuzz suite in tests/test_pp_backends.cc.
  */
 
 #ifndef FLASHSIM_PPISA_THREADED_HH_

@@ -10,8 +10,9 @@
 #ifndef FLASHSIM_SIM_RANDOM_HH_
 #define FLASHSIM_SIM_RANDOM_HH_
 
-#include <cassert>
 #include <cstdint>
+
+#include "sim/logging.hh"
 
 namespace flashsim
 {
@@ -54,7 +55,8 @@ class Rng
     std::uint64_t
     below(std::uint64_t bound)
     {
-        assert(bound != 0 && "Rng::below requires a nonzero bound");
+        if (bound == 0) [[unlikely]]
+            panic("Rng::below requires a nonzero bound");
         const auto wide =
             static_cast<unsigned __int128>(next()) * bound;
         return static_cast<std::uint64_t>(wide >> 64);

@@ -20,7 +20,6 @@
 #include <new>
 
 #include "machine/machine.hh"
-#include "ppisa/ppsim.hh"
 #include "protocol/directory.hh"
 #include "protocol/handlers.hh"
 #include "sim/event_queue.hh"
@@ -242,7 +241,10 @@ TEST(AllocFree, MaxCaptureIntoWarmBucketDoesNotAllocate)
  * warm-up spans hundreds of event-ring wraps, so every ring bucket has
  * grown to its steady capacity; the loop then samples the allocation
  * counter at two iterations, and nothing on the per-reference or
- * per-handler path may allocate in between.
+ * per-handler path may allocate in between. The machine runs without
+ * verify.check, so this also pins that its PP engine runs unchecked:
+ * the checked run's replay against the reference interpreter
+ * allocates on every handler.
  */
 void
 expectReferenceLoopDoesNotAllocate(NodeId home)
@@ -323,8 +325,6 @@ TEST(AllocFree, WideInvalidationFanOutDoesNotAllocate)
 
 TEST(AllocFree, MachineReferenceLoopDoesNotAllocate)
 {
-    if (ppisa::PpSim::oracleEnabled())
-        GTEST_SKIP() << "the FS_PP_ORACLE replay allocates by design";
     for (NodeId home : {NodeId{0}, NodeId{1}})
         expectReferenceLoopDoesNotAllocate(home);
 }

@@ -4,7 +4,9 @@
  * programs: for a sweep of directory states and message types, both
  * implementations must emit the same messages and leave the directory
  * in the same state. This is what justifies using PPsim execution of
- * the handler programs as the timing oracle.
+ * the handler programs as the timing oracle. The PP engine runs
+ * checked, so every program run is also replayed through the
+ * reference interpreter.
  */
 
 #include <gtest/gtest.h>
@@ -266,7 +268,7 @@ TEST_P(ConformanceTest, CppAndPpAgree)
         makeHandlerRegs(m, kSelf, home, c.cacheDirty);
     std::vector<ppisa::SentMessage> sent;
     ppisa::RunStats stats;
-    ppisa::PpSim sim;
+    ppisa::PpSim sim(/*checked=*/true);
     sim.run(programs.programs[static_cast<std::size_t>(entry.program)],
             regs, mem, sent, stats);
 

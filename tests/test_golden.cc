@@ -357,7 +357,9 @@ TEST(InjectionTest, ZeroClassInjectorIsOff)
 }
 
 // Verification only observes: the same run with the oracle checking
-// every handler must reach the same time, state and report as without.
+// every handler, and every PP handler run replayed through the
+// reference interpreter, must reach the same time, state and report
+// as without.
 class VerifyTimingTest : public ::testing::TestWithParam<std::string>
 {};
 

@@ -1,4 +1,9 @@
-/** @file Unit tests for the handler compiler (IR, expansion, scheduling). */
+/**
+ * @file
+ * Unit tests for the handler compiler (IR, expansion, scheduling).
+ * Compiled programs run on a checked PP engine, so each run is also
+ * replayed through the reference interpreter.
+ */
 
 #include <gtest/gtest.h>
 
@@ -32,7 +37,7 @@ execute(const Program &prog, const RegFile &in)
     RunResult r;
     r.regs = in;
     FlatPpMemory mem;
-    PpSim sim;
+    PpSim sim(/*checked=*/true);
     r.cycles = sim.run(prog, r.regs, mem, r.sent, r.stats);
     return r;
 }
@@ -221,7 +226,7 @@ TEST(Compiler, MemoryOrderPreserved)
         RegFile regs{};
         regs[1] = 0x100;
         FlatPpMemory mem;
-        PpSim sim;
+        PpSim sim(/*checked=*/true);
         std::vector<SentMessage> sent;
         RunStats stats;
         sim.run(p, regs, mem, sent, stats);
@@ -394,7 +399,7 @@ TEST_P(BranchyPropertyTest, RandomBranchesAgree)
         Program p = compile(f, opt);
         RegFile regs2 = in;
         FlatPpMemory mem;
-        PpSim sim;
+        PpSim sim(/*checked=*/true);
         std::vector<SentMessage> sent;
         RunStats stats;
         sim.run(p, regs2, mem, sent, stats);
@@ -410,7 +415,7 @@ TEST_P(BranchyPropertyTest, RandomBranchesAgree)
                           RegFile r2 = in;
                           std::vector<SentMessage> s2;
                           RunStats st2;
-                          PpSim s;
+                          PpSim s(/*checked=*/true);
                           s.run(compile(f, {true, true}), r2, ref_mem,
                                 s2, st2);
                           return ref_mem.peek(0x4000 + 8 * w);

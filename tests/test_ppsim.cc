@@ -1,4 +1,9 @@
-/** @file Unit tests for the PP instruction set emulator (PPsim). */
+/**
+ * @file
+ * Unit tests for the PP instruction set emulator (PPsim). Every engine
+ * here runs checked, so each run() is also replayed through
+ * runReference() and compared.
+ */
 
 #include <gtest/gtest.h>
 
@@ -85,7 +90,7 @@ struct Runner
         }
         pairs.push_back(InstrPair{halt(), nop()});
         const Program prog("test", std::move(pairs));
-        PpSim sim;
+        PpSim sim(/*checked=*/true);
         return sim.run(prog, regs, mem, sent, stats);
     }
 };
@@ -247,7 +252,7 @@ TEST(PpSim, IntraPairRawPanics)
     p.a = rri(Op::Addi, 1, 0, 5);
     p.b = rrr(Op::Add, 2, 1, 1); // reads r1 written by slot a
     const Program prog("bad", {p, InstrPair{halt(), nop()}});
-    PpSim sim;
+    PpSim sim(/*checked=*/true);
     RegFile regs{};
     FlatPpMemory mem;
     std::vector<SentMessage> sent;
@@ -260,7 +265,7 @@ TEST(PpSim, LoadDelayViolationPanics)
     const Program prog("bad2", {InstrPair{rri(Op::Ld, 1, 0, 0), nop()},
                                 InstrPair{rrr(Op::Add, 2, 1, 1), nop()},
                                 InstrPair{halt(), nop()}});
-    PpSim sim;
+    PpSim sim(/*checked=*/true);
     RegFile regs{};
     FlatPpMemory mem;
     std::vector<SentMessage> sent;
@@ -287,7 +292,7 @@ TEST(PpSim, MemoryStallsAccumulate)
     const Program prog("slow", {InstrPair{rri(Op::Ld, 1, 0, 0), nop()},
                                 InstrPair{nop(), nop()},
                                 InstrPair{halt(), nop()}});
-    PpSim sim;
+    PpSim sim(/*checked=*/true);
     RegFile regs{};
     SlowMem mem;
     std::vector<SentMessage> sent;
@@ -320,7 +325,7 @@ TEST(PpSim, TwoBranchesInPairPanics)
     p.a.imm = 1;
     p.b.imm = 1;
     const Program prog("bad3", {p, InstrPair{halt(), nop()}});
-    PpSim sim;
+    PpSim sim(/*checked=*/true);
     RegFile regs{};
     FlatPpMemory mem;
     std::vector<SentMessage> sent;
@@ -383,7 +388,7 @@ execute(const Program &prog, const RegFile &init, bool reference)
     o.regs = init;
     FlatPpMemory mem;
     mem.poke(0x100, 0xdeadbeef);
-    PpSim sim;
+    PpSim sim(/*checked=*/true);
     o.cycles = reference
                    ? sim.runReference(prog, o.regs, mem, o.sent, o.stats)
                    : sim.run(prog, o.regs, mem, o.sent, o.stats);

@@ -153,7 +153,6 @@ TEST(Rng, BelowCoversRangeUniformly)
     }
 }
 
-#ifndef NDEBUG
 TEST(RngDeathTest, BelowZeroBoundAsserts)
 {
     EXPECT_DEATH(
@@ -163,7 +162,6 @@ TEST(RngDeathTest, BelowZeroBoundAsserts)
         },
         "nonzero bound");
 }
-#endif
 
 } // namespace
 } // namespace flashsim

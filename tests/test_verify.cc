@@ -107,6 +107,23 @@ TEST(OracleTest, CleanRunHasNoViolations)
     EXPECT_GT(retired, 0u);
 }
 
+// One switch: verify.check turns on the coherence oracle and, with it,
+// every node's PP engine check; without it neither runs.
+TEST(OracleTest, VerifyChecksEveryPpEngine)
+{
+    for (bool check : {false, true}) {
+        MachineConfig cfg = MachineConfig::flash(4);
+        cfg.verify.check = check;
+        Machine m(cfg);
+        EXPECT_EQ(m.oracle() != nullptr, check);
+        for (int n = 0; n < m.numProcs(); ++n) {
+            const magic::PpTimingModel *pp = m.node(n).magic().ppModel();
+            ASSERT_NE(pp, nullptr);
+            EXPECT_EQ(pp->engineChecked(), check) << "node " << n;
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Oracle: a deliberately broken handler is caught at the handler that
 // introduced the bug, and a post-mortem dump is produced.
