@@ -1,7 +1,9 @@
 #include "ppisa/ppsim.hh"
 
 #include <algorithm>
+#include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "sim/logging.hh"
 
@@ -207,6 +209,42 @@ struct MemOp
 };
 
 /**
+ * @p op for a divergence report: a store with its value, a load with
+ * the value it read when @p recorded (a reference load that diverged
+ * has read nothing).
+ */
+std::string
+describe(const MemOp &op, bool recorded)
+{
+    char buf[96];
+    const auto addr = static_cast<unsigned long long>(op.addr);
+    const auto value = static_cast<unsigned long long>(op.value);
+    if (op.isStore)
+        std::snprintf(buf, sizeof buf, "store of 0x%llx to 0x%llx", value,
+                      addr);
+    else if (recorded)
+        std::snprintf(buf, sizeof buf, "load of 0x%llx that read 0x%llx",
+                      addr, value);
+    else
+        std::snprintf(buf, sizeof buf, "load of 0x%llx", addr);
+    return buf;
+}
+
+/** Message @p i of @p sent for a divergence report, or "none". */
+std::string
+describe(const std::vector<SentMessage> &sent, std::size_t i)
+{
+    if (i >= sent.size())
+        return "none";
+    char buf[96];
+    std::snprintf(buf, sizeof buf, "{type %d, dest 0x%llx, arg 0x%llx}",
+                  sent[i].type,
+                  static_cast<unsigned long long>(sent[i].dest),
+                  static_cast<unsigned long long>(sent[i].arg));
+    return buf;
+}
+
+/**
  * Conformance-oracle plumbing: the threaded backend runs against the
  * real memory through RecordingMemory, which logs every operation;
  * the reference interpreter then re-runs against ReplayMemory, which
@@ -255,7 +293,7 @@ class ReplayMemory : public PpMemory
     {
         const MemOp &op = next("load", addr);
         if (op.isStore || op.addr != addr)
-            mismatch("load", addr);
+            mismatch(MemOp{false, addr, 0, 0});
         extra_cycles = op.extra;
         return op.value;
     }
@@ -265,7 +303,7 @@ class ReplayMemory : public PpMemory
     {
         const MemOp &op = next("store", addr);
         if (!op.isStore || op.addr != addr || op.value != value)
-            mismatch("store", addr);
+            mismatch(MemOp{true, addr, value, 0});
         extra_cycles = op.extra;
     }
 
@@ -284,15 +322,12 @@ class ReplayMemory : public PpMemory
     }
 
     [[noreturn]] void
-    mismatch(const char *kind, Addr addr)
+    mismatch(const MemOp &ref)
     {
-        const MemOp &op = log_[pos_ - 1];
         panic("PpSim oracle: memory-op divergence in '%s' at op %zu: "
-              "reference issued %s of 0x%llx, threaded backend issued "
-              "%s of 0x%llx", name_, pos_ - 1, kind,
-              static_cast<unsigned long long>(addr),
-              op.isStore ? "store" : "load",
-              static_cast<unsigned long long>(op.addr));
+              "reference issued %s, threaded backend issued %s", name_,
+              pos_ - 1, describe(ref, false).c_str(),
+              describe(log_[pos_ - 1], true).c_str());
     }
 
     const std::vector<MemOp> &log_;
@@ -347,10 +382,19 @@ PpSim::runThreadedChecked(const Program &prog, RegFile &regs,
                       "threaded 0x%llx, reference 0x%llx", name, r,
                       static_cast<unsigned long long>(regs[r]),
                       static_cast<unsigned long long>(refRegs[r]));
-    if (refSent != threadedSent)
-        panic("PpSim oracle: sent-message divergence in '%s': threaded "
-              "%zu messages, reference %zu", name, threadedSent.size(),
+    if (refSent != threadedSent) {
+        const std::size_t i = static_cast<std::size_t>(
+            std::mismatch(threadedSent.begin(), threadedSent.end(),
+                          refSent.begin(), refSent.end())
+                .first -
+            threadedSent.begin());
+        panic("PpSim oracle: sent-message divergence in '%s' at message "
+              "%zu: threaded %s, reference %s (threaded %zu messages, "
+              "reference %zu)", name, i,
+              describe(threadedSent, i).c_str(),
+              describe(refSent, i).c_str(), threadedSent.size(),
               refSent.size());
+    }
     if (!(refStats == threadedStats))
         panic("PpSim oracle: statistics divergence in '%s'", name);
     if (!replay.drained())

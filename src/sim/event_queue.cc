@@ -29,46 +29,48 @@ EventQueue::scheduleAt(Tick when, Callback cb)
         panic("event scheduled in the past (%llu < %llu)",
               static_cast<unsigned long long>(when),
               static_cast<unsigned long long>(_now));
-    if (when - _now < kRingSize) {
+    if (when - _now < kRingSize)
         appendToRing(when) = cb;
-        return;
-    }
-    overflow_.push_back(Event{when, kOrdinaryKey | nextSeq_++, cb});
-    std::push_heap(overflow_.begin(), overflow_.end(), Later{});
+    else
+        pushOverflow(when, kOrdinaryKey | nextSeq_++, cb);
 }
 
 EventQueue::Callback &
 EventQueue::appendToRing(Tick when)
 {
     Bucket &b = bucketFor(when);
-    freshen(b);
     // The largest key yet: appending keeps the bucket sorted.
-    b.events.push_back(Event{when, kOrdinaryKey | nextSeq_++, {}});
+    b.events.emplace_back(kOrdinaryKey | nextSeq_++);
     markLive(when);
     ++ringCount_;
     return b.events.back().cb;
 }
 
-void
-EventQueue::insertSorted(const Event &e)
+EventQueue::Callback &
+EventQueue::insertSorted(Tick when, std::uint64_t seq)
 {
-    const Tick when = e.when;
     Bucket &b = bucketFor(when);
-    freshen(b);
     // Buckets are small, so a binary search + vector insert beats a
     // deferred sort.
     auto pos = std::upper_bound(
         b.events.begin() + static_cast<std::ptrdiff_t>(b.head),
-        b.events.end(), e.seq,
-        [](std::uint64_t seq, const Event &x) { return seq < x.seq; });
-    b.events.insert(pos, e);
+        b.events.end(), seq,
+        [](std::uint64_t k, const Event &x) { return k < x.seq; });
     markLive(when);
     ++ringCount_;
+    return b.events.emplace(pos, seq)->cb;
 }
 
 void
-EventQueue::scheduleNet(Tick when, NodeId src, std::uint64_t srcSeq,
-                        Callback cb)
+EventQueue::pushOverflow(Tick when, std::uint64_t seq, const Callback &cb)
+{
+    overflow_.push_back(Timed{when, Event(seq)});
+    overflow_.back().ev.cb = cb;
+    std::push_heap(overflow_.begin(), overflow_.end(), Later{});
+}
+
+void
+EventQueue::checkNet(Tick when, NodeId src, std::uint64_t srcSeq) const
 {
     if (when < _now)
         panic("delivery scheduled in the past (%llu < %llu)",
@@ -77,19 +79,6 @@ EventQueue::scheduleNet(Tick when, NodeId src, std::uint64_t srcSeq,
     if (src >= kMaxNetNodes || (srcSeq >> kSrcShift) != 0)
         panic("delivery key (%u, %llu) out of range", src,
               static_cast<unsigned long long>(srcSeq));
-    if (when == _now) {
-        // Degenerate zero-latency transit: this tick's deliveries may
-        // already have run, so it joins as an ordinary event.
-        scheduleAt(when, cb);
-        return;
-    }
-    const Event e{when, (std::uint64_t{src} << kSrcShift) | srcSeq, cb};
-    if (when - _now < kRingSize) {
-        insertSorted(e);
-        return;
-    }
-    overflow_.push_back(e);
-    std::push_heap(overflow_.begin(), overflow_.end(), Later{});
 }
 
 Tick
@@ -131,7 +120,8 @@ EventQueue::promoteOverflow(Tick t)
 {
     while (!overflow_.empty() && overflow_.front().when == t) {
         std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
-        insertSorted(overflow_.back());
+        const Event &e = overflow_.back().ev;
+        insertSorted(t, e.seq) = e.cb;
         overflow_.pop_back();
     }
 }
@@ -162,28 +152,32 @@ EventQueue::step()
 std::uint64_t
 EventQueue::drainTick(Tick t)
 {
+    if (!running_.empty())
+        panic("EventQueue::drainTick(%llu) called from a callback",
+              static_cast<unsigned long long>(t));
     std::uint64_t executed = 0;
     _now = t;
     promoteOverflow(t);
-    // Drain the whole tick from its bucket, front to back: nothing
-    // earlier can appear (overflow inserts land >= kRingSize ticks
-    // out), and whatever a callback adds to this tick is an ordinary
-    // event (scheduleNet at the current tick runs as one), whose key is
-    // the largest yet — an append. So skip the bitmap rescan until the
-    // tick completes.
+    // Run the tick's events in place, from a vector swapped out of the
+    // bucket: nothing earlier can appear (overflow inserts land
+    // >= kRingSize ticks out), and whatever a callback adds to this
+    // tick is an ordinary event (scheduleNet at the current tick runs
+    // as one), whose key is the largest yet — an append to the emptied
+    // bucket, which runs in the next round. So FIFO holds, and the
+    // bitmap is not rescanned until the tick completes.
     Bucket &b = bucketFor(t);
-    if (b.head < b.events.size()) {
-        while (b.head < b.events.size()) {
-            Callback cb = b.events[b.head].cb;
-            ++b.head;
-            --ringCount_;
-            cb();
-            ++executed;
-        }
-        b.events.clear();
+    while (b.head < b.events.size()) {
+        running_.swap(b.events);
+        const std::size_t first = b.head;
         b.head = 0;
-        clearLive(t);
+        for (std::size_t i = first; i < running_.size(); ++i) {
+            --ringCount_;
+            running_[i].cb();
+        }
+        executed += running_.size() - first;
+        running_.clear();
     }
+    clearLive(t);
     return executed;
 }
 
@@ -209,6 +203,7 @@ EventQueue::reset()
         b.events.clear();
         b.head = 0;
     }
+    running_.clear();
     live_.fill(0);
     ringCount_ = 0;
     overflow_.clear();

@@ -41,15 +41,21 @@ namespace flashsim
  * every latency is a handful of cycles, far-future events are rare):
  *
  *  - a power-of-two ring of per-tick buckets covering the next
- *    kRingSize ticks. Each bucket is a vector kept sorted by seq. An
- *    ordinary event always carries the largest key yet, so schedule()
- *    into the window is push_back into recycled storage — O(1) and
- *    allocation-free in steady state; a delivery is inserted at the
- *    upper bound of its key;
- *  - a binary min-heap on (tick, seq) holding the overflow (events
- *    >= kRingSize ticks out). When the clock reaches an overflow
- *    event's tick it is inserted into that tick's bucket by the same
- *    sorted insert.
+ *    kRingSize ticks. Each bucket is a vector kept sorted by seq. A
+ *    ring event is {seq, callback} in one 64-byte cache line: its tick
+ *    is implied by its bucket. An ordinary event always carries the
+ *    largest key yet, so schedule() into the window is an emplace_back
+ *    into recycled storage, the callable built directly in its slot —
+ *    O(1) and allocation-free in steady state; a delivery is built at
+ *    the upper bound of its key;
+ *  - a binary min-heap of {tick, event} entries holding the overflow
+ *    (events >= kRingSize ticks out). When the clock reaches an
+ *    overflow event's tick it is inserted into that tick's bucket by
+ *    the same sorted insert.
+ *
+ * drainTick() runs a tick's events where they lie: it swaps the bucket's
+ * vector out, so callbacks scheduling into the same tick append to the
+ * (now empty) bucket instead of reallocating the vector being run.
  *
  * Callbacks are InlineCallback: stored inline in the event, with a
  * compile-time size cap instead of std::function's silent heap fallback
@@ -90,8 +96,8 @@ class EventQueue
     /**
      * schedule()/scheduleAt() for a callable that is not yet a
      * Callback: inside the bucket ring it is constructed directly in
-     * its event slot, saving the copy through a temporary Callback on
-     * the path every simulated reference and message takes.
+     * its event slot, with no Callback or event temporary, on the path
+     * every simulated reference and message takes.
      */
     template <typename F, typename = std::enable_if_t<
                               !std::is_same_v<std::decay_t<F>, Callback>>>
@@ -113,16 +119,32 @@ class EventQueue
     }
 
     /**
-     * Schedule a mesh delivery at @p when, keyed by (@p src,
+     * Schedule a mesh delivery of @p f at @p when, keyed by (@p src,
      * @p srcSeq): within a tick every delivery runs before any
      * ordinary event, ordered by that key — independent of the order
      * the sends were scheduled in. @p src must be below kMaxNetNodes
      * and @p srcSeq below 2^48. A degenerate zero-latency delivery
      * (@p when == now()) runs as an ordinary event instead, since the
-     * current tick's deliveries may already have run.
+     * current tick's deliveries may already have run. Inside the ring
+     * window @p f is constructed directly at its sorted position.
      */
-    void scheduleNet(Tick when, NodeId src, std::uint64_t srcSeq,
-                     Callback cb);
+    template <typename F>
+    void
+    scheduleNet(Tick when, NodeId src, std::uint64_t srcSeq, F &&f)
+    {
+        checkNet(when, src, srcSeq);
+        if (when == _now) {
+            // Degenerate zero-latency transit: this tick's deliveries
+            // may already have run, so it joins as an ordinary event.
+            scheduleAt(when, std::forward<F>(f));
+            return;
+        }
+        const std::uint64_t seq = (std::uint64_t{src} << kSrcShift) | srcSeq;
+        if (when - _now < kRingSize)
+            insertSorted(when, seq).emplace(std::forward<F>(f));
+        else
+            pushOverflow(when, seq, Callback(std::forward<F>(f)));
+    }
 
     /** True when no events remain. */
     bool
@@ -146,7 +168,9 @@ class EventQueue
     /**
      * Advance to tick @p t (== nextTick()) and run everything due then
      * in seq order: deliveries first, then ordinary events in FIFO
-     * order, including same-tick events they schedule.
+     * order, including same-tick events they schedule. A tick partly
+     * run by step() finishes from where it stopped. Not re-entrant: a
+     * callback must not drain the queue (that is a panic).
      * @return number of events executed.
      */
     std::uint64_t drainTick(Tick t);
@@ -164,31 +188,41 @@ class EventQueue
     void reset();
 
   private:
-    struct Event
+    /** A ring event: its tick is its bucket's. */
+    struct alignas(64) Event
     {
-        Tick when;
+        /** Leaves cb default-initialised, for the caller to emplace. */
+        explicit Event(std::uint64_t s) : seq(s) {}
+
         std::uint64_t seq;
         Callback cb;
+    };
+    static_assert(sizeof(Event) == 64, "a ring event is one cache line");
+
+    /** An overflow event, with the tick its bucket will imply. */
+    struct Timed
+    {
+        Tick when;
+        Event ev;
     };
 
     struct Later
     {
         bool
-        operator()(const Event &a, const Event &b) const
+        operator()(const Timed &a, const Timed &b) const
         {
             if (a.when != b.when)
                 return a.when > b.when;
-            return a.seq > b.seq;
+            return a.ev.seq > b.ev.seq;
         }
     };
 
     /**
      * One tick's events, sorted by seq. head indexes the next
-     * unexecuted event; entries before it have already run (their
-     * storage is recycled when the bucket drains). All live entries
-     * share the same tick: the window [now, now + kRingSize) maps each
-     * ring slot to exactly one tick, and a slot is fully drained before
-     * the window wraps back onto it.
+     * unexecuted event; entries before it have already run by step().
+     * All live entries share the same tick: the window
+     * [now, now + kRingSize) maps each ring slot to exactly one tick,
+     * and a slot is fully drained before the window wraps back onto it.
      */
     struct Bucket
     {
@@ -200,26 +234,23 @@ class EventQueue
     static constexpr std::size_t kBitWords = kRingSize / 64;
 
     Bucket &bucketFor(Tick when) { return ring_[when & kRingMask]; }
-    /** Append an event with an empty callback to @p when's bucket
+    /** Append an event with an unset callback to @p when's bucket
      *  (which must lie in the ring window); returns that callback. */
     Callback &appendToRing(Tick when);
 
-    /** Sorted insert of @p e into its tick's bucket (which must lie
-     *  in the ring window), at the upper bound of its seq. */
-    void insertSorted(const Event &e);
+    /** Sorted insert of an event keyed @p seq into @p when's bucket
+     *  (which must lie in the ring window), at the upper bound of its
+     *  seq; returns its unset callback. */
+    Callback &insertSorted(Tick when, std::uint64_t seq);
+
+    /** Push an event onto the overflow heap. */
+    void pushOverflow(Tick when, std::uint64_t seq, const Callback &cb);
+
+    /** scheduleNet()'s argument checks (panics). */
+    void checkNet(Tick when, NodeId src, std::uint64_t srcSeq) const;
 
     void markLive(Tick when);
     void clearLive(Tick when);
-
-    /** Recycle a fully executed bucket's storage before reuse. */
-    static void
-    freshen(Bucket &b)
-    {
-        if (b.head != 0 && b.head == b.events.size()) {
-            b.events.clear();
-            b.head = 0;
-        }
-    }
 
     /** Earliest pending tick in the ring, or kNever. */
     Tick nextRingTick() const;
@@ -240,9 +271,13 @@ class EventQueue
     std::array<std::uint64_t, kBitWords> live_{};
     std::size_t ringCount_ = 0;
 
+    /** The events drainTick() is running, swapped out of their bucket;
+     *  empty between drains. */
+    std::vector<Event> running_;
+
     /** Overflow min-heap (std::push_heap/std::pop_heap over a vector,
      *  ordered by Later so front() is the earliest event). */
-    std::vector<Event> overflow_;
+    std::vector<Timed> overflow_;
 };
 
 } // namespace flashsim

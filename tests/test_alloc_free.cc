@@ -167,18 +167,19 @@ namespace
 
 /**
  * A capture that, with its pointer, fills InlineCallback's entire
- * inline budget: larger than any scheduled in-tree (the biggest is
- * [this, Message], 40 bytes).
+ * 48-byte inline budget: as large as the biggest scheduled in-tree
+ * ([this, Message], 40 bytes), plus a second pointer's worth.
  */
 struct MaxPayload
 {
     void *self;
     std::uint64_t addr, arg;
-    std::uint32_t fields[6];
-    std::uint8_t flags[2];
+    std::uint32_t fields[3];
+    std::uint8_t flags[4];
 };
 // [&sink, p] below fills kInlineCallbackBytes exactly; the
-// constructor's constraint rejects anything larger at compile time.
+// constructor's constraint rejects anything larger at compile time
+// (InlineCallback.HoldsOnlyPlainCapturesWithinTheBudget).
 static_assert(sizeof(MaxPayload) + sizeof(void *) == kInlineCallbackBytes);
 
 TEST(AllocFree, SteadyStateScheduleDoesNotAllocate)
@@ -189,7 +190,7 @@ TEST(AllocFree, SteadyStateScheduleDoesNotAllocate)
     auto post = [&] {
         lcg = lcg * 1664525u + 1013904223u;
         const Cycles d = (lcg >> 20) & 0xff;
-        MaxPayload p{&eq, sink, d, {1, 2, 3, 4, 5, 6}, {7, 8}};
+        MaxPayload p{&eq, sink, d, {1, 2, 3}, {4, 5, 6, 7}};
         eq.schedule(d, [&sink, p] { sink += p.addr ^ p.arg; });
     };
 
@@ -210,6 +211,38 @@ TEST(AllocFree, SteadyStateScheduleDoesNotAllocate)
     ASSERT_NE(sink, 0u);
 }
 
+TEST(AllocFree, SteadyStateDrainTickDoesNotAllocate)
+{
+    // The machine's run loop drains whole ticks. Each event here also
+    // schedules one same-tick follow-up, which lands in the bucket
+    // drainTick() has just swapped its running events out of; that
+    // swap must recycle storage, not allocate, once warm.
+    EventQueue eq;
+    std::uint64_t sink = 0;
+    std::uint32_t lcg = 1;
+    auto post = [&] {
+        lcg = lcg * 1664525u + 1013904223u;
+        const Cycles d = (lcg >> 20) & 0xff;
+        eq.schedule(d, [&sink, &eq, d] {
+            MaxPayload p{&eq, sink, d, {1, 2, 3}, {4, 5, 6, 7}};
+            eq.schedule(0, [&sink, p] { sink += p.addr ^ p.arg; });
+        });
+    };
+    auto round = [&] {
+        post();
+        eq.drainTick(eq.nextTick());
+    };
+
+    for (int i = 0; i < 50000; ++i)
+        round();
+    const std::uint64_t before = g_allocs.load();
+    for (int i = 0; i < 20000; ++i)
+        round();
+    EXPECT_EQ(g_allocs.load(), before)
+        << "EventQueue::schedule()/drainTick() allocated in steady state";
+    ASSERT_NE(sink, 0u);
+}
+
 TEST(AllocFree, MaxCaptureIntoWarmBucketDoesNotAllocate)
 {
     // A single schedule() into a bucket with spare capacity performs no
@@ -225,7 +258,7 @@ TEST(AllocFree, MaxCaptureIntoWarmBucketDoesNotAllocate)
     EXPECT_EQ(hits, 16);
     // now() == 1; delay 0 lands back in the just-drained bucket.
     const std::uint64_t before = g_allocs.load();
-    MaxPayload p{&eq, 1, 2, {1, 2, 3, 4, 5, 6}, {7, 8}};
+    MaxPayload p{&eq, 1, 2, {1, 2, 3}, {4, 5, 6, 7}};
     eq.schedule(0, [&hits, p] { hits += static_cast<int>(p.arg); });
     EXPECT_EQ(g_allocs.load(), before);
     eq.run();

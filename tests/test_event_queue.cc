@@ -346,6 +346,97 @@ TEST(EventQueueHorizon, DrainTickRecomputesExactHorizon)
     EXPECT_EQ(eq.nextTick(), EventQueue::kNever);
 }
 
+// ---------------------------------------------------------------------------
+// drainTick() runs a tick's events in place, from storage swapped out of
+// the bucket, while same-tick schedules append to the bucket itself.
+
+TEST(EventQueueDrain, SameTickAppendsThatReallocateRunFifoAfterTheTick)
+{
+    // The first event schedules enough same-tick events to reallocate
+    // the bucket several times over while it is still running; it
+    // reads its own capture afterwards, so running it from storage the
+    // reallocation freed would be a use-after-free under ASan. One of
+    // the appended events appends once more (a third round).
+    EventQueue eq;
+    std::vector<int> order;
+    std::vector<Tick> at;
+    constexpr int kAppended = 200;
+    auto log = [&](int label) {
+        order.push_back(label);
+        at.push_back(eq.now());
+    };
+    eq.scheduleAt(5, [&, label = 0] {
+        for (int i = 0; i < kAppended; ++i)
+            eq.schedule(0, [&, i] {
+                log(100 + i);
+                if (i == kAppended - 1)
+                    eq.schedule(0, [&] { log(1000); });
+            });
+        log(label);
+    });
+    for (int label = 1; label < 3; ++label)
+        eq.scheduleAt(5, [&, label] { log(label); });
+    eq.scheduleAt(6, [&] { log(2000); });
+
+    EXPECT_EQ(eq.drainTick(5), 3u + kAppended + 1);
+    std::vector<int> expected = {0, 1, 2};
+    for (int i = 0; i < kAppended; ++i)
+        expected.push_back(100 + i);
+    expected.push_back(1000);
+    EXPECT_EQ(order, expected);
+    EXPECT_EQ(at, std::vector<Tick>(expected.size(), 5));
+    EXPECT_EQ(eq.pending(), 1u);
+    EXPECT_EQ(eq.nextTick(), 6u);
+}
+
+TEST(EventQueueDrain, FinishesATickThatStepBegan)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    for (int i = 0; i < 5; ++i)
+        eq.scheduleAt(3, [&order, i] { order.push_back(i); });
+    eq.scheduleAt(3, [&] {
+        order.push_back(5);
+        eq.schedule(0, [&] { order.push_back(6); });
+    });
+    EXPECT_TRUE(eq.step());
+    EXPECT_TRUE(eq.step());
+    EXPECT_EQ(order, (std::vector<int>{0, 1}));
+    EXPECT_EQ(eq.nextTick(), 3u);
+    EXPECT_EQ(eq.drainTick(3), 5u);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.nextTick(), EventQueue::kNever);
+}
+
+TEST(EventQueueDrain, PromotedDeliveryRunsBeforeRingEvents)
+{
+    // The delivery is sent while its tick lies beyond the ring window
+    // (overflow heap); the ordinary events reach the tick's bucket
+    // first. Promotion at the tick must still put the delivery ahead.
+    EventQueue eq;
+    std::vector<int> order;
+    const Tick far = EventQueue::kRingSize + 100;
+    eq.scheduleNet(far, 4, 0, [&] { order.push_back(0); });
+    eq.scheduleAt(200, [&] {
+        for (int i = 1; i < 4; ++i)
+            eq.scheduleAt(far, [&order, i] { order.push_back(i); });
+    });
+    EXPECT_EQ(eq.drainTick(eq.nextTick()), 1u);
+    EXPECT_EQ(eq.nextTick(), far);
+    EXPECT_EQ(eq.drainTick(far), 4u);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(EventQueueDrain, DrainingFromACallbackPanics)
+{
+    EventQueue eq;
+    eq.schedule(10, [&] {
+        EXPECT_DEATH(eq.drainTick(eq.now()), "called from a callback");
+    });
+    eq.run();
+}
+
 TEST(InlineCallback, HoldsOnlyPlainCapturesWithinTheBudget)
 {
     // The converting constructor is constrained, not static_asserted:

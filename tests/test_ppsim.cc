@@ -11,6 +11,7 @@
 
 #include "ppisa/instruction.hh"
 #include "ppisa/ppsim.hh"
+#include "ppisa/threaded.hh"
 
 namespace flashsim::ppisa
 {
@@ -331,6 +332,64 @@ TEST(PpSim, TwoBranchesInPairPanics)
     std::vector<SentMessage> sent;
     RunStats stats;
     EXPECT_DEATH(sim.run(prog, regs, mem, sent, stats), "two branches");
+}
+
+/**
+ * @p prog's threaded image, writable: a test corrupts one lowered op
+ * to stand for a threaded-engine bug while runReference() still
+ * interprets pairs(). @p prog is not a const object, so writing through
+ * the cast is defined.
+ */
+ThreadedOp &
+loweredOp(Program &prog, std::size_t pair)
+{
+    return const_cast<std::vector<ThreadedOp> &>(prog.decoded())[pair];
+}
+
+TEST(PpSimOracle, StoreDivergenceNamesBothValues)
+{
+    Instr sd;
+    sd.op = Op::Sd;
+    sd.rs = 1;
+    sd.rt = 2;
+    sd.imm = 8;
+    Program prog("st", {InstrPair{rri(Op::Addi, 2, 0, 0x5a), nop()},
+                        InstrPair{sd, nop()},
+                        InstrPair{halt(), nop()}});
+    loweredOp(prog, 0).a.imm = 0x5b;
+    PpSim sim(/*checked=*/true);
+    RegFile regs{};
+    regs[1] = 0x1000;
+    FlatPpMemory mem;
+    std::vector<SentMessage> sent;
+    RunStats stats;
+    EXPECT_DEATH(sim.run(prog, regs, mem, sent, stats),
+                 "memory-op divergence in 'st' at op 0: reference issued "
+                 "store of 0x5a to 0x1008, threaded backend issued store "
+                 "of 0x5b to 0x1008");
+}
+
+TEST(PpSimOracle, SentMessageDivergenceNamesTheFirstDifference)
+{
+    Instr s;
+    s.op = Op::Send;
+    s.rs = 1;
+    s.rt = 2;
+    s.imm = 12;
+    Program prog("send", {InstrPair{s, nop()}, InstrPair{s, nop()},
+                          InstrPair{halt(), nop()}});
+    loweredOp(prog, 1).a.imm = 13;
+    PpSim sim(/*checked=*/true);
+    RegFile regs{};
+    regs[1] = 3;
+    regs[2] = 0xabc;
+    FlatPpMemory mem;
+    std::vector<SentMessage> sent;
+    RunStats stats;
+    EXPECT_DEATH(sim.run(prog, regs, mem, sent, stats),
+                 "sent-message divergence in 'send' at message 1: "
+                 "threaded \\{type 13, dest 0x3, arg 0xabc\\}, "
+                 "reference \\{type 12, dest 0x3, arg 0xabc\\}");
 }
 
 // ---------------------------------------------------------------------------
